@@ -268,10 +268,16 @@ def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
     if not is_ideal(L, ideal):
         raise NotAnIdealError("the acting construction needs a Lie ideal")
     sub_alg, _ = subalgebra(L, ideal)
-    cx = ce_complex(sub_alg, restrict(M, ideal))
+    return _chain_operators(ce_complex(sub_alg, restrict(M, ideal)), L, ideal, M, x)
+
+
+def _chain_operators(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
+                     M: LieModule, x) -> tuple[QMatrix, ...]:
+    """The operators of x on every C^p of the built complex cx of the ideal,
+    checked to commute with its differential."""
     ops = tuple(_action_operator(cx, L, ideal, M, x, p)
-                for p in range(sub_alg.dim + 1))
-    for p in range(sub_alg.dim):
+                for p in range(cx.top_degree + 1))
+    for p in range(cx.top_degree):
         if cx.delta(p) * ops[p] != ops[p + 1] * cx.delta(p):
             raise ChainMapError("action operator does not commute with the differential")
     return ops
@@ -310,15 +316,8 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     cx = ce_complex(sub_alg, restrict(M, ideal))
     coh = cohomology_of(cx)
     nq = quotient(L, ideal)
-    per_lift_ops = []
-    for a in range(nq.algebra.dim):
-        x = nq.lift(a)
-        ops = tuple(_action_operator(cx, L, ideal, M, x, p)
-                    for p in range(sub_alg.dim + 1))
-        for p in range(sub_alg.dim):
-            if cx.delta(p) * ops[p] != ops[p + 1] * cx.delta(p):
-                raise ChainMapError("action operator does not commute with the differential")
-        per_lift_ops.append(ops)
+    per_lift_ops = [_chain_operators(cx, L, ideal, M, nq.lift(a))
+                    for a in range(nq.algebra.dim)]
     modules = []
     for q in range(sub_alg.dim + 1):
         reps = coh.rep_matrix(q)
@@ -327,41 +326,13 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     return ActionOnCohomology(nq, coh, tuple(modules))
 
 
-def _minor_det(mat: QMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-    """Determinant of the square submatrix picked out by rows x cols."""
-    p = len(rows)
-    if p != len(cols):
-        raise DimensionMismatchError("minor must be square")
-    if p == 0:
-        return Fraction(1)
-    a = [[mat[r, c] for c in cols] for r in rows]
-    det = Fraction(1)
-    for i in range(p):
-        piv = None
-        for r in range(i, p):
-            if a[r][i]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = Fraction(1) / a[i][i]
-        for r in range(i + 1, p):
-            if a[r][i]:
-                f = a[r][i] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return det
-
-
 def inflation_map(L: LieAlgebra, nq: Quotient | None = None) -> tuple[QMatrix, ...]:
     """Cochain pullback along the projection to the nilpotent quotient.
 
     With trivial coefficients the degree-p matrix has entries the p x p
-    minors of the projection; the family is verified to be a chain map.
-    Returns matrices for p = 0..dim(quotient).
+    minors of the projection: row T holds the wedge expansion of the
+    projected basis vectors indexed by T.  The family is verified to be a
+    chain map.  Returns matrices for p = 0..dim(quotient).
     """
     if nq is None:
         nq = nil_quotient(L)
@@ -371,11 +342,14 @@ def inflation_map(L: LieAlgebra, nq: Quotient | None = None) -> tuple[QMatrix, .
     cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
     maps = []
     for p in range(qd + 1):
-        rows_sets = wedge.subsets(n, p)
-        cols_sets = wedge.subsets(qd, p)
-        out = [[_minor_det(nq.projection, S, T) for S in cols_sets]
-               for T in rows_sets]
-        maps.append(QMatrix(tuple(tuple(r) for r in out), cols=len(cols_sets)))
+        col_index = wedge.subset_index(qd, p)
+        out = []
+        for T in wedge.subsets(n, p):
+            row = [Fraction(0)] * len(col_index)
+            for S, a in wedge.wedge_product([nq.projection.column(t) for t in T]).items():
+                row[col_index[S]] = a
+            out.append(row)
+        maps.append(QMatrix(out, cols=len(col_index)))
     for p in range(qd + 1):
         nxt = maps[p + 1] if p + 1 <= qd else QMatrix.zero(cx_L.space_dim(p + 1), 0)
         if cx_L.delta(p) * maps[p] != nxt * cx_q.delta(p):
@@ -454,10 +428,8 @@ class E2Page:
 
 def _e2_from_action(aoc: ActionOnCohomology) -> E2Page:
     nil = aoc.quotient.algebra
-    table = []
-    for p in range(nil.dim + 1):
-        table.append(tuple(cohomology(nil, mod).dims[p] for mod in aoc.modules))
-    return E2Page(tuple(table))
+    dims = [cohomology(nil, mod).dims for mod in aoc.modules]
+    return E2Page(tuple(tuple(d[p] for d in dims) for p in range(nil.dim + 1)))
 
 
 def hs_e2_page(L: LieAlgebra) -> E2Page:

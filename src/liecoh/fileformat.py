@@ -46,29 +46,40 @@ def algebra_to_dict(L: LieAlgebra) -> dict:
 
 
 def _parse_coeff(s, where: str) -> Fraction:
+    if isinstance(s, float):
+        raise FileFormatError(f"bad coefficient {s!r} in {where}: write rationals as strings")
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(f"bad coefficient {s!r} in {where}: {exc}") from None
 
 
+def _index(x, where: str) -> int:
+    # int() would read 1.9 as 1 and true as 1
+    if type(x) is not int:
+        raise FileFormatError(f"{where}: {x!r} is not an integer")
+    return x
+
+
 def algebra_from_dict(d: dict) -> LieAlgebra:
     if not isinstance(d, dict):
         raise FileFormatError("algebra file must be a JSON object")
     try:
-        dim = int(d["dim"])
+        dim = _index(d["dim"], "dim")
         basis = list(d["basis"])
         brackets = d.get("brackets", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
     if len(basis) != dim:
         raise FileFormatError(f"dim is {dim} but {len(basis)} basis names are given")
+    if len(set(map(str, basis))) != dim:
+        raise FileFormatError("basis names must be distinct")
     table = {}
     for pos, entry in enumerate(brackets):
         where = f"brackets[{pos}]"
         try:
-            i = int(entry["left"])
-            j = int(entry["right"])
+            i = _index(entry["left"], where)
+            j = _index(entry["right"], where)
             result = entry["result"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{where}: {exc}") from None
@@ -78,12 +89,14 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
             raise FileFormatError(
                 f"{where}: pairs must satisfy left < right; "
                 "antisymmetric partners are implied")
+        if (i, j) in table:
+            raise FileFormatError(f"{where}: bracket pair ({i}, {j}) is given twice")
         terms = []
         for item in result:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise FileFormatError(f"{where}: result entries are [coefficient, index] pairs")
             coeff = _parse_coeff(item[0], where)
-            k = int(item[1])
+            k = _index(item[1], where)
             if not 0 <= k < dim:
                 raise FileFormatError(f"{where}: result index {k} out of range")
             terms.append((coeff, k))

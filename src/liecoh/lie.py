@@ -23,8 +23,10 @@ from .errors import (
 from .linalg import (
     QMatrix,
     Subspace,
+    _insert,
+    _reduce,
+    _sparse,
     quotient_basis,
-    rref,
     rref_transform,
     vector,
 )
@@ -105,35 +107,26 @@ class LieAlgebra:
             raise DimensionMismatchError("one label per matrix")
         flat = [tuple(a for row in m.data for a in row) for m in mats]
         ambient = len(flat[0]) if flat else 0
-        span = Subspace.from_rows(ambient, flat)
-        if span.dim != n:
+        # Echelon rows of [flat | I]: the identity block records how each
+        # row combines the original matrices.
+        pivots: dict = {}
+        for s, f in enumerate(flat):
+            _insert(pivots, {**_sparse(f), ambient + s: Fraction(1)})
+        if any(lead >= ambient for lead in pivots):
             raise NotASubalgebraError("matrices are linearly dependent")
-        # Row-reduce [flat | I] so arbitrary span members can be rewritten
-        # in the original (not echelonized) basis.
-        aug = QMatrix(tuple(f + tuple(Fraction(1 if t == s else 0) for t in range(n))
-                            for s, f in enumerate(flat)), cols=ambient + n)
-        R, pivots = rref(aug)
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 comm = mats[i] * mats[j] - mats[j] * mats[i]
-                v = list(a for row in comm.data for a in row)
-                coeffs = [Fraction(0)] * n
-                for r, p in enumerate(pivots):
-                    if p >= ambient:
-                        break
-                    f = v[p]
-                    if f:
-                        for t in range(ambient):
-                            v[t] -= f * R[r, t]
-                        for t in range(n):
-                            coeffs[t] += f * R[r, ambient + t]
-                if any(v):
+                # reducing [comm | 0] leaves [0 | -coefficients] when comm is in the span
+                rest = _sparse(a for row in comm.data for a in row)
+                _reduce(pivots, rest)
+                if any(k < ambient for k in rest):
                     raise NotASubalgebraError(
                         f"[{labels[i]}, {labels[j]}] falls outside the span")
                 for k in range(n):
-                    c[i][j][k] = coeffs[k]
-                    c[j][i][k] = -coeffs[k]
+                    c[i][j][k] = -rest.get(ambient + k, Fraction(0))
+                    c[j][i][k] = -c[i][j][k]
         return cls(c, labels)
 
     def bracket_matrix(self, i: int) -> QMatrix:

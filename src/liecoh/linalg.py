@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this module is exact: entries are `fractions.Fraction`
 (always in lowest terms, positive denominator) and no rounding ever
@@ -7,19 +7,21 @@ operations are pure and safe to share between threads.
 
 Conventions
 -----------
-* Vectors are plain tuples of Fractions.
+* Vectors are plain tuples of Fractions; a `QMatrix` is dense.
 * A `Subspace` stores its basis as the rows of a matrix in reduced row
   echelon form with no zero rows.  This makes the basis canonical: two
   subspaces are equal iff their basis matrices are equal.
-* `rank` uses fraction-free (Bareiss) elimination on a denominator-cleared
-  integer copy; canonical bases use ordinary rational reduction, since
-  reduced echelon form needs division anyway.  The kernel/rank consistency
-  checks in the test suite exercise both elimination routes against each
-  other.
+* Every elimination (rank, echelon forms, kernels, images, solving,
+  intersections, quotient bases) runs through one sparse engine.  Rows
+  are {key: Fraction} dicts, reduced into a dict that maps each leading
+  (smallest) key to a row that is 1 there; one back-substitution pass
+  then gives the canonical reduced echelon form.  Keys need only be
+  comparable, so `pbw` runs the same engine on monomial rows.  The test
+  suite checks the engine against the independent elimination in
+  `tests/oracles.py`.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import ContainmentError, DimensionMismatchError
 
@@ -205,99 +207,100 @@ class QMatrix:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over Q, by fraction-free Bareiss elimination.
+def _sparse(vec) -> dict:
+    return {j: a for j, a in enumerate(vec) if a}
 
-    Rows are first scaled to integers (row scaling does not change the row
-    space), then eliminated keeping every intermediate entry an integer.
+
+def _dense(row: dict, lo: int, hi: int) -> tuple:
+    """Entries of a sparse row with keys in [lo, hi), as a vector of length hi - lo."""
+    out = [Fraction(0)] * (hi - lo)
+    for k, a in row.items():
+        if lo <= k < hi:
+            out[k - lo] = a
+    return tuple(out)
+
+
+def _subtract(row: dict, f, piv: dict) -> None:
+    """row -= f * piv, in place, keeping no zero entries."""
+    for k, a in piv.items():
+        v = row.get(k, 0) - f * a
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _reduce(pivots: dict, row: dict):
+    """Subtract pivot rows from `row` (in place) until its leading key is no pivot.
+
+    `pivots` maps each leading (smallest) key to a row that is 1 there.
+    Returns the leading key left over, or None when the row reduced to zero.
     """
-    rows = []
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return lead
+        _subtract(row, row[lead], piv)
+    return None
+
+
+def _insert(pivots: dict, row: dict):
+    """Reduce `row` and add what is left to `pivots`, scaled to 1 at its lead.
+
+    Returns the new leading key, or None when the row lay in the span of
+    the pivot rows already.  Consumes `row`.
+    """
+    lead = _reduce(pivots, row)
+    if lead is not None:
+        inv = Fraction(1) / row[lead]
+        pivots[lead] = {k: a * inv for k, a in row.items()}
+    return lead
+
+
+def _echelon(rows) -> dict:
+    """Canonical reduced echelon form of the span of sparse rows.
+
+    Returns {pivot key: row} in increasing key order; every row is 1 at
+    its own pivot and 0 at every other one.
+    """
+    pivots: dict = {}
+    for row in rows:
+        _insert(pivots, row)
+    leads = sorted(pivots)
+    for lead in reversed(leads):
+        row = pivots[lead]
+        for k in [k for k in row if k != lead and k in pivots]:
+            _subtract(row, row[k], pivots[k])
+    return {lead: pivots[lead] for lead in leads}
+
+
+def rank(m: QMatrix) -> int:
+    """Rank over Q: the number of pivots the rows reduce to."""
+    pivots: dict = {}
     for row in m.data:
-        if any(row):
-            mult = lcm(*(a.denominator for a in row)) if row else 1
-            ints = [int(a * mult) for a in row]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            if g > 1:
-                ints = [x // g for x in ints]
-            rows.append(ints)
-    if not rows:
-        return 0
-    ncols = m.cols
-    r = 0
-    prev_pivot = 1
-    for c in range(ncols):
-        p = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, len(rows)):
-            fi = rows[i][c]
-            row_i = rows[i]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - fi * row_r[j]) // prev_pivot
-        prev_pivot = piv
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        _insert(pivots, _sparse(row))
+    return len(pivots)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    R, _, pivots = _rref_rows([list(row) for row in m.data], m.cols, transform=False)
-    return QMatrix(tuple(tuple(r) for r in R), cols=m.cols), pivots
+    ech = _echelon(_sparse(row) for row in m.data)
+    rows = [_dense(row, 0, m.cols) for row in ech.values()]
+    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
+    return QMatrix(rows, cols=m.cols), tuple(ech)
 
 
 def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
-    """As `rref`, also returning an invertible T with T * m = rref(m)."""
-    R, T, pivots = _rref_rows([list(row) for row in m.data], m.cols, transform=True)
-    return (QMatrix(tuple(tuple(r) for r in R), cols=m.cols),
-            QMatrix(tuple(tuple(r) for r in T), cols=m.rows),
-            pivots)
+    """As `rref`, also returning an invertible T with T * m = rref(m).
 
-
-def _rref_rows(rows, ncols, transform):
-    nrows = len(rows)
-    T = [[Fraction(1 if i == j else 0) for j in range(nrows)] for i in range(nrows)] \
-        if transform else None
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        if transform:
-            T[r], T[p] = T[p], T[r]
-        piv = rows[r][c]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            rows[r] = [a * inv for a in rows[r]]
-            if transform:
-                T[r] = [a * inv for a in T[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                if transform:
-                    T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, T, tuple(pivots)
+    [rref(m) | T] is the reduced echelon form of [m | I].
+    """
+    n = m.cols
+    ech = _echelon({**_sparse(row), n + i: Fraction(1)} for i, row in enumerate(m.data))
+    return (QMatrix([_dense(row, 0, n) for row in ech.values()], cols=n),
+            QMatrix([_dense(row, n, n + m.rows) for row in ech.values()], cols=m.rows),
+            tuple(lead for lead in ech if lead < n))
 
 
 def solve(m: QMatrix, b) -> tuple | None:
@@ -308,16 +311,21 @@ def solve(m: QMatrix, b) -> tuple | None:
     b = vector(b)
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side has wrong length")
-    aug = QMatrix(tuple(row + (bb,) for row, bb in zip(m.data, b)), cols=m.cols + 1)
     if not m.rows:
         return zero_vector(m.cols)
-    R, pivots = rref(aug)
-    if m.cols in pivots:
+    ech = _echelon(_sparse(row + (bb,)) for row, bb in zip(m.data, b))
+    if m.cols in ech:
         return None
     x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = R[r, m.cols]
+    for p, row in ech.items():
+        x[p] = row.get(m.cols, Fraction(0))
     return tuple(x)
+
+
+def _span(n: int, rows) -> "Subspace":
+    """The subspace of Q^n spanned by sparse rows."""
+    return Subspace(n, QMatrix([_dense(row, 0, n) for row in _echelon(rows).values()],
+                               cols=n))
 
 
 class Subspace:
@@ -335,12 +343,10 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        m = QMatrix(tuple(vector(r) for r in rows), cols=ambient_dim)
-        if m.rows and m.cols != ambient_dim:
+        rows = [vector(r) for r in rows]
+        if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatchError("row length differs from ambient dimension")
-        R, pivots = rref(m)
-        keep = tuple(R.row(i) for i in range(len(pivots)))
-        return cls(ambient_dim, QMatrix(keep, cols=ambient_dim))
+        return _span(ambient_dim, (_sparse(r) for r in rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -410,15 +416,12 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
         n = self.ambient_dim
-        block = [row + row for row in self.basis.data]
-        block += [row + zero_vector(n) for row in other.basis.data]
-        R, _ = rref(QMatrix(tuple(block), cols=2 * n))
-        inter = []
-        for row in R.data:
-            if any(row):
-                if not any(row[:n]):
-                    inter.append(row[n:])
-        return Subspace.from_rows(n, inter)
+        block = [_sparse(row + row) for row in self.basis.data]
+        block += [_sparse(row) for row in other.basis.data]
+        # echelon rows led from the right half are zero on the left half;
+        # their right halves are the canonical basis of the intersection
+        basis = [_dense(row, n, 2 * n) for lead, row in _echelon(block).items() if lead >= n]
+        return Subspace(n, QMatrix(basis, cols=n))
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} of Q^{self.ambient_dim}>"
@@ -426,41 +429,36 @@ class Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """The solution space {v : m v = 0} as a subspace of Q^cols."""
-    R, pivots = rref(m)
-    n = m.cols
-    free = [j for j in range(n) if j not in pivots]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r, f]
-        rows.append(tuple(v))
-    return Subspace.from_rows(n, rows)
+    ech = _echelon(_sparse(row) for row in m.data)
+    # one solution per free column f: 1 at f, minus column f of the echelon rows
+    basis = {f: {f: Fraction(1)} for f in range(m.cols) if f not in ech}
+    for p, row in ech.items():
+        for f, a in row.items():
+            if f != p:
+                basis[f][p] = -a
+    return _span(m.cols, basis.values())
 
 
 def image(m: QMatrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return Subspace.from_rows(m.rows, m.transpose().data)
+    return _span(m.rows, (_sparse(col) for col in zip(*m.data)))
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     """Vectors of `big` whose classes form a basis of big/small.
 
-    The vectors are picked greedily from the canonical basis of `big`, so
-    the result is deterministic.  Raises ContainmentError unless
-    small <= big.
+    The vectors are picked greedily from the canonical basis of `big`: a
+    row is kept when it adds a pivot to the echelon form of `small` and
+    the rows kept before it, so the result is deterministic.  Raises
+    ContainmentError unless small <= big.
     """
     if small.ambient_dim != big.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    if not small <= big:
+    pivots: dict = {}
+    for row in small.basis.data:
+        _insert(pivots, _sparse(row))
+    chosen = [row for row in big.basis.data if _insert(pivots, _sparse(row)) is not None]
+    # the pivots span small + big, which is big exactly when small <= big
+    if len(pivots) != big.dim:
         raise ContainmentError("small subspace is not contained in the big one")
-    chosen = []
-    span = list(small.basis.data)
-    current = Subspace.from_rows(big.ambient_dim, span)
-    for row in big.basis.data:
-        if not current.contains(row):
-            chosen.append(row)
-            span.append(row)
-            current = Subspace.from_rows(big.ambient_dim, span)
     return chosen

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import ZeroElementError
 from .lie import LieAlgebra, adapted_basis, is_nilpotent, reorder_basis
-from .linalg import Subspace
+from .linalg import Subspace, _insert
 
 __all__ = [
     "UEAElement",
@@ -233,44 +233,28 @@ def _ordered_algebra(L: LieAlgebra):
     return reorder_basis(L, order), nu
 
 
-def _mono_key(a):
-    return (sum(a), a)
-
-
 def _reduce_into(pivots: dict, row: dict) -> None:
     """Sparse elimination of `row` against and into `pivots`.
 
-    pivots maps a leading monomial to a row normalized at that monomial.
+    Rows are keyed by (-degree, exponents), so the engine's smallest
+    leading key is a monomial of the highest degree in the row.
     """
-    while row:
-        lead = max(row, key=_mono_key)
-        if not row[lead]:
-            del row[lead]
-            continue
-        piv = pivots.get(lead)
-        if piv is None:
-            inv = Fraction(1) / row[lead]
-            pivots[lead] = {a: c * inv for a, c in row.items() if c}
-            return
-        f = row[lead]
-        for a, c in piv.items():
-            row[a] = row.get(a, Fraction(0)) - f * c
-        row = {a: c for a, c in row.items() if c}
+    _insert(pivots, row)
 
 
 @lru_cache(maxsize=None)
 def _word_span(L: LieAlgebra, s: int) -> tuple:
-    """Reduced rows spanning the straightened words of length exactly s."""
+    """Reduced rows spanning the straightened words of length exactly s,
+    as (key, coefficient) pairs keyed as in `_reduce_into`."""
     if s == 0:
-        return (((tuple([0] * L.dim), Fraction(1)),),)
+        return ((((0, (0,) * L.dim), Fraction(1)),),)
     pivots: dict = {}
     for prev in _word_span(L, s - 1):
-        u = UEAElement(L.dim, dict(prev))
+        u = UEAElement(L.dim, {a: c for (_, a), c in prev})
         for i in range(L.dim):
             prod = multiply(L, u, UEAElement.generator(L.dim, i))
-            _reduce_into(pivots, dict(prod.terms))
-    return tuple(tuple(sorted(row.items(), key=lambda kv: _mono_key(kv[0])))
-                 for lead, row in sorted(pivots.items(), key=lambda kv: _mono_key(kv[0])))
+            _reduce_into(pivots, {(-sum(a), a): c for a, c in prod.terms.items()})
+    return tuple(tuple(row.items()) for row in pivots.values())
 
 
 def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
@@ -292,13 +276,14 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}
     rows = []
-    for lead in sorted(pivots, key=_mono_key):
-        if sum(lead) <= r_max:
-            row = pivots[lead]
+    # a row led by degree <= r_max lies wholly in degree <= r_max, and those
+    # rows span the whole degree <= r_max part of the echelon form's span
+    for (neg_degree, _), row in pivots.items():
+        if -neg_degree <= r_max:
             dense = [Fraction(0)] * len(monos)
-            for a, c in row.items():
+            for (_, a), c in row.items():
                 dense[index[a]] = c
-            rows.append(tuple(dense))
+            rows.append(dense)
     return Subspace.from_rows(len(monos), rows)
 
 

@@ -13,7 +13,7 @@ One global convention, used everywhere:
 
 from itertools import combinations
 
-__all__ = ["subsets", "subset_index", "insert_sign", "replace_sign"]
+__all__ = ["subsets", "subset_index", "insert_sign", "replace_sign", "wedge_product"]
 
 
 def subsets(n: int, p: int) -> list[tuple[int, ...]]:
@@ -64,3 +64,24 @@ def replace_sign(subset: tuple[int, ...], pos: int, k: int):
             break
     sign = -1 if (pos - below) % 2 else 1
     return sign, rest[:below] + (k,) + rest[below:]
+
+
+def wedge_product(vectors) -> dict:
+    """Expand v_1 ^ ... ^ v_p of coordinate vectors in the wedge basis.
+
+    Returns {S: coefficient} for the nonzero coefficients.  The coefficient
+    of e_S is the p x p minor, at rows S, of the matrix with columns v_i.
+    """
+    acc = {(): 1}
+    for v in reversed(vectors):
+        nxt = {}
+        for rest, c in acc.items():
+            for k, a in enumerate(v):
+                if not a:
+                    continue
+                hit = insert_sign(rest, k)
+                if hit is not None:
+                    sign, S = hit
+                    nxt[S] = nxt.get(S, 0) + sign * a * c
+        acc = {S: c for S, c in nxt.items() if c}
+    return acc

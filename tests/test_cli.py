@@ -62,6 +62,39 @@ def test_rejects_bad_coefficients():
         algebra_from_dict(d)
 
 
+def _float_index(d):
+    d["brackets"][0]["right"] = 1.9
+
+
+def _float_coefficient(d):
+    d["brackets"][0]["result"][0][0] = 0.5
+
+
+def _boolean_index(d):
+    d["brackets"][0]["right"] = True
+
+
+def _repeated_pair(d):
+    d["brackets"].append({"left": 0, "right": 1, "result": [["2", 1]]})
+
+
+def _duplicate_labels(d):
+    d["basis"] = ["x", "x"]
+
+
+@pytest.mark.parametrize("corrupt", [_float_index, _float_coefficient, _boolean_index,
+                                     _repeated_pair, _duplicate_labels])
+def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
+    # a lenient reader turns each of these into a different algebra instead of refusing it
+    d = algebra_to_dict(catalog.example_a())
+    corrupt(d)
+    with pytest.raises(FileFormatError):
+        algebra_from_dict(d)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(d))
+    run_cli("validate", str(path), expect=2)
+
+
 # --- commands -------------------------------------------------------------
 
 def test_validate_catalog_name():

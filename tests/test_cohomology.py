@@ -17,6 +17,7 @@ from liecoh.cohomology import (
 )
 from liecoh.errors import DimensionMismatchError, NotAnIdealError
 from liecoh.lie import (
+    LieAlgebra,
     bracket_span,
     lower_central_series,
     nil_quotient,
@@ -30,8 +31,9 @@ from liecoh.rep import (
     one_dim_module,
     trivial_module,
 )
+from liecoh.wedge import subsets, wedge_product
 
-from oracles import ce_dims
+from oracles import ce_dims, det_permutation, gauss_rank
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -243,6 +245,39 @@ def test_inflation_identity_on_nilpotent():
         # the quotient map is the identity, so every cochain map is too
         for p, m in enumerate(inflation_map(L)):
             assert m == QMatrix.identity(m.rows), (name, p)
+
+
+def test_wedge_product_minors_random():
+    rng = random.Random(306)
+    for _ in range(300):
+        q = rng.randrange(0, 5)
+        p = rng.randrange(0, q + 1)
+        cols = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(q)]
+                for _ in range(p)]
+        got = wedge_product(cols)
+        for S in subsets(q, p):
+            minor = [[cols[j][i] for j in range(p)] for i in S]
+            assert got.get(S, 0) == det_permutation(minor), (cols, S)
+
+
+def test_inflation_entries_are_projection_minors():
+    # ut(3) in random bases, so that the projection to the quotient is dense
+    units = [[[1 if (r, c) == (i, j) else 0 for c in range(3)] for r in range(3)]
+             for i in range(3) for j in range(i, 3)]
+    rng = random.Random(307)
+    for _ in range(4):
+        A = [[rng.randint(-2, 2) for _ in units] for _ in units]
+        if gauss_rank([[Fraction(a) for a in row] for row in A]) < len(units):
+            continue
+        mats = [[[sum(a * u[r][c] for a, u in zip(row, units)) for c in range(3)]
+                 for r in range(3)] for row in A]
+        L = LieAlgebra.from_matrices([f"b{k}" for k in range(len(units))], mats)
+        nq = nil_quotient(L)
+        P = nq.projection
+        for p, m in enumerate(inflation_map(L, nq)):
+            for t, T in enumerate(subsets(L.dim, p)):
+                for s, S in enumerate(subsets(nq.algebra.dim, p)):
+                    assert m[t, s] == det_permutation([[P[i, j] for j in T] for i in S])
 
 
 def test_inflation_example_a_iso():

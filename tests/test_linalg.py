@@ -12,9 +12,12 @@ from liecoh.linalg import (
     quotient_basis,
     rank,
     rref,
+    rref_transform,
     solve,
     unit_vector,
 )
+
+from oracles import gauss_rank
 
 
 def test_rank_examples():
@@ -46,9 +49,55 @@ def test_rank_nullity_random():
         cols = rng.randrange(1, 6)
         m = QMatrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(cols)] for _ in range(rows)], cols=cols)
-        # rank is Bareiss over integers, kernel comes from rational echelon:
-        # the identity cross-checks the two elimination routes
+        # rank and kernel share one elimination engine, so this is a
+        # consistency check; the oracle tests below are the second route
         assert rank(m) + kernel(m).dim == cols
+
+
+def _random_matrix(rng, max_rows=6, max_cols=6):
+    rows = rng.randrange(0, max_rows)
+    cols = rng.randrange(1, max_cols)
+    # few distinct entries, so that low rank turns up often
+    return QMatrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def test_rank_matches_oracle_random():
+    rng = random.Random(105)
+    for _ in range(200):
+        m = _random_matrix(rng)
+        assert rank(m) == gauss_rank(m.data)
+
+
+def test_rref_transform_random():
+    rng = random.Random(106)
+    for _ in range(100):
+        m = _random_matrix(rng)
+        R, T, pivots = rref_transform(m)
+        assert T * m == R
+        assert gauss_rank(T.data) == m.rows
+        assert (R, pivots) == rref(m)
+        assert len(pivots) == gauss_rank(m.data)
+        for r, p in enumerate(pivots):
+            assert R.column(p) == unit_vector(m.rows, r)
+
+
+def test_quotient_basis_matches_naive_greedy_random():
+    rng = random.Random(107)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        big = _random_subspace(rng, n)
+        combos = [[rng.randint(-2, 2) for _ in range(big.dim)]
+                  for _ in range(rng.randrange(0, n + 1))]
+        small = Subspace.from_rows(n, [
+            [sum(f * row[j] for f, row in zip(combo, big.basis.data)) for j in range(n)]
+            for combo in combos])
+        chosen = []
+        for row in big.basis.data:
+            before = gauss_rank(small.basis.data + tuple(chosen))
+            if gauss_rank(small.basis.data + tuple(chosen) + (row,)) > before:
+                chosen.append(row)
+        assert quotient_basis(big, small) == chosen
 
 
 def test_matrix_arithmetic():
