@@ -38,7 +38,7 @@ from .lie import (
     validate,
 )
 from .pbw import is_rees_noetherian
-from .rep import has_trivial_subquotient, trivial_module
+from .rep import _joint_generalized_kernel_nonzero, trivial_module
 
 __all__ = [
     "TheoremReport",
@@ -85,7 +85,8 @@ def check(L: LieAlgebra) -> TheoremReport:
     aoc = action_on_cohomology(L, linf, triv)
     infl = inflation_on_cohomology(L, aoc.quotient)
 
-    trivial_in = tuple(has_trivial_subquotient(aoc.modules[q])
+    # the modules are over L/L^inf, which is nilpotent by construction
+    trivial_in = tuple(_joint_generalized_kernel_nonzero(aoc.modules[q])
                        for q in range(1, linf.dim + 1))
     condition3 = not any(trivial_in)
     condition2 = infl.is_isomorphism

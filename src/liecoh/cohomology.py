@@ -43,9 +43,11 @@ from .lie import LieAlgebra, Quotient, is_ideal, nil_quotient, quotient, subalge
 from .linalg import (
     QMatrix,
     Subspace,
+    _complement,
+    _dense,
+    _transpose,
     image,
     kernel,
-    quotient_basis,
     rank,
     rref_transform,
     vector,
@@ -100,40 +102,43 @@ class CochainComplex:
         return self.algebra.dim
 
 
+def _pruned(rows) -> list:
+    """Sparse rows without the zero values that cancellation left behind."""
+    return [{k: a for k, a in row.items() if a} for row in rows]
+
+
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     """Matrices of the standard-complex differential in the wedge basis."""
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
     n = L.dim
     m = M.dim
+    brackets = [[[(k, g) for k, g in enumerate(L.c[i][j]) if g] for j in range(n)]
+                for i in range(n)]
     deltas = []
     for p in range(n):
         rows_sets = wedge.subsets(n, p + 1)
-        cols_sets = wedge.subsets(n, p)
-        col_index = {S: t for t, S in enumerate(cols_sets)}
-        out = [[Fraction(0)] * (len(cols_sets) * m) for _ in range(len(rows_sets) * m)]
+        col_index = wedge.subset_index(n, p)
+        out = [{} for _ in range(len(rows_sets) * m)]
         for trow, T in enumerate(rows_sets):
             rbase = trow * m
             # action terms: drop one wedge factor, act on the coefficient
             for i, t in enumerate(T):
-                S = T[:i] + T[i + 1:]
-                cbase = col_index[S] * m
+                cbase = col_index[T[:i] + T[i + 1:]] * m
                 sign = -1 if i % 2 else 1
-                act = M.rho[t]
-                for beta in range(m):
+                for beta, arow in enumerate(M.rho[t].entries):
                     row = out[rbase + beta]
-                    arow = act.data[beta]
-                    for b in range(m):
-                        if arow[b]:
-                            row[cbase + b] += sign * arow[b]
+                    for b, a in arow.items():
+                        row[cbase + b] = row.get(cbase + b, 0) + sign * a
             # bracket terms: contract two wedge factors into one
             for a in range(len(T)):
                 for bpos in range(a + 1, len(T)):
-                    rest = tuple(x for idx, x in enumerate(T) if idx not in (a, bpos))
+                    terms = brackets[T[a]][T[bpos]]
+                    if not terms:
+                        continue
+                    rest = T[:a] + T[a + 1:bpos] + T[bpos + 1:]
                     pair_sign = -1 if (a + bpos) % 2 else 1
-                    for k, gamma in enumerate(L.c[T[a]][T[bpos]]):
-                        if not gamma:
-                            continue
+                    for k, gamma in terms:
                         hit = wedge.insert_sign(rest, k)
                         if hit is None:
                             continue
@@ -141,8 +146,9 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
                         coeff = pair_sign * ins_sign * gamma
                         cbase = col_index[S] * m
                         for beta in range(m):
-                            out[rbase + beta][cbase + beta] += coeff
-        deltas.append(QMatrix(tuple(tuple(r) for r in out), cols=len(cols_sets) * m))
+                            row = out[rbase + beta]
+                            row[cbase + beta] = row.get(cbase + beta, 0) + coeff
+        deltas.append(QMatrix._wrap(_pruned(out), len(col_index) * m))
     return CochainComplex(L, M, tuple(deltas))
 
 
@@ -182,7 +188,15 @@ class CohomologyResult:
 
 
 def cohomology_of(cx: CochainComplex) -> CohomologyResult:
-    """Cohomology of an already-built complex."""
+    """Cohomology of an already-built complex.
+
+    Every step works on the sparse rows of the echelon engine in
+    `linalg`: Z^q and B^q are canonical echelon bases, the
+    representatives are the rows of Z^q's basis picked greedily past
+    B^q, and the projection rows are the top block of the reduced
+    echelon form of [reps | B | I].  Dense vectors are made only for the
+    returned representatives.
+    """
     n = cx.top_degree
     dims = []
     reps_all = []
@@ -191,31 +205,20 @@ def cohomology_of(cx: CochainComplex) -> CohomologyResult:
         cdim = cx.space_dim(q)
         cocycles = kernel(cx.delta(q))
         boundaries = image(cx.delta(q - 1)) if q > 0 else Subspace.zero(cdim)
-        reps = quotient_basis(cocycles, boundaries)
-        dims.append(len(reps))
-        reps_all.append(tuple(reps))
-        cols = list(reps) + list(boundaries.basis.data)
-        if not cols:
-            projections.append(QMatrix.zero(0, cdim))
-            continue
-        A = QMatrix.from_columns(cols, rows=cdim)
-        R, T, pivots = rref_transform(A)
-        if pivots != tuple(range(A.cols)):
+        reps = _complement(cocycles, boundaries)
+        cols = reps + list(boundaries.basis.entries)
+        _, T, pivots = rref_transform(QMatrix._wrap(_transpose(cols, cdim), len(cols)))
+        if pivots != tuple(range(len(cols))):
             raise ChainMapError("representative columns are unexpectedly dependent")
-        projections.append(QMatrix(T.data[:len(reps)], cols=cdim))
+        dims.append(len(reps))
+        reps_all.append(tuple(_dense(row, 0, cdim) for row in reps))
+        projections.append(QMatrix._wrap(T.entries[:len(reps)], cdim))
     return CohomologyResult(cx, tuple(dims), tuple(reps_all), tuple(projections))
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
     """Cohomology of the algebra with the given coefficients."""
     return cohomology_of(ce_complex(L, M))
-
-
-def _ideal_coordinates(ideal: Subspace, w) -> tuple:
-    """Coordinates in the ideal's canonical basis (basis rows are echelon)."""
-    if not ideal.contains(w):
-        raise ContainmentError("bracket left the ideal")
-    return tuple(w[p] for p in ideal.pivots())
 
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
@@ -227,35 +230,31 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     m = cx.coeff.dim
     sets = wedge.subsets(s, p)
     index = {S: t for t, S in enumerate(sets)}
-    coeff_act = M.action(x)
-    incl_cols = [ideal.basis.data[a] for a in range(s)]
+    coeff_act = M.action(x).entries
     bracket_coords = [
-        _ideal_coordinates(ideal, bracket(L, x, col)) for col in incl_cols
+        [(k, g) for k, g in enumerate(ideal.coordinates(bracket(L, x, col))) if g]
+        for col in ideal.basis.data
     ]
-    out = [[Fraction(0)] * (len(sets) * m) for _ in range(len(sets) * m)]
+    out = [{} for _ in range(len(sets) * m)]
     for trow, T in enumerate(sets):
         rbase = trow * m
         # coefficient part
-        for beta in range(m):
+        for beta, arow in enumerate(coeff_act):
             row = out[rbase + beta]
-            arow = coeff_act.data[beta]
-            for b in range(m):
-                if arow[b]:
-                    row[rbase + b] += arow[b]
+            for b, a in arow.items():
+                row[rbase + b] = row.get(rbase + b, 0) + a
         # wedge part: replace one factor by its bracket with x
         for pos in range(p):
-            gam = bracket_coords[T[pos]]
-            for k in range(s):
-                if not gam[k]:
-                    continue
+            for k, g in bracket_coords[T[pos]]:
                 hit = wedge.replace_sign(T, pos, k)
                 if hit is None:
                     continue
                 sign, S = hit
                 cbase = index[S] * m
                 for beta in range(m):
-                    out[rbase + beta][cbase + beta] -= sign * gam[k]
-    return QMatrix(tuple(tuple(r) for r in out), cols=len(sets) * m)
+                    row = out[rbase + beta]
+                    row[cbase + beta] = row.get(cbase + beta, 0) - sign * g
+    return QMatrix._wrap(_pruned(out), len(sets) * m)
 
 
 def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
@@ -326,30 +325,33 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     return ActionOnCohomology(nq, coh, tuple(modules))
 
 
-def inflation_map(L: LieAlgebra, nq: Quotient | None = None) -> tuple[QMatrix, ...]:
+def inflation_map(L: LieAlgebra, nq: Quotient | None = None,
+                  cx_L: CochainComplex | None = None,
+                  cx_q: CochainComplex | None = None) -> tuple[QMatrix, ...]:
     """Cochain pullback along the projection to the nilpotent quotient.
 
     With trivial coefficients the degree-p matrix has entries the p x p
     minors of the projection: row T holds the wedge expansion of the
     projected basis vectors indexed by T.  The family is verified to be a
-    chain map.  Returns matrices for p = 0..dim(quotient).
+    chain map between the trivial-coefficient complexes cx_L of L and
+    cx_q of the quotient, which are built here unless passed in.
+    Returns matrices for p = 0..dim(quotient).
     """
     if nq is None:
         nq = nil_quotient(L)
     n = L.dim
     qd = nq.algebra.dim
-    cx_L = ce_complex(L, trivial_module(L))
-    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
+    if cx_L is None:
+        cx_L = ce_complex(L, trivial_module(L))
+    if cx_q is None:
+        cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
     maps = []
     for p in range(qd + 1):
         col_index = wedge.subset_index(qd, p)
-        out = []
-        for T in wedge.subsets(n, p):
-            row = [Fraction(0)] * len(col_index)
-            for S, a in wedge.wedge_product([nq.projection.column(t) for t in T]).items():
-                row[col_index[S]] = a
-            out.append(row)
-        maps.append(QMatrix(out, cols=len(col_index)))
+        out = [{col_index[S]: Fraction(a) for S, a in
+                wedge.wedge_product([nq.projection.column(t) for t in T]).items()}
+               for T in wedge.subsets(n, p)]
+        maps.append(QMatrix._wrap(out, len(col_index)))
     for p in range(qd + 1):
         nxt = maps[p + 1] if p + 1 <= qd else QMatrix.zero(cx_L.space_dim(p + 1), 0)
         if cx_L.delta(p) * maps[p] != nxt * cx_q.delta(p):
@@ -376,10 +378,12 @@ def inflation_on_cohomology(L: LieAlgebra, nq: Quotient | None = None) -> Inflat
     """Whether pullback from the nilpotent quotient is an isomorphism."""
     if nq is None:
         nq = nil_quotient(L)
-    maps = inflation_map(L, nq)
+    cx_L = ce_complex(L, trivial_module(L))
+    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
+    maps = inflation_map(L, nq, cx_L, cx_q)
     qd = nq.algebra.dim
-    coh_L = cohomology(L, trivial_module(L))
-    coh_q = cohomology(nq.algebra, trivial_module(nq.algebra))
+    coh_L = cohomology_of(cx_L)
+    coh_q = cohomology_of(cx_q)
     induced = []
     isos = []
     src_dims = []

@@ -23,9 +23,9 @@ from .errors import (
 from .linalg import (
     QMatrix,
     Subspace,
+    _frac,
     _insert,
     _reduce,
-    _sparse,
     quotient_basis,
     rref_transform,
     vector,
@@ -53,6 +53,11 @@ __all__ = [
     "adapted_basis",
     "reorder_basis",
 ]
+
+
+def _flat(m: QMatrix) -> dict:
+    """The nonzero entries of a matrix, keyed by row-major position."""
+    return {i * m.cols + j: a for i, row in enumerate(m.entries) for j, a in row.items()}
 
 
 class LieAlgebra:
@@ -88,8 +93,8 @@ class LieAlgebra:
             if not 0 <= i < j < n:
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
             for coeff, k in terms:
-                c[i][j][k] += Fraction(coeff)
-                c[j][i][k] -= Fraction(coeff)
+                c[i][j][k] += _frac(coeff)
+                c[j][i][k] -= _frac(coeff)
         return cls(c, labels)
 
     @classmethod
@@ -105,13 +110,13 @@ class LieAlgebra:
         n = len(mats)
         if n != len(labels):
             raise DimensionMismatchError("one label per matrix")
-        flat = [tuple(a for row in m.data for a in row) for m in mats]
-        ambient = len(flat[0]) if flat else 0
+        flat = [_flat(m) for m in mats]
+        ambient = mats[0].rows * mats[0].cols if mats else 0
         # Echelon rows of [flat | I]: the identity block records how each
         # row combines the original matrices.
         pivots: dict = {}
         for s, f in enumerate(flat):
-            _insert(pivots, {**_sparse(f), ambient + s: Fraction(1)})
+            _insert(pivots, {**f, ambient + s: Fraction(1)})
         if any(lead >= ambient for lead in pivots):
             raise NotASubalgebraError("matrices are linearly dependent")
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -119,7 +124,7 @@ class LieAlgebra:
             for j in range(i + 1, n):
                 comm = mats[i] * mats[j] - mats[j] * mats[i]
                 # reducing [comm | 0] leaves [0 | -coefficients] when comm is in the span
-                rest = _sparse(a for row in comm.data for a in row)
+                rest = _flat(comm)
                 _reduce(pivots, rest)
                 if any(k < ambient for k in rest):
                     raise NotASubalgebraError(
@@ -337,7 +342,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     R, T, _ = rref_transform(B)
     if R != QMatrix.identity(L.dim):
         raise NotAnIdealError("ideal basis and lifts do not span the algebra")
-    projection = QMatrix(T.data[:q], cols=L.dim)
+    projection = QMatrix._wrap(T.entries[:q], L.dim)
     section = QMatrix.from_columns(lifts, rows=L.dim)
     labels = []
     for v in lifts:

@@ -7,21 +7,28 @@ operations are pure and safe to share between threads.
 
 Conventions
 -----------
-* Vectors are plain tuples of Fractions; a `QMatrix` is dense.
+* Vectors are plain tuples of Fractions.  A `QMatrix` is sparse: it
+  keeps each row's nonzero entries as a {column: Fraction} dict
+  (`entries`) and builds the dense rows (`data`) only when they are
+  asked for.  Public constructors coerce every entry and reject floats;
+  matrices the library builds from its own Fractions skip that step.
 * A `Subspace` stores its basis as the rows of a matrix in reduced row
-  echelon form with no zero rows.  This makes the basis canonical: two
-  subspaces are equal iff their basis matrices are equal.
+  echelon form with no zero rows, plus the pivot column of each row.
+  This makes the basis canonical: two subspaces are equal iff their
+  basis matrices are equal.
 * Every elimination (rank, echelon forms, kernels, images, solving,
   intersections, quotient bases) runs through one sparse engine.  Rows
   are {key: Fraction} dicts, reduced into a dict that maps each leading
   (smallest) key to a row that is 1 there; one back-substitution pass
   then gives the canonical reduced echelon form.  Keys need only be
-  comparable, so `pbw` runs the same engine on monomial rows.  The test
+  comparable, so `pbw` runs the same engine on monomial rows.  Matrix
+  rows feed the engine directly, without a dense round-trip.  The test
   suite checks the engine against the independent elimination in
   `tests/oracles.py`.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ContainmentError, DimensionMismatchError
 
@@ -55,7 +62,7 @@ def vector(entries) -> tuple:
     Floats are rejected outright: silently converting them would smuggle
     binary rounding into an exact computation.
     """
-    return tuple(_frac(x) for x in entries)
+    return tuple(map(_frac, entries))
 
 
 def zero_vector(n: int) -> tuple:
@@ -67,13 +74,15 @@ def unit_vector(n: int, i: int) -> tuple:
 
 
 class QMatrix:
-    """Immutable dense matrix of Fractions, row major.
+    """Immutable matrix of Fractions, kept as its nonzero entries per row.
 
+    `entries[i]` is a {column: Fraction} dict of row i's nonzero entries;
+    `data`, the dense row tuples, is built from them on first use.
     Zero-by-k and k-by-zero shapes are allowed; they show up naturally as
     differentials at the ends of a complex.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "entries", "_data")
 
     def __init__(self, data, cols=None):
         data = tuple(vector(row) for row in data)
@@ -86,60 +95,88 @@ class QMatrix:
             if cols is None:
                 cols = 0
             self.cols = cols
-        self.data = data
+        self.entries = tuple(_sparse(row) for row in data)
+        self._data = data
+
+    @classmethod
+    def _wrap(cls, entries, cols: int) -> "QMatrix":
+        """A matrix on sparse rows the library built from its own Fractions.
+
+        Each row is a {column: Fraction} dict without zero values; nothing
+        is coerced or checked, and the rows must not be mutated afterwards.
+        """
+        m = object.__new__(cls)
+        m.entries = tuple(entries)
+        m.rows = len(m.entries)
+        m.cols = cols
+        m._data = None
+        return m
+
+    @property
+    def data(self) -> tuple:
+        """Dense rows, as tuples of Fractions."""
+        if self._data is None:
+            self._data = tuple(_dense(row, 0, self.cols) for row in self.entries)
+        return self._data
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(tuple(zero_vector(cols) for _ in range(rows)), cols=cols)
+        return cls._wrap(({},) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(tuple(unit_vector(n, i) for i in range(n)), cols=n)
+        return cls._wrap(({i: Fraction(1)} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, rows=None) -> "QMatrix":
         columns = [vector(c) for c in columns]
         if columns:
             rows = len(columns[0])
+            if any(len(c) != rows for c in columns):
+                raise DimensionMismatchError("columns of unequal length")
         elif rows is None:
             rows = 0
-        return cls(tuple(tuple(c[i] for c in columns) for i in range(rows)),
-                   cols=len(columns))
+        return cls._wrap(_transpose([_sparse(c) for c in columns], rows), len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self.entries[i].get(j % self.cols, _ZERO)
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        return _dense(self.entries[i], 0, self.cols)
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(row.get(j, _ZERO) for row in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.entries)))
 
     def __add__(self, other):
         self._require_same_shape(other)
-        return QMatrix(tuple(tuple(a + b for a, b in zip(r, s))
-                             for r, s in zip(self.data, other.data)), cols=self.cols)
+        return QMatrix._wrap((_combine(r, -1, s) for r, s in zip(self.entries, other.entries)),
+                             self.cols)
 
     def __sub__(self, other):
         self._require_same_shape(other)
-        return QMatrix(tuple(tuple(a - b for a, b in zip(r, s))
-                             for r, s in zip(self.data, other.data)), cols=self.cols)
+        return QMatrix._wrap((_combine(r, 1, s) for r, s in zip(self.entries, other.entries)),
+                             self.cols)
 
     def __neg__(self):
-        return QMatrix(tuple(tuple(-a for a in r) for r in self.data), cols=self.cols)
+        return QMatrix._wrap(({j: -a for j, a in r.items()} for r in self.entries), self.cols)
 
     def scale(self, c) -> "QMatrix":
         c = _frac(c)
-        return QMatrix(tuple(tuple(c * a for a in r) for r in self.data), cols=self.cols)
+        if not c:
+            return QMatrix.zero(self.rows, self.cols)
+        return QMatrix._wrap(({j: c * a for j, a in r.items()} for r in self.entries),
+                             self.cols)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -147,17 +184,13 @@ class QMatrix:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             out = []
-            for r in self.data:
-                acc = [Fraction(0)] * other.cols
-                for k, a in enumerate(r):
-                    if a:
-                        orow = other.data[k]
-                        for j, b in enumerate(orow):
-                            if b:
-                                acc[j] += a * b
-                row = tuple(acc)
-                out.append(row)
-            return QMatrix(tuple(out), cols=other.cols)
+            for r in self.entries:
+                acc = {}
+                for k, a in r.items():
+                    for j, b in other.entries[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: v for j, v in acc.items() if v})
+            return QMatrix._wrap(out, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -181,19 +214,20 @@ class QMatrix:
         if len(v) != self.cols:
             raise DimensionMismatchError(f"vector of length {len(v)} for {self.rows}x{self.cols}")
         out = []
-        for r in self.data:
-            s = Fraction(0)
-            for a, x in zip(r, v):
-                if a and x:
+        for r in self.entries:
+            s = _ZERO
+            for j, a in r.items():
+                x = v[j]
+                if x:
                     s += a * x
             out.append(s)
         return tuple(out)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(self.column(j) for j in range(self.cols)), cols=self.rows)
+        return QMatrix._wrap(_transpose(self.entries, self.cols), self.rows)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(self.entries)
 
     def __repr__(self):
         if self.rows * self.cols > 36:
@@ -207,17 +241,36 @@ class QMatrix:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
+_ZERO = Fraction(0)
+
+
 def _sparse(vec) -> dict:
     return {j: a for j, a in enumerate(vec) if a}
 
 
 def _dense(row: dict, lo: int, hi: int) -> tuple:
     """Entries of a sparse row with keys in [lo, hi), as a vector of length hi - lo."""
-    out = [Fraction(0)] * (hi - lo)
+    out = [_ZERO] * (hi - lo)
     for k, a in row.items():
         if lo <= k < hi:
             out[k - lo] = a
     return tuple(out)
+
+
+def _transpose(rows, n: int) -> list:
+    """The n sparse columns of a list of sparse rows, as fresh dicts."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            cols[j][i] = a
+    return cols
+
+
+def _combine(row: dict, f, other: dict) -> dict:
+    """row - f * other, as a new dict."""
+    out = dict(row)
+    _subtract(out, f, other)
+    return out
 
 
 def _subtract(row: dict, f, piv: dict) -> None:
@@ -249,7 +302,7 @@ def _insert(pivots: dict, row: dict):
     """Reduce `row` and add what is left to `pivots`, scaled to 1 at its lead.
 
     Returns the new leading key, or None when the row lay in the span of
-    the pivot rows already.  Consumes `row`.
+    the pivot rows already.  Consumes `row`; leaves the pivot rows alone.
     """
     lead = _reduce(pivots, row)
     if lead is not None:
@@ -262,7 +315,7 @@ def _echelon(rows) -> dict:
     """Canonical reduced echelon form of the span of sparse rows.
 
     Returns {pivot key: row} in increasing key order; every row is 1 at
-    its own pivot and 0 at every other one.
+    its own pivot and 0 at every other one.  Consumes the rows.
     """
     pivots: dict = {}
     for row in rows:
@@ -275,20 +328,24 @@ def _echelon(rows) -> dict:
     return {lead: pivots[lead] for lead in leads}
 
 
+def _copies(m: QMatrix):
+    """The rows of m as dicts the engine may consume."""
+    return (dict(row) for row in m.entries)
+
+
 def rank(m: QMatrix) -> int:
     """Rank over Q: the number of pivots the rows reduce to."""
     pivots: dict = {}
-    for row in m.data:
-        _insert(pivots, _sparse(row))
+    for row in _copies(m):
+        _insert(pivots, row)
     return len(pivots)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    ech = _echelon(_sparse(row) for row in m.data)
-    rows = [_dense(row, 0, m.cols) for row in ech.values()]
-    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
-    return QMatrix(rows, cols=m.cols), tuple(ech)
+    ech = _echelon(_copies(m))
+    rows = list(ech.values()) + [{}] * (m.rows - len(ech))
+    return QMatrix._wrap(rows, m.cols), tuple(ech)
 
 
 def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
@@ -297,9 +354,10 @@ def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
     [rref(m) | T] is the reduced echelon form of [m | I].
     """
     n = m.cols
-    ech = _echelon({**_sparse(row), n + i: Fraction(1)} for i, row in enumerate(m.data))
-    return (QMatrix([_dense(row, 0, n) for row in ech.values()], cols=n),
-            QMatrix([_dense(row, n, n + m.rows) for row in ech.values()], cols=m.rows),
+    ech = _echelon({**row, n + i: Fraction(1)} for i, row in enumerate(m.entries))
+    return (QMatrix._wrap(({k: a for k, a in row.items() if k < n} for row in ech.values()), n),
+            QMatrix._wrap(({k - n: a for k, a in row.items() if k >= n}
+                           for row in ech.values()), m.rows),
             tuple(lead for lead in ech if lead < n))
 
 
@@ -313,19 +371,14 @@ def solve(m: QMatrix, b) -> tuple | None:
         raise DimensionMismatchError("right-hand side has wrong length")
     if not m.rows:
         return zero_vector(m.cols)
-    ech = _echelon(_sparse(row + (bb,)) for row, bb in zip(m.data, b))
+    ech = _echelon({**row, m.cols: bb} if bb else dict(row)
+                   for row, bb in zip(m.entries, b))
     if m.cols in ech:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [_ZERO] * m.cols
     for p, row in ech.items():
-        x[p] = row.get(m.cols, Fraction(0))
+        x[p] = row.get(m.cols, _ZERO)
     return tuple(x)
-
-
-def _span(n: int, rows) -> "Subspace":
-    """The subspace of Q^n spanned by sparse rows."""
-    return Subspace(n, QMatrix([_dense(row, 0, n) for row in _echelon(rows).values()],
-                               cols=n))
 
 
 class Subspace:
@@ -333,13 +386,15 @@ class Subspace:
 
     `basis` is a QMatrix whose rows form a basis in reduced row echelon
     form (no zero rows), so equality of subspaces is equality of matrices.
+    The pivot column of each basis row is found once, on construction.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: QMatrix):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivots = tuple(min(row) for row in basis.entries if row)
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -350,7 +405,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix((), cols=ambient_dim))
+        return cls(ambient_dim, QMatrix.zero(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -361,25 +416,22 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
-        piv = []
-        for row in self.basis.data:
-            for j, a in enumerate(row):
-                if a:
-                    piv.append(j)
-                    break
-        return tuple(piv)
+        return self._pivots
+
+    def _pivot_rows(self) -> dict:
+        """A fresh engine pivot dict holding the basis rows (shared, not copied)."""
+        return dict(zip(self._pivots, self.basis.entries))
 
     def reduce(self, v) -> tuple:
         """Remainder of v after subtracting its projection onto the basis rows."""
         v = list(vector(v))
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong ambient dimension")
-        for row, p in zip(self.basis.data, self.pivots()):
+        for row, p in zip(self.basis.entries, self._pivots):
             f = v[p]
             if f:
-                for j, a in enumerate(row):
-                    if a:
-                        v[j] -= f * a
+                for j, a in row.items():
+                    v[j] -= f * a
         return tuple(v)
 
     def contains(self, v) -> bool:
@@ -390,12 +442,13 @@ class Subspace:
         v = vector(v)
         if not self.contains(v):
             raise ContainmentError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots())
+        return tuple(v[p] for p in self._pivots)
 
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return all(other.contains(row) for row in self.basis.data)
+        pivots = other._pivot_rows()
+        return all(_reduce(pivots, row) is None for row in _copies(self.basis))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -408,28 +461,41 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return Subspace.from_rows(self.ambient_dim,
-                                  self.basis.data + other.basis.data)
+        return _span(self.ambient_dim, chain(_copies(self.basis), _copies(other.basis)))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection, by the Zassenhaus double-block elimination."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
         n = self.ambient_dim
-        block = [_sparse(row + row) for row in self.basis.data]
-        block += [_sparse(row) for row in other.basis.data]
+        block = [{**row, **{n + j: a for j, a in row.items()}} for row in self.basis.entries]
+        block += _copies(other.basis)
         # echelon rows led from the right half are zero on the left half;
         # their right halves are the canonical basis of the intersection
-        basis = [_dense(row, n, 2 * n) for lead, row in _echelon(block).items() if lead >= n]
-        return Subspace(n, QMatrix(basis, cols=n))
+        return _echelon_space(n, {lead - n: {j - n: a for j, a in row.items()}
+                                  for lead, row in _echelon(block).items() if lead >= n})
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} of Q^{self.ambient_dim}>"
 
 
+def _echelon_space(n: int, ech: dict) -> Subspace:
+    """The subspace of Q^n with the canonical basis `ech` from the engine."""
+    space = object.__new__(Subspace)
+    space.ambient_dim = n
+    space.basis = QMatrix._wrap(ech.values(), n)
+    space._pivots = tuple(ech)
+    return space
+
+
+def _span(n: int, rows) -> Subspace:
+    """The subspace of Q^n spanned by sparse rows (consumed)."""
+    return _echelon_space(n, _echelon(rows))
+
+
 def kernel(m: QMatrix) -> Subspace:
     """The solution space {v : m v = 0} as a subspace of Q^cols."""
-    ech = _echelon(_sparse(row) for row in m.data)
+    ech = _echelon(_copies(m))
     # one solution per free column f: 1 at f, minus column f of the echelon rows
     basis = {f: {f: Fraction(1)} for f in range(m.cols) if f not in ech}
     for p, row in ech.items():
@@ -441,7 +507,19 @@ def kernel(m: QMatrix) -> Subspace:
 
 def image(m: QMatrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return _span(m.rows, (_sparse(col) for col in zip(*m.data)))
+    return _span(m.rows, _transpose(m.entries, m.cols))
+
+
+def _complement(big: Subspace, small: Subspace) -> list[dict]:
+    """The sparse rows that `quotient_basis` returns, as shared engine rows."""
+    if small.ambient_dim != big.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    pivots = small._pivot_rows()
+    chosen = [row for row in big.basis.entries if _insert(pivots, dict(row)) is not None]
+    # the pivots span small + big, which is big exactly when small <= big
+    if len(pivots) != big.dim:
+        raise ContainmentError("small subspace is not contained in the big one")
+    return chosen
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
@@ -452,13 +530,4 @@ def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     the rows kept before it, so the result is deterministic.  Raises
     ContainmentError unless small <= big.
     """
-    if small.ambient_dim != big.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    pivots: dict = {}
-    for row in small.basis.data:
-        _insert(pivots, _sparse(row))
-    chosen = [row for row in big.basis.data if _insert(pivots, _sparse(row)) is not None]
-    # the pivots span small + big, which is big exactly when small <= big
-    if len(pivots) != big.dim:
-        raise ContainmentError("small subspace is not contained in the big one")
-    return chosen
+    return [_dense(row, 0, big.ambient_dim) for row in _complement(big, small)]

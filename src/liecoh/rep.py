@@ -240,6 +240,12 @@ def has_trivial_subquotient(M: LieModule) -> bool:
     """
     if not is_nilpotent(M.algebra):
         raise NotNilpotentError("trivial-subquotient detection needs a nilpotent algebra")
+    return _joint_generalized_kernel_nonzero(M)
+
+
+def _joint_generalized_kernel_nonzero(M: LieModule) -> bool:
+    """`has_trivial_subquotient` for a module already known to be over a
+    nilpotent algebra."""
     if M.dim == 0:
         return False
     space = Subspace.full(M.dim)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -7,15 +8,22 @@ import pytest
 from liecoh import catalog
 from liecoh.checker import random_solvable_algebra
 from liecoh.cohomology import (
+    CochainComplex,
     action_on_cohomology,
     ce_complex,
     cochain_action_operators,
     cohomology,
+    cohomology_of,
     hs_e2_page,
     inflation_map,
     inflation_on_cohomology,
 )
-from liecoh.errors import DimensionMismatchError, NotAnIdealError
+from liecoh.errors import (
+    ChainMapError,
+    ContainmentError,
+    DimensionMismatchError,
+    NotAnIdealError,
+)
 from liecoh.lie import (
     LieAlgebra,
     bracket_span,
@@ -23,7 +31,7 @@ from liecoh.lie import (
     nil_quotient,
     subalgebra,
 )
-from liecoh.linalg import QMatrix, Subspace, kernel, unit_vector
+from liecoh.linalg import QMatrix, Subspace, image, kernel, unit_vector
 from liecoh.rep import (
     Character,
     adjoint_module,
@@ -356,3 +364,86 @@ def test_e2_dominates_abutment_dimensionwise():
         h = cohomology(L, trivial_module(L)).dims
         for n, hn in enumerate(h):
             assert page.antidiagonal_sum(n) >= hn, (name, n)
+
+
+# --- closed-form oracles on relabelled bases ------------------------------
+
+def _relabelled(L, rng):
+    """L in the basis f_a = s_a e_perm(a), for a random permutation and scales."""
+    n = L.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5))) for _ in range(n)]
+    where = {old: new for new, old in enumerate(perm)}
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k, g in enumerate(L.c[perm[a]][perm[b]]):
+                if g:
+                    c[a][b][where[k]] = scale[a] * scale[b] * g / scale[where[k]]
+    return LieAlgebra(c, [L.labels[p] for p in perm])
+
+
+def _inversion_counts(n):
+    """How many permutations of n letters have k inversions, k = 0, 1, ..."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for perm in permutations(range(n)):
+        counts[sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])] += 1
+    return tuple(counts)
+
+
+def test_kostant_strict_ut4_relabelled():
+    rng = random.Random(401)
+    expected = _inversion_counts(4)
+    assert expected == (1, 3, 5, 6, 5, 3, 1)
+    for _ in range(2):
+        L = _relabelled(catalog.strict_ut(4), rng)
+        assert cohomology(L, trivial_module(L)).dims == expected
+
+
+def test_ut4_relabelled_binomial_then_zero():
+    L = _relabelled(catalog.ut(4), random.Random(402))
+    assert cohomology(L, trivial_module(L)).dims == tuple(comb(4, k) for k in range(11))
+
+
+def test_santharoubane_h5_relabelled():
+    m = 2
+    low = [comb(2 * m, k) - comb(2 * m, k - 2) if k >= 2 else comb(2 * m, k)
+           for k in range(m + 1)]
+    expected = tuple(low + low[::-1])
+    assert expected == (1, 4, 5, 5, 4, 1)
+    h5 = LieAlgebra.from_brackets(["x1", "x2", "y1", "y2", "z"],
+                                  {(0, 2): [(1, 4)], (1, 3): [(1, 4)]})
+    rng = random.Random(403)
+    for _ in range(3):
+        L = _relabelled(h5, rng)
+        assert cohomology(L, trivial_module(L)).dims == expected
+
+
+def test_projection_on_strict_ut4_adjoint_relabelled():
+    L = _relabelled(catalog.strict_ut(4), random.Random(404))
+    result = cohomology(L, adjoint_module(L))
+    for q in range(L.dim + 1):
+        P = result.projections[q]
+        for i, rep in enumerate(result.representatives[q]):
+            assert not any(result.complex.delta(q).apply(rep))
+            assert P.apply(rep) == unit_vector(result.dims[q], i)
+        for b in image(result.complex.delta(q - 1)).basis.data:
+            assert not any(P.apply(b))
+
+
+def test_cohomology_of_rejects_a_non_complex():
+    # delta_1 * delta_0 != 0, so the coboundaries leave the cocycles
+    L = catalog.abelian(2)
+    bad = CochainComplex(L, trivial_module(L),
+                         (QMatrix([[1], [0]]), QMatrix([[1, 0]])))
+    with pytest.raises(ContainmentError):
+        cohomology_of(bad)
+
+
+def test_inflation_map_checks_the_complexes_it_is_given():
+    L = catalog.heisenberg3()
+    nq = nil_quotient(L)
+    wrong = ce_complex(catalog.abelian(3), trivial_module(catalog.abelian(3)))
+    with pytest.raises(ChainMapError):
+        inflation_map(L, nq, ce_complex(L, trivial_module(L)), wrong)

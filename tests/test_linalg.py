@@ -15,6 +15,7 @@ from liecoh.linalg import (
     rref_transform,
     solve,
     unit_vector,
+    vector,
 )
 
 from oracles import gauss_rank
@@ -222,3 +223,54 @@ def test_coordinates_roundtrip():
     assert tuple(rebuilt) == v
     with pytest.raises(ContainmentError):
         s.coordinates(unit_vector(3, 0))
+
+
+def _float_inputs():
+    from liecoh.lie import LieAlgebra
+    from liecoh.rep import LieModule
+
+    h3 = LieAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [(1, 2)]})
+    zero3 = [[0, 0, 0]] * 3
+    return {
+        "vector": lambda: vector([1, 0.5]),
+        "QMatrix": lambda: QMatrix([[1, 0], [0, 0.5]]),
+        "QMatrix.from_columns": lambda: QMatrix.from_columns([[1, 0.5]]),
+        "QMatrix.scale": lambda: QMatrix.identity(2).scale(0.5),
+        "QMatrix.mul": lambda: QMatrix.identity(2) * 0.5,
+        "QMatrix.apply": lambda: QMatrix.identity(2).apply([1, 0.5]),
+        "Subspace.from_rows": lambda: Subspace.from_rows(2, [[1, 0.5]]),
+        "Subspace.contains": lambda: Subspace.full(2).contains([0.5, 0]),
+        "solve": lambda: solve(QMatrix.identity(2), [1, 0.5]),
+        "LieModule(rho)": lambda: LieModule(h3, [zero3, zero3, [[0.5, 0, 0], [0, 0, 0],
+                                                                [0, 0, 0]]]),
+        "LieAlgebra(c)": lambda: LieAlgebra([[[0, 0], [0.5, 0]], [[-0.5, 0], [0, 0]]]),
+        "LieAlgebra.from_brackets": lambda: LieAlgebra.from_brackets(
+            ["x", "y"], {(0, 1): [(0.5, 1)]}),
+        "LieAlgebra.from_matrices": lambda: LieAlgebra.from_matrices(
+            ["a"], [[[0, 0.5], [0, 0]]]),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_float_inputs()))
+def test_public_constructors_reject_floats(entry):
+    # matrices the library builds itself skip coercion; nothing a caller
+    # passes in may take that route
+    with pytest.raises(TypeError):
+        _float_inputs()[entry]()
+
+
+def test_sparse_rows_and_dense_rows_agree_random():
+    rng = random.Random(108)
+    for _ in range(60):
+        m = _random_matrix(rng)
+        dense = tuple(tuple(m[i, j] for j in range(m.cols)) for i in range(m.rows))
+        assert m.data == dense
+        assert all(type(a) is Fraction for row in dense for a in row)
+        # built from sparse rows, the same matrix compares and hashes equal
+        t = m.transpose().transpose()
+        assert t == m and hash(t) == hash(m) and t.data == dense
+        assert QMatrix.from_columns([m.column(j) for j in range(m.cols)], rows=m.rows) == m
+        s = kernel(m)
+        assert s.pivots() == tuple(next(j for j, a in enumerate(row) if a)
+                                   for row in s.basis.data)
+        assert s == Subspace.from_rows(m.cols, s.basis.data)
