@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .catalog import get, names
 from .cohomology import (
+    E2Page,
     _e2_from_action,
     action_on_cohomology,
     inflation_on_cohomology,
@@ -34,7 +35,6 @@ from .lie import (
     is_nilpotent,
     is_solvable,
     lower_central_series,
-    subalgebra,
     validate,
 )
 from .pbw import is_rees_noetherian
@@ -92,7 +92,6 @@ def check(L: LieAlgebra) -> TheoremReport:
     condition2 = infl.is_isomorphism
 
     e2 = _e2_from_action(aoc)
-    linf_alg, _ = subalgebra(L, linf)
 
     return TheoremReport(
         is_nilpotent=linf.dim == 0,
@@ -104,7 +103,7 @@ def check(L: LieAlgebra) -> TheoremReport:
         trivial_subquotient_in_hq=trivial_in,
         conditions_agree=condition2 == condition3,
         rees_noetherian=is_rees_noetherian(L),
-        linf_solvable=is_solvable(linf_alg),
+        linf_solvable=is_solvable(aoc.ideal_cohomology.complex.algebra),
         h_total=infl.target_dims,
         h_nil=infl.source_dims,
         e2_table=e2.dims,
@@ -147,12 +146,9 @@ def verify_report(report: TheoremReport, context: str = "") -> None:
                 if q > 0 and d:
                     fail(f"condition 3 holds but the page has dimension {d} "
                          f"at position ({p}, {q})")
+    page = E2Page(report.e2_table)
     for t in range(n):
-        total = 0
-        for p, row in enumerate(report.e2_table):
-            q = t - p
-            if 0 <= q < len(row):
-                total += row[q]
+        total = page.antidiagonal_sum(t)
         if total < report.h_total[t]:
             fail(f"page dimensions {total} in total degree {t} fall below "
                  f"the abutting cohomology {report.h_total[t]}")

@@ -19,7 +19,7 @@ import sys
 from . import catalog
 from .checker import check, verify_report
 from .cohomology import cohomology, hs_e2_page
-from .errors import InvariantError, LiecohError
+from .errors import InvalidAlgebraError, InvariantError, LiecohError
 from .fileformat import (
     SCHEMA,
     FileFormatError,
@@ -81,15 +81,6 @@ def _resolve_algebra(spec: str) -> tuple[str, LieAlgebra]:
             f"(known: {', '.join(catalog.names())})") from None
 
 
-def _require_valid(name: str, L: LieAlgebra) -> None:
-    report = validate(L)
-    if not report.ok:
-        labels = tuple(L.labels[i] for i in report.triple)
-        raise CommandError(
-            f"{name}: {report.kind} fails at ({', '.join(labels)})",
-            code=CHECK_FAILED)
-
-
 def _guard_wedge(L: LieAlgebra, coeff_dim: int) -> None:
     size = (2 ** L.dim) * coeff_dim
     if size > WEDGE_COORD_CAP:
@@ -120,20 +111,19 @@ def cmd_validate(args) -> int:
         payload["violation"] = {
             "kind": report.kind,
             "indices": list(report.triple),
-            "labels": [L.labels[i] for i in report.triple],
+            "labels": list(report.labels),
         }
     _emit(payload)
     if report.ok:
         _human(f"{name}: valid Lie algebra of dimension {L.dim}")
         return 0
-    labels = ", ".join(L.labels[i] for i in report.triple)
-    _human(f"{name}: {report.kind} fails at ({labels})")
+    _human(f"{name}: {report.kind} fails at ({', '.join(report.labels)})")
     return CHECK_FAILED
 
 
 def cmd_series(args) -> int:
     name, L = _resolve_algebra(args.input)
-    _require_valid(name, L)
+    validate(L).require()
     lcs = lower_central_series(L)
     der = derived_series(L)
     payload = {
@@ -178,7 +168,7 @@ def _resolve_module(spec: str, L: LieAlgebra):
 
 def cmd_cohomology(args) -> int:
     name, L = _resolve_algebra(args.input)
-    _require_valid(name, L)
+    validate(L).require()
     mod_name, M = _resolve_module(args.module, L)
     _guard_wedge(L, M.dim)
     result = cohomology(L, M)
@@ -203,9 +193,8 @@ def cmd_cohomology(args) -> int:
 
 def cmd_check(args) -> int:
     name, L = _resolve_algebra(args.input)
-    _require_valid(name, L)
     _guard_wedge(L, 1)
-    report = check(L)
+    report = check(L)          # validates first
     payload = {
         "schema": SCHEMA,
         "command": "check",
@@ -230,7 +219,7 @@ def cmd_check(args) -> int:
 
 def cmd_rees(args) -> int:
     name, L = _resolve_algebra(args.input)
-    _require_valid(name, L)
+    validate(L).require()
     r_max, m_max = args.max_filtration, args.max_weight
     if r_max < 1 or m_max < 1:
         raise CommandError("--max-filtration and --max-weight must be positive")
@@ -278,14 +267,14 @@ def cmd_rees(args) -> int:
     _human(summary)
     if payload["pbw_verified"] is not None and not payload["pbw_verified"]["all_equal"]:
         return CHECK_FAILED
-    if payload["lcs_dims_match"] is False or payload["monoid_generated"] is False:
+    if payload["lcs_dims_match"] is False:
         return CHECK_FAILED
     return 0
 
 
 def cmd_e2(args) -> int:
     name, L = _resolve_algebra(args.input)
-    _require_valid(name, L)
+    validate(L).require()
     _guard_wedge(L, 1)
     page = hs_e2_page(L)
     h_total = cohomology(L, trivial_module(L)).dims
@@ -387,6 +376,9 @@ def main(argv=None) -> int:
     except CommandError as exc:
         _human(f"error: {exc}")
         return exc.code
+    except InvalidAlgebraError as exc:
+        _human(f"error: {args.input}: {exc}")
+        return CHECK_FAILED
     except LiecohError as exc:
         _human(f"error: {exc}")
         return CHECK_FAILED

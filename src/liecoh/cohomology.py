@@ -31,6 +31,7 @@ chain map.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import wedge
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     DimensionMismatchError,
     NotAnIdealError,
 )
-from .lie import LieAlgebra, Quotient, is_ideal, nil_quotient, quotient, subalgebra
+from .lie import LieAlgebra, Quotient, is_ideal, nil_quotient, quotient
 from .linalg import (
     QMatrix,
     Subspace,
@@ -71,15 +72,6 @@ __all__ = [
 ]
 
 
-def _binomial(n: int, p: int) -> int:
-    if p < 0 or p > n:
-        return 0
-    out = 1
-    for i in range(p):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 @dataclass(frozen=True)
 class CochainComplex:
     """Differential matrices of the standard complex of (algebra, coeff)."""
@@ -89,7 +81,7 @@ class CochainComplex:
     deltas: tuple[QMatrix, ...]          # deltas[p]: C^p -> C^{p+1}, p = 0..n-1
 
     def space_dim(self, p: int) -> int:
-        return _binomial(self.algebra.dim, p) * self.coeff.dim
+        return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
 
     def delta(self, p: int) -> QMatrix:
         """The differential out of C^p; zero maps beyond the stored range."""
@@ -266,8 +258,8 @@ def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
     """
     if not is_ideal(L, ideal):
         raise NotAnIdealError("the acting construction needs a Lie ideal")
-    sub_alg, _ = subalgebra(L, ideal)
-    return _chain_operators(ce_complex(sub_alg, restrict(M, ideal)), L, ideal, M, x)
+    res = restrict(M, ideal)
+    return _chain_operators(ce_complex(res.algebra, res), L, ideal, M, x)
 
 
 def _chain_operators(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
@@ -311,14 +303,14 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
         raise DimensionMismatchError("coefficients must form a module over the ambient algebra")
     if not is_ideal(L, ideal):
         raise NotAnIdealError("action on cohomology needs a Lie ideal")
-    sub_alg, _ = subalgebra(L, ideal)
-    cx = ce_complex(sub_alg, restrict(M, ideal))
+    res = restrict(M, ideal)
+    cx = ce_complex(res.algebra, res)
     coh = cohomology_of(cx)
     nq = quotient(L, ideal)
     per_lift_ops = [_chain_operators(cx, L, ideal, M, nq.lift(a))
                     for a in range(nq.algebra.dim)]
     modules = []
-    for q in range(sub_alg.dim + 1):
+    for q in range(cx.top_degree + 1):
         reps = coh.rep_matrix(q)
         rho = [coh.projections[q] * (ops[q] * reps) for ops in per_lift_ops]
         modules.append(LieModule(nq.algebra, rho, dim=coh.dims[q]))

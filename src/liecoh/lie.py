@@ -11,6 +11,7 @@ All values are immutable and all functions are pure.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     AdaptedBasisError,
@@ -28,6 +29,7 @@ from .linalg import (
     _reduce,
     quotient_basis,
     rref_transform,
+    unit_vector,
     vector,
 )
 
@@ -158,36 +160,38 @@ class ValidationReport:
     ok: bool
     kind: str | None = None          # "antisymmetry" | "jacobi"
     triple: tuple[int, ...] | None = None
+    labels: tuple[str, ...] | None = None    # the basis labels at `triple`
 
     def require(self):
         if not self.ok:
-            raise InvalidAlgebraError(f"{self.kind} fails at indices {self.triple}")
+            raise InvalidAlgebraError(f"{self.kind} fails at ({', '.join(self.labels)})")
 
 
 def validate(L: LieAlgebra) -> ValidationReport:
-    """Check the Lie axioms; reports the first violated index tuple."""
+    """Check the Lie axioms; reports the first violated index tuple.
+
+    The Jacobi sum of a basis triple is read off the structure constants:
+    its e_t coefficient is the cyclic sum of c[i][j][k] c[k][l][t].
+    """
     n = L.dim
+
+    def fail(kind, triple):
+        return ValidationReport(False, kind, triple, tuple(L.labels[i] for i in triple))
+
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                if L.c[i][j][k] != -L.c[j][i][k]:
-                    return ValidationReport(False, "antisymmetry", (i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                s = _jacobi_sum(L, i, j, l)
-                if any(s):
-                    return ValidationReport(False, "jacobi", (i, j, l))
+            if any(a != -b for a, b in zip(L.c[i][j], L.c[j][i])):
+                return fail("antisymmetry", (i, j))
+    nonzero = [[[(k, g) for k, g in enumerate(col) if g] for col in row] for row in L.c]
+    for i, j, l in combinations(range(n), 3):
+        s: dict = {}
+        for a, b, x in ((i, j, l), (j, l, i), (l, i, j)):
+            for k, g in nonzero[a][b]:
+                for t, h in nonzero[k][x]:
+                    s[t] = s.get(t, 0) + g * h
+        if any(s.values()):
+            return fail("jacobi", (i, j, l))
     return ValidationReport(True)
-
-
-def _jacobi_sum(L: LieAlgebra, i: int, j: int, l: int) -> tuple:
-    ei, ej, el = (tuple(Fraction(1 if t == s else 0) for t in range(L.dim))
-                  for s in (i, j, l))
-    return tuple(a + b + c for a, b, c in zip(
-        bracket(L, bracket(L, ei, ej), el),
-        bracket(L, bracket(L, ej, el), ei),
-        bracket(L, bracket(L, el, ei), ej)))
 
 
 def bracket(L: LieAlgebra, u, v) -> tuple:
@@ -303,7 +307,7 @@ def is_ideal(L: LieAlgebra, sub: Subspace) -> bool:
     if sub.ambient_dim != L.dim:
         raise DimensionMismatchError("subspace has wrong ambient dimension")
     for i in range(L.dim):
-        ei = tuple(Fraction(1 if t == i else 0) for t in range(L.dim))
+        ei = unit_vector(L.dim, i)
         for v in sub.basis.data:
             if not sub.contains(bracket(L, ei, v)):
                 return False
@@ -409,7 +413,7 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
         raise NotNilpotentError("adapted bases exist only for nilpotent algebras")
     chain = power_filtration(L)
     n = L.dim
-    units = [tuple(Fraction(1 if t == i else 0) for t in range(n)) for i in range(n)]
+    units = [unit_vector(n, i) for i in range(n)]
     nu = []
     for i in range(n):
         depth = 0

@@ -17,14 +17,14 @@ Conventions
   This makes the basis canonical: two subspaces are equal iff their
   basis matrices are equal.
 * Every elimination (rank, echelon forms, kernels, images, solving,
-  intersections, quotient bases) runs through one sparse engine.  Rows
-  are {key: Fraction} dicts, reduced into a dict that maps each leading
-  (smallest) key to a row that is 1 there; one back-substitution pass
-  then gives the canonical reduced echelon form.  Keys need only be
-  comparable, so `pbw` runs the same engine on monomial rows.  Matrix
-  rows feed the engine directly, without a dense round-trip.  The test
-  suite checks the engine against the independent elimination in
-  `tests/oracles.py`.
+  intersections, quotient bases, subspace membership) runs through one
+  sparse engine.  Rows are {key: Fraction} dicts, reduced into a dict
+  that maps each leading (smallest) key to a row that is 1 there; one
+  back-substitution pass then gives the canonical reduced echelon form.
+  Keys need only be comparable, so `pbw` runs the same engine on
+  monomial rows.  Matrix rows feed the engine directly, without a dense
+  round-trip.  The test suite checks the engine against the independent
+  elimination in `tests/oracles.py`.
 """
 
 from fractions import Fraction
@@ -143,9 +143,6 @@ class QMatrix:
         if not -self.cols <= j < self.cols:
             raise IndexError("column index out of range")
         return self.entries[i].get(j % self.cols, _ZERO)
-
-    def row(self, i: int) -> tuple:
-        return _dense(self.entries[i], 0, self.cols)
 
     def column(self, j: int) -> tuple:
         return tuple(row.get(j, _ZERO) for row in self.entries)
@@ -422,20 +419,12 @@ class Subspace:
         """A fresh engine pivot dict holding the basis rows (shared, not copied)."""
         return dict(zip(self._pivots, self.basis.entries))
 
-    def reduce(self, v) -> tuple:
-        """Remainder of v after subtracting its projection onto the basis rows."""
-        v = list(vector(v))
+    def contains(self, v) -> bool:
+        """Whether v reduces to zero against the basis rows."""
+        v = vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong ambient dimension")
-        for row, p in zip(self.basis.entries, self._pivots):
-            f = v[p]
-            if f:
-                for j, a in row.items():
-                    v[j] -= f * a
-        return tuple(v)
-
-    def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return _reduce(self._pivot_rows(), _sparse(v)) is None
 
     def coordinates(self, v) -> tuple:
         """Coordinates of v in the canonical basis; ContainmentError if v is outside."""

@@ -1,11 +1,12 @@
 """Finite dimensional modules over a Lie algebra.
 
 A `LieModule` stores one action matrix per basis element of the acting
-algebra and re-checks the bracket relations on construction, so a module
-object in hand is always a genuine representation.  Derived constructions
-(dual, exterior powers, restriction, direct sums) re-validate; a failure
-there is an implementation bug and raises RepresentationLawError rather
-than being swallowed.
+algebra and checks the bracket relations on every construction (the
+check cannot be skipped), so a module object in hand is always a genuine
+representation.  Derived constructions (dual, exterior powers,
+restriction, direct sums) re-validate; a failure there is an
+implementation bug and raises RepresentationLawError rather than being
+swallowed.
 
 The trivial-subquotient test works over the base field: for a nilpotent
 acting algebra the simultaneous generalized kernel of the action matrices
@@ -49,7 +50,7 @@ class LieModule:
 
     __slots__ = ("algebra", "dim", "rho")
 
-    def __init__(self, algebra: LieAlgebra, rho, check: bool = True, dim: int | None = None):
+    def __init__(self, algebra: LieAlgebra, rho, dim: int | None = None):
         rho = tuple(m if isinstance(m, QMatrix) else QMatrix(m) for m in rho)
         if len(rho) != algebra.dim:
             raise DimensionMismatchError("one action matrix per basis element")
@@ -64,8 +65,7 @@ class LieModule:
         self.algebra = algebra
         self.dim = dim
         self.rho = rho
-        if check:
-            self._check_representation_law()
+        self._check_representation_law()
 
     def _check_representation_law(self):
         n = self.algebra.dim
@@ -132,8 +132,7 @@ class Character:
 
 def trivial_module(L: LieAlgebra, dim: int = 1) -> LieModule:
     """The module of the given size with zero action."""
-    return LieModule(L, tuple(QMatrix.zero(dim, dim) for _ in range(L.dim)),
-                     check=False, dim=dim)
+    return LieModule(L, tuple(QMatrix.zero(dim, dim) for _ in range(L.dim)), dim=dim)
 
 
 def one_dim_module(L: LieAlgebra, chi: Character) -> LieModule:
@@ -142,7 +141,7 @@ def one_dim_module(L: LieAlgebra, chi: Character) -> LieModule:
         raise DimensionMismatchError("one character value per basis element")
     if not chi.is_additive(L):
         raise CharacterError("character does not vanish on the derived subalgebra")
-    return LieModule(L, tuple(QMatrix([[v]]) for v in chi.values), check=False)
+    return LieModule(L, tuple(QMatrix([[v]]) for v in chi.values))
 
 
 def adjoint_module(L: LieAlgebra) -> LieModule:

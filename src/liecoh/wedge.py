@@ -49,21 +49,15 @@ def replace_sign(subset: tuple[int, ...], pos: int, k: int):
 
     Returns (sign, sorted tuple), or None when the wedge vanishes because
     k collides with another entry.  Used for derivation-style actions,
-    where one tensor factor at a time is hit by an operator.
+    where one tensor factor at a time is hit by an operator.  Moving the
+    entry at `pos` to the front costs (-1)^pos; replacing it by e_k is
+    then an `insert_sign` into the rest.
     """
-    if k == subset[pos]:
-        return 1, subset
-    rest = subset[:pos] + subset[pos + 1:]
-    if k in rest:
+    hit = insert_sign(subset[:pos] + subset[pos + 1:], k)
+    if hit is None:
         return None
-    below = 0
-    for r in rest:
-        if r < k:
-            below += 1
-        else:
-            break
-    sign = -1 if (pos - below) % 2 else 1
-    return sign, rest[:below] + (k,) + rest[below:]
+    sign, S = hit
+    return sign * (-1) ** pos, S
 
 
 def wedge_product(vectors) -> dict:

@@ -13,6 +13,7 @@ from liecoh.fileformat import (
     module_from_dict,
     module_to_dict,
 )
+from liecoh.lie import LieAlgebra
 from liecoh.rep import adjoint_module
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -130,6 +131,17 @@ def test_validate_jacobi_violation_names_triple(tmp_path):
     assert payload["violation"]["kind"] == "jacobi"
     assert payload["violation"]["labels"] == ["x", "y", "z"]
     assert "x, y, z" in proc.stderr
+
+
+def test_check_refuses_jacobi_violation(tmp_path):
+    broken = algebra_to_dict(LieAlgebra.from_brackets(
+        "xyz", {(0, 1): [(1, 2)], (0, 2): [(1, 0)], (1, 2): [(1, 1)]}))
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    proc = run_cli("check", str(path), expect=1)
+    assert proc.stdout == ""
+    assert str(path) in proc.stderr
+    assert "jacobi fails at (x, y, z)" in proc.stderr
 
 
 def test_unknown_example_name():

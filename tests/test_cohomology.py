@@ -39,9 +39,9 @@ from liecoh.rep import (
     one_dim_module,
     trivial_module,
 )
-from liecoh.wedge import subsets, wedge_product
+from liecoh.wedge import insert_sign, replace_sign, subsets, wedge_product
 
-from oracles import ce_dims, det_permutation, gauss_rank
+from oracles import bubble_sign, ce_dims, det_permutation, gauss_rank
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -253,6 +253,17 @@ def test_inflation_identity_on_nilpotent():
         # the quotient map is the identity, so every cochain map is too
         for p, m in enumerate(inflation_map(L)):
             assert m == QMatrix.identity(m.rows), (name, p)
+
+
+def test_insert_and_replace_sign_match_bubble_sort():
+    n = 7
+    for p in range(n + 1):
+        for S in subsets(n, p):
+            for k in range(n):
+                assert insert_sign(S, k) == bubble_sign((k,) + S), (S, k)
+                for pos in range(p):
+                    expected = bubble_sign(S[:pos] + (k,) + S[pos + 1:])
+                    assert replace_sign(S, pos, k) == expected, (S, pos, k)
 
 
 def test_wedge_product_minors_random():

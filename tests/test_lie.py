@@ -80,6 +80,53 @@ def test_antisymmetry_violation_detected():
     assert not report.ok and report.kind == "antisymmetry"
 
 
+def _dense_validation(c):
+    """(kind, first failing tuple) from plain loops over dense brackets."""
+    n = len(c)
+
+    def br(u, v):
+        return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n))
+                for k in range(n)]
+
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if any(c[i][j][k] != -c[j][i][k] for k in range(n)):
+                return "antisymmetry", (i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                x, y, z = units[i], units[j], units[l]
+                terms = (br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))
+                if any(sum(t[k] for t in terms) for k in range(n)):
+                    return "jacobi", (i, j, l)
+    return None, None
+
+
+def test_validate_matches_dense_jacobi_on_corrupted_constants():
+    rng = random.Random(401)
+    seen = set()
+    for _ in range(120):
+        L = catalog.get(rng.choice(ALL_NAMES))
+        if L.dim < 3:
+            continue
+        c = [[list(col) for col in row] for row in L.c]
+        for _ in range(rng.randint(1, 2)):
+            i, j, k = (rng.randrange(L.dim) for _ in range(3))
+            delta = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            c[i][j][k] += delta
+            if rng.random() < 0.8:
+                c[j][i][k] -= delta     # stays antisymmetric unless i == j
+        report = validate(LieAlgebra(c, L.labels))
+        kind, triple = _dense_validation(c)
+        assert (report.kind, report.triple) == (kind, triple)
+        assert report.ok == (kind is None)
+        if triple is not None:
+            assert report.labels == tuple(L.labels[t] for t in triple)
+        seen.add(kind)
+    assert seen == {None, "antisymmetry", "jacobi"}
+
+
 # --- bracket ------------------------------------------------------------
 
 def test_bracket_examples():

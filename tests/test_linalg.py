@@ -274,3 +274,20 @@ def test_sparse_rows_and_dense_rows_agree_random():
         assert s.pivots() == tuple(next(j for j, a in enumerate(row) if a)
                                    for row in s.basis.data)
         assert s == Subspace.from_rows(m.cols, s.basis.data)
+
+
+def test_contains_matches_oracle_random():
+    rng = random.Random(402)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        space = Subspace.from_rows(n, rows)
+        inside = [sum((rng.randint(-2, 2) * r[j] for r in rows), Fraction(0))
+                  for j in range(n)]
+        anywhere = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        for v in (inside, anywhere):
+            expected = gauss_rank(rows + [v]) == gauss_rank(rows)
+            assert space.contains(v) == expected, (rows, v)
+        with pytest.raises(DimensionMismatchError):
+            space.contains([0] * (n + 1))

@@ -152,6 +152,14 @@ def test_predicted_needs_nilpotent():
         rees_layer_table(catalog.sl2(), 2, 2)
 
 
+@pytest.mark.parametrize("name", ["sl2", "ut3"])
+@pytest.mark.parametrize("layer_fn", [monoid_generator_check, ipower_predicted,
+                                      rees_layer_table])
+def test_layer_functions_refuse_non_nilpotent(layer_fn, name):
+    with pytest.raises(NotNilpotentError):
+        layer_fn(catalog.get(name), 2, 2)
+
+
 def test_stable_term_inside_every_power():
     # for the solvable non-nilpotent 2-dim algebra, y lies in every power
     A = catalog.example_a()
@@ -167,6 +175,8 @@ def test_straightening_order_conventions():
     assert order == (0, 1, 2) and nu == (1, 1, 2)
     order, nu = straightening_order(catalog.sl2())
     assert order == (0, 1, 2) and nu is None
+    order, nu = straightening_order(catalog.ut(3))
+    assert order == tuple(range(6)) and nu is None
 
 
 # --- layer tables --------------------------------------------------------
