@@ -49,6 +49,7 @@ from .pbw import (
     degree,
     ipower_bruteforce,
     ipower_predicted,
+    ipower_checks,
     is_rees_noetherian,
     monoid_generator_check,
     monomials,

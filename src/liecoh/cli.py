@@ -36,8 +36,7 @@ from .lie import (
     validate,
 )
 from .pbw import (
-    ipower_bruteforce,
-    ipower_predicted,
+    ipower_checks,
     is_rees_noetherian,
     monoid_generator_check,
     rees_layer_table,
@@ -223,13 +222,14 @@ def cmd_rees(args) -> int:
     r_max, m_max = args.max_filtration, args.max_weight
     if r_max < 1 or m_max < 1:
         raise CommandError("--max-filtration and --max-weight must be positive")
+    lcs = lower_central_series(L)
     payload = {
         "schema": SCHEMA,
         "command": "rees",
         "input": name,
         "max_filtration": r_max,
         "max_weight": m_max,
-        "nilpotent": is_nilpotent(L),
+        "nilpotent": lcs.last.dim == 0,
         "rees_noetherian": is_rees_noetherian(L),
         "table": None,
         "nu": None,
@@ -246,7 +246,6 @@ def cmd_rees(args) -> int:
                 f"{comb(L.dim + r_max, L.dim)} monomials exceed the cap "
                 f"{REES_MONOMIAL_CAP}; lower --max-filtration")
         table = rees_layer_table(L, r_max, m_max)
-        lcs = lower_central_series(L)
         matches = all(table.dim(1, m) == lcs.term(m).dim
                       for m in range(1, m_max + 1))
         payload["table"] = [list(row) for row in table.dims]
@@ -255,12 +254,9 @@ def cmd_rees(args) -> int:
         payload["lcs_dims_match"] = matches
         payload["monoid_generated"] = monoid_generator_check(L, r_max, m_max)
         if args.verify_pbw:
-            checks = []
-            all_equal = True
-            for m in range(1, m_max + 1):
-                equal = ipower_bruteforce(L, m, r_max) == ipower_predicted(L, m, r_max)
-                all_equal = all_equal and equal
-                checks.append({"m": m, "r_max": r_max, "equal": equal})
+            checks = [{"m": m, "r_max": r_max, "equal": equal}
+                      for m, equal in enumerate(ipower_checks(L, m_max, r_max), 1)]
+            all_equal = all(check["equal"] for check in checks)
             payload["pbw_verified"] = {"all_equal": all_equal, "checks": checks}
             summary += f", predicted == brute-force: {'yes' if all_equal else 'NO'}"
     _emit(payload)

@@ -2,11 +2,27 @@
 
 Elements of the enveloping algebra are kept in straightened form: finitely
 supported rational combinations of monomials e_1^{a_1} ... e_n^{a_n},
-encoded as exponent tuples.  Straightening repeatedly rewrites an adjacent
-out-of-order pair e_i e_j (i after j in the basis order) as
-e_j e_i + [e_i, e_j]; each step lowers (word length, inversion count)
-lexicographically, so it terminates, and the test suite checks confluence
-by comparing different rewrite strategies.
+encoded as exponent tuples.
+
+Products are straightened one letter at a time.  `_times_letter` gives the
+normal form of e^a e_i for a straightened monomial e^a: when i is not
+below the last letter j of e^a the product is e^{a + eps_i}; otherwise,
+writing e^a = e^{a'} e_j,
+
+    e^a e_i = (e^{a'} e_i) e_j + sum_k c[j][i][k] e^{a'} e_k,
+
+since e_j e_i = e_i e_j + [e_j, e_i].  Every product on the right has a
+left factor of lower degree than e^a, except b e_j for the top-degree
+term b = e^{a' + eps_i} of e^{a'} e_i, which ends in a letter <= j and
+needs no rewriting; so the recursion terminates.  A memo shared by one
+caller (one `multiply`, one word length of `_word_span`) computes each
+e^a e_i once.  `multiply` uses only this product.  `pbw_normal_form`
+keeps the rewrite loop instead: it repeatedly replaces an adjacent
+out-of-order pair e_i e_j (i after j in the basis order) by
+e_j e_i + [e_i, e_j], each step lowering (word length, inversion count)
+lexicographically.  It is the independent oracle the tests compare the
+letter product against, and they check its confluence by comparing the
+"first" and "last" rewrite strategies.
 
 Powers of the augmentation ideal are handled two ways, deliberately kept
 independent of each other:
@@ -27,6 +43,18 @@ Both return subspaces over the same graded monomial coordinates, so
 agreement is literal equality.  For nilpotent input all coordinates refer
 to the adapted basis order; otherwise to the algebra's own order.
 
+The brute-force span makes one descending pass over word lengths: it
+eliminates the words of length cap, cap - 1, ... into one echelon form
+and, right after length m, takes the rows led by a monomial of degree
+<= r_max as its degree <= r_max part of the m-th power.  A row's leading
+key is one of its highest-degree monomials, so those rows lie in degree
+<= r_max, and any combination of pivot rows in degree <= r_max uses only
+them.  Each snapshot is exact: the pivots then span the words of lengths
+m..cap, and inserting shorter words later only adds pivot rows; the
+engine never edits a stored one.  So one pass serves every m up to the
+largest, which is how `ipower_checks` verifies all layers at once, and
+`ipower_bruteforce` is the same pass for a single m.
+
 That the layer lattice points are generated by single letters is a
 theorem, proved in `monoid_generator_check`'s docstring, so that check
 computes nothing beyond the nilpotency guard.
@@ -35,10 +63,11 @@ computes nothing beyond the nilpotency guard.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .errors import NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, adapted_basis, is_nilpotent, reorder_basis
-from .linalg import Subspace, _insert, _span, unit_vector
+from .linalg import Subspace, _insert, _span
 
 __all__ = [
     "UEAElement",
@@ -50,6 +79,7 @@ __all__ = [
     "straightening_order",
     "ipower_bruteforce",
     "ipower_predicted",
+    "ipower_checks",
     "rees_layer_table",
     "monoid_generator_check",
     "is_rees_noetherian",
@@ -182,15 +212,52 @@ def pbw_normal_form(L: LieAlgebra, word, strategy: str = "first") -> UEAElement:
     return UEAElement(L.dim, acc)
 
 
-def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement,
-             strategy: str = "first") -> UEAElement:
-    """Straightened product of two straightened elements."""
+def _combine(terms) -> dict:
+    """Sum of c * p over (p, c) pairs of a product and a coefficient, zeros dropped."""
     acc: dict = {}
-    for a, ca in u.terms.items():
-        wa = _word_of(a)
-        for b, cb in v.terms.items():
-            _straighten(L, wa + _word_of(b), ca * cb, strategy, acc)
-    return UEAElement(L.dim, acc)
+    for p, c in terms:
+        for b, x in p.items():
+            # most letter products are one monomial with coefficient 1
+            x = c if x == 1 else c * x
+            v = acc.get(b)
+            acc[b] = x if v is None else v + x
+    return {b: x for b, x in acc.items() if x}
+
+
+def _times_letter(L: LieAlgebra, a: tuple, i: int, memo: dict) -> dict:
+    """Normal form of e^a e_i as {exponents: coefficient}, for a monomial e^a.
+
+    The recursion is the one in the module docstring.  `memo` maps (a, i)
+    to finished products; callers must not change them.
+    """
+    out = memo.get((a, i))
+    if out is not None:
+        return out
+    j = max((k for k, e in enumerate(a) if e), default=-1)
+    if i >= j:
+        out = {a[:i] + (a[i] + 1,) + a[i + 1:]: Fraction(1)}
+    else:
+        rest = a[:j] + (a[j] - 1,) + a[j + 1:]
+        terms = [(_times_letter(L, b, j, memo), c)
+                 for b, c in _times_letter(L, rest, i, memo).items()]
+        terms += [(_times_letter(L, rest, k, memo), gamma)
+                  for k, gamma in enumerate(L.c[j][i]) if gamma]
+        out = _combine(terms)
+    memo[(a, i)] = out
+    return out
+
+
+def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
+    """Straightened product of two straightened elements: u times each
+    monomial of v, one letter at a time."""
+    memo: dict = {}
+    parts = []
+    for b, cb in v.terms.items():
+        prod = u.terms
+        for i in _word_of(b):
+            prod = _combine((_times_letter(L, a, i, memo), c) for a, c in prod.items())
+        parts.append((prod, cb))
+    return UEAElement(L.dim, _combine(parts))
 
 
 def degree(x: UEAElement) -> int:
@@ -231,13 +298,6 @@ def straightening_order(L: LieAlgebra):
     return ab.order, ab.nu
 
 
-def _ordered_algebra(L: LieAlgebra):
-    order, nu = straightening_order(L)
-    if order == tuple(range(L.dim)):
-        return L, nu
-    return reorder_basis(L, order), nu
-
-
 def _reduce_into(pivots: dict, row: dict) -> None:
     """Sparse elimination of `row` against and into `pivots`.
 
@@ -247,9 +307,10 @@ def _reduce_into(pivots: dict, row: dict) -> None:
     _insert(pivots, row)
 
 
-# `_word_span`'s cache is process-global, so it is bounded.  One call of
-# `ipower_bruteforce` needs an entry per word length s = 0..cap of its
-# algebra (cap + 1 <= 9 on the benchmark's cases).
+# `_word_span`'s cache is process-global, so it is bounded.  One brute-force
+# pass needs an entry per word length s = 0..cap of its algebra (cap + 1 <= 9
+# on the benchmark's cases).  The letter-product memo is not cached: it lives
+# only while one word length is built.
 _WORD_SPAN_CACHE_SIZE = 32
 
 
@@ -259,13 +320,43 @@ def _word_span(L: LieAlgebra, s: int) -> tuple:
     as (key, coefficient) pairs keyed as in `_reduce_into`."""
     if s == 0:
         return ((((0, (0,) * L.dim), Fraction(1)),),)
+    memo: dict = {}
     pivots: dict = {}
     for prev in _word_span(L, s - 1):
-        u = UEAElement(L.dim, {a: c for (_, a), c in prev})
         for i in range(L.dim):
-            prod = multiply(L, u, UEAElement.generator(L.dim, i))
-            _reduce_into(pivots, {(-sum(a), a): c for a, c in prod.terms.items()})
+            prod = _combine((_times_letter(L, a, i, memo), c) for (_, a), c in prev)
+            _reduce_into(pivots, {(-sum(b), b): c for b, c in prod.items()})
     return tuple(tuple(row.items()) for row in pivots.values())
+
+
+def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
+                 r_max: int) -> list[Subspace]:
+    """Degree <= r_max parts of the m-th powers for m = m_lo..m_hi, from one
+    descending pass over word lengths (see the module docstring).
+
+    The cap on word lengths is that of the largest m, which also exhausts
+    the smaller ones.  Coordinates are `monomials(dim, r_max)` in `order`.
+    """
+    if not 1 <= m_lo <= m_hi:
+        raise ValueError("powers of the augmentation ideal start at m = 1")
+    if order != tuple(range(L.dim)):
+        L = reorder_basis(L, order)
+    cap = max(m_hi, r_max * max(nu)) if nu else max(m_hi, r_max)
+    monos = monomials(L.dim, r_max)
+    index = {a: t for t, a in enumerate(monos)}
+    pivots: dict = {}
+    low = []        # pivot rows led by degree <= r_max, in monomial coordinates
+    powers = []
+    for s in range(cap, m_lo - 1, -1):
+        seen = len(pivots)
+        for row in _word_span(L, s):
+            _reduce_into(pivots, dict(row))
+        low += [{index[a]: c for (_, a), c in row.items()}
+                for (neg_degree, _), row in islice(pivots.items(), seen, None)
+                if -neg_degree <= r_max]
+        if s <= m_hi:
+            powers.append(_span(len(monos), (dict(row) for row in low)))
+    return powers[::-1]
 
 
 def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
@@ -276,21 +367,14 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     straightening basis order.  See the module docstring for the word
     length cap and what it does and does not certify.
     """
-    if m < 1:
-        raise ValueError("powers of the augmentation ideal start at m = 1")
-    L2, nu = _ordered_algebra(L)
-    cap = max(m, r_max * max(nu)) if nu else max(m, r_max)
-    pivots: dict = {}
-    for s in range(m, cap + 1):
-        for row in _word_span(L2, s):
-            _reduce_into(pivots, dict(row))
-    monos = monomials(L.dim, r_max)
-    index = {a: t for t, a in enumerate(monos)}
-    # a row led by degree <= r_max lies wholly in degree <= r_max, and those
-    # rows span the whole degree <= r_max part of the echelon form's span
-    return _span(len(monos), ({index[a]: c for (_, a), c in row.items()}
-                              for (neg_degree, _), row in pivots.items()
-                              if -neg_degree <= r_max))
+    order, nu = straightening_order(L)
+    return _ipower_pass(L, order, nu, m, m, r_max)[0]
+
+
+def _weight_span(n: int, nu, m: int, r_max: int) -> Subspace:
+    monos = monomials(n, r_max)
+    return _span(len(monos), ({t: Fraction(1)} for t, a in enumerate(monos)
+                              if sum(e * w for e, w in zip(a, nu)) >= m))
 
 
 def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
@@ -299,11 +383,19 @@ def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     Nilpotent algebras only: the weight of e^a is sum_i a_i nu_i in the
     adapted order.  Same coordinates as `ipower_bruteforce`.
     """
-    nu = adapted_basis(L).nu
-    monos = monomials(L.dim, r_max)
-    return Subspace.from_rows(len(monos), [
-        unit_vector(len(monos), t) for t, a in enumerate(monos)
-        if sum(e * w for e, w in zip(a, nu)) >= m])
+    return _weight_span(L.dim, adapted_basis(L).nu, m, r_max)
+
+
+def ipower_checks(L: LieAlgebra, m_max: int, r_max: int) -> tuple[bool, ...]:
+    """Whether `ipower_bruteforce(L, m, r_max) == ipower_predicted(L, m, r_max)`
+    for m = 1..m_max, from one adapted basis and one brute-force pass.
+
+    Nilpotent algebras only.
+    """
+    ab = adapted_basis(L)
+    brute = _ipower_pass(L, ab.order, ab.nu, 1, m_max, r_max)
+    return tuple(b == _weight_span(L.dim, ab.nu, m, r_max)
+                 for m, b in enumerate(brute, 1))
 
 
 @dataclass(frozen=True)

@@ -125,3 +125,20 @@ def det_permutation(mat):
                 break
         total += term
     return total
+
+
+def relabel(c, labels, rng):
+    """Structure constants and labels in the basis f_a = s_a e_perm(a), for a
+    random permutation and random nonzero scales."""
+    n = len(labels)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5))) for _ in range(n)]
+    where = {old: new for new, old in enumerate(perm)}
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k, g in enumerate(c[perm[a]][perm[b]]):
+                if g:
+                    out[a][b][where[k]] = scale[a] * scale[b] * g / scale[where[k]]
+    return out, [labels[p] for p in perm]

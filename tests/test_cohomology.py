@@ -41,7 +41,7 @@ from liecoh.rep import (
 )
 from liecoh.wedge import insert_sign, replace_sign, subsets, wedge_product
 
-from oracles import bubble_sign, ce_dims, det_permutation, gauss_rank
+from oracles import bubble_sign, ce_dims, det_permutation, gauss_rank, relabel
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -381,18 +381,7 @@ def test_e2_dominates_abutment_dimensionwise():
 
 def _relabelled(L, rng):
     """L in the basis f_a = s_a e_perm(a), for a random permutation and scales."""
-    n = L.dim
-    perm = list(range(n))
-    rng.shuffle(perm)
-    scale = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5))) for _ in range(n)]
-    where = {old: new for new, old in enumerate(perm)}
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for k, g in enumerate(L.c[perm[a]][perm[b]]):
-                if g:
-                    c[a][b][where[k]] = scale[a] * scale[b] * g / scale[where[k]]
-    return LieAlgebra(c, [L.labels[p] for p in perm])
+    return LieAlgebra(*relabel(L.c, L.labels, rng))
 
 
 def _inversion_counts(n):

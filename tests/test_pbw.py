@@ -6,11 +6,14 @@ import pytest
 
 from liecoh import catalog
 from liecoh.errors import NotNilpotentError, ZeroElementError
-from liecoh.lie import power_filtration
+from liecoh.lie import LieAlgebra, power_filtration
 from liecoh.linalg import Subspace
 from liecoh.pbw import (
     UEAElement,
+    _ipower_pass,
+    _times_letter,
     ipower_bruteforce,
+    ipower_checks,
     ipower_predicted,
     is_rees_noetherian,
     monoid_generator_check,
@@ -20,6 +23,8 @@ from liecoh.pbw import (
     rees_layer_table,
     straightening_order,
 )
+
+from oracles import relabel
 
 NILPOTENT_TRIO = ("abelian2", "heisenberg3", "strict-ut3")
 
@@ -59,6 +64,37 @@ def test_associativity_of_multiplication():
                  for _ in range(3)]
         u, v, w = (pbw_normal_form(s, word) for word in words)
         assert multiply(s, multiply(s, u, v), w) == multiply(s, u, multiply(s, v, w))
+
+
+def _relabelled(L, rng):
+    return LieAlgebra(*relabel(L.c, L.labels, rng))
+
+
+def _letter_by_letter(L, word):
+    """The straightened word, built by `_times_letter` alone."""
+    memo: dict = {}
+    out = UEAElement.monomial(L.dim, (0,) * L.dim)
+    for i in word:
+        nxt = UEAElement.zero(L.dim)
+        for a, c in out.terms.items():
+            nxt = nxt + UEAElement(L.dim, _times_letter(L, a, i, memo)).scale(c)
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "exampleA", "heisenberg3", "strict-ut4"])
+def test_letter_product_and_multiply_match_rewriting_random(name):
+    rng = random.Random(f"letters-{name}")
+    base = catalog.strict_ut(4) if name == "strict-ut4" else catalog.get(name)
+    L = _relabelled(base, rng)
+    for _ in range(20):
+        word = tuple(rng.randrange(L.dim) for _ in range(rng.randrange(1, 7)))
+        cut = rng.randrange(len(word) + 1)
+        left, right = pbw_normal_form(L, word[:cut]), pbw_normal_form(L, word[cut:])
+        for strategy in ("first", "last"):
+            expected = pbw_normal_form(L, word, strategy=strategy)
+            assert _letter_by_letter(L, word) == expected, (name, word, strategy)
+            assert multiply(L, left, right) == expected, (name, word, cut, strategy)
 
 
 def test_degree_examples():
@@ -131,6 +167,36 @@ def test_predicted_equals_bruteforce_small():
                     (name, m, r)
 
 
+def test_single_pass_snapshots_match_separate_calls():
+    for name in ("abelian1", "abelian2", "abelian3", "abelian4", "heisenberg3", "strict-ut3"):
+        L = catalog.get(name)
+        order, nu = straightening_order(L)
+        for r in (1, 2, 3):
+            snapshots = _ipower_pass(L, order, nu, 1, 4, r)
+            assert len(snapshots) == 4
+            for m, snap in enumerate(snapshots, 1):
+                assert snap == ipower_bruteforce(L, m, r), (name, m, r)
+            assert ipower_checks(L, 4, r) == (True,) * 4, (name, r)
+
+
+def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
+    h5 = LieAlgebra.from_brackets(["x1", "x2", "y1", "y2", "z"],
+                                  {(0, 2): [(1, 4)], (1, 3): [(1, 4)]})
+    filiform5 = LieAlgebra.from_brackets(["e1", "e2", "e3", "e4", "e5"],
+                                         {(0, 1): [(1, 2)], (0, 2): [(1, 3)], (0, 3): [(1, 4)]})
+    rng = random.Random(34)
+    for base, r, m_max in ((catalog.strict_ut(4), 2, 3), (h5, 4, 4), (filiform5, 2, 4)):
+        L = _relabelled(base, rng)
+        assert ipower_checks(L, m_max, r) == (True,) * m_max, (L, r, m_max)
+        dims = []
+        for m in range(1, m_max + 1):
+            predicted = ipower_predicted(L, m, r)
+            assert ipower_bruteforce(L, m, r) == predicted, (L, m, r)
+            dims.append(predicted.dim)
+        # the layers really shrink, so equality is not between two full spaces
+        assert dims == sorted(dims, reverse=True) and dims[0] > dims[-1] > 0, dims
+
+
 def test_predicted_layers_of_heisenberg():
     H = catalog.heisenberg3()
     # weight >= 2, degree <= 1: only z
@@ -154,7 +220,7 @@ def test_predicted_needs_nilpotent():
 
 @pytest.mark.parametrize("name", ["sl2", "ut3"])
 @pytest.mark.parametrize("layer_fn", [monoid_generator_check, ipower_predicted,
-                                      rees_layer_table])
+                                      ipower_checks, rees_layer_table])
 def test_layer_functions_refuse_non_nilpotent(layer_fn, name):
     with pytest.raises(NotNilpotentError):
         layer_fn(catalog.get(name), 2, 2)
