@@ -13,10 +13,10 @@ The differential of a p-cochain f, evaluated on a (p+1)-wedge, is
     sum_i (-1)^i x_i . f(... x_i omitted ...)
   + sum_{a<b} (-1)^(a+b) f([x_a, x_b] ^ ... x_a, x_b omitted ...)
 
-Cohomology spaces come with explicit representative cocycles (an echelon
-complement of the coboundaries inside the cocycles) and an exact linear
-projection taking any cocycle to its coordinates in that representative
-basis, so induced maps on cohomology are honest matrices.
+Cohomology spaces come with representative cocycles (an echelon complement
+of the coboundaries), tagged in one pivot dict per degree together with
+the coboundaries; reducing a cocycle there leaves minus its coordinates on
+the tags, so induced maps on cohomology are honest matrices.
 
 An ambient algebra acts on the complex of an ideal by
 
@@ -29,7 +29,7 @@ projection to the nilpotent quotient and is likewise checked to be a
 chain map.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -40,17 +40,16 @@ from .errors import (
     DimensionMismatchError,
     NotAnIdealError,
 )
-from .lie import LieAlgebra, Quotient, is_ideal, nil_quotient, quotient
+from .lie import LieAlgebra, Quotient, bracket, is_ideal, nil_quotient, quotient
 from .linalg import (
     QMatrix,
     Subspace,
-    _complement,
+    _classes,
     _dense,
+    _tag_coordinates,
     _transpose,
-    image,
     kernel,
     rank,
-    rref_transform,
     vector,
 )
 from .rep import LieModule, restrict, trivial_module
@@ -146,30 +145,38 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Per-degree dimensions, representative cocycles, and projections.
+    """Per-degree dimensions, representative cocycles, and class coordinates.
 
     representatives[q] are vectors in C^q whose classes form a basis of
-    H^q; projections[q] is a matrix sending any cocycle to its coordinates
-    in that basis (it is only meaningful on cocycles, and `project`
-    enforces that).
+    H^q; `coordinates` reads classes in that basis off the degree-q pivot
+    dict of `linalg._classes` and refuses anything that is not a cocycle.
     """
 
     complex: CochainComplex
     dims: tuple[int, ...]
     representatives: tuple[tuple[tuple, ...], ...]
-    projections: tuple[QMatrix, ...]
+    _pivots: tuple[dict, ...] = field(repr=False, compare=False)
 
     def rep_matrix(self, q: int) -> QMatrix:
         """Representatives of H^q as the columns of a matrix."""
         return QMatrix.from_columns(self.representatives[q],
                                     rows=self.complex.space_dim(q))
 
+    def coordinates(self, q: int, m: QMatrix) -> QMatrix:
+        """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles."""
+        n = self.complex.space_dim(q)
+        if m.rows != n:
+            raise DimensionMismatchError(f"{m.rows} rows for cochains of dimension {n}")
+        try:
+            cols = [_tag_coordinates(self._pivots[q], n, col)
+                    for col in _transpose(m.entries, m.cols)]
+        except ContainmentError:
+            raise ContainmentError("vector is not a cocycle") from None
+        return QMatrix._wrap(_transpose(cols, self.dims[q]), m.cols)
+
     def project(self, q: int, z) -> tuple:
         """Coordinates of the class of a cocycle z in the chosen H^q basis."""
-        z = vector(z)
-        if any(self.complex.delta(q).apply(z)):
-            raise ContainmentError("vector is not a cocycle")
-        return self.projections[q].apply(z)
+        return self.coordinates(q, QMatrix.from_columns([vector(z)])).column(0)
 
     @property
     def total_dim(self) -> int:
@@ -182,30 +189,19 @@ class CohomologyResult:
 def cohomology_of(cx: CochainComplex) -> CohomologyResult:
     """Cohomology of an already-built complex.
 
-    Every step works on the sparse rows of the echelon engine in
-    `linalg`: Z^q and B^q are canonical echelon bases, the
-    representatives are the rows of Z^q's basis picked greedily past
-    B^q, and the projection rows are the top block of the reduced
-    echelon form of [reps | B | I].  Dense vectors are made only for the
-    returned representatives.
+    Two sparse eliminations per degree: the canonical basis of Z^q, then
+    one pivot dict (`linalg._classes`) fed the columns of delta_{q-1} as
+    they are, keeping the rows of Z^q's basis that add a pivot as the
+    representatives.  Dense vectors are made only for the representatives.
     """
-    n = cx.top_degree
-    dims = []
     reps_all = []
-    projections = []
-    for q in range(n + 1):
-        cdim = cx.space_dim(q)
-        cocycles = kernel(cx.delta(q))
-        boundaries = image(cx.delta(q - 1)) if q > 0 else Subspace.zero(cdim)
-        reps = _complement(cocycles, boundaries)
-        cols = reps + list(boundaries.basis.entries)
-        _, T, pivots = rref_transform(QMatrix._wrap(_transpose(cols, cdim), len(cols)))
-        if pivots != tuple(range(len(cols))):
-            raise ChainMapError("representative columns are unexpectedly dependent")
-        dims.append(len(reps))
-        reps_all.append(tuple(_dense(row, 0, cdim) for row in reps))
-        projections.append(QMatrix._wrap(T.entries[:len(reps)], cdim))
-    return CohomologyResult(cx, tuple(dims), tuple(reps_all), tuple(projections))
+    pivots_all = []
+    for q in range(cx.top_degree + 1):
+        prev = cx.delta(q - 1)
+        pivots, reps = _classes(_transpose(prev.entries, prev.cols), kernel(cx.delta(q)))
+        reps_all.append(tuple(_dense(row, 0, prev.rows) for row in reps))
+        pivots_all.append(pivots)
+    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all), tuple(pivots_all))
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
@@ -216,8 +212,6 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
                      M: LieModule, x, p: int) -> QMatrix:
     """Matrix of the ambient element x on C^p(ideal, M)."""
-    from .lie import bracket
-
     s = cx.algebra.dim
     m = cx.coeff.dim
     sets = wedge.subsets(s, p)
@@ -312,7 +306,7 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     modules = []
     for q in range(cx.top_degree + 1):
         reps = coh.rep_matrix(q)
-        rho = [coh.projections[q] * (ops[q] * reps) for ops in per_lift_ops]
+        rho = [coh.coordinates(q, ops[q] * reps) for ops in per_lift_ops]
         modules.append(LieModule(nq.algebra, rho, dim=coh.dims[q]))
     return ActionOnCohomology(nq, coh, tuple(modules))
 
@@ -384,7 +378,7 @@ def inflation_on_cohomology(L: LieAlgebra, nq: Quotient | None = None) -> Inflat
         ht = coh_L.dims[p]
         src_dims.append(hs)
         if p <= qd:
-            mat = coh_L.projections[p] * (maps[p] * coh_q.rep_matrix(p))
+            mat = coh_L.coordinates(p, maps[p] * coh_q.rep_matrix(p))
         else:
             mat = QMatrix.zero(ht, 0)
         induced.append(mat)

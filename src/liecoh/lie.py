@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .errors import (
     AdaptedBasisError,
+    ContainmentError,
     DimensionMismatchError,
     InvalidAlgebraError,
     NotAnIdealError,
@@ -24,11 +25,13 @@ from .errors import (
 from .linalg import (
     QMatrix,
     Subspace,
+    _classes,
+    _copies,
+    _dense,
     _frac,
     _insert,
-    _reduce,
-    quotient_basis,
-    rref_transform,
+    _tag_coordinates,
+    _transpose,
     unit_vector,
     vector,
 )
@@ -125,14 +128,13 @@ class LieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 comm = mats[i] * mats[j] - mats[j] * mats[i]
-                # reducing [comm | 0] leaves [0 | -coefficients] when comm is in the span
-                rest = _flat(comm)
-                _reduce(pivots, rest)
-                if any(k < ambient for k in rest):
+                try:
+                    coords = _tag_coordinates(pivots, ambient, _flat(comm))
+                except ContainmentError:
                     raise NotASubalgebraError(
-                        f"[{labels[i]}, {labels[j]}] falls outside the span")
+                        f"[{labels[i]}, {labels[j]}] falls outside the span") from None
                 for k in range(n):
-                    c[i][j][k] = -rest.get(ambient + k, Fraction(0))
+                    c[i][j][k] = coords.get(k, Fraction(0))
                     c[j][i][k] = -c[i][j][k]
         return cls(c, labels)
 
@@ -338,20 +340,15 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     """
     if not is_ideal(L, ideal):
         raise NotAnIdealError("quotient requires a bracket-stable ideal")
-    lifts = quotient_basis(Subspace.full(L.dim), ideal)
+    n = L.dim
+    pivots, chosen = _classes(_copies(ideal.basis), Subspace.full(n))
+    lifts = [_dense(row, 0, n) for row in chosen]
     q = len(lifts)
-    # Invert the basis (lifts then ideal basis) to read off the projection.
-    cols = list(lifts) + list(ideal.basis.data)
-    B = QMatrix.from_columns(cols, rows=L.dim)
-    R, T, _ = rref_transform(B)
-    if R != QMatrix.identity(L.dim):
-        raise NotAnIdealError("ideal basis and lifts do not span the algebra")
-    projection = QMatrix._wrap(T.entries[:q], L.dim)
-    section = QMatrix.from_columns(lifts, rows=L.dim)
-    labels = []
-    for v in lifts:
-        i = next(j for j, a in enumerate(v) if a)
-        labels.append(f"{L.labels[i]}_bar")
+    # column j of the projection: the coordinates of e_j on the lifts, mod the ideal
+    projection = QMatrix._wrap(
+        _transpose([_tag_coordinates(pivots, n, {j: Fraction(1)}) for j in range(n)], q), n)
+    section = QMatrix.from_columns(lifts, rows=n)
+    labels = [f"{L.labels[min(row)]}_bar" for row in chosen]
     c = [[projection.apply(bracket(L, lifts[a], lifts[b])) for b in range(q)]
          for a in range(q)]
     return Quotient(LieAlgebra(c, labels), projection, section)

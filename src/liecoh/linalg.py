@@ -21,8 +21,10 @@ Conventions
   sparse engine.  Rows are {key: Fraction} dicts, reduced into a dict
   that maps each leading (smallest) key to a row that is 1 there; one
   back-substitution pass then gives the canonical reduced echelon form.
-  Keys need only be comparable, so `pbw` runs the same engine on
-  monomial rows.  Matrix rows feed the engine directly, without a dense
+  Quotients skip that pass: `_classes` tags each chosen row by a key
+  past every coordinate, and reducing a vector leaves minus its
+  coordinates on the tags.  Keys need only be comparable, so `pbw` runs
+  the same engine on monomial rows.  Matrix rows feed the engine directly, without a dense
   round-trip.  The test suite checks the engine against the independent
   elimination in `tests/oracles.py`.
 """
@@ -499,16 +501,35 @@ def image(m: QMatrix) -> Subspace:
     return _span(m.rows, _transpose(m.entries, m.cols))
 
 
-def _complement(big: Subspace, small: Subspace) -> list[dict]:
-    """The sparse rows that `quotient_basis` returns, as shared engine rows."""
-    if small.ambient_dim != big.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    pivots = small._pivot_rows()
-    chosen = [row for row in big.basis.entries if _insert(pivots, dict(row)) is not None]
+def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
+    """Pivots of the small rows (consumed), then of big's basis rows that add one.
+
+    The i-th kept row is stored tagged 1 at key big.ambient_dim + i.  Returns the
+    pivots and the kept rows (untagged); ContainmentError unless span(small rows) <= big.
+    """
+    n = big.ambient_dim
+    pivots: dict = {}
+    for row in small_rows:
+        _insert(pivots, row)
+    chosen = []
+    for row in big.basis.entries:
+        lead = _insert(pivots, {**row, n + len(chosen): Fraction(1)})
+        if lead < n:            # the new tag survives reduction, so lead is never None
+            chosen.append(row)
+        else:                   # only tags were left: the row adds no pivot
+            del pivots[lead]
     # the pivots span small + big, which is big exactly when small <= big
     if len(pivots) != big.dim:
         raise ContainmentError("small subspace is not contained in the big one")
-    return chosen
+    return pivots, chosen
+
+
+def _tag_coordinates(pivots: dict, n: int, row: dict) -> dict:
+    """A row's coordinates {i: c} on the kept rows of `_classes`: minus its reduced tags."""
+    lead = _reduce(pivots, row)
+    if lead is not None and lead < n:
+        raise ContainmentError("vector is outside the span of the pivot rows")
+    return {k - n: -a for k, a in row.items()}
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
@@ -519,4 +540,7 @@ def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     the rows kept before it, so the result is deterministic.  Raises
     ContainmentError unless small <= big.
     """
-    return [_dense(row, 0, big.ambient_dim) for row in _complement(big, small)]
+    if small.ambient_dim != big.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    _, chosen = _classes(_copies(small.basis), big)
+    return [_dense(row, 0, big.ambient_dim) for row in chosen]

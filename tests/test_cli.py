@@ -278,3 +278,52 @@ def test_byte_identical_output():
     d = run_cli("rees", "heisenberg3", "--max-filtration", "3",
                 "--max-weight", "3", "--verify-pbw").stdout
     assert c == d
+
+
+# --- stdout digests -------------------------------------------------------
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "stdout_digests.json")
+
+
+def _digest_commands():
+    """Every command the digest file pins, as argv lists."""
+    commands = []
+    for name in catalog.names():
+        commands += [["validate", name], ["series", name], ["check", name], ["e2", name],
+                     ["cohomology", name], ["cohomology", name, "--module", "adjoint"],
+                     ["rees", name, "--max-filtration", "2", "--max-weight", "3",
+                      "--verify-pbw"]]
+    return commands
+
+
+def _digest(argv) -> dict:
+    """sha256 of the command's stdout and its exit code, run in this process."""
+    import contextlib
+    import hashlib
+    import io
+
+    from liecoh.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "exit": code}
+
+
+def test_stdout_digests_unchanged():
+    # a schema change regenerates the file (python tests/test_cli.py) and says why
+    with open(DIGESTS, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    commands = [" ".join(argv) for argv in _digest_commands()]
+    assert sorted(pinned) == sorted(commands)
+    moved = [cmd for cmd, argv in zip(commands, _digest_commands())
+             if _digest(argv) != pinned[cmd]]
+    assert not moved, f"stdout or exit code moved for: {moved}"
+
+
+if __name__ == "__main__":
+    with open(DIGESTS, "w", encoding="utf-8") as handle:
+        json.dump({" ".join(argv): _digest(argv) for argv in _digest_commands()},
+                  handle, indent=1, sort_keys=True)
+        handle.write("\n")

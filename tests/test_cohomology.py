@@ -217,7 +217,7 @@ def test_ideal_elements_act_by_zero_on_cohomology():
         for row in linf.basis.data:
             ops = cochain_action_operators(L, linf, trivial_module(L), row)
             for q in range(len(coh.dims)):
-                induced = coh.projections[q] * (ops[q] * coh.rep_matrix(q))
+                induced = coh.coordinates(q, ops[q] * coh.rep_matrix(q))
                 assert induced.is_zero(), (name, q)
 
 
@@ -424,12 +424,11 @@ def test_projection_on_strict_ut4_adjoint_relabelled():
     L = _relabelled(catalog.strict_ut(4), random.Random(404))
     result = cohomology(L, adjoint_module(L))
     for q in range(L.dim + 1):
-        P = result.projections[q]
         for i, rep in enumerate(result.representatives[q]):
             assert not any(result.complex.delta(q).apply(rep))
-            assert P.apply(rep) == unit_vector(result.dims[q], i)
+            assert result.project(q, rep) == unit_vector(result.dims[q], i)
         for b in image(result.complex.delta(q - 1)).basis.data:
-            assert not any(P.apply(b))
+            assert not any(result.project(q, b))
 
 
 def test_cohomology_of_rejects_a_non_complex():
