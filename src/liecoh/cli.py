@@ -148,6 +148,8 @@ def _parse_degrees(spec: str, top: int) -> tuple[int, int]:
         raise CommandError(f"--degrees wants 'a..b', got {spec!r}") from None
     if a < 0 or b < a:
         raise CommandError(f"--degrees range {spec!r} is empty or negative")
+    if a > top:
+        raise CommandError(f"--degrees range {spec!r} starts past the top degree {top}")
     return a, min(b, top)
 
 
@@ -170,8 +172,8 @@ def cmd_cohomology(args) -> int:
     validate(L).require()
     mod_name, M = _resolve_module(args.module, L)
     _guard_wedge(L, M.dim)
-    result = cohomology(L, M)
     lo, hi = (0, L.dim) if args.degrees is None else _parse_degrees(args.degrees, L.dim)
+    result = cohomology(L, M)
     payload = {
         "schema": SCHEMA,
         "command": "cohomology",

@@ -61,13 +61,20 @@ def _index(x, where: str) -> int:
     return x
 
 
+def _list(x, where: str) -> list:
+    # list() would split a string into characters; a number fails later with a TypeError
+    if type(x) is not list:
+        raise FileFormatError(f"{where}: {x!r} is not a list")
+    return x
+
+
 def algebra_from_dict(d: dict) -> LieAlgebra:
     if not isinstance(d, dict):
         raise FileFormatError("algebra file must be a JSON object")
     try:
         dim = _index(d["dim"], "dim")
-        basis = list(d["basis"])
-        brackets = d.get("brackets", [])
+        basis = _list(d["basis"], "basis")
+        brackets = _list(d.get("brackets", []), "brackets")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
     if len(basis) != dim:
@@ -80,7 +87,7 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
         try:
             i = _index(entry["left"], where)
             j = _index(entry["right"], where)
-            result = entry["result"]
+            result = _list(entry["result"], f"{where}.result")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{where}: {exc}") from None
         if not 0 <= i < dim or not 0 <= j < dim:
@@ -116,8 +123,8 @@ def module_from_dict(d: dict, L: LieAlgebra) -> LieModule:
     if not isinstance(d, dict):
         raise FileFormatError("module file must be a JSON object")
     try:
-        dim = int(d["dim"])
-        action = d["action"]
+        dim = _index(d["dim"], "dim")
+        action = _list(d["action"], "action")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"module file is missing or mistypes a field: {exc}") from None
     if len(action) != L.dim:
@@ -125,9 +132,11 @@ def module_from_dict(d: dict, L: LieAlgebra) -> LieModule:
             f"module file has {len(action)} action matrices for an algebra of dim {L.dim}")
     mats = []
     for i, mat in enumerate(action):
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise FileFormatError(f"action[{i}] is not a {dim}x{dim} matrix")
-        mats.append([[_parse_coeff(a, f"action[{i}]") for a in row] for row in mat])
+        where = f"action[{i}]"
+        rows = [_list(row, where) for row in _list(mat, where)]
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise FileFormatError(f"{where} is not a {dim}x{dim} matrix")
+        mats.append([[_parse_coeff(a, where) for a in row] for row in rows])
     return LieModule(L, mats, dim=dim)
 
 

@@ -14,7 +14,7 @@ from liecoh.fileformat import (
     module_to_dict,
 )
 from liecoh.lie import LieAlgebra
-from liecoh.rep import adjoint_module
+from liecoh.rep import adjoint_module, trivial_module
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -83,8 +83,21 @@ def _duplicate_labels(d):
     d["basis"] = ["x", "x"]
 
 
+def _string_basis(d):
+    d["basis"] = "xy"
+
+
+def _scalar_brackets(d):
+    d["brackets"] = 5
+
+
+def _scalar_result(d):
+    d["brackets"][0]["result"] = 5
+
+
 @pytest.mark.parametrize("corrupt", [_float_index, _float_coefficient, _boolean_index,
-                                     _repeated_pair, _duplicate_labels])
+                                     _repeated_pair, _duplicate_labels, _string_basis,
+                                     _scalar_brackets, _scalar_result])
 def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
     # a lenient reader turns each of these into a different algebra instead of refusing it
     d = algebra_to_dict(catalog.example_a())
@@ -94,6 +107,36 @@ def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(d))
     run_cli("validate", str(path), expect=2)
+
+
+def _float_dim(d):
+    d["dim"] = 1.9
+
+
+def _boolean_dim(d):
+    d["dim"] = True
+
+
+def _scalar_action(d):
+    d["action"] = 5
+
+
+def _scalar_row(d):
+    d["action"][0][0] = 5
+
+
+@pytest.mark.parametrize("corrupt", [_float_dim, _boolean_dim, _scalar_action, _scalar_row])
+def test_rejects_reinterpretable_module_files(corrupt, tmp_path):
+    # int() read 1.9 and true as the dimension 1; scalars ended in a TypeError traceback
+    L = catalog.heisenberg3()
+    d = module_to_dict(trivial_module(L))
+    corrupt(d)
+    with pytest.raises(FileFormatError):
+        module_from_dict(d, L)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(d))
+    proc = run_cli("cohomology", "heisenberg3", "--module", str(path), expect=2)
+    assert "Traceback" not in proc.stderr
 
 
 # --- commands -------------------------------------------------------------
@@ -180,6 +223,23 @@ def test_cohomology_command_with_degree_window():
     assert payload["dims"] == [1, 2, 2, 1]
     assert sorted(payload["representatives"]) == ["1", "2"]
     assert payload["euler_characteristic"] == 0
+
+
+def test_cohomology_refuses_a_degree_window_past_the_top():
+    proc = run_cli("cohomology", "heisenberg3", "--degrees", "5..9", expect=2)
+    assert proc.stdout == ""
+    assert "top degree 3" in proc.stderr
+
+
+def test_cohomology_parses_the_degree_window_before_computing(monkeypatch):
+    from liecoh import cli
+
+    def refuse(*args):
+        raise AssertionError("cohomology ran before --degrees was parsed")
+
+    monkeypatch.setattr(cli, "cohomology", refuse)
+    for spec in ("5..9", "2-3", "3..1"):
+        assert cli.main(["cohomology", "heisenberg3", "--degrees", spec]) == 2, spec
 
 
 def test_cohomology_adjoint_coefficients():
