@@ -15,14 +15,10 @@ since e_j e_i = e_i e_j + [e_j, e_i].  Every product on the right has a
 left factor of lower degree than e^a, except b e_j for the top-degree
 term b = e^{a' + eps_i} of e^{a'} e_i, which ends in a letter <= j and
 needs no rewriting; so the recursion terminates.  A memo shared by one
-caller (one `multiply`, one word length of `_word_span`) computes each
-e^a e_i once.  `multiply` uses only this product.  `pbw_normal_form`
-keeps the rewrite loop instead: it repeatedly replaces an adjacent
-out-of-order pair e_i e_j (i after j in the basis order) by
-e_j e_i + [e_i, e_j], each step lowering (word length, inversion count)
-lexicographically.  It is the independent oracle the tests compare the
-letter product against, and they check its confluence by comparing the
-"first" and "last" rewrite strategies.
+caller (one `pbw_normal_form` or `multiply`, one word length of
+`_word_span`) computes each e^a e_i once.  This product is the only
+straightening in the library; the tests compare it against an
+independent adjacent-pair rewriting oracle in `tests/oracles.py`.
 
 Powers of the augmentation ideal are handled two ways, deliberately kept
 independent of each other:
@@ -166,52 +162,6 @@ def _word_of(exps) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exps_of(n: int, word) -> tuple[int, ...]:
-    out = [0] * n
-    for i in word:
-        out[i] += 1
-    return tuple(out)
-
-
-def _find_inversion(word, last: bool):
-    rng = range(len(word) - 2, -1, -1) if last else range(len(word) - 1)
-    for i in rng:
-        if word[i] > word[i + 1]:
-            return i
-    return None
-
-
-def _straighten(L: LieAlgebra, word, coeff, strategy: str, acc: dict):
-    """Accumulate the normal form of coeff * (product of basis letters)."""
-    last = strategy == "last"
-    if strategy not in ("first", "last"):
-        raise ValueError("strategy must be 'first' or 'last'")
-    work = {tuple(word): Fraction(coeff)}
-    while work:
-        w, c = work.popitem()
-        if not c:
-            continue
-        pos = _find_inversion(w, last)
-        if pos is None:
-            key = _exps_of(L.dim, w)
-            acc[key] = acc.get(key, Fraction(0)) + c
-            continue
-        i, j = w[pos], w[pos + 1]
-        swapped = w[:pos] + (j, i) + w[pos + 2:]
-        work[swapped] = work.get(swapped, Fraction(0)) + c
-        for k, gamma in enumerate(L.c[i][j]):
-            if gamma:
-                shorter = w[:pos] + (k,) + w[pos + 2:]
-                work[shorter] = work.get(shorter, Fraction(0)) + c * gamma
-
-
-def pbw_normal_form(L: LieAlgebra, word, strategy: str = "first") -> UEAElement:
-    """Straighten a product of basis letters (given by index) in L's order."""
-    acc: dict = {}
-    _straighten(L, tuple(word), 1, strategy, acc)
-    return UEAElement(L.dim, acc)
-
-
 def _combine(terms) -> dict:
     """Sum of c * p over (p, c) pairs of a product and a coefficient, zeros dropped."""
     acc: dict = {}
@@ -247,17 +197,27 @@ def _times_letter(L: LieAlgebra, a: tuple, i: int, memo: dict) -> dict:
     return out
 
 
+def _times_word(L: LieAlgebra, terms: dict, word, memo: dict) -> dict:
+    """Normal form of (straightened terms) times the letters of `word`, one at a time."""
+    for i in word:
+        terms = _combine((_times_letter(L, a, i, memo), c) for a, c in terms.items())
+    return terms
+
+
+def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
+    """Straighten a product of basis letters (given by index) in L's order."""
+    word = tuple(word)
+    if any(not 0 <= i < L.dim for i in word):
+        raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
+    return UEAElement(L.dim, _times_word(L, {(0,) * L.dim: Fraction(1)}, word, {}))
+
+
 def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     """Straightened product of two straightened elements: u times each
     monomial of v, one letter at a time."""
     memo: dict = {}
-    parts = []
-    for b, cb in v.terms.items():
-        prod = u.terms
-        for i in _word_of(b):
-            prod = _combine((_times_letter(L, a, i, memo), c) for a, c in prod.items())
-        parts.append((prod, cb))
-    return UEAElement(L.dim, _combine(parts))
+    return UEAElement(L.dim, _combine((_times_word(L, u.terms, _word_of(b), memo), cb)
+                                      for b, cb in v.terms.items()))
 
 
 def degree(x: UEAElement) -> int:

@@ -3,7 +3,8 @@
 Nothing here imports the library's cohomology or elimination code: the
 differential is evaluated verbatim from its defining formula with a
 bubble-sort sign function, ranks come from a local Gaussian elimination,
-and determinants from the permutation expansion.  Agreement with the
+determinants from the permutation expansion, and PBW normal forms from
+adjacent-pair rewriting on the raw structure constants.  Agreement with the
 library is therefore a genuine two-route check.
 """
 
@@ -142,3 +143,32 @@ def relabel(c, labels, rng):
                 if g:
                     out[a][b][where[k]] = scale[a] * scale[b] * g / scale[where[k]]
     return out, [labels[p] for p in perm]
+
+
+def straighten(c, word, last=False):
+    """PBW normal form of a product of basis letters, by adjacent-pair rewriting.
+
+    Repeatedly replaces the first (or, with last=True, the last) out-of-order
+    pair e_i e_j, i > j, by e_j e_i + sum_k c[i][j][k] e_k; each step lowers
+    (word length, inversion count) lexicographically, so the loop ends.
+    Returns {exponent tuple: Fraction} without zero coefficients.
+    """
+    n = len(c)
+    work = {tuple(word): Fraction(1)}
+    out = {}
+    while work:
+        w, coeff = work.popitem()
+        if not coeff:
+            continue
+        spots = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
+        if not spots:
+            exps = tuple(w.count(i) for i in range(n))
+            out[exps] = out.get(exps, Fraction(0)) + coeff
+            continue
+        p = spots[-1] if last else spots[0]
+        i, j = w[p], w[p + 1]
+        rewrites = [(w[:p] + (j, i) + w[p + 2:], Fraction(1))]
+        rewrites += [(w[:p] + (k,) + w[p + 2:], Fraction(g)) for k, g in enumerate(c[i][j]) if g]
+        for v, f in rewrites:
+            work[v] = work.get(v, Fraction(0)) + coeff * f
+    return {a: x for a, x in out.items() if x}

@@ -375,10 +375,9 @@ def test_stdout_digests_unchanged():
     # a schema change regenerates the file (python tests/test_cli.py) and says why
     with open(DIGESTS, encoding="utf-8") as handle:
         pinned = json.load(handle)
-    commands = [" ".join(argv) for argv in _digest_commands()]
+    commands = {" ".join(argv): argv for argv in _digest_commands()}
     assert sorted(pinned) == sorted(commands)
-    moved = [cmd for cmd, argv in zip(commands, _digest_commands())
-             if _digest(argv) != pinned[cmd]]
+    moved = [cmd for cmd, argv in commands.items() if _digest(argv) != pinned[cmd]]
     assert not moved, f"stdout or exit code moved for: {moved}"
 
 

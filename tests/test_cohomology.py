@@ -431,6 +431,51 @@ def test_projection_on_strict_ut4_adjoint_relabelled():
             assert not any(result.project(q, b))
 
 
+@pytest.mark.parametrize("name", ["strict-ut4-adjoint", "propC"])
+def test_coordinates_recover_random_combinations_relabelled(name):
+    # z = sum_i c_i rep_i + delta(w) must give back exactly c
+    rng = random.Random(f"coordinates-{name}")
+    if name == "propC":
+        L = _relabelled(catalog.prop_c(), rng)
+        result = cohomology(L, trivial_module(L))
+    else:
+        L = _relabelled(catalog.strict_ut(4), rng)
+        result = cohomology(L, adjoint_module(L))
+    for q in range(L.dim + 1):
+        reps = result.representatives[q]
+        cols, expected = [], []
+        for _ in range(4):
+            c = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in reps)
+            w = [Fraction(rng.randint(-3, 3)) for _ in range(result.complex.space_dim(q - 1))]
+            z = result.complex.delta(q - 1).apply(w)
+            for ci, rep in zip(c, reps):
+                z = tuple(a + ci * b for a, b in zip(z, rep))
+            assert result.project(q, z) == c, (name, q)
+            cols.append(z)
+            expected.append(c)
+        matrix = QMatrix.from_columns(cols, rows=result.complex.space_dim(q))
+        assert result.coordinates(q, matrix) == QMatrix.from_columns(expected, rows=len(reps))
+
+
+def test_project_refuses_a_non_cocycle():
+    for name in ("heisenberg3", "propC"):
+        L = catalog.get(name)
+        result = cohomology(L, trivial_module(L))
+        for q in range(L.dim + 1):
+            cdim = result.complex.space_dim(q)
+            for t in range(cdim):
+                e = unit_vector(cdim, t)
+                if not any(result.complex.delta(q).apply(e)):
+                    result.project(q, e)
+                    continue
+                with pytest.raises(ContainmentError):
+                    result.project(q, e)
+                with pytest.raises(ContainmentError):
+                    result.coordinates(q, QMatrix.from_columns([e]))
+        with pytest.raises(DimensionMismatchError):
+            result.project(1, (0,) * (L.dim + 1))
+
+
 def test_cohomology_of_rejects_a_non_complex():
     # delta_1 * delta_0 != 0, so the coboundaries leave the cocycles
     L = catalog.abelian(2)

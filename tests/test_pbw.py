@@ -24,7 +24,7 @@ from liecoh.pbw import (
     straightening_order,
 )
 
-from oracles import relabel
+from oracles import relabel, straighten
 
 NILPOTENT_TRIO = ("abelian2", "heisenberg3", "strict-ut3")
 
@@ -51,9 +51,17 @@ def test_confluence_of_strategies():
         for _ in range(25):
             word = tuple(rng.randrange(L.dim)
                          for _ in range(rng.randrange(1, 7)))
-            first = pbw_normal_form(L, word, strategy="first")
-            last = pbw_normal_form(L, word, strategy="last")
+            first = straighten(L.c, word)
+            last = straighten(L.c, word, last=True)
             assert first == last, (name, word)
+            assert pbw_normal_form(L, word).terms == first, (name, word)
+
+
+def test_normal_form_refuses_letters_outside_the_basis():
+    H = catalog.heisenberg3()
+    for word in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            pbw_normal_form(H, word)
 
 
 def test_associativity_of_multiplication():
@@ -91,10 +99,10 @@ def test_letter_product_and_multiply_match_rewriting_random(name):
         word = tuple(rng.randrange(L.dim) for _ in range(rng.randrange(1, 7)))
         cut = rng.randrange(len(word) + 1)
         left, right = pbw_normal_form(L, word[:cut]), pbw_normal_form(L, word[cut:])
-        for strategy in ("first", "last"):
-            expected = pbw_normal_form(L, word, strategy=strategy)
-            assert _letter_by_letter(L, word) == expected, (name, word, strategy)
-            assert multiply(L, left, right) == expected, (name, word, cut, strategy)
+        for last in (False, True):
+            expected = UEAElement(L.dim, straighten(L.c, word, last=last))
+            assert _letter_by_letter(L, word) == expected, (name, word, last)
+            assert multiply(L, left, right) == expected, (name, word, cut, last)
 
 
 def test_degree_examples():
