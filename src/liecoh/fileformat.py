@@ -79,7 +79,9 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
     if len(basis) != dim:
         raise FileFormatError(f"dim is {dim} but {len(basis)} basis names are given")
-    if len(set(map(str, basis))) != dim:
+    if any(type(label) is not str for label in basis):
+        raise FileFormatError("basis names must be strings")
+    if len(set(basis)) != dim:
         raise FileFormatError("basis names must be distinct")
     table = {}
     for pos, entry in enumerate(brackets):

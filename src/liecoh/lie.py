@@ -26,7 +26,6 @@ from .linalg import (
     QMatrix,
     Subspace,
     _classes,
-    _copies,
     _dense,
     _frac,
     _insert,
@@ -341,7 +340,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     if not is_ideal(L, ideal):
         raise NotAnIdealError("quotient requires a bracket-stable ideal")
     n = L.dim
-    pivots, chosen = _classes(_copies(ideal.basis), Subspace.full(n))
+    pivots, chosen = _classes(ideal.basis.entries, Subspace.full(n))
     lifts = [_dense(row, 0, n) for row in chosen]
     q = len(lifts)
     # column j of the projection: the coordinates of e_j on the lifts, mod the ideal

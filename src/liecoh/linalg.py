@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is exact: entries are `fractions.Fraction`
-(always in lowest terms, positive denominator) and no rounding ever
-happens.  Matrices and subspaces are immutable after construction, so all
-operations are pure and safe to share between threads.
+Everything in this module is exact: every entry a caller sees is a
+`fractions.Fraction` (always in lowest terms, positive denominator) and
+no rounding ever happens.  Matrices and subspaces are immutable after
+construction, so all operations are pure and safe to share between
+threads.
 
 Conventions
 -----------
@@ -13,24 +14,37 @@ Conventions
   asked for.  Public constructors coerce every entry and reject floats;
   matrices the library builds from its own Fractions skip that step.
 * A `Subspace` stores its basis as the rows of a matrix in reduced row
-  echelon form with no zero rows, plus the pivot column of each row.
-  This makes the basis canonical: two subspaces are equal iff their
-  basis matrices are equal.
+  echelon form with no zero rows.  This makes the basis canonical: two
+  subspaces are equal iff their basis matrices are equal.  Next to it
+  the subspace keeps the same rows as the engine's int pivot rows.
 * Every elimination (rank, echelon forms, kernels, images, solving,
   intersections, quotient bases, subspace membership) runs through one
-  sparse engine.  Rows are {key: Fraction} dicts, reduced into a dict
-  that maps each leading (smallest) key to a row that is 1 there; one
-  back-substitution pass then gives the canonical reduced echelon form.
-  Quotients skip that pass: `_classes` tags each chosen row by a key
-  past every coordinate, and reducing a vector leaves minus its
-  coordinates on the tags.  Keys need only be comparable, so `pbw` runs
-  the same engine on monomial rows.  Matrix rows feed the engine directly, without a dense
-  round-trip.  The test suite checks the engine against the independent
-  elimination in `tests/oracles.py`.
+  sparse engine on Python-int rows, fraction-free in the manner of
+  Bareiss (Math. Comp. 1968):
+  - Fractions enter in `_reduce`, which converts a {key: Fraction} (or
+    int) row once, to d * row for d the lcm of its denominators.
+  - The pivot dict maps each leading (smallest) key to a primitive int
+    row: content 1 and positive at its lead.  A row is reduced by
+    cross-multiplying with the pivot row at its lead, scaled by the two
+    leads over their gcd, never by dividing to 1; `_insert` stores what
+    is left, made primitive.
+  - Fractions leave only at the boundary.  `_echelon`'s
+    back-substitution leaves each pivot row 0 at every other pivot, so
+    dividing it by its lead (`_rational`) gives the canonical reduced
+    echelon form.  `_tag_coordinates` divides by the multiplier its row
+    was scaled by.
+  Quotients skip back-substitution: `_classes` tags each chosen row by a
+  key past every coordinate, and reducing a vector leaves minus its
+  coordinates, times that multiplier, on the tags.  Keys need only be
+  comparable, so `pbw` runs the same engine on monomial rows.  Matrix
+  rows feed the engine directly, without a dense round-trip, and the
+  engine never changes the rows it is given.  The test suite checks it
+  against the independent Fraction elimination in `tests/oracles.py`.
 """
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import ContainmentError, DimensionMismatchError
 
@@ -282,39 +296,94 @@ def _subtract(row: dict, f, piv: dict) -> None:
             del row[k]
 
 
-def _reduce(pivots: dict, row: dict):
-    """Subtract pivot rows from `row` (in place) until its leading key is no pivot.
+def _ints(row: dict) -> tuple[dict, int]:
+    """(d * row as a fresh int row, d), d the lcm of the entries' denominators.
 
-    `pivots` maps each leading (smallest) key to a row that is 1 there.
-    Returns the leading key left over, or None when the row reduced to zero.
+    Entries may be Fractions or ints (an int is its own numerator, over 1).
     """
+    d = lcm(*[a.denominator for a in row.values()])
+    if d == 1:
+        return {k: a.numerator for k, a in row.items()}, 1
+    return {k: a.numerator * (d // a.denominator) for k, a in row.items()}, d
+
+
+def _rational(row: dict, lead) -> dict:
+    """An int row divided by its entry at `lead`, as a {key: Fraction} row."""
+    d = row[lead]
+    if d == 1:
+        return {k: Fraction(a) for k, a in row.items()}
+    return {k: Fraction(a, d) for k, a in row.items()}
+
+
+def _eliminate(row: dict, key, piv: dict) -> int:
+    """Clear row[key] with the pivot row led there: row <- m*row - f*piv, in place.
+
+    m = p/g and f = a/g for the entries a = row[key], p = piv[key] > 0 and
+    g = gcd(a, p), so the ints stay as small as cross-multiplying allows.
+    Returns m.
+    """
+    a, p = row[key], piv[key]
+    if p == 1:
+        _subtract(row, a, piv)
+        return 1
+    g = gcd(a, p)
+    m = p // g
+    if m != 1:
+        for k in row:
+            row[k] *= m
+    _subtract(row, a // g, piv)
+    return m
+
+
+def _primitive(row: dict, lead) -> dict:
+    """The int row divided by the gcd of its entries, signed so it is positive at `lead`."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {k: a // g for k, a in row.items()}
+
+
+def _reduce(pivots: dict, row: dict):
+    """Reduce a rational row against primitive int pivot rows.
+
+    `pivots` maps each leading (smallest) key to a primitive int row that
+    is positive there.  The row (Fractions or ints; left unchanged) is
+    converted once, to d * row for d the lcm of its denominators, and
+    then cross-multiplied with pivot rows until its leading key is no
+    pivot.  Returns (lead, reduced, s): the leading key left over (None
+    when the row reduced to zero), the reduced int row, and the int s > 0
+    with reduced = s * row - (an int combination of pivot rows).
+    """
+    row, s = _ints(row)
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
-            return lead
-        _subtract(row, row[lead], piv)
-    return None
+            return lead, row, s
+        s *= _eliminate(row, lead, piv)
+    return None, row, s
 
 
 def _insert(pivots: dict, row: dict):
-    """Reduce `row` and add what is left to `pivots`, scaled to 1 at its lead.
+    """Reduce a rational row and add what is left to `pivots` as a primitive int row.
 
     Returns the new leading key, or None when the row lay in the span of
-    the pivot rows already.  Consumes `row`; leaves the pivot rows alone.
+    the pivot rows already.  Leaves the row and the pivot rows alone.
     """
-    lead = _reduce(pivots, row)
+    lead, row, _ = _reduce(pivots, row)
     if lead is not None:
-        inv = Fraction(1) / row[lead]
-        pivots[lead] = {k: a * inv for k, a in row.items()}
+        pivots[lead] = _primitive(row, lead)
     return lead
 
 
 def _echelon(rows) -> dict:
-    """Canonical reduced echelon form of the span of sparse rows.
+    """Canonical echelon form of the span of rational rows, as primitive int rows.
 
-    Returns {pivot key: row} in increasing key order; every row is 1 at
-    its own pivot and 0 at every other one.  Consumes the rows.
+    Returns {pivot key: row} in increasing key order; every row is
+    positive at its own pivot and 0 at every other one, so dividing each
+    row by its pivot entry (`_rational`) gives the reduced echelon form.
     """
     pivots: dict = {}
     for row in rows:
@@ -322,28 +391,26 @@ def _echelon(rows) -> dict:
     leads = sorted(pivots)
     for lead in reversed(leads):
         row = pivots[lead]
-        for k in [k for k in row if k != lead and k in pivots]:
-            _subtract(row, row[k], pivots[k])
+        keys = [k for k in row if k != lead and k in pivots]
+        for k in keys:
+            _eliminate(row, k, pivots[k])
+        if keys:
+            pivots[lead] = _primitive(row, lead)
     return {lead: pivots[lead] for lead in leads}
-
-
-def _copies(m: QMatrix):
-    """The rows of m as dicts the engine may consume."""
-    return (dict(row) for row in m.entries)
 
 
 def rank(m: QMatrix) -> int:
     """Rank over Q: the number of pivots the rows reduce to."""
     pivots: dict = {}
-    for row in _copies(m):
+    for row in m.entries:
         _insert(pivots, row)
     return len(pivots)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    ech = _echelon(_copies(m))
-    rows = list(ech.values()) + [{}] * (m.rows - len(ech))
+    ech = _echelon(m.entries)
+    rows = [_rational(row, lead) for lead, row in ech.items()] + [{}] * (m.rows - len(ech))
     return QMatrix._wrap(rows, m.cols), tuple(ech)
 
 
@@ -353,10 +420,10 @@ def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
     [rref(m) | T] is the reduced echelon form of [m | I].
     """
     n = m.cols
-    ech = _echelon({**row, n + i: Fraction(1)} for i, row in enumerate(m.entries))
-    return (QMatrix._wrap(({k: a for k, a in row.items() if k < n} for row in ech.values()), n),
-            QMatrix._wrap(({k - n: a for k, a in row.items() if k >= n}
-                           for row in ech.values()), m.rows),
+    ech = _echelon({**row, n + i: 1} for i, row in enumerate(m.entries))
+    rows = [_rational(row, lead) for lead, row in ech.items()]
+    return (QMatrix._wrap(({k: a for k, a in row.items() if k < n} for row in rows), n),
+            QMatrix._wrap(({k - n: a for k, a in row.items() if k >= n} for row in rows), m.rows),
             tuple(lead for lead in ech if lead < n))
 
 
@@ -370,13 +437,12 @@ def solve(m: QMatrix, b) -> tuple | None:
         raise DimensionMismatchError("right-hand side has wrong length")
     if not m.rows:
         return zero_vector(m.cols)
-    ech = _echelon({**row, m.cols: bb} if bb else dict(row)
-                   for row, bb in zip(m.entries, b))
+    ech = _echelon({**row, m.cols: bb} if bb else row for row, bb in zip(m.entries, b))
     if m.cols in ech:
         return None
     x = [_ZERO] * m.cols
     for p, row in ech.items():
-        x[p] = row.get(m.cols, _ZERO)
+        x[p] = Fraction(row.get(m.cols, 0), row[p])
     return tuple(x)
 
 
@@ -385,15 +451,17 @@ class Subspace:
 
     `basis` is a QMatrix whose rows form a basis in reduced row echelon
     form (no zero rows), so equality of subspaces is equality of matrices.
-    The pivot column of each basis row is found once, on construction.
+    Next to it the subspace keeps, once, the same rows as the engine's
+    primitive int pivot rows, keyed by their pivot columns.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim: int, basis: QMatrix):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self._pivots = tuple(min(row) for row in basis.entries if row)
+        # d * row is primitive when the row is 1 at its pivot
+        self._rows = {min(row): _ints(row)[0] for row in basis.entries if row}
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -415,31 +483,26 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
-        return self._pivots
-
-    def _pivot_rows(self) -> dict:
-        """A fresh engine pivot dict holding the basis rows (shared, not copied)."""
-        return dict(zip(self._pivots, self.basis.entries))
+        return tuple(self._rows)
 
     def contains(self, v) -> bool:
         """Whether v reduces to zero against the basis rows."""
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong ambient dimension")
-        return _reduce(self._pivot_rows(), _sparse(v)) is None
+        return _reduce(self._rows, _sparse(v))[0] is None
 
     def coordinates(self, v) -> tuple:
         """Coordinates of v in the canonical basis; ContainmentError if v is outside."""
         v = vector(v)
         if not self.contains(v):
             raise ContainmentError("vector not in subspace")
-        return tuple(v[p] for p in self._pivots)
+        return tuple(v[p] for p in self._rows)
 
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        pivots = other._pivot_rows()
-        return all(_reduce(pivots, row) is None for row in _copies(self.basis))
+        return all(_reduce(other._rows, row)[0] is None for row in self._rows.values())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -452,15 +515,15 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return _span(self.ambient_dim, chain(_copies(self.basis), _copies(other.basis)))
+        return _span(self.ambient_dim, chain(self._rows.values(), other._rows.values()))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection, by the Zassenhaus double-block elimination."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
         n = self.ambient_dim
-        block = [{**row, **{n + j: a for j, a in row.items()}} for row in self.basis.entries]
-        block += _copies(other.basis)
+        block = [{**row, **{n + j: a for j, a in row.items()}} for row in self._rows.values()]
+        block += other._rows.values()
         # echelon rows led from the right half are zero on the left half;
         # their right halves are the canonical basis of the intersection
         return _echelon_space(n, {lead - n: {j - n: a for j, a in row.items()}
@@ -471,28 +534,28 @@ class Subspace:
 
 
 def _echelon_space(n: int, ech: dict) -> Subspace:
-    """The subspace of Q^n with the canonical basis `ech` from the engine."""
+    """The subspace of Q^n with the canonical int rows `ech` from the engine."""
     space = object.__new__(Subspace)
     space.ambient_dim = n
-    space.basis = QMatrix._wrap(ech.values(), n)
-    space._pivots = tuple(ech)
+    space.basis = QMatrix._wrap((_rational(row, lead) for lead, row in ech.items()), n)
+    space._rows = ech
     return space
 
 
 def _span(n: int, rows) -> Subspace:
-    """The subspace of Q^n spanned by sparse rows (consumed)."""
+    """The subspace of Q^n spanned by rational sparse rows."""
     return _echelon_space(n, _echelon(rows))
 
 
 def kernel(m: QMatrix) -> Subspace:
     """The solution space {v : m v = 0} as a subspace of Q^cols."""
-    ech = _echelon(_copies(m))
-    # one solution per free column f: 1 at f, minus column f of the echelon rows
-    basis = {f: {f: Fraction(1)} for f in range(m.cols) if f not in ech}
+    ech = _echelon(m.entries)
+    # one solution per free column f: 1 at f, minus column f of the reduced echelon rows
+    basis = {f: {f: 1} for f in range(m.cols) if f not in ech}
     for p, row in ech.items():
         for f, a in row.items():
             if f != p:
-                basis[f][p] = -a
+                basis[f][p] = Fraction(-a, row[p])
     return _span(m.cols, basis.values())
 
 
@@ -502,18 +565,20 @@ def image(m: QMatrix) -> Subspace:
 
 
 def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
-    """Pivots of the small rows (consumed), then of big's basis rows that add one.
+    """Pivots of the small rows, then of big's basis rows that add one.
 
-    The i-th kept row is stored tagged 1 at key big.ambient_dim + i.  Returns the
-    pivots and the kept rows (untagged); ContainmentError unless span(small rows) <= big.
+    The i-th kept basis row r is inserted as d * (r, tag 1 at key
+    big.ambient_dim + i), where d * r is its int pivot row.  Returns the
+    pivots and the kept rows (untagged Fraction rows of big.basis);
+    ContainmentError unless span(small rows) <= big.
     """
     n = big.ambient_dim
     pivots: dict = {}
     for row in small_rows:
         _insert(pivots, row)
     chosen = []
-    for row in big.basis.entries:
-        lead = _insert(pivots, {**row, n + len(chosen): Fraction(1)})
+    for (p, ints), row in zip(big._rows.items(), big.basis.entries):
+        lead = _insert(pivots, {**ints, n + len(chosen): ints[p]})
         if lead < n:            # the new tag survives reduction, so lead is never None
             chosen.append(row)
         else:                   # only tags were left: the row adds no pivot
@@ -525,11 +590,15 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
 
 
 def _tag_coordinates(pivots: dict, n: int, row: dict) -> dict:
-    """A row's coordinates {i: c} on the kept rows of `_classes`: minus its reduced tags."""
-    lead = _reduce(pivots, row)
+    """A rational row's coordinates {i: c} on the kept rows of `_classes`.
+
+    Reducing the row leaves s * row - (pivot rows) = t on the tags alone,
+    so the coordinates are -t / s.
+    """
+    lead, row, s = _reduce(pivots, row)
     if lead is not None and lead < n:
         raise ContainmentError("vector is outside the span of the pivot rows")
-    return {k - n: -a for k, a in row.items()}
+    return {k - n: Fraction(-a, s) for k, a in row.items()}
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
@@ -542,5 +611,5 @@ def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     """
     if small.ambient_dim != big.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    _, chosen = _classes(_copies(small.basis), big)
+    _, chosen = _classes(small._rows.values(), big)
     return [_dense(row, 0, big.ambient_dim) for row in chosen]

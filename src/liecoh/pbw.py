@@ -276,10 +276,12 @@ _WORD_SPAN_CACHE_SIZE = 32
 
 @lru_cache(maxsize=_WORD_SPAN_CACHE_SIZE)
 def _word_span(L: LieAlgebra, s: int) -> tuple:
-    """Reduced rows spanning the straightened words of length exactly s,
-    as (key, coefficient) pairs keyed as in `_reduce_into`."""
+    """Engine pivot rows spanning the straightened words of length exactly s.
+
+    Each row is a tuple of (key, int) items keyed as in `_reduce_into`: a
+    primitive int pivot row, so only the span of the rows is meaningful."""
     if s == 0:
-        return ((((0, (0,) * L.dim), Fraction(1)),),)
+        return ((((0, (0,) * L.dim), 1),),)
     memo: dict = {}
     pivots: dict = {}
     for prev in _word_span(L, s - 1):
@@ -315,7 +317,7 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
                 for (neg_degree, _), row in islice(pivots.items(), seen, None)
                 if -neg_degree <= r_max]
         if s <= m_hi:
-            powers.append(_span(len(monos), (dict(row) for row in low)))
+            powers.append(_span(len(monos), low))
     return powers[::-1]
 
 

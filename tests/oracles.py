@@ -2,10 +2,11 @@
 
 Nothing here imports the library's cohomology or elimination code: the
 differential is evaluated verbatim from its defining formula with a
-bubble-sort sign function, ranks come from a local Gaussian elimination,
-determinants from the permutation expansion, and PBW normal forms from
-adjacent-pair rewriting on the raw structure constants.  Agreement with the
-library is therefore a genuine two-route check.
+bubble-sort sign function, ranks and reduced echelon forms come from local
+Gaussian eliminations over Fractions, determinants from the permutation
+expansion, and PBW normal forms from adjacent-pair rewriting on the raw
+structure constants.  Agreement with the library is therefore a genuine
+two-route check.
 """
 
 from fractions import Fraction
@@ -37,6 +38,28 @@ def gauss_rank(rows):
         if rank == len(rows):
             break
     return rank
+
+
+def gauss_rref(rows):
+    """(nonzero rows of the reduced row echelon form, pivot columns) of a list
+    of Fraction rows, by plain Gauss-Jordan elimination over Fractions."""
+    rows = [[Fraction(a) for a in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return [tuple(row) for row in rows[:len(pivots)]], tuple(pivots)
 
 
 def bubble_sign(seq):

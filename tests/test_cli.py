@@ -87,6 +87,14 @@ def _string_basis(d):
     d["basis"] = "xy"
 
 
+def _number_labels(d):
+    d["basis"][:2] = [1, True]
+
+
+def _object_labels(d):
+    d["basis"][:2] = [None, {"a": 1}]
+
+
 def _scalar_brackets(d):
     d["brackets"] = 5
 
@@ -97,7 +105,8 @@ def _scalar_result(d):
 
 @pytest.mark.parametrize("corrupt", [_float_index, _float_coefficient, _boolean_index,
                                      _repeated_pair, _duplicate_labels, _string_basis,
-                                     _scalar_brackets, _scalar_result])
+                                     _scalar_brackets, _scalar_result, _number_labels,
+                                     _object_labels])
 def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
     # a lenient reader turns each of these into a different algebra instead of refusing it
     d = algebra_to_dict(catalog.example_a())

@@ -399,6 +399,9 @@ def test_kostant_strict_ut4_relabelled():
     for _ in range(2):
         L = _relabelled(catalog.strict_ut(4), rng)
         assert cohomology(L, trivial_module(L)).dims == expected
+    # the next size, on 1024 coordinates
+    L = _relabelled(catalog.strict_ut(5), rng)
+    assert cohomology(L, trivial_module(L)).dims == _inversion_counts(5)
 
 
 def test_ut4_relabelled_binomial_then_zero():

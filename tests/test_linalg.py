@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,10 @@ from liecoh.errors import ContainmentError, DimensionMismatchError
 from liecoh.linalg import (
     QMatrix,
     Subspace,
+    _classes,
+    _insert,
+    _reduce,
+    _tag_coordinates,
     image,
     kernel,
     quotient_basis,
@@ -18,7 +23,7 @@ from liecoh.linalg import (
     vector,
 )
 
-from oracles import gauss_rank
+from oracles import gauss_rank, gauss_rref
 
 
 def test_rank_examples():
@@ -291,3 +296,99 @@ def test_contains_matches_oracle_random():
             assert space.contains(v) == expected, (rows, v)
         with pytest.raises(DimensionMismatchError):
             space.contains([0] * (n + 1))
+
+
+def _big_entry(rng):
+    return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 10 ** 6))
+
+
+def _big_rows(rng, count, n):
+    """Rows with large entries; some are combinations of earlier rows, so that
+    rank deficiency turns up."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.3:
+            f, g = _big_entry(rng), _big_entry(rng)
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.append([_big_entry(rng) if rng.random() < 0.7 else Fraction(0)
+                         for _ in range(n)])
+    return rows
+
+
+def test_engine_matches_gauss_rref_on_large_entries():
+    rng = random.Random(501)
+    for _ in range(60):
+        cols = rng.randint(1, 7)
+        rows = _big_rows(rng, rng.randint(0, 7), cols)
+        m = QMatrix(rows, cols=cols)
+        expected, pivots = gauss_rref(rows)
+        R, got = rref(m)
+        assert got == pivots
+        assert R.data == tuple(expected) + ((Fraction(0),) * cols,) * (m.rows - len(expected))
+        assert rank(m) == len(pivots)
+        # the oracle's null space: one solution per free column, read off its RREF
+        nulls = []
+        for f in (f for f in range(cols) if f not in pivots):
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for row, p in zip(expected, pivots):
+                v[p] = -row[f]
+            nulls.append(v)
+        assert kernel(m).basis.data == tuple(gauss_rref(nulls)[0])
+        if not rows:
+            continue
+        b = m.apply([_big_entry(rng) for _ in range(cols)])
+        aug, aug_pivots = gauss_rref([r + [x] for r, x in zip(rows, b)])
+        x = [Fraction(0)] * cols
+        for row, p in zip(aug, aug_pivots):
+            x[p] = row[cols]
+        assert solve(m, b) == tuple(x)
+        off = [_big_entry(rng) for _ in range(m.rows)]
+        consistent = cols not in gauss_rref([r + [x] for r, x in zip(rows, off)])[1]
+        assert (solve(m, off) is not None) == consistent
+
+
+def _combination(rng, rows, n):
+    f = [_big_entry(rng) for _ in rows]
+    return [sum((a * r[j] for a, r in zip(f, rows)), Fraction(0)) for j in range(n)]
+
+
+def test_tag_coordinates_recover_combinations_with_large_entries():
+    rng = random.Random(502)
+    leads = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        big = Subspace.from_rows(n, _big_rows(rng, rng.randint(1, n), n))
+        small_rows = [_combination(rng, big.basis.data, n)
+                      for _ in range(rng.randint(0, big.dim))]
+        small = Subspace.from_rows(n, small_rows)
+        pivots, reps = _classes(({j: a for j, a in enumerate(r) if a} for r in small_rows), big)
+        assert len(reps) == big.dim - small.dim
+        leads.update(row[lead] for lead, row in pivots.items())
+        c = [_big_entry(rng) for _ in reps]
+        z = _combination(rng, small.basis.data, n)
+        for ci, rep in zip(c, reps):
+            for j, a in rep.items():
+                z[j] += ci * a
+        coords = _tag_coordinates(pivots, n, {j: a for j, a in enumerate(z) if a})
+        assert coords == {i: ci for i, ci in enumerate(c) if ci}
+    # the stored pivots are int rows led by other values than 1
+    assert len(leads) > 10
+
+
+def test_engine_pivots_are_primitive_int_rows():
+    rng = random.Random(503)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        pivots: dict = {}
+        for row in _big_rows(rng, rng.randint(1, 7), n):
+            sparse = {j: a for j, a in enumerate(row) if a}
+            lead, reduced, s = _reduce(pivots, sparse)
+            assert s > 0 and all(type(a) is int for a in reduced.values())
+            assert _insert(pivots, sparse) == lead
+        for lead, row in pivots.items():
+            assert lead == min(row) and row[lead] > 0
+            assert all(type(a) is int for a in row.values())
+            assert math.gcd(*row.values()) == 1
