@@ -27,11 +27,26 @@ and the operator is checked to commute with the differential before being
 pushed to cohomology.  The inflation map pulls cochains back along the
 projection to the nilpotent quotient and is likewise checked to be a
 chain map.
+
+Building the matrices
+---------------------
+`ce_complex` and the action operators visit only the nonzero terms of
+these formulas: each nonzero structure constant, action entry or bracket
+coordinate, against each wedge R that avoids the indices it names.
+Wedges are bitmasks placed by `wedge.mask_positions`, and every sign is
+a popcount parity.
+* Fractions enter as the structure constants and action matrices, and
+  are scaled once to ints D * value, D the lcm of their denominators.
+* The terms of each entry add up in Python ints.
+* Fractions leave when the rows are handed to `QMatrix`: each distinct
+  nonzero sum becomes one Fraction over D.  The elimination engine in
+  `linalg` turns the rows back into ints when it reads them.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 
 from . import wedge
 from .errors import (
@@ -93,53 +108,101 @@ class CochainComplex:
         return self.algebra.dim
 
 
-def _pruned(rows) -> list:
-    """Sparse rows without the zero values that cancellation left behind."""
-    return [{k: a for k, a in row.items() if a} for row in rows]
+def _scaled(a, D: int) -> int:
+    """D * a as an int, for a rational a whose denominator divides D."""
+    return a.numerator * (D // a.denominator)
+
+
+def _signed(block) -> tuple[tuple, tuple]:
+    """A block of (beta, b, v) matrix entries, and the same negated."""
+    block = tuple(block)
+    return block, tuple((beta, b, -v) for beta, b, v in block)
+
+
+def _block(entries, D: int) -> tuple[tuple, tuple]:
+    """`_signed` of the nonzero (beta, b, D * a) of sparse matrix rows."""
+    return _signed((beta, b, _scaled(a, D)) for beta, row in enumerate(entries)
+                   for b, a in row.items())
+
+
+def _below(k: int) -> int:
+    """The mask of the indices below k: a wedge R sorts e_k in with sign
+    (-1)^popcount(R & _below(k))."""
+    return (1 << k) - 1
+
+
+def _add_terms(out: list, pos: list, n: int, m: int, groups: dict, r: int) -> None:
+    """Accumulate int terms over the r-wedges of range(n), as bitmasks.
+
+    groups maps a mask F to terms (row bits, column bits, sign mask,
+    blocks); for every r-wedge R disjoint from F, each block entry
+    (beta, b, v) of blocks[popcount(R & sign mask) % 2] is added at row
+    (R | row bits, beta), column (R | column bits, b) of `out`.
+    """
+    bits = [1 << s for s in range(n)]
+    for forbid, terms in groups.items():
+        for R in map(sum, combinations([b for b in bits if not b & forbid], r)):
+            for row_bits, col_bits, sign_mask, blocks in terms:
+                rbase = pos[R | row_bits] * m
+                cbase = pos[R | col_bits] * m
+                for beta, b, v in blocks[(R & sign_mask).bit_count() & 1]:
+                    row = out[rbase + beta]
+                    key = cbase + b
+                    row[key] = row.get(key, 0) + v
+
+
+def _over(out: list, D: int) -> list:
+    """Int rows divided by D, as {column: Fraction} rows without zeros.
+
+    The entries take few distinct values, so each value is made into a
+    Fraction once and shared.
+    """
+    value = {a: Fraction(a, D) for a in {a for row in out for a in row.values()}}
+    return [{k: value[a] for k, a in row.items() if a} for row in out]
 
 
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
-    """Matrices of the standard-complex differential in the wedge basis."""
+    """Matrices of the standard-complex differential in the wedge basis.
+
+    Built from the nonzero terms of the formula alone, with wedges R as
+    bitmasks; a(k) below is the number of entries of R less than k.
+    - Each nonzero rho(x_t)[beta][b] adds (-1)^a(t) rho(x_t)[beta][b] at
+      row (R + t, beta), column (R, b), for every p-wedge R without t.
+    - Each nonzero c_ij^k, i < j, adds -(-1)^(a(i) + a(j) + a(k)) c_ij^k
+      at row (R + i + j, beta), column (R + k, beta), for every
+      coefficient index beta and every (p-1)-wedge R without i, j and k:
+      x_i and x_j sit at places a(i) and a(j) + 1 of R + i + j, and
+      sorting e_k into R costs (-1)^a(k).
+    The terms add up as ints D * entry, D the lcm of the denominators of
+    the structure constants and the action; each nonzero sum becomes a
+    Fraction over D once, when the rows are handed to `QMatrix`.
+    """
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
     n = L.dim
     m = M.dim
-    brackets = [[[(k, g) for k, g in enumerate(L.c[i][j]) if g] for j in range(n)]
-                for i in range(n)]
+    D = lcm(*[g.denominator for row in L.c for col in row for g in col if g],
+            *[a.denominator for mat in M.rho for row in mat.entries for a in row.values()])
+    actions = {}
+    for t, mat in enumerate(M.rho):
+        if not mat.is_zero():
+            actions[1 << t] = [(1 << t, 0, _below(t), _block(mat.entries, D))]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, g in enumerate(L.c[i][j]):
+                if g:
+                    brackets.setdefault((1 << i) | (1 << j) | (1 << k), []).append(
+                        ((1 << i) | (1 << j), 1 << k, _below(i) ^ _below(j) ^ _below(k),
+                         _signed((b, b, -_scaled(g, D)) for b in range(m))))
+    pos = wedge.mask_positions(n)
     deltas = []
     for p in range(n):
-        rows_sets = wedge.subsets(n, p + 1)
-        col_index = wedge.subset_index(n, p)
-        out = [{} for _ in range(len(rows_sets) * m)]
-        for trow, T in enumerate(rows_sets):
-            rbase = trow * m
-            # action terms: drop one wedge factor, act on the coefficient
-            for i, t in enumerate(T):
-                cbase = col_index[T[:i] + T[i + 1:]] * m
-                sign = -1 if i % 2 else 1
-                for beta, arow in enumerate(M.rho[t].entries):
-                    row = out[rbase + beta]
-                    for b, a in arow.items():
-                        row[cbase + b] = row.get(cbase + b, 0) + sign * a
-            # bracket terms: contract two wedge factors into one
-            for a in range(len(T)):
-                for bpos in range(a + 1, len(T)):
-                    terms = brackets[T[a]][T[bpos]]
-                    if not terms:
-                        continue
-                    rest = T[:a] + T[a + 1:bpos] + T[bpos + 1:]
-                    pair_sign = -1 if (a + bpos) % 2 else 1
-                    for k, gamma in terms:
-                        hit = wedge.insert_sign(rest, k)
-                        if hit is None:
-                            continue
-                        ins_sign, S = hit
-                        coeff = pair_sign * ins_sign * gamma
-                        cbase = col_index[S] * m
-                        for beta in range(m):
-                            row = out[rbase + beta]
-                            row[cbase + beta] = row.get(cbase + beta, 0) + coeff
-        deltas.append(QMatrix._wrap(_pruned(out), len(col_index) * m))
+        out = [{} for _ in range(comb(n, p + 1) * m)]
+        _add_terms(out, pos, n, m, actions, p)
+        if p:
+            _add_terms(out, pos, n, m, brackets, p - 1)
+        deltas.append(QMatrix._wrap(_over(out, D), comb(n, p) * m))
     return CochainComplex(L, M, tuple(deltas))
 
 
@@ -210,37 +273,42 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
-                     M: LieModule, x, p: int) -> QMatrix:
-    """Matrix of the ambient element x on C^p(ideal, M)."""
+                     M: LieModule, x) -> tuple[QMatrix, ...]:
+    """Matrices of the ambient element x on C^p(ideal, M), p = 0..dim(ideal).
+
+    Built like `ce_complex`'s differential, from the nonzero terms in
+    ints over one common denominator D, with u the ideal's basis:
+    - x's action on M, on every diagonal block (R, R);
+    - each nonzero coordinate g of [x, u_i] on u_k adds
+      -(-1)^(a(i) + a(k)) g at row (R + i, beta), column (R + k, beta),
+      for every coefficient index beta and every (p-1)-wedge R without
+      i and k, a(.) counting the entries of R below an index: the
+      replaced factor moves to the front and e_k sorts back in.
+    x's brackets and D are computed once, for all degrees.
+    """
     s = cx.algebra.dim
     m = cx.coeff.dim
-    sets = wedge.subsets(s, p)
-    index = {S: t for t, S in enumerate(sets)}
-    coeff_act = M.action(x).entries
-    bracket_coords = [
-        [(k, g) for k, g in enumerate(ideal.coordinates(bracket(L, x, col))) if g]
-        for col in ideal.basis.data
-    ]
-    out = [{} for _ in range(len(sets) * m)]
-    for trow, T in enumerate(sets):
-        rbase = trow * m
-        # coefficient part
-        for beta, arow in enumerate(coeff_act):
-            row = out[rbase + beta]
-            for b, a in arow.items():
-                row[rbase + b] = row.get(rbase + b, 0) + a
-        # wedge part: replace one factor by its bracket with x
-        for pos in range(p):
-            for k, g in bracket_coords[T[pos]]:
-                hit = wedge.replace_sign(T, pos, k)
-                if hit is None:
-                    continue
-                sign, S = hit
-                cbase = index[S] * m
-                for beta in range(m):
-                    row = out[rbase + beta]
-                    row[cbase + beta] = row.get(cbase + beta, 0) - sign * g
-    return QMatrix._wrap(_pruned(out), len(sets) * m)
+    act = M.action(x).entries
+    coords = [ideal.coordinates(bracket(L, x, col)) for col in ideal.basis.data]
+    D = lcm(*[g.denominator for v in coords for g in v if g],
+            *[a.denominator for row in act for a in row.values()])
+    coefficient = {0: [(0, 0, 0, _block(act, D))]} if any(act) else {}
+    wedges = {}
+    for i, v in enumerate(coords):
+        for k, g in enumerate(v):
+            if g:
+                wedges.setdefault((1 << i) | (1 << k), []).append(
+                    (1 << i, 1 << k, _below(i) ^ _below(k),
+                     _signed((b, b, -_scaled(g, D)) for b in range(m))))
+    pos = wedge.mask_positions(s)
+    ops = []
+    for p in range(s + 1):
+        out = [{} for _ in range(comb(s, p) * m)]
+        _add_terms(out, pos, s, m, coefficient, p)
+        if p:
+            _add_terms(out, pos, s, m, wedges, p - 1)
+        ops.append(QMatrix._wrap(_over(out, D), comb(s, p) * m))
+    return tuple(ops)
 
 
 def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
@@ -260,8 +328,7 @@ def _chain_operators(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
                      M: LieModule, x) -> tuple[QMatrix, ...]:
     """The operators of x on every C^p of the built complex cx of the ideal,
     checked to commute with its differential."""
-    ops = tuple(_action_operator(cx, L, ideal, M, x, p)
-                for p in range(cx.top_degree + 1))
+    ops = _action_operator(cx, L, ideal, M, x)
     for p in range(cx.top_degree):
         if cx.delta(p) * ops[p] != ops[p + 1] * cx.delta(p):
             raise ChainMapError("action operator does not commute with the differential")

@@ -108,6 +108,8 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
             k = _index(item[1], where)
             if not 0 <= k < dim:
                 raise FileFormatError(f"{where}: result index {k} out of range")
+            if any(k == seen for _, seen in terms):
+                raise FileFormatError(f"{where}: result index {k} is given twice")
             terms.append((coeff, k))
         table[(i, j)] = terms
     return LieAlgebra.from_brackets(basis, table)

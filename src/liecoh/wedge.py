@@ -9,11 +9,17 @@ One global convention, used everywhere:
   wedge word into increasing order;
 * dual wedges pair by the determinant rule, so the basis cochain labelled
   S takes value 1 on the basis wedge S and 0 on every other basis wedge.
+
+Builders that walk the wedges as bitmasks (bit s set for s in S) read
+their lexicographic positions off `mask_positions`; sorting e_k into a
+wedge S costs (-1)^(number of entries of S below k), the parity of the
+popcount of S & ((1 << k) - 1).
 """
 
 from itertools import combinations
 
-__all__ = ["subsets", "subset_index", "insert_sign", "replace_sign", "wedge_product"]
+__all__ = ["subsets", "subset_index", "mask_positions", "insert_sign", "replace_sign",
+           "wedge_product"]
 
 
 def subsets(n: int, p: int) -> list[tuple[int, ...]]:
@@ -24,6 +30,17 @@ def subsets(n: int, p: int) -> list[tuple[int, ...]]:
 def subset_index(n: int, p: int) -> dict[tuple[int, ...], int]:
     """Position of each p-subset in the lexicographic enumeration."""
     return {S: i for i, S in enumerate(subsets(n, p))}
+
+
+def mask_positions(n: int) -> list[int]:
+    """Position of each subset of range(n), as a bitmask, in the lexicographic
+    enumeration of the subsets of its size: `subset_index` keyed by masks."""
+    pos = [0] * (1 << n)
+    bits = [1 << s for s in range(n)]
+    for p in range(n + 1):
+        for i, mask in enumerate(map(sum, combinations(bits, p))):
+            pos[mask] = i
+    return pos
 
 
 def insert_sign(rest: tuple[int, ...], k: int):

@@ -1,7 +1,8 @@
 """Independent recomputations used by the tests.
 
 Nothing here imports the library's cohomology or elimination code: the
-differential is evaluated verbatim from its defining formula with a
+differential, and the action of an ambient element on an ideal's
+cochains, are evaluated verbatim from their defining formulas with a
 bubble-sort sign function, ranks and reduced echelon forms come from local
 Gaussian eliminations over Fractions, determinants from the permutation
 expansion, and PBW normal forms from adjacent-pair rewriting on the raw
@@ -76,63 +77,115 @@ def bubble_sign(seq):
     return sign, tuple(seq)
 
 
-def ce_dims(c, rho, m):
-    """Cohomology dimensions straight from the defining formula.
+def _sign_on(S, args):
+    """Sign with which the basis wedge S shows up in the wedge of args, or None."""
+    hit = bubble_sign(args)
+    if hit is None or hit[1] != S:
+        return None
+    return hit[0]
+
+
+def ce_matrix(c, rho, m, p):
+    """The differential out of degree p straight from its defining formula.
 
     c is an n x n x n structure-constant table, rho a list of n square
     matrices (as nested lists) giving the coefficient action on an
-    m-dimensional space.
+    m-dimensional space.  The column of the basis cochain (S, b) is
+    (delta f)(x_T) in coefficient beta at row (T, beta); returns the rows.
     """
     n = len(c)
+    rows_T = list(combinations(range(n), p + 1))
+    columns = []
+    for S in combinations(range(n), p):
+        for b in range(m):
+            col = [Fraction(0)] * (len(rows_T) * m)
+            for tpos, T in enumerate(rows_T):
+                acc = [Fraction(0)] * m
+                for i in range(p + 1):
+                    sgn = _sign_on(S, T[:i] + T[i + 1:])
+                    if sgn is not None:
+                        for beta in range(m):
+                            acc[beta] += (-1) ** i * sgn * Fraction(rho[T[i]][beta][b])
+                for a in range(p + 1):
+                    for bpos in range(a + 1, p + 1):
+                        rest = T[:a] + T[a + 1:bpos] + T[bpos + 1:]
+                        for k in range(n):
+                            coeff = Fraction(c[T[a]][T[bpos]][k])
+                            if not coeff:
+                                continue
+                            sgn = _sign_on(S, (k,) + rest)
+                            if sgn is not None:
+                                acc[b] += (-1) ** (a + bpos) * sgn * coeff
+                for beta in range(m):
+                    col[tpos * m + beta] = acc[beta]
+            columns.append(col)
+    return [tuple(col[r] for col in columns) for r in range(len(rows_T) * m)]
 
-    def subsets(p):
-        return list(combinations(range(n), p))
 
-    def sign_on(S, args):
-        """Sign with which the basis wedge S shows up in the wedge of args."""
-        hit = bubble_sign(args)
-        if hit is None or hit[1] != S:
-            return None
-        return hit[0]
-
-    def delta_rank(p):
-        """Rank of the differential out of degree p, one column per basis cochain."""
-        rows_T = subsets(p + 1)
-        cols_S = subsets(p)
-        matrix = []
-        for S in cols_S:
-            for b in range(m):
-                col = [Fraction(0)] * (len(rows_T) * m)
-                for tpos, T in enumerate(rows_T):
-                    acc = [Fraction(0)] * m
-                    for i in range(p + 1):
-                        sgn = sign_on(S, T[:i] + T[i + 1:])
-                        if sgn is not None:
-                            for beta in range(m):
-                                acc[beta] += (-1) ** i * sgn * Fraction(rho[T[i]][beta][b])
-                    for a in range(p + 1):
-                        for bpos in range(a + 1, p + 1):
-                            rest = T[:a] + T[a + 1:bpos] + T[bpos + 1:]
-                            for k in range(n):
-                                coeff = Fraction(c[T[a]][T[bpos]][k])
-                                if not coeff:
-                                    continue
-                                sgn = sign_on(S, (k,) + rest)
-                                if sgn is not None:
-                                    acc[b] += (-1) ** (a + bpos) * sgn * coeff
-                    for beta in range(m):
-                        col[tpos * m + beta] = acc[beta]
-                matrix.append(tuple(col))
-        return gauss_rank(matrix)
-
+def ce_dims(c, rho, m):
+    """Cohomology dimensions straight from the defining formula (`ce_matrix`)."""
+    n = len(c)
     dims = []
     prev_rank = 0
     for q in range(n + 1):
         cdim = comb(n, q) * m
-        rank_q = delta_rank(q) if q < n else 0
+        rank_q = gauss_rank(ce_matrix(c, rho, m, q)) if q < n else 0
         dims.append(cdim - rank_q - prev_rank)
         prev_rank = rank_q
     return tuple(dims)
+
+
+def gauss_coordinates(basis, v):
+    """The coefficients of v in the independent rows `basis`, or None when v
+    is outside their span, by eliminating [basis^T | v]."""
+    rows, pivots = gauss_rref([[u[j] for u in basis] + [v[j]] for j in range(len(v))])
+    if len(basis) in pivots:
+        return None
+    coords = [Fraction(0)] * len(basis)
+    for row, p in zip(rows, pivots):
+        coords[p] = row[-1]
+    return coords
+
+
+def action_matrix(c, basis, rho, x, p):
+    """An ambient element x on degree-p cochains of an ideal, by evaluating
+
+        (x . f)(u_T) = x . f(u_T) - sum_i f(u_T0 ^ ... ^ [x, u_Ti] ^ ...)
+
+    on basis wedges u_T of the ideal.  c is the ambient structure-constant
+    table, basis the ideal's basis vectors u, rho the ambient action
+    matrices on an m-dimensional space and x a coordinate vector.  The
+    column of (S, b) holds (x . f)(u_T) in coefficient beta at row
+    (T, beta); returns the rows.
+    """
+    n = len(c)
+    s = len(basis)
+    m = len(rho[0]) if rho else 0
+    act = [[sum((Fraction(x[a]) * Fraction(rho[a][beta][b]) for a in range(n)), Fraction(0))
+            for b in range(m)] for beta in range(m)]
+    hit = []
+    for u in basis:
+        w = [sum((Fraction(x[a]) * Fraction(u[b]) * Fraction(c[a][b][k])
+                  for a in range(n) for b in range(n)), Fraction(0)) for k in range(n)]
+        coords = gauss_coordinates(basis, w)
+        if coords is None:
+            raise ValueError("the basis does not span an ideal")
+        hit.append(coords)
+    sets = list(combinations(range(s), p))
+    columns = []
+    for S in sets:
+        for b in range(m):
+            col = []
+            for T in sets:
+                acc = [act[beta][b] if T == S else Fraction(0) for beta in range(m)]
+                for i in range(p):
+                    for k, g in enumerate(hit[T[i]]):
+                        sgn = _sign_on(S, T[:i] + (k,) + T[i + 1:]) if g else None
+                        if sgn is not None:
+                            acc[b] -= sgn * g
+                col += acc
+            columns.append(col)
+    return [tuple(col[r] for col in columns) for r in range(len(sets) * m)]
 
 
 def det_permutation(mat):

@@ -79,6 +79,12 @@ def _repeated_pair(d):
     d["brackets"].append({"left": 0, "right": 1, "result": [["2", 1]]})
 
 
+def _repeated_result_index(d):
+    # [x, y] = y + y would be read as [x, y] = 2y
+    result = d["brackets"][0]["result"]
+    result.append(list(result[0]))
+
+
 def _duplicate_labels(d):
     d["basis"] = ["x", "x"]
 
@@ -104,9 +110,9 @@ def _scalar_result(d):
 
 
 @pytest.mark.parametrize("corrupt", [_float_index, _float_coefficient, _boolean_index,
-                                     _repeated_pair, _duplicate_labels, _string_basis,
-                                     _scalar_brackets, _scalar_result, _number_labels,
-                                     _object_labels])
+                                     _repeated_pair, _repeated_result_index,
+                                     _duplicate_labels, _string_basis, _scalar_brackets,
+                                     _scalar_result, _number_labels, _object_labels])
 def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
     # a lenient reader turns each of these into a different algebra instead of refusing it
     d = algebra_to_dict(catalog.example_a())

@@ -39,9 +39,24 @@ from liecoh.rep import (
     one_dim_module,
     trivial_module,
 )
-from liecoh.wedge import insert_sign, replace_sign, subsets, wedge_product
+from liecoh.wedge import (
+    insert_sign,
+    mask_positions,
+    replace_sign,
+    subset_index,
+    subsets,
+    wedge_product,
+)
 
-from oracles import bubble_sign, ce_dims, det_permutation, gauss_rank, relabel
+from oracles import (
+    action_matrix,
+    bubble_sign,
+    ce_dims,
+    ce_matrix,
+    det_permutation,
+    gauss_rank,
+    relabel,
+)
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -51,6 +66,22 @@ def _stable_term_algebra(L):
     linf = lower_central_series(L).last
     sub, _ = subalgebra(L, linf)
     return linf, sub
+
+
+def _raw(L, M):
+    """Structure constants and action matrices as nested lists, for the oracles."""
+    return ([[list(col) for col in row] for row in L.c],
+            [[list(row) for row in mat.data] for mat in M.rho])
+
+
+def _relabelled(L, rng):
+    """L in the basis f_a = s_a e_perm(a), for a random permutation and scales."""
+    return LieAlgebra(*relabel(L.c, L.labels, rng))
+
+
+def _h5():
+    return LieAlgebra.from_brackets(["x1", "x2", "y1", "y2", "z"],
+                                    {(0, 2): [(1, 4)], (1, 3): [(1, 4)]})
 
 
 # --- the differential ----------------------------------------------------
@@ -99,6 +130,90 @@ def test_module_algebra_mismatch():
     other = catalog.abelian(3)
     with pytest.raises(DimensionMismatchError):
         ce_complex(H, trivial_module(other))
+
+
+def _assert_deltas_match_formula(L, M, label):
+    cx = ce_complex(L, M)
+    c, rho = _raw(L, M)
+    for p in range(L.dim):
+        d = cx.delta(p)
+        assert (d.rows, d.cols) == (cx.space_dim(p + 1), cx.space_dim(p)), (label, p)
+        assert all(type(a) is Fraction for row in d.entries for a in row.values()), (label, p)
+        assert list(d.data) == ce_matrix(c, rho, M.dim, p), (label, p)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_delta_entries_match_defining_formula_on_catalog(name):
+    L = catalog.get(name)
+    _assert_deltas_match_formula(L, trivial_module(L), (name, "trivial"))
+    _assert_deltas_match_formula(L, adjoint_module(L), (name, "adjoint"))
+
+
+def test_delta_entries_match_defining_formula_on_random_algebras():
+    rng = random.Random(12)
+    for t in range(10):
+        L = random_solvable_algebra(rng)
+        _assert_deltas_match_formula(L, adjoint_module(L), t)
+
+
+def test_delta_entries_match_defining_formula_relabelled():
+    # rational structure constants: the only inputs here with a common denominator > 1
+    rng = random.Random(405)
+    for name, L in (("strict-ut4", _relabelled(catalog.strict_ut(4), rng)),
+                    ("h5", _relabelled(_h5(), rng))):
+        assert any(g.denominator > 1 for row in L.c for col in row for g in col), name
+        _assert_deltas_match_formula(L, trivial_module(L), (name, "trivial"))
+        _assert_deltas_match_formula(L, adjoint_module(L), (name, "adjoint"))
+
+
+@pytest.mark.parametrize("name", ["exampleA", "propC", "amazing-L", "ut3-relabelled"])
+def test_action_operators_match_tuple_evaluation(name):
+    rng = random.Random(f"action-{name}")
+    if name == "ut3-relabelled":
+        L = _relabelled(catalog.ut(3), rng)
+    else:
+        L = catalog.get(name)
+    linf = lower_central_series(L).last
+    nq = nil_quotient(L)
+    xs = [nq.lift(a) for a in range(nq.algebra.dim)]
+    xs.append(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(L.dim)))
+    basis = linf.basis.data
+    for M in (trivial_module(L), adjoint_module(L)):
+        c, rho = _raw(L, M)
+        for x in xs:
+            ops = cochain_action_operators(L, linf, M, x)
+            assert len(ops) == linf.dim + 1
+            for p, op in enumerate(ops):
+                assert list(op.data) == action_matrix(c, basis, rho, x, p), (name, x, p)
+
+
+def test_degenerate_shapes():
+    # the zero algebra: only C^0 = k
+    Z = LieAlgebra([])
+    cx = ce_complex(Z, trivial_module(Z))
+    assert cx.deltas == ()
+    assert cohomology(Z, trivial_module(Z)).dims == (1,)
+    assert cochain_action_operators(Z, Subspace.zero(0), trivial_module(Z), ()) == (
+        QMatrix.zero(1, 1),)
+    # a zero-dimensional module: every cochain space is 0
+    H = catalog.heisenberg3()
+    M = trivial_module(H, dim=0)
+    cx = ce_complex(H, M)
+    assert [(d.rows, d.cols) for d in cx.deltas] == [(0, 0)] * 3
+    assert cohomology(H, M).dims == (0, 0, 0, 0)
+    center = Subspace.from_rows(3, [(0, 0, 1)])
+    for ideal in (center, Subspace.full(3)):
+        ops = cochain_action_operators(H, ideal, M, (1, 2, 3))
+        assert [(op.rows, op.cols) for op in ops] == [(0, 0)] * (ideal.dim + 1)
+
+
+def test_mask_positions_match_subset_index():
+    for n in range(8):
+        pos = mask_positions(n)
+        assert len(pos) == 2 ** n
+        for p in range(n + 1):
+            for S, i in subset_index(n, p).items():
+                assert pos[sum(1 << s for s in S)] == i, (n, S)
 
 
 # --- cohomology ----------------------------------------------------------
@@ -379,11 +494,6 @@ def test_e2_dominates_abutment_dimensionwise():
 
 # --- closed-form oracles on relabelled bases ------------------------------
 
-def _relabelled(L, rng):
-    """L in the basis f_a = s_a e_perm(a), for a random permutation and scales."""
-    return LieAlgebra(*relabel(L.c, L.labels, rng))
-
-
 def _inversion_counts(n):
     """How many permutations of n letters have k inversions, k = 0, 1, ..."""
     counts = [0] * (n * (n - 1) // 2 + 1)
@@ -415,11 +525,9 @@ def test_santharoubane_h5_relabelled():
            for k in range(m + 1)]
     expected = tuple(low + low[::-1])
     assert expected == (1, 4, 5, 5, 4, 1)
-    h5 = LieAlgebra.from_brackets(["x1", "x2", "y1", "y2", "z"],
-                                  {(0, 2): [(1, 4)], (1, 3): [(1, 4)]})
     rng = random.Random(403)
     for _ in range(3):
-        L = _relabelled(h5, rng)
+        L = _relabelled(_h5(), rng)
         assert cohomology(L, trivial_module(L)).dims == expected
 
 
