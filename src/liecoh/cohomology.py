@@ -33,8 +33,12 @@ Building the matrices
 `ce_complex` and the action operators visit only the nonzero terms of
 these formulas: each nonzero structure constant, action entry or bracket
 coordinate, against each wedge R that avoids the indices it names.
-Wedges are bitmasks placed by `wedge.mask_positions`, and every sign is
-a popcount parity.
+Each term names the indices it adds and removes (`wedge._term`), and
+`wedge._operators` sums the terms with wedges as bitmasks, placed by
+`wedge.mask_positions`, and every sign a popcount parity.  The inflation
+matrices are the wedge powers of the projection (`wedge.wedge_powers`),
+each degree built from the one below.  The wedge basis keeps its
+lexicographic order.
 * Fractions enter as the structure constants and action matrices, and
   are scaled once to ints D * value, D the lcm of their denominators.
 * The terms of each entry add up in Python ints.
@@ -44,11 +48,8 @@ a popcount parity.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 
-from . import wedge
 from .errors import (
     ChainMapError,
     ContainmentError,
@@ -68,6 +69,7 @@ from .linalg import (
     vector,
 )
 from .rep import LieModule, restrict, trivial_module
+from .wedge import _operators, _scaled, _signed, _term, wedge_powers
 
 __all__ = [
     "CochainComplex",
@@ -108,57 +110,10 @@ class CochainComplex:
         return self.algebra.dim
 
 
-def _scaled(a, D: int) -> int:
-    """D * a as an int, for a rational a whose denominator divides D."""
-    return a.numerator * (D // a.denominator)
-
-
-def _signed(block) -> tuple[tuple, tuple]:
-    """A block of (beta, b, v) matrix entries, and the same negated."""
-    block = tuple(block)
-    return block, tuple((beta, b, -v) for beta, b, v in block)
-
-
 def _block(entries, D: int) -> tuple[tuple, tuple]:
     """`_signed` of the nonzero (beta, b, D * a) of sparse matrix rows."""
     return _signed((beta, b, _scaled(a, D)) for beta, row in enumerate(entries)
                    for b, a in row.items())
-
-
-def _below(k: int) -> int:
-    """The mask of the indices below k: a wedge R sorts e_k in with sign
-    (-1)^popcount(R & _below(k))."""
-    return (1 << k) - 1
-
-
-def _add_terms(out: list, pos: list, n: int, m: int, groups: dict, r: int) -> None:
-    """Accumulate int terms over the r-wedges of range(n), as bitmasks.
-
-    groups maps a mask F to terms (row bits, column bits, sign mask,
-    blocks); for every r-wedge R disjoint from F, each block entry
-    (beta, b, v) of blocks[popcount(R & sign mask) % 2] is added at row
-    (R | row bits, beta), column (R | column bits, b) of `out`.
-    """
-    bits = [1 << s for s in range(n)]
-    for forbid, terms in groups.items():
-        for R in map(sum, combinations([b for b in bits if not b & forbid], r)):
-            for row_bits, col_bits, sign_mask, blocks in terms:
-                rbase = pos[R | row_bits] * m
-                cbase = pos[R | col_bits] * m
-                for beta, b, v in blocks[(R & sign_mask).bit_count() & 1]:
-                    row = out[rbase + beta]
-                    key = cbase + b
-                    row[key] = row.get(key, 0) + v
-
-
-def _over(out: list, D: int) -> list:
-    """Int rows divided by D, as {column: Fraction} rows without zeros.
-
-    The entries take few distinct values, so each value is made into a
-    Fraction once and shared.
-    """
-    value = {a: Fraction(a, D) for a in {a for row in out for a in row.values()}}
-    return [{k: value[a] for k, a in row.items() if a} for row in out]
 
 
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
@@ -183,27 +138,16 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     m = M.dim
     D = lcm(*[g.denominator for row in L.c for col in row for g in col if g],
             *[a.denominator for mat in M.rho for row in mat.entries for a in row.values()])
-    actions = {}
+    terms = {}
     for t, mat in enumerate(M.rho):
         if not mat.is_zero():
-            actions[1 << t] = [(1 << t, 0, _below(t), _block(mat.entries, D))]
-    brackets = {}
+            _term(terms, (t,), (), _block(mat.entries, D))
     for i in range(n):
         for j in range(i + 1, n):
             for k, g in enumerate(L.c[i][j]):
                 if g:
-                    brackets.setdefault((1 << i) | (1 << j) | (1 << k), []).append(
-                        ((1 << i) | (1 << j), 1 << k, _below(i) ^ _below(j) ^ _below(k),
-                         _signed((b, b, -_scaled(g, D)) for b in range(m))))
-    pos = wedge.mask_positions(n)
-    deltas = []
-    for p in range(n):
-        out = [{} for _ in range(comb(n, p + 1) * m)]
-        _add_terms(out, pos, n, m, actions, p)
-        if p:
-            _add_terms(out, pos, n, m, brackets, p - 1)
-        deltas.append(QMatrix._wrap(_over(out, D), comb(n, p) * m))
-    return CochainComplex(L, M, tuple(deltas))
+                    _term(terms, (i, j), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+    return CochainComplex(L, M, tuple(_operators(terms, n, m, D, range(n), 1)))
 
 
 @dataclass(frozen=True)
@@ -292,23 +236,14 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     coords = [ideal.coordinates(bracket(L, x, col)) for col in ideal.basis.data]
     D = lcm(*[g.denominator for v in coords for g in v if g],
             *[a.denominator for row in act for a in row.values()])
-    coefficient = {0: [(0, 0, 0, _block(act, D))]} if any(act) else {}
-    wedges = {}
+    terms = {}
+    if any(act):
+        _term(terms, (), (), _block(act, D))
     for i, v in enumerate(coords):
         for k, g in enumerate(v):
             if g:
-                wedges.setdefault((1 << i) | (1 << k), []).append(
-                    (1 << i, 1 << k, _below(i) ^ _below(k),
-                     _signed((b, b, -_scaled(g, D)) for b in range(m))))
-    pos = wedge.mask_positions(s)
-    ops = []
-    for p in range(s + 1):
-        out = [{} for _ in range(comb(s, p) * m)]
-        _add_terms(out, pos, s, m, coefficient, p)
-        if p:
-            _add_terms(out, pos, s, m, wedges, p - 1)
-        ops.append(QMatrix._wrap(_over(out, D), comb(s, p) * m))
-    return tuple(ops)
+                _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+    return tuple(_operators(terms, s, m, D, range(s + 1), 0))
 
 
 def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
@@ -398,13 +333,9 @@ def inflation_map(L: LieAlgebra, nq: Quotient | None = None,
         cx_L = ce_complex(L, trivial_module(L))
     if cx_q is None:
         cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
-    maps = []
-    for p in range(qd + 1):
-        col_index = wedge.subset_index(qd, p)
-        out = [{col_index[S]: Fraction(a) for S, a in
-                wedge.wedge_product([nq.projection.column(t) for t in T]).items()}
-               for T in wedge.subsets(n, p)]
-        maps.append(QMatrix._wrap(out, len(col_index)))
+    columns = _transpose(nq.projection.entries, n)
+    maps = [QMatrix._wrap(rows, comb(qd, p))
+            for p, rows in enumerate(wedge_powers(columns, qd, qd))]
     for p in range(qd + 1):
         nxt = maps[p + 1] if p + 1 <= qd else QMatrix.zero(cx_L.space_dim(p + 1), 0)
         if cx_L.delta(p) * maps[p] != nxt * cx_q.delta(p):

@@ -212,6 +212,8 @@ class QMatrix:
     def __pow__(self, n: int) -> "QMatrix":
         if self.rows != self.cols:
             raise DimensionMismatchError("matrix power needs a square matrix")
+        if n < 0:
+            raise ValueError("matrix power needs a non-negative exponent")
         result = QMatrix.identity(self.rows)
         base = self
         while n:
@@ -452,16 +454,22 @@ class Subspace:
     `basis` is a QMatrix whose rows form a basis in reduced row echelon
     form (no zero rows), so equality of subspaces is equality of matrices.
     Next to it the subspace keeps, once, the same rows as the engine's
-    primitive int pivot rows, keyed by their pivot columns.
+    primitive int pivot rows, keyed by their pivot columns.  The
+    constructor refuses a basis that is not already that canonical form;
+    `from_rows` spans arbitrary rows.
     """
 
     __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim: int, basis: QMatrix):
+        if basis.cols != ambient_dim:
+            raise DimensionMismatchError("basis rows differ in length from the ambient dimension")
+        ech = _echelon(basis.entries)
+        if basis.entries != tuple(_rational(row, lead) for lead, row in ech.items()):
+            raise ValueError("basis is not in reduced row echelon form without zero rows")
         self.ambient_dim = ambient_dim
         self.basis = basis
-        # d * row is primitive when the row is 1 at its pivot
-        self._rows = {min(row): _ints(row)[0] for row in basis.entries if row}
+        self._rows = ech
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -472,11 +480,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.zero(0, ambient_dim))
+        return _echelon_space(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
+        return _echelon_space(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:

@@ -17,8 +17,8 @@ stabilization), so no field extension is ever required.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
-from . import wedge
 from .errors import (
     CharacterError,
     ContainmentError,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .lie import LieAlgebra, is_nilpotent, subalgebra
 from .linalg import QMatrix, Subspace, kernel, vector
+from .wedge import _operators, _scaled, _signed, _term
 
 __all__ = [
     "LieModule",
@@ -54,14 +55,13 @@ class LieModule:
         rho = tuple(m if isinstance(m, QMatrix) else QMatrix(m) for m in rho)
         if len(rho) != algebra.dim:
             raise DimensionMismatchError("one action matrix per basis element")
-        if rho:
-            dim = rho[0].rows
-        elif dim is None:
+        if dim is None:
             # over the zero algebra the size cannot be inferred from rho
-            dim = 0
+            dim = rho[0].rows if rho else 0
         for m in rho:
             if m.rows != m.cols or m.rows != dim:
-                raise DimensionMismatchError("action matrices must be square of equal size")
+                raise DimensionMismatchError(
+                    f"action matrices must be square of the module's size {dim}")
         self.algebra = algebra
         self.dim = dim
         self.rho = rho
@@ -155,27 +155,24 @@ def dual(M: LieModule) -> LieModule:
 
 
 def exterior_power(M: LieModule, p: int) -> LieModule:
-    """The p-th exterior power, with the action extended as a derivation."""
-    m = M.dim
-    basis = wedge.subsets(m, p)
-    index = {S: t for t, S in enumerate(basis)}
+    """The p-th exterior power, with the action extended as a derivation.
+
+    Built from the nonzero entries alone, with wedges R as bitmasks: each
+    nonzero mat[k][s] adds (-1)^(a(s) + a(k)) mat[k][s] at row R + k,
+    column R + s, for every (p-1)-wedge R without s and k, a(.) counting
+    the entries of R below an index: e_s moves to the front of R + s and
+    e_k sorts back in.  The terms add up as ints over the lcm D of the
+    matrix's denominators, as in the cochain differential.
+    """
     rho = []
     for mat in M.rho:
-        out = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-        for col, S in enumerate(basis):
-            for pos in range(p):
-                s = S[pos]
-                for k in range(m):
-                    a = mat[k, s]
-                    if not a:
-                        continue
-                    hit = wedge.replace_sign(S, pos, k)
-                    if hit is None:
-                        continue
-                    sign, T = hit
-                    out[index[T]][col] += sign * a
-        rho.append(QMatrix(tuple(tuple(r) for r in out), cols=len(basis)))
-    return LieModule(M.algebra, rho, dim=len(basis))
+        D = lcm(*[a.denominator for row in mat.entries for a in row.values()])
+        terms = {}
+        for k, row in enumerate(mat.entries):
+            for s, a in row.items():
+                _term(terms, (k,), (s,), _signed([(0, 0, _scaled(a, D))]))
+        rho += _operators(terms, M.dim, 1, D, [p], 0)
+    return LieModule(M.algebra, rho, dim=comb(M.dim, p))
 
 
 def restrict(M: LieModule, sub: Subspace) -> LieModule:

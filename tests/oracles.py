@@ -1,13 +1,13 @@
 """Independent recomputations used by the tests.
 
 Nothing here imports the library's cohomology or elimination code: the
-differential, and the action of an ambient element on an ideal's
-cochains, are evaluated verbatim from their defining formulas with a
-bubble-sort sign function, ranks and reduced echelon forms come from local
-Gaussian eliminations over Fractions, determinants from the permutation
-expansion, and PBW normal forms from adjacent-pair rewriting on the raw
-structure constants.  Agreement with the library is therefore a genuine
-two-route check.
+differential, the action of an ambient element on an ideal's cochains
+and exterior powers of a module are evaluated verbatim from their
+defining formulas with a bubble-sort sign function, ranks and reduced
+echelon forms come from local Gaussian eliminations over Fractions,
+determinants from the permutation expansion, and PBW normal forms from
+adjacent-pair rewriting on the raw structure constants.  Agreement with
+the library is therefore a genuine two-route check.
 """
 
 from fractions import Fraction
@@ -186,6 +186,29 @@ def action_matrix(c, basis, rho, x, p):
                 col += acc
             columns.append(col)
     return [tuple(col[r] for col in columns) for r in range(len(sets) * m)]
+
+
+def exterior_power_matrix(mat, p):
+    """An operator x on degree-p wedges of basis vectors, by evaluating the
+    derivation
+
+        x . (v_1 ^ ... ^ v_p) = sum_i v_1 ^ ... ^ x . v_i ^ ... ^ v_p
+
+    with x . e_s = sum_k mat[k][s] e_k.  The column of e_S holds x . e_S;
+    returns the rows.
+    """
+    m = len(mat)
+    sets = list(combinations(range(m), p))
+    where = {T: r for r, T in enumerate(sets)}
+    rows = [[Fraction(0)] * len(sets) for _ in sets]
+    for col, S in enumerate(sets):
+        for i in range(p):
+            for k in range(m):
+                a = Fraction(mat[k][S[i]])
+                hit = bubble_sign(S[:i] + (k,) + S[i + 1:]) if a else None
+                if hit is not None:
+                    rows[where[hit[1]]][col] += hit[0] * a
+    return [tuple(row) for row in rows]
 
 
 def det_permutation(mat):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -39,18 +39,10 @@ from liecoh.rep import (
     one_dim_module,
     trivial_module,
 )
-from liecoh.wedge import (
-    insert_sign,
-    mask_positions,
-    replace_sign,
-    subset_index,
-    subsets,
-    wedge_product,
-)
+from liecoh.wedge import mask_positions
 
 from oracles import (
     action_matrix,
-    bubble_sign,
     ce_dims,
     ce_matrix,
     det_permutation,
@@ -209,10 +201,12 @@ def test_degenerate_shapes():
 
 def test_mask_positions_match_subset_index():
     for n in range(8):
-        pos = mask_positions(n)
+        pos = mask_positions(n, range(n + 1))
         assert len(pos) == 2 ** n
         for p in range(n + 1):
-            for S, i in subset_index(n, p).items():
+            assert mask_positions(n, [p]) == [
+                i if mask.bit_count() == p else 0 for mask, i in enumerate(pos)]
+            for i, S in enumerate(combinations(range(n), p)):
                 assert pos[sum(1 << s for s in S)] == i, (n, S)
 
 
@@ -370,28 +364,13 @@ def test_inflation_identity_on_nilpotent():
             assert m == QMatrix.identity(m.rows), (name, p)
 
 
-def test_insert_and_replace_sign_match_bubble_sort():
-    n = 7
-    for p in range(n + 1):
-        for S in subsets(n, p):
-            for k in range(n):
-                assert insert_sign(S, k) == bubble_sign((k,) + S), (S, k)
-                for pos in range(p):
-                    expected = bubble_sign(S[:pos] + (k,) + S[pos + 1:])
-                    assert replace_sign(S, pos, k) == expected, (S, pos, k)
-
-
-def test_wedge_product_minors_random():
-    rng = random.Random(306)
-    for _ in range(300):
-        q = rng.randrange(0, 5)
-        p = rng.randrange(0, q + 1)
-        cols = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(q)]
-                for _ in range(p)]
-        got = wedge_product(cols)
-        for S in subsets(q, p):
-            minor = [[cols[j][i] for j in range(p)] for i in S]
-            assert got.get(S, 0) == det_permutation(minor), (cols, S)
+def _assert_inflation_minors(L):
+    nq = nil_quotient(L)
+    P = nq.projection
+    for p, m in enumerate(inflation_map(L, nq)):
+        for t, T in enumerate(combinations(range(L.dim), p)):
+            for s, S in enumerate(combinations(range(nq.algebra.dim), p)):
+                assert m[t, s] == det_permutation([[P[i, j] for j in T] for i in S])
 
 
 def test_inflation_entries_are_projection_minors():
@@ -405,13 +384,11 @@ def test_inflation_entries_are_projection_minors():
             continue
         mats = [[[sum(a * u[r][c] for a, u in zip(row, units)) for c in range(3)]
                  for r in range(3)] for row in A]
-        L = LieAlgebra.from_matrices([f"b{k}" for k in range(len(units))], mats)
-        nq = nil_quotient(L)
-        P = nq.projection
-        for p, m in enumerate(inflation_map(L, nq)):
-            for t, T in enumerate(subsets(L.dim, p)):
-                for s, S in enumerate(subsets(nq.algebra.dim, p)):
-                    assert m[t, s] == det_permutation([[P[i, j] for j in T] for i in S])
+        _assert_inflation_minors(
+            LieAlgebra.from_matrices([f"b{k}" for k in range(len(units))], mats))
+    _assert_inflation_minors(_relabelled(catalog.ut(4), rng))
+    for name in ("exampleA", "amazing-L"):
+        _assert_inflation_minors(catalog.get(name))
 
 
 def test_inflation_example_a_iso():

@@ -113,6 +113,7 @@ def test_matrix_arithmetic():
     assert (a + b) - b == a
     assert a.scale(2) == a + a
     assert a ** 2 == a * a
+    assert a ** 0 == QMatrix.identity(2)
     assert a.transpose().transpose() == a
     assert a.apply((1, 0)) == (Fraction(1), Fraction(3))
     with pytest.raises(DimensionMismatchError):
@@ -139,6 +140,28 @@ def test_subspace_canonical_and_idempotent():
     r, pivots = rref(s.basis)
     assert r == s.basis
     assert len(pivots) == s.dim
+
+
+def test_negative_matrix_power_refused():
+    with pytest.raises(ValueError):
+        QMatrix.identity(2) ** -1
+
+
+def test_subspace_constructor_needs_its_canonical_basis():
+    line = Subspace.from_rows(2, [[1, 0]])
+    assert Subspace(2, QMatrix([[1, 0]])) == line
+    assert Subspace(3, QMatrix([[1, 2, 0], [0, 0, 1]])).pivots() == (0, 2)
+    for bad in (QMatrix([[2, 0]]),              # not scaled to 1 at its pivot
+                QMatrix([[1, 0], [1, 0]]),      # dependent rows
+                QMatrix([[1, 1], [0, 1]]),      # not reduced above a pivot
+                QMatrix([[0, 1], [1, 0]]),      # pivots out of order
+                QMatrix([[1, 0], [0, 0]])):     # a zero row
+        with pytest.raises(ValueError):
+            Subspace(2, bad)
+    with pytest.raises(DimensionMismatchError):
+        Subspace(3, QMatrix([[1, 0]]))
+    assert Subspace.zero(3).dim == 0
+    assert Subspace.full(3) == Subspace.from_rows(3, [[1, 2, 3], [0, 1, 0], [0, 0, 5]])
 
 
 def test_subspace_lattice_examples():

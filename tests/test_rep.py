@@ -7,10 +7,11 @@ from liecoh import catalog
 from liecoh.errors import (
     CharacterError,
     ContainmentError,
+    DimensionMismatchError,
     NotNilpotentError,
     RepresentationLawError,
 )
-from liecoh.lie import bracket_span, lower_central_series, subalgebra
+from liecoh.lie import LieAlgebra, bracket_span, lower_central_series, subalgebra
 from liecoh.linalg import QMatrix, Subspace, kernel, unit_vector
 from liecoh.rep import (
     Character,
@@ -27,7 +28,7 @@ from liecoh.rep import (
     trivial_module,
 )
 
-from oracles import det_permutation
+from oracles import det_permutation, exterior_power_matrix, relabel
 
 
 def test_trivial_module_examples():
@@ -63,6 +64,14 @@ def test_representation_law_enforced():
         LieModule(s, bad)
 
 
+def test_module_size_must_match_the_matrices():
+    one = catalog.abelian(1)
+    with pytest.raises(DimensionMismatchError):
+        LieModule(one, [QMatrix.identity(2)], dim=5)
+    assert LieModule(one, [QMatrix.identity(2)], dim=2).dim == 2
+    assert LieModule(catalog.abelian(0), [], dim=3).dim == 3
+
+
 def test_adjoint_module_satisfies_law():
     for name in ("heisenberg3", "sl2", "propC", "amazing-L", "ut3"):
         adjoint_module(catalog.get(name))   # constructor re-validates
@@ -94,6 +103,21 @@ def test_exterior_power_dimensions_and_law():
     ad = adjoint_module(catalog.sl2())
     for p, expected in ((0, 1), (1, 3), (2, 3), (3, 1)):
         assert exterior_power(ad, p).dim == expected
+
+
+def test_exterior_power_entries_match_derivation_oracle():
+    rng = random.Random(81)
+    strict4 = catalog.strict_ut(4)
+    algebras = [catalog.get(name) for name in catalog.names()]
+    algebras.append(LieAlgebra(*relabel(strict4.c, strict4.labels, rng)))
+    for L in algebras:
+        ad = adjoint_module(L)
+        for M in (ad, dual(ad)):
+            for p in range(M.dim + 1):
+                power = exterior_power(M, p)
+                for mat, got in zip(M.rho, power.rho):
+                    assert got.data == tuple(exterior_power_matrix(mat.data, p)), (L, p)
+                    assert all(type(a) is Fraction for row in got.entries for a in row.values())
 
 
 def test_prop_c_top_wedge_is_trivial_line():
