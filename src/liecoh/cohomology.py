@@ -45,6 +45,39 @@ lexicographic order.
 * Fractions leave when the rows are handed to `QMatrix`: each distinct
   nonzero sum becomes one Fraction over D.  The elimination engine in
   `linalg` turns the rows back into ints when it reads them.
+
+Weight-0 blocks
+---------------
+Suppose x in L acts diagonally in both given bases: [x, e_i] = lam_i e_i
+and x . m_b = mu_b m_b.  Then x acts on the cochain (R, b) by the scalar
+mu_b - sum_{i in R} lam_i, its weight.  The action commutes with the
+differential, so every delta_q maps each weight block of C^q into the
+same weight block of C^{q+1}, and the complex is the direct sum of its
+weight blocks.  By Cartan's formula theta_x = d iota_x + iota_x d
+(Chevalley-Eilenberg 1948; Hochschild-Serre 1953) the action is
+null-homotopic, and so is its restriction to one block (the projection
+onto a block commutes with d).  On a block of weight w != 0 that
+restriction is w times the identity, so the block is acyclic and all of
+H^q lives in the weight-0 block.  `cohomology_of` eliminates that block
+alone, and nothing it returns depends on which such x it used:
+* the canonical basis of a kernel that is a direct sum over disjoint
+  coordinate blocks is the union of the blocks' canonical bases, so the
+  weight-0 rows of Z^q's basis are the canonical basis of the kernel of
+  delta_q on the weight-0 columns;
+* the greedy complement keeps a row of Z^q when it is not in the span
+  of B^q and the rows kept before it.  That span is a direct sum over
+  the blocks, so the test sees the row's own block only.  Blocks of
+  nonzero weight have Z = B and keep nothing.
+So the representatives, their order and their tags are the ones the
+unsplit elimination would give.  A cocycle's components of nonzero
+weight are cocycles there, hence coboundaries, so its class is that of
+its weight-0 component (`CohomologyResult.coordinates`).
+
+`_grading` picks x from the linear conditions "ad x and rho(x) have no
+off-diagonal entries" (see its docstring).  When no solution has a
+nonzero weight (nilpotent L, abelian quotients, bases that are not
+weight bases), every coordinate has weight 0 and the same elimination
+runs over all of them.
 """
 
 from dataclasses import dataclass, field
@@ -56,12 +89,14 @@ from .errors import (
     DimensionMismatchError,
     NotAnIdealError,
 )
-from .lie import LieAlgebra, Quotient, bracket, is_ideal, nil_quotient, quotient
+from .lie import LieAlgebra, Quotient, _constants, bracket, is_ideal, nil_quotient, quotient
 from .linalg import (
     QMatrix,
     Subspace,
     _classes,
     _dense,
+    _echelon,
+    _kernel,
     _tag_coordinates,
     _transpose,
     kernel,
@@ -69,7 +104,7 @@ from .linalg import (
     vector,
 )
 from .rep import LieModule, restrict, trivial_module
-from .wedge import _operators, _scaled, _signed, _term, wedge_powers
+from .wedge import _operators, _scaled, _signed, _subset_sums, _term, wedge_powers
 
 __all__ = [
     "CochainComplex",
@@ -150,6 +185,85 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     return CochainComplex(L, M, tuple(_operators(terms, n, m, D, range(n), 1)))
 
 
+def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
+    """Weights (lam, mu) of one x in L that acts diagonally in both given
+    bases, [x, e_i] = lam_i e_i and x . m_b = mu_b m_b, times one positive
+    int D that makes them ints.
+
+    Such x are the solutions of the linear conditions "every off-diagonal
+    entry of ad x and of rho(x) is 0".  Their weights are linear in x;
+    let w_1, ..., w_r be the primitive int rows of the canonical echelon
+    form of D times the weights of a basis of the solutions, each D times
+    the weights of some solution x_j.  The x used is sum_j t_j x_j with t_1 = 1 and
+    t_{j+1} = t_j (2 |w_j| + 1), |w_j| the sum of the absolute values of
+    w_j.  D times a cochain's weight under x_j lies in [-|w_j|, |w_j|], so
+    its weight under x is 0 only when it is 0 under every x_j: x is as
+    generic as a solution can be.  Returns None when every weight of every
+    solution is 0, at once when no ad e_a and no rho(e_a) has a nonzero
+    diagonal entry.
+    """
+    n, m = L.dim, M.dim
+    diag = [[(i, L.c[a][i][i]) for i in range(n) if L.c[a][i][i]]
+            + [(n + b, row[b]) for b, row in enumerate(M.rho[a].entries) if b in row]
+            for a in range(n)]
+    if not any(diag):
+        return None
+    D = lcm(*[g.denominator for terms in diag for _, g in terms])
+    diag = [[(k, _scaled(g, D)) for k, g in terms] for terms in diag]
+    # row (k, i) of the conditions: the (k, i) entry of ad x or rho(x), linear in x
+    conditions: dict = {}
+    for a, table in enumerate(_constants(L)[1]):
+        for i, terms in enumerate(table):
+            for k, g in terms:
+                if k != i:
+                    conditions.setdefault((k, i), {})[a] = g
+        for beta, row in enumerate(M.rho[a].entries):
+            for b, g in row.items():
+                if b != beta:
+                    conditions.setdefault((n + beta, n + b), {})[a] = g
+    solutions = kernel(QMatrix._wrap(conditions.values(), n))
+    weights = []
+    for x in solutions._rows.values():      # int rows, a basis of the solutions
+        w: dict = {}
+        for a, xa in x.items():
+            for k, g in diag[a]:
+                w[k] = w.get(k, 0) + xa * g
+        weights.append({k: v for k, v in w.items() if v})
+    total, t = [0] * (n + m), 1
+    for w in _echelon(weights).values():
+        for k, v in w.items():
+            total[k] += t * v
+        t *= 2 * sum(map(abs, w.values())) + 1
+    return (total[:n], total[n:]) if t > 1 else None
+
+
+def _weight_zero(cx: CochainComplex) -> list:
+    """The weight-0 cochain coordinates of each degree 0..top + 1 under the
+    x of `_grading`, as a range or dict keys: in increasing order, with
+    constant-time membership.  Every coordinate when `_grading` finds no
+    weights.
+
+    ChainMapError when a differential joins coordinates of different
+    weights, which no complex built by `ce_complex` does.
+    """
+    n = cx.algebra.dim
+    grading = _grading(cx.algebra, cx.coeff)
+    if grading is None:
+        return [range(cx.space_dim(q)) for q in range(n + 2)]
+    lam, mu = grading
+    # (R, b) weighs mu_b minus the sum of lam over R
+    weights = [[u - s for s in _subset_sums(lam, q) for u in mu] for q in range(n + 2)]
+    for q, delta in enumerate(cx.deltas):
+        src, dst = weights[q], weights[q + 1]
+        for r, row in enumerate(delta.entries):
+            w = dst[r]
+            for c in row:
+                if src[c] != w:
+                    raise ChainMapError("the differential does not preserve the weights "
+                                        "of the grading element")
+    return [dict.fromkeys(i for i, w in enumerate(ws) if not w) for ws in weights]
+
+
 @dataclass(frozen=True)
 class CohomologyResult:
     """Per-degree dimensions, representative cocycles, and class coordinates.
@@ -157,12 +271,14 @@ class CohomologyResult:
     representatives[q] are vectors in C^q whose classes form a basis of
     H^q; `coordinates` reads classes in that basis off the degree-q pivot
     dict of `linalg._classes` and refuses anything that is not a cocycle.
+    The pivot dicts hold the weight-0 block of each degree (`_weight_zero`).
     """
 
     complex: CochainComplex
     dims: tuple[int, ...]
     representatives: tuple[tuple[tuple, ...], ...]
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
+    _zero: tuple = field(repr=False, compare=False)
 
     def rep_matrix(self, q: int) -> QMatrix:
         """Representatives of H^q as the columns of a matrix."""
@@ -170,12 +286,23 @@ class CohomologyResult:
                                     rows=self.complex.space_dim(q))
 
     def coordinates(self, q: int, m: QMatrix) -> QMatrix:
-        """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles."""
+        """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles.
+
+        The weight-0 part of each column is reduced against the pivots,
+        which refuses it unless it is a cocycle.  The rest must be a
+        cocycle too, checked on the full differential; it is then a
+        coboundary, and adds nothing to the class.
+        """
         n = self.complex.space_dim(q)
         if m.rows != n:
             raise DimensionMismatchError(f"{m.rows} rows for cochains of dimension {n}")
+        zero = self._zero[q]
+        rest = [{} if r in zero else row for r, row in enumerate(m.entries)]
+        if any(rest) and not (self.complex.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero():
+            raise ContainmentError("vector is not a cocycle")
         try:
-            cols = [_tag_coordinates(self._pivots[q], n, col)
+            cols = [_tag_coordinates(self._pivots[q], n,
+                                     {k: a for k, a in col.items() if k in zero})
                     for col in _transpose(m.entries, m.cols)]
         except ContainmentError:
             raise ContainmentError("vector is not a cocycle") from None
@@ -194,21 +321,33 @@ class CohomologyResult:
 
 
 def cohomology_of(cx: CochainComplex) -> CohomologyResult:
-    """Cohomology of an already-built complex.
+    """Cohomology of an already-built complex, from its weight-0 block.
 
-    Two sparse eliminations per degree: the canonical basis of Z^q, then
-    one pivot dict (`linalg._classes`) fed the columns of delta_{q-1} as
-    they are, keeping the rows of Z^q's basis that add a pivot as the
-    representatives.  Dense vectors are made only for the representatives.
+    Two sparse eliminations per degree, on the weight-0 coordinates of
+    `_weight_zero` alone (module docstring): the canonical basis of the
+    kernel of delta_q on them, then one pivot dict (`linalg._classes`) fed
+    delta_{q-1}'s weight-0 columns as they are, keeping the rows of that
+    kernel basis that add a pivot as the representatives.  Dense vectors
+    are made only for the representatives.
     """
+    zero = _weight_zero(cx)
     reps_all = []
     pivots_all = []
+    coboundaries = ()
     for q in range(cx.top_degree + 1):
-        prev = cx.delta(q - 1)
-        pivots, reps = _classes(_transpose(prev.entries, prev.cols), kernel(cx.delta(q)))
-        reps_all.append(tuple(_dense(row, 0, prev.rows) for row in reps))
+        entries = cx.delta(q).entries
+        # the weight-0 block of delta_q, by row; its entries lie in weight-0 columns
+        block = {r: entries[r] for r in zero[q + 1]}
+        pivots, reps = _classes(coboundaries, _kernel(block.values(), zero[q], cx.space_dim(q)))
+        reps_all.append(tuple(_dense(row, 0, cx.space_dim(q)) for row in reps))
         pivots_all.append(pivots)
-    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all), tuple(pivots_all))
+        columns: dict = {}
+        for r, row in block.items():
+            for c, a in row.items():
+                columns.setdefault(c, {})[r] = a
+        coboundaries = columns.values()
+    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all),
+                            tuple(pivots_all), tuple(zero))
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:

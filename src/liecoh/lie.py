@@ -12,6 +12,7 @@ All values are immutable and all functions are pure.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     AdaptedBasisError,
@@ -29,6 +30,8 @@ from .linalg import (
     _dense,
     _frac,
     _insert,
+    _span,
+    _sparse,
     _tag_coordinates,
     _transpose,
     unit_vector,
@@ -67,7 +70,7 @@ def _flat(m: QMatrix) -> dict:
 class LieAlgebra:
     """Structure-constant presentation of a Lie algebra over Q."""
 
-    __slots__ = ("dim", "labels", "c")
+    __slots__ = ("dim", "labels", "c", "_table")
 
     def __init__(self, c, labels=None):
         c = tuple(tuple(vector(col) for col in row) for row in c)
@@ -82,6 +85,7 @@ class LieAlgebra:
             raise DimensionMismatchError("one label per basis element")
         self.c = c
         self.labels = labels
+        self._table = None
 
     @classmethod
     def from_brackets(cls, labels, brackets) -> "LieAlgebra":
@@ -154,6 +158,18 @@ class LieAlgebra:
         return f"<LieAlgebra dim={self.dim} [{', '.join(self.labels)}]>"
 
 
+def _constants(L: LieAlgebra) -> tuple[int, tuple]:
+    """(D, table): table[i][j] is the tuple of the (k, D * c_ij^k) for the
+    nonzero c_ij^k, as ints, D the lcm of their denominators.  Built on
+    first use and kept on the algebra."""
+    if L._table is None:
+        D = lcm(*[g.denominator for row in L.c for col in row for g in col if g])
+        L._table = D, tuple(tuple(tuple((k, g.numerator * (D // g.denominator))
+                                        for k, g in enumerate(col) if g)
+                                  for col in row) for row in L.c)
+    return L._table
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking antisymmetry and the Jacobi identity."""
@@ -172,7 +188,8 @@ def validate(L: LieAlgebra) -> ValidationReport:
     """Check the Lie axioms; reports the first violated index tuple.
 
     The Jacobi sum of a basis triple is read off the structure constants:
-    its e_t coefficient is the cyclic sum of c[i][j][k] c[k][l][t].
+    its e_t coefficient is the cyclic sum of c[i][j][k] c[k][l][t], summed
+    here D^2 times over the int constants of `_constants`.
     """
     n = L.dim
 
@@ -183,7 +200,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
         for j in range(i, n):
             if any(a != -b for a, b in zip(L.c[i][j], L.c[j][i])):
                 return fail("antisymmetry", (i, j))
-    nonzero = [[[(k, g) for k, g in enumerate(col) if g] for col in row] for row in L.c]
+    _, nonzero = _constants(L)
     for i, j, l in combinations(range(n), 3):
         s: dict = {}
         for a, b, x in ((i, j, l), (j, l, i), (l, i, j)):
@@ -195,30 +212,43 @@ def validate(L: LieAlgebra) -> ValidationReport:
     return ValidationReport(True)
 
 
+def _bracket(table: tuple, u: dict, v: dict) -> dict:
+    """[u, v] of sparse coordinate rows, through the int constants `table`
+    of `_constants`, as a sparse row without zero values: D times the
+    bracket, D the denominator of the table."""
+    out: dict = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            terms = row[j]
+            if terms:
+                ab = a * b
+                for k, g in terms:
+                    out[k] = out.get(k, 0) + ab * g
+    return {k: x for k, x in out.items() if x}
+
+
 def bracket(L: LieAlgebra, u, v) -> tuple:
     """Bilinear extension of the structure constants to coordinate vectors."""
     u = vector(u)
     v = vector(v)
     if len(u) != L.dim or len(v) != L.dim:
         raise DimensionMismatchError("vectors must have the algebra's dimension")
-    out = [Fraction(0)] * L.dim
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            for k, coeff in enumerate(L.c[i][j]):
-                if coeff:
-                    out[k] += ab * coeff
-    return tuple(out)
+    D, table = _constants(L)
+    out = _bracket(table, _sparse(u), _sparse(v))
+    return _dense({k: x / D for k, x in out.items()}, 0, L.dim)
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of all brackets [a, b], as a subspace of the algebra."""
-    rows = [bracket(L, u, v) for u in a.basis.data for v in b.basis.data]
-    return Subspace.from_rows(L.dim, rows)
+    """Span of all brackets [a, b], as a subspace of the algebra.
+
+    Brackets the int basis rows the subspaces keep (the same spans as
+    their canonical bases) through the int constants of `_constants`, all
+    in ints.
+    """
+    _, table = _constants(L)
+    return _span(L.dim, [_bracket(table, u, v)
+                         for u in a._rows.values() for v in b._rows.values()])
 
 
 @dataclass(frozen=True)

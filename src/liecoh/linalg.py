@@ -557,14 +557,20 @@ def _span(n: int, rows) -> Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """The solution space {v : m v = 0} as a subspace of Q^cols."""
-    ech = _echelon(m.entries)
+    return _kernel(m.entries, range(m.cols), m.cols)
+
+
+def _kernel(rows, cols, n: int) -> Subspace:
+    """The solutions supported on the keys `cols` of the rational rows' system,
+    as a subspace of Q^n; every key of the rows must be one of cols."""
+    ech = _echelon(rows)
     # one solution per free column f: 1 at f, minus column f of the reduced echelon rows
-    basis = {f: {f: 1} for f in range(m.cols) if f not in ech}
+    basis = {f: {f: 1} for f in cols if f not in ech}
     for p, row in ech.items():
         for f, a in row.items():
             if f != p:
                 basis[f][p] = Fraction(-a, row[p])
-    return _span(m.cols, basis.values())
+    return _span(n, basis.values())
 
 
 def image(m: QMatrix) -> Subspace:

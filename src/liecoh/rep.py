@@ -26,7 +26,7 @@ from .errors import (
     NotNilpotentError,
     RepresentationLawError,
 )
-from .lie import LieAlgebra, is_nilpotent, subalgebra
+from .lie import LieAlgebra, _constants, is_nilpotent, subalgebra
 from .linalg import QMatrix, Subspace, kernel, vector
 from .wedge import _operators, _scaled, _signed, _term
 
@@ -68,18 +68,37 @@ class LieModule:
         self._check_representation_law()
 
     def _check_representation_law(self):
+        """rho([e_i, e_j]) = [rho(e_i), rho(e_j)] for every pair i < j, in order.
+
+        Checked row by row on sparse int matrices: with P_a = D rho(e_a)
+        and the ints E c_ij^k of `lie._constants`, D and E the lcms of the
+        action's and the structure constants' denominators,
+        E (P_i P_j - P_j P_i) must equal D sum_k (E c_ij^k) P_k, the sum
+        running over the nonzero c_ij^k.
+        """
         n = self.algebra.dim
+        E, table = _constants(self.algebra)
+        D = lcm(*[a.denominator for mat in self.rho for row in mat.entries for a in row.values()])
+        P = [[{k: _scaled(a, D) for k, a in row.items()} for row in mat.entries]
+             for mat in self.rho]
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self.rho[i] * self.rho[j] - self.rho[j] * self.rho[i]
-                rhs = QMatrix.zero(self.dim, self.dim)
-                for k, coeff in enumerate(self.algebra.c[i][j]):
-                    if coeff:
-                        rhs = rhs + self.rho[k].scale(coeff)
-                if lhs != rhs:
-                    raise RepresentationLawError(
-                        f"action matrices break the bracket of "
-                        f"{self.algebra.labels[i]} and {self.algebra.labels[j]}")
+                products = ((P[i], P[j], E), (P[j], P[i], -E))
+                rhs = [(P[k], D * g) for k, g in table[i][j]]
+                for r in range(self.dim):
+                    acc: dict = {}
+                    for A, B, f in products:
+                        for k, a in A[r].items():
+                            fa = f * a
+                            for col, b in B[k].items():
+                                acc[col] = acc.get(col, 0) + fa * b
+                    for Pk, f in rhs:
+                        for col, b in Pk[r].items():
+                            acc[col] = acc.get(col, 0) - f * b
+                    if any(acc.values()):
+                        raise RepresentationLawError(
+                            f"action matrices break the bracket of "
+                            f"{self.algebra.labels[i]} and {self.algebra.labels[j]}")
 
     def action(self, x) -> QMatrix:
         """Action matrix of an arbitrary algebra element (coordinate vector)."""

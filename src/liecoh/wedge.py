@@ -19,7 +19,8 @@ powers of a module are sums of terms that each swap a few wedge factors.
 `_operators` sums the terms over every wedge they apply to, in Python
 ints D * entry over one common denominator D, and turns each distinct
 sum into a Fraction once.  Wedges of vectors (`wedge_powers`) grow one
-factor at a time.
+factor at a time, and `_subset_sums` lists a sum over each wedge's
+indices in basis order, as the weights of a grading need.
 """
 
 from fractions import Fraction
@@ -41,6 +42,12 @@ def mask_positions(n: int, sizes) -> list[int]:
         for i, mask in enumerate(map(sum, combinations(bits, p))):
             pos[mask] = i
     return pos
+
+
+def _subset_sums(values, p: int):
+    """The sum of values[s] over each p-subset S of range(len(values)), in
+    the order of the degree-p wedge basis."""
+    return map(sum, combinations(values, p))
 
 
 def _below(k: int) -> int:

@@ -1,13 +1,19 @@
 """Independent recomputations used by the tests.
 
-Nothing here imports the library's cohomology or elimination code: the
-differential, the action of an ambient element on an ideal's cochains
-and exterior powers of a module are evaluated verbatim from their
-defining formulas with a bubble-sort sign function, ranks and reduced
-echelon forms come from local Gaussian eliminations over Fractions,
-determinants from the permutation expansion, and PBW normal forms from
-adjacent-pair rewriting on the raw structure constants.  Agreement with
-the library is therefore a genuine two-route check.
+Apart from `unsplit_cohomology`, nothing here imports the library's
+cohomology or elimination code: the differential, the action of an
+ambient element on an ideal's cochains and exterior powers of a module
+are evaluated verbatim from their defining formulas with a bubble-sort
+sign function, ranks and reduced echelon forms come from local Gaussian
+eliminations over Fractions, determinants from the permutation
+expansion, and PBW normal forms from adjacent-pair rewriting on the raw
+structure constants.  Agreement with the library is therefore a genuine
+two-route check.
+
+`unsplit_cohomology` is the other kind of reference: the elimination
+`cohomology_of` ran before it kept to the weight-0 block, on the
+library's own engine, so the split can be held to the very same
+representatives and coordinates.
 """
 
 from fractions import Fraction
@@ -271,3 +277,29 @@ def straighten(c, word, last=False):
         for v, f in rewrites:
             work[v] = work.get(v, Fraction(0)) + coeff * f
     return {a: x for a, x in out.items() if x}
+
+
+def unsplit_cohomology(cx):
+    """(representatives, coordinates) of a built complex, eliminating every
+    coordinate: the canonical basis of the whole kernel of delta_q, then
+    `linalg._classes` fed every column of delta_{q-1}.
+
+    representatives[q] are dense vectors; coordinates(q, v) gives the
+    class of a cocycle v in their basis as a tuple of Fractions, and
+    raises ContainmentError off the cocycles.
+    """
+    from liecoh.linalg import _classes, _dense, _tag_coordinates, _transpose, kernel
+
+    reps_all, pivots_all = [], []
+    for q in range(cx.top_degree + 1):
+        prev = cx.delta(q - 1)
+        pivots, reps = _classes(_transpose(prev.entries, prev.cols), kernel(cx.delta(q)))
+        reps_all.append(tuple(_dense(row, 0, prev.rows) for row in reps))
+        pivots_all.append(pivots)
+
+    def coordinates(q, v):
+        n = cx.space_dim(q)
+        c = _tag_coordinates(pivots_all[q], n, {k: Fraction(a) for k, a in enumerate(v) if a})
+        return tuple(c.get(i, Fraction(0)) for i in range(len(reps_all[q])))
+
+    return tuple(reps_all), coordinates

@@ -7,8 +7,11 @@ import pytest
 
 from liecoh import catalog
 from liecoh.checker import random_solvable_algebra
+from liecoh.checker import check
 from liecoh.cohomology import (
     CochainComplex,
+    _grading,
+    _weight_zero,
     action_on_cohomology,
     ce_complex,
     cochain_action_operators,
@@ -34,12 +37,13 @@ from liecoh.lie import (
 from liecoh.linalg import QMatrix, Subspace, image, kernel, unit_vector
 from liecoh.rep import (
     Character,
+    LieModule,
     adjoint_module,
     invariants,
     one_dim_module,
     trivial_module,
 )
-from liecoh.wedge import mask_positions
+from liecoh.wedge import _subset_sums, mask_positions
 
 from oracles import (
     action_matrix,
@@ -48,6 +52,7 @@ from oracles import (
     det_permutation,
     gauss_rank,
     relabel,
+    unsplit_cohomology,
 )
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
@@ -208,6 +213,9 @@ def test_mask_positions_match_subset_index():
                 i if mask.bit_count() == p else 0 for mask, i in enumerate(pos)]
             for i, S in enumerate(combinations(range(n), p)):
                 assert pos[sum(1 << s for s in S)] == i, (n, S)
+            # sums of distinct powers of two are the masks, in basis order
+            masks = list(_subset_sums([1 << s for s in range(n)], p))
+            assert [pos[mask] for mask in masks] == list(range(comb(n, p)))
 
 
 # --- cohomology ----------------------------------------------------------
@@ -579,3 +587,139 @@ def test_inflation_map_checks_the_complexes_it_is_given():
     wrong = ce_complex(catalog.abelian(3), trivial_module(catalog.abelian(3)))
     with pytest.raises(ChainMapError):
         inflation_map(L, nq, ce_complex(L, trivial_module(L)), wrong)
+
+
+# --- the weight-0 block against the unsplit elimination -------------------
+
+def _assert_split_matches_unsplit(L, M, rng, label):
+    """Same dims, representatives and class coordinates as eliminating every
+    coordinate; the test cocycles carry coboundaries of every weight."""
+    cx = ce_complex(L, M)
+    result = cohomology_of(cx)
+    reps, coordinates = unsplit_cohomology(cx)
+    assert result.representatives == reps, label
+    assert result.dims == tuple(map(len, reps)), label
+    for q in range(L.dim + 1):
+        cols = []
+        for _ in range(3):
+            w = [Fraction(rng.randint(-2, 2)) for _ in range(cx.space_dim(q - 1))]
+            z = cx.delta(q - 1).apply(w)
+            for rep in reps[q]:
+                c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                z = tuple(a + c * b for a, b in zip(z, rep))
+            assert result.project(q, z) == coordinates(q, z), (label, q)
+            cols.append(z)
+        matrix = QMatrix.from_columns(cols, rows=cx.space_dim(q))
+        assert result.coordinates(q, matrix) == QMatrix.from_columns(
+            [coordinates(q, z) for z in cols], rows=result.dims[q]), (label, q)
+
+
+def _splits(L, M):
+    cx = ce_complex(L, M)
+    return any(len(z) < cx.space_dim(q) for q, z in enumerate(_weight_zero(cx)))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_weight_zero_block_matches_unsplit_on_catalog(name):
+    L = catalog.get(name)
+    rng = random.Random(f"split-{name}")
+    for M in (trivial_module(L), adjoint_module(L)):
+        _assert_split_matches_unsplit(L, M, rng, name)
+
+
+def test_weight_zero_block_matches_unsplit_on_random_algebras():
+    rng = random.Random(601)
+    split = 0
+    for i in range(50):
+        L = random_solvable_algebra(rng)
+        _assert_split_matches_unsplit(L, trivial_module(L), rng, i)
+        split += _splits(L, trivial_module(L))
+    assert split >= 10
+
+
+def _elementary_conjugate(M, rng):
+    """M in the basis g e_b of its space, g a product of four elementary matrices."""
+    g = g_inv = QMatrix.identity(M.dim)
+    for _ in range(4):
+        r, s = rng.sample(range(M.dim), 2)
+        t = Fraction(rng.choice((-2, -1, 1, 3)))
+        step = [[Fraction(a == b) + (t if (a, b) == (r, s) else 0) for b in range(M.dim)]
+                for a in range(M.dim)]
+        back = [[Fraction(a == b) - (t if (a, b) == (r, s) else 0) for b in range(M.dim)]
+                for a in range(M.dim)]
+        g, g_inv = g * QMatrix(step), QMatrix(back) * g_inv
+    return LieModule(M.algebra, [g_inv * mat * g for mat in M.rho], dim=M.dim)
+
+
+def test_weight_zero_block_matches_unsplit_on_relabelled_ut():
+    rng = random.Random(602)
+    ut4 = _relabelled(catalog.ut(4), rng)
+    ut3 = _relabelled(catalog.ut(3), rng)
+    for L, M in ((ut4, trivial_module(ut4)), (ut3, adjoint_module(ut3))):
+        assert _splits(L, M)
+        _assert_split_matches_unsplit(L, M, rng, L.labels)
+    # the adjoint action in a basis of the module that is no weight basis
+    M = _elementary_conjugate(adjoint_module(ut3), rng)
+    assert any(not mat.is_zero() for mat in M.rho)
+    _assert_split_matches_unsplit(ut3, M, rng, "conjugated adjoint")
+
+
+def test_coordinates_refuse_a_defect_outside_weight_zero():
+    L = _relabelled(catalog.ut(3), random.Random(603))
+    cx = ce_complex(L, trivial_module(L))
+    result = cohomology_of(cx)
+    zero = _weight_zero(cx)
+    refused = 0
+    for q in range(1, L.dim):
+        if not result.dims[q]:
+            continue
+        rep = result.representatives[q][0]
+        for t in range(cx.space_dim(q)):
+            e = unit_vector(cx.space_dim(q), t)
+            if t in zero[q] or not any(cx.delta(q).apply(e)):
+                continue
+            # a cocycle on the weight-0 block, plus a defect of nonzero weight
+            z = tuple(a + b for a, b in zip(rep, e))
+            assert result.project(q, rep) == unit_vector(result.dims[q], 0)
+            with pytest.raises(ContainmentError, match="vector is not a cocycle"):
+                result.project(q, z)
+            with pytest.raises(ContainmentError, match="vector is not a cocycle"):
+                result.coordinates(q, QMatrix.from_columns([z, rep]))
+            refused += 1
+    assert refused
+
+
+def test_a_basis_without_diagonal_ad_runs_as_one_block():
+    # ut(3) in a random GL_6(Q) basis: only the centre acts diagonally
+    rng = random.Random(604)
+    base = catalog.ut(3)
+    units = [catalog._eij(3, i, j) for i in range(3) for j in range(i, 3)]
+    while True:
+        g = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
+        if det_permutation(g):
+            break
+    mats = [[[sum(g[b][a] * units[b][r][c] for b in range(6)) for c in range(3)]
+             for r in range(3)] for a in range(6)]
+    L = LieAlgebra.from_matrices([f"f{a}" for a in range(6)], mats)
+    M = trivial_module(L)
+    assert _grading(L, M) is None
+    cx = ce_complex(L, M)
+    assert _weight_zero(cx) == [range(cx.space_dim(q)) for q in range(L.dim + 2)]
+    assert cohomology_of(cx).dims == cohomology(base, trivial_module(base)).dims \
+        == tuple(comb(3, k) for k in range(7))
+
+
+def test_a_complex_whose_differential_mixes_weights_is_refused():
+    L = catalog.example_a()           # [x, y] = y: x grades y by weight 1
+    good = ce_complex(L, trivial_module(L))
+    assert _splits(L, trivial_module(L))
+    bad = CochainComplex(L, good.coeff, (QMatrix([[1], [1]]), good.deltas[1]))
+    with pytest.raises(ChainMapError):
+        cohomology_of(bad)
+
+
+def test_ut5_relabelled_binomial_and_check():
+    L = _relabelled(catalog.ut(5), random.Random(605))
+    assert cohomology(L, trivial_module(L)).dims == tuple(comb(5, k) for k in range(16))
+    report = check(L)
+    assert report.condition2 and report.condition3

@@ -151,6 +151,23 @@ def test_bracket_bilinear():
     assert lhs == tuple(rhs)
 
 
+def test_bracket_span_matches_dense_brackets_of_basis_rows():
+    # the span of [u, v] over basis rows u, v, each bracket summed over
+    # every index triple of the raw constants
+    rng = random.Random(405)
+    for _ in range(40):
+        L = catalog.get(rng.choice(ALL_NAMES))
+        n = L.dim
+        spaces = [Subspace.from_rows(n, [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                                         for _ in range(rng.randint(0, n))]) for _ in range(2)]
+        spaces += lower_central_series(L).terms
+        a, b = rng.choice(spaces), rng.choice(spaces)
+        rows = [[sum((u[i] * v[j] * L.c[i][j][k] for i in range(n) for j in range(n)),
+                     Fraction(0)) for k in range(n)]
+                for u in a.basis.data for v in b.basis.data]
+        assert bracket_span(L, a, b) == Subspace.from_rows(n, rows)
+
+
 # --- series -------------------------------------------------------------
 
 def test_lower_central_series_examples():

@@ -64,6 +64,51 @@ def test_representation_law_enforced():
         LieModule(s, bad)
 
 
+def _first_broken_pair(L, rho):
+    """The first pair i < j with [rho_i, rho_j] != sum_k c_ij^k rho_k, from
+    dense Fraction matrix products, or None."""
+    d = len(rho[0]) if rho else 0
+
+    def mul(a, b):
+        return [[sum((a[r][t] * b[t][s] for t in range(d)), Fraction(0)) for s in range(d)]
+                for r in range(d)]
+
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            ij, ji = mul(rho[i], rho[j]), mul(rho[j], rho[i])
+            for r in range(d):
+                for s in range(d):
+                    rhs = sum((L.c[i][j][k] * rho[k][r][s] for k in range(L.dim)), Fraction(0))
+                    if ij[r][s] - ji[r][s] != rhs:
+                        return i, j
+    return None
+
+
+def test_representation_law_names_the_first_broken_pair():
+    rng = random.Random(406)
+    seen = 0
+    for name in catalog.names():
+        L = catalog.get(name)
+        for M in (adjoint_module(L), dual(adjoint_module(L))):
+            for _ in range(4):
+                rho = [[list(row) for row in mat.data] for mat in M.rho]
+                if not rho or not M.dim:
+                    continue
+                a, r, s = rng.randrange(L.dim), rng.randrange(M.dim), rng.randrange(M.dim)
+                rho[a][r][s] += Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 3)))
+                broken = _first_broken_pair(L, rho)
+                if broken is None:
+                    LieModule(L, rho)
+                    continue
+                i, j = broken
+                with pytest.raises(RepresentationLawError) as err:
+                    LieModule(L, rho)
+                assert str(err.value) == (f"action matrices break the bracket of "
+                                          f"{L.labels[i]} and {L.labels[j]}")
+                seen += 1
+    assert seen > 20
+
+
 def test_module_size_must_match_the_matrices():
     one = catalog.abelian(1)
     with pytest.raises(DimensionMismatchError):
