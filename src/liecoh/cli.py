@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from math import comb
 
 from . import catalog
 from .checker import check, verify_report
@@ -36,6 +37,7 @@ from .lie import (
     validate,
 )
 from .pbw import (
+    _word_cap,
     ipower_checks,
     is_rees_noetherian,
     monoid_generator_check,
@@ -86,6 +88,12 @@ def _guard_wedge(L: LieAlgebra, coeff_dim: int) -> None:
         raise CommandError(
             f"the exterior algebra would need {size} coordinates; "
             f"the cap is {WEDGE_COORD_CAP}")
+
+
+def _guard_monomials(L: LieAlgebra, degree: int, option: str) -> None:
+    size = comb(L.dim + degree, L.dim)      # the monomials of degree <= degree
+    if size > REES_MONOMIAL_CAP:
+        raise CommandError(f"{size} monomials exceed the cap {REES_MONOMIAL_CAP}; lower {option}")
 
 
 def _frac_strings(vec) -> list[str]:
@@ -242,11 +250,7 @@ def cmd_rees(args) -> int:
     }
     summary = f"{name}: rees_noetherian={payload['rees_noetherian']}"
     if payload["nilpotent"]:
-        from math import comb
-        if comb(L.dim + r_max, L.dim) > REES_MONOMIAL_CAP:
-            raise CommandError(
-                f"{comb(L.dim + r_max, L.dim)} monomials exceed the cap "
-                f"{REES_MONOMIAL_CAP}; lower --max-filtration")
+        _guard_monomials(L, r_max, "--max-filtration")
         table = rees_layer_table(L, r_max, m_max)
         matches = all(table.dim(1, m) == lcs.term(m).dim
                       for m in range(1, m_max + 1))
@@ -256,6 +260,8 @@ def cmd_rees(args) -> int:
         payload["lcs_dims_match"] = matches
         payload["monoid_generated"] = monoid_generator_check(L, r_max, m_max)
         if args.verify_pbw:
+            # the brute-force pass spans the words up to this length
+            _guard_monomials(L, _word_cap(table.nu, m_max, r_max), "--max-weight")
             checks = [{"m": m, "r_max": r_max, "equal": equal}
                       for m, equal in enumerate(ipower_checks(L, m_max, r_max), 1)]
             all_equal = all(check["equal"] for check in checks)

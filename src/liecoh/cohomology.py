@@ -89,7 +89,7 @@ from .errors import (
     DimensionMismatchError,
     NotAnIdealError,
 )
-from .lie import LieAlgebra, Quotient, _constants, bracket, is_ideal, nil_quotient, quotient
+from .lie import LieAlgebra, Quotient, _bracket, _constants, is_ideal, quotient
 from .linalg import (
     QMatrix,
     Subspace,
@@ -97,6 +97,7 @@ from .linalg import (
     _dense,
     _echelon,
     _kernel,
+    _sparse,
     _tag_coordinates,
     _transpose,
     kernel,
@@ -165,23 +166,23 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
       sorting e_k into R costs (-1)^a(k).
     The terms add up as ints D * entry, D the lcm of the denominators of
     the structure constants and the action; each nonzero sum becomes a
-    Fraction over D once, when the rows are handed to `QMatrix`.
+    Fraction over D once, when the rows are handed to `QMatrix`.  The
+    nonzero constants come from `_constants` as ints E * c_ij^k, E | D.
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
     n = L.dim
     m = M.dim
-    D = lcm(*[g.denominator for row in L.c for col in row for g in col if g],
-            *[a.denominator for mat in M.rho for row in mat.entries for a in row.values()])
+    E, table = _constants(L)
+    D = lcm(E, *[a.denominator for mat in M.rho for row in mat.entries for a in row.values()])
     terms = {}
     for t, mat in enumerate(M.rho):
         if not mat.is_zero():
             _term(terms, (t,), (), _block(mat.entries, D))
     for i in range(n):
         for j in range(i + 1, n):
-            for k, g in enumerate(L.c[i][j]):
-                if g:
-                    _term(terms, (i, j), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+            for k, g in table[i][j]:
+                _term(terms, (i, j), (k,), _signed((b, b, -g * (D // E)) for b in range(m)))
     return CochainComplex(L, M, tuple(_operators(terms, n, m, D, range(n), 1)))
 
 
@@ -200,20 +201,21 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
     its weight under x is 0 only when it is 0 under every x_j: x is as
     generic as a solution can be.  Returns None when every weight of every
     solution is 0, at once when no ad e_a and no rho(e_a) has a nonzero
-    diagonal entry.
+    diagonal entry.  The ad entries are the ints E * c of `_constants`.
     """
     n, m = L.dim, M.dim
-    diag = [[(i, L.c[a][i][i]) for i in range(n) if L.c[a][i][i]]
-            + [(n + b, row[b]) for b, row in enumerate(M.rho[a].entries) if b in row]
-            for a in range(n)]
+    E, table = _constants(L)
+    rho_diag = [[(n + b, row[b]) for b, row in enumerate(M.rho[a].entries) if b in row]
+                for a in range(n)]
+    D = lcm(E, *[g.denominator for terms in rho_diag for _, g in terms])
+    diag = [[(i, g * (D // E)) for i, terms in enumerate(table[a]) for k, g in terms if k == i]
+            + [(k, _scaled(g, D)) for k, g in rho_diag[a]] for a in range(n)]
     if not any(diag):
         return None
-    D = lcm(*[g.denominator for terms in diag for _, g in terms])
-    diag = [[(k, _scaled(g, D)) for k, g in terms] for terms in diag]
     # row (k, i) of the conditions: the (k, i) entry of ad x or rho(x), linear in x
     conditions: dict = {}
-    for a, table in enumerate(_constants(L)[1]):
-        for i, terms in enumerate(table):
+    for a in range(n):
+        for i, terms in enumerate(table[a]):
             for k, g in terms:
                 if k != i:
                     conditions.setdefault((k, i), {})[a] = g
@@ -367,21 +369,27 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
       for every coefficient index beta and every (p-1)-wedge R without
       i and k, a(.) counting the entries of R below an index: the
       replaced factor moves to the front and e_k sorts back in.
-    x's brackets and D are computed once, for all degrees.
+    x's brackets and D are computed once, for all degrees.  [x, u_i] is
+    `_bracket` of x with the ideal's int basis row d_i u_i; in the ideal,
+    its coordinate on u_k is its entry at u_k's pivot.
     """
     s = cx.algebra.dim
     m = cx.coeff.dim
     act = M.action(x).entries
-    coords = [ideal.coordinates(bracket(L, x, col)) for col in ideal.basis.data]
-    D = lcm(*[g.denominator for v in coords for g in v if g],
+    E, table = _constants(L)
+    x = _sparse(vector(x))
+    coords = []
+    for p, row in ideal._rows.items():
+        w = _bracket(table, x, row)
+        coords.append([(k, w[t] / (E * row[p])) for k, t in enumerate(ideal._rows) if t in w])
+    D = lcm(*[g.denominator for v in coords for _, g in v],
             *[a.denominator for row in act for a in row.values()])
     terms = {}
     if any(act):
         _term(terms, (), (), _block(act, D))
     for i, v in enumerate(coords):
-        for k, g in enumerate(v):
-            if g:
-                _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+        for k, g in v:
+            _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
     return tuple(_operators(terms, s, m, D, range(s + 1), 0))
 
 
@@ -436,12 +444,10 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficients must form a module over the ambient algebra")
-    if not is_ideal(L, ideal):
-        raise NotAnIdealError("action on cohomology needs a Lie ideal")
+    nq = quotient(L, ideal)     # NotAnIdealError unless the ideal is one
     res = restrict(M, ideal)
     cx = ce_complex(res.algebra, res)
     coh = cohomology_of(cx)
-    nq = quotient(L, ideal)
     per_lift_ops = [_chain_operators(cx, L, ideal, M, nq.lift(a))
                     for a in range(nq.algebra.dim)]
     modules = []
@@ -452,26 +458,19 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     return ActionOnCohomology(nq, coh, tuple(modules))
 
 
-def inflation_map(L: LieAlgebra, nq: Quotient | None = None,
-                  cx_L: CochainComplex | None = None,
-                  cx_q: CochainComplex | None = None) -> tuple[QMatrix, ...]:
+def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
+                  cx_q: CochainComplex) -> tuple[QMatrix, ...]:
     """Cochain pullback along the projection to the nilpotent quotient.
 
     With trivial coefficients the degree-p matrix has entries the p x p
     minors of the projection: row T holds the wedge expansion of the
     projected basis vectors indexed by T.  The family is verified to be a
     chain map between the trivial-coefficient complexes cx_L of L and
-    cx_q of the quotient, which are built here unless passed in.
+    cx_q of the quotient nq.
     Returns matrices for p = 0..dim(quotient).
     """
-    if nq is None:
-        nq = nil_quotient(L)
     n = L.dim
     qd = nq.algebra.dim
-    if cx_L is None:
-        cx_L = ce_complex(L, trivial_module(L))
-    if cx_q is None:
-        cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
     columns = _transpose(nq.projection.entries, n)
     maps = [QMatrix._wrap(rows, comb(qd, p))
             for p, rows in enumerate(wedge_powers(columns, qd, qd))]
@@ -497,10 +496,8 @@ class InflationReport:
         return all(self.iso_per_degree)
 
 
-def inflation_on_cohomology(L: LieAlgebra, nq: Quotient | None = None) -> InflationReport:
-    """Whether pullback from the nilpotent quotient is an isomorphism."""
-    if nq is None:
-        nq = nil_quotient(L)
+def inflation_on_cohomology(L: LieAlgebra, nq: Quotient) -> InflationReport:
+    """Whether pullback from the nilpotent quotient nq is an isomorphism."""
     cx_L = ce_complex(L, trivial_module(L))
     cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
     maps = inflation_map(L, nq, cx_L, cx_q)

@@ -6,6 +6,12 @@ validation (antisymmetry, Jacobi), the two descending series, quotients
 and subalgebras as new structure-constant tables, and bases adapted to
 the bracket filtration together with their weight sequence.
 
+Vectors are bracketed along one path: `_bracket` on sparse rows, through
+the int constants D * c of `_constants`.  The closure tests, the series,
+the constants of quotients and subalgebras, and the cochain builders of
+`cohomology` all read it; the public `bracket` is a dense wrapper for
+callers outside the library.
+
 All values are immutable and all functions are pure.
 """
 
@@ -30,11 +36,11 @@ from .linalg import (
     _dense,
     _frac,
     _insert,
+    _reduce,
     _span,
     _sparse,
     _tag_coordinates,
     _transpose,
-    unit_vector,
     vector,
 )
 
@@ -246,6 +252,8 @@ def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     their canonical bases) through the int constants of `_constants`, all
     in ints.
     """
+    if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
+        raise DimensionMismatchError("subspace has wrong ambient dimension")
     _, table = _constants(L)
     return _span(L.dim, [_bracket(table, u, v)
                          for u in a._rows.values() for v in b._rows.values()])
@@ -329,20 +337,11 @@ def is_solvable(L: LieAlgebra) -> bool:
 
 
 def is_subalgebra(L: LieAlgebra, sub: Subspace) -> bool:
-    rows = sub.basis.data
-    return all(sub.contains(bracket(L, u, v))
-               for a, u in enumerate(rows) for v in rows[a + 1:])
+    return bracket_span(L, sub, sub) <= sub
 
 
 def is_ideal(L: LieAlgebra, sub: Subspace) -> bool:
-    if sub.ambient_dim != L.dim:
-        raise DimensionMismatchError("subspace has wrong ambient dimension")
-    for i in range(L.dim):
-        ei = unit_vector(L.dim, i)
-        for v in sub.basis.data:
-            if not sub.contains(bracket(L, ei, v)):
-                return False
-    return True
+    return bracket_span(L, Subspace.full(L.dim), sub) <= sub
 
 
 @dataclass(frozen=True)
@@ -370,16 +369,17 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     if not is_ideal(L, ideal):
         raise NotAnIdealError("quotient requires a bracket-stable ideal")
     n = L.dim
-    pivots, chosen = _classes(ideal.basis.entries, Subspace.full(n))
-    lifts = [_dense(row, 0, n) for row in chosen]
-    q = len(lifts)
+    pivots, chosen = _classes(ideal._rows.values(), Subspace.full(n))
+    q = len(chosen)
     # column j of the projection: the coordinates of e_j on the lifts, mod the ideal
     projection = QMatrix._wrap(
         _transpose([_tag_coordinates(pivots, n, {j: Fraction(1)}) for j in range(n)], q), n)
-    section = QMatrix.from_columns(lifts, rows=n)
-    labels = [f"{L.labels[min(row)]}_bar" for row in chosen]
-    c = [[projection.apply(bracket(L, lifts[a], lifts[b])) for b in range(q)]
-         for a in range(q)]
+    section = QMatrix._wrap(_transpose(chosen, n), q)
+    lifts = [min(row) for row in chosen]    # unit vectors e_j: their brackets are in the table
+    D, table = _constants(L)
+    c = [[tuple(x / D for x in _dense(_tag_coordinates(pivots, n, dict(table[i][j])), 0, q))
+          for j in lifts] for i in lifts]
+    labels = [f"{L.labels[i]}_bar" for i in lifts]
     return Quotient(LieAlgebra(c, labels), projection, section)
 
 
@@ -398,19 +398,15 @@ def subalgebra(L: LieAlgebra, sub: Subspace) -> tuple[LieAlgebra, QMatrix]:
     """
     if sub.ambient_dim != L.dim:
         raise DimensionMismatchError("subspace has wrong ambient dimension")
-    rows = sub.basis.data
-    k = len(rows)
-    pivots = sub.pivots()
-    c = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            w = bracket(L, rows[a], rows[b])
-            if not sub.contains(w):
-                raise NotASubalgebraError("subspace is not closed under the bracket")
-            c[a][b] = tuple(w[p] for p in pivots)
-    labels = tuple(L.labels[p] for p in pivots)
-    inclusion = QMatrix.from_columns(rows, rows=L.dim)
-    return LieAlgebra(c, labels), inclusion
+    D, table = _constants(L)
+    rows = sub._rows    # the canonical basis vector at pivot p is rows[p] / rows[p][p]
+    hits = [[_bracket(table, u, v) for v in rows.values()] for u in rows.values()]
+    if any(_reduce(rows, w)[0] is not None for ws in hits for w in ws):
+        raise NotASubalgebraError("subspace is not closed under the bracket")
+    # w is D u[p] v[r] times a bracket of basis vectors, whose coordinates are its entries at pivots
+    c = [[tuple(Fraction(w.get(t, 0), D * u[p] * v[r]) for t in rows)
+          for w, (r, v) in zip(ws, rows.items())] for ws, (p, u) in zip(hits, rows.items())]
+    return LieAlgebra(c, tuple(L.labels[p] for p in rows)), sub.basis.transpose()
 
 
 @dataclass(frozen=True)
@@ -438,24 +434,14 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     if not is_nilpotent(L):
         raise NotNilpotentError("adapted bases exist only for nilpotent algebras")
     chain = power_filtration(L)
+    # a span of standard basis vectors has them as its canonical rows
+    if any(len(row) != 1 for term in chain.terms for row in term._rows.values()):
+        raise AdaptedBasisError(
+            "filtration terms are not spanned by standard basis vectors; "
+            "re-express the algebra in a filtration-compatible basis")
     n = L.dim
-    units = [unit_vector(n, i) for i in range(n)]
-    nu = []
-    for i in range(n):
-        depth = 0
-        for d in range(1, len(chain.terms) + 1):
-            if chain.term(d).contains(units[i]):
-                depth = d
-        if depth == 0:
-            raise AdaptedBasisError(
-                f"basis element {L.labels[i]} does not lie in the algebra's filtration")
-        nu.append(depth)
-    for d in range(1, len(chain.terms) + 1):
-        tail = [units[i] for i in range(n) if nu[i] >= d]
-        if Subspace.from_rows(n, tail) != chain.term(d):
-            raise AdaptedBasisError(
-                "filtration terms are not spanned by standard basis vectors; "
-                "re-express the algebra in a filtration-compatible basis")
+    # term 1 is the whole algebra
+    nu = [max(d for d, term in enumerate(chain.terms, 1) if i in term._rows) for i in range(n)]
     order = tuple(sorted(range(n), key=lambda i: (nu[i], i)))
     return AdaptedBasis(order, tuple(nu[i] for i in order))
 

@@ -268,9 +268,9 @@ def _reduce_into(pivots: dict, row: dict) -> None:
 
 
 # `_word_span`'s cache is process-global, so it is bounded.  One brute-force
-# pass needs an entry per word length s = 0..cap of its algebra (cap + 1 <= 9
-# on the benchmark's cases).  The letter-product memo is not cached: it lives
-# only while one word length is built.
+# pass keeps its own list of the word lengths s = 0..cap and asks the cache
+# only for the length below each new one.  The letter-product memo is not
+# cached: it lives only while one word length is built.
 _WORD_SPAN_CACHE_SIZE = 32
 
 
@@ -279,7 +279,9 @@ def _word_span(L: LieAlgebra, s: int) -> tuple:
     """Engine pivot rows spanning the straightened words of length exactly s.
 
     Each row is a tuple of (key, int) items keyed as in `_reduce_into`: a
-    primitive int pivot row, so only the span of the rows is meaningful."""
+    primitive int pivot row, so only the span of the rows is meaningful.
+    Ask for s = 0, 1, ... in turn: the cache then holds length s - 1 and the
+    recursion stays one level deep."""
     if s == 0:
         return ((((0, (0,) * L.dim), 1),),)
     memo: dict = {}
@@ -289,6 +291,11 @@ def _word_span(L: LieAlgebra, s: int) -> tuple:
             prod = _combine((_times_letter(L, a, i, memo), c) for (_, a), c in prev)
             _reduce_into(pivots, {(-sum(b), b): c for b, c in prod.items()})
     return tuple(tuple(row.items()) for row in pivots.values())
+
+
+def _word_cap(nu, m_max: int, r_max: int) -> int:
+    """Longest words spanned for the powers m <= m_max (module docstring)."""
+    return max(m_max, r_max * max(nu)) if nu else max(m_max, r_max)
 
 
 def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
@@ -303,7 +310,8 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
         raise ValueError("powers of the augmentation ideal start at m = 1")
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
-    cap = max(m_hi, r_max * max(nu)) if nu else max(m_hi, r_max)
+    cap = _word_cap(nu, m_hi, r_max)
+    spans = [_word_span(L, s) for s in range(cap + 1)]
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}
     pivots: dict = {}
@@ -311,7 +319,7 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     powers = []
     for s in range(cap, m_lo - 1, -1):
         seen = len(pivots)
-        for row in _word_span(L, s):
+        for row in spans[s]:
             _reduce_into(pivots, dict(row))
         low += [{index[a]: c for (_, a), c in row.items()}
                 for (neg_degree, _), row in islice(pivots.items(), seen, None)

@@ -138,12 +138,9 @@ class Character:
         return cls(vector(values))
 
     def is_additive(self, L: LieAlgebra) -> bool:
-        n = L.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sum((c * v for c, v in zip(L.c[i][j], self.values)), Fraction(0)):
-                    return False
-        return True
+        """Whether the values vanish on every [e_i, e_j], read off `lie._constants`."""
+        table = _constants(L)[1]
+        return not any(sum(g * self.values[k] for k, g in terms) for row in table for terms in row)
 
     def is_zero(self) -> bool:
         return not any(self.values)

@@ -141,6 +141,19 @@ def ce_dims(c, rho, m):
     return tuple(dims)
 
 
+def dense_bracket(c, u, v):
+    """[u, v] of coordinate vectors, summed over every index triple of the
+    structure-constant table c."""
+    n = len(c)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] += Fraction(u[i]) * Fraction(v[j]) * Fraction(c[i][j][k])
+    return tuple(out)
+
+
 def gauss_coordinates(basis, v):
     """The coefficients of v in the independent rows `basis`, or None when v
     is outside their span, by eliminating [basis^T | v]."""

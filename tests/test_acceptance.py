@@ -19,6 +19,7 @@ from liecoh.cohomology import (
 )
 from liecoh.lie import (
     lower_central_series,
+    nil_quotient,
     power_filtration,
     subalgebra,
     validate,
@@ -230,7 +231,9 @@ def test_criterion_7_structural_invariants():
 
         # inflation is a chain map on every catalog entry
         for L in algebras:
-            inflation_map(L)
+            nq = nil_quotient(L)
+            inflation_map(L, nq, ce_complex(L, trivial_module(L)),
+                          ce_complex(nq.algebra, trivial_module(nq.algebra)))
 
         # straightening: confluence and degree multiplicativity
         for L in algebras:

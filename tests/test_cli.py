@@ -305,6 +305,30 @@ def test_rees_command_non_nilpotent():
     assert payload["table"] is None
 
 
+def test_rees_verify_pbw_spans_long_words():
+    # one word length per level; building length s from s - 1 must not recurse s deep
+    proc = run_cli("rees", "abelian1", "--max-filtration", "1", "--max-weight", "900",
+                   "--verify-pbw")
+    checks = payload_of(proc)["pbw_verified"]["checks"]
+    assert len(checks) == 900
+    assert all(check["equal"] for check in checks)
+
+
+def test_rees_verify_pbw_refuses_words_past_the_monomial_cap():
+    # heisenberg3 has max weight 2, so R = 1, M = 60 spans words up to length
+    # 60 in 3 letters: comb(63, 3) = 39711 monomials
+    proc = run_cli("rees", "heisenberg3", "--max-filtration", "1", "--max-weight", "60",
+                   "--verify-pbw", expect=2)
+    assert "39711 monomials exceed the cap 5000" in proc.stderr
+    assert proc.stdout == ""
+    # comb(32, 3) = 4960 stays below it
+    run_cli("rees", "heisenberg3", "--max-filtration", "1", "--max-weight", "29",
+            "--verify-pbw")
+    # the layer table alone counts the monomials of degree <= R only
+    assert payload_of(run_cli("rees", "heisenberg3", "--max-filtration", "1",
+                              "--max-weight", "60"))["table"] is not None
+
+
 def test_e2_command_sl2():
     proc = run_cli("e2", "sl2")
     payload = payload_of(proc)

@@ -161,6 +161,11 @@ def test_delta_entries_match_defining_formula_relabelled():
         assert any(g.denominator > 1 for row in L.c for col in row for g in col), name
         _assert_deltas_match_formula(L, trivial_module(L), (name, "trivial"))
         _assert_deltas_match_formula(L, adjoint_module(L), (name, "adjoint"))
+        # a character with denominator 7 makes the common denominator differ
+        # from that of the structure constants; [L, L] is spanned by basis vectors
+        derived = bracket_span(L, Subspace.full(L.dim), Subspace.full(L.dim)).pivots()
+        chi = Character.of([0 if k in derived else Fraction(k + 1, 7) for k in range(L.dim)])
+        _assert_deltas_match_formula(L, one_dim_module(L, chi), (name, "character"))
 
 
 @pytest.mark.parametrize("name", ["exampleA", "propC", "amazing-L", "ut3-relabelled"])
@@ -361,21 +366,27 @@ def test_induced_invariants_of_the_five_dim_example():
 
 # --- inflation -----------------------------------------------------------
 
+def _inflation_maps(L, nq):
+    """`inflation_map` along nq, between the trivial-coefficient complexes."""
+    return inflation_map(L, nq, ce_complex(L, trivial_module(L)),
+                         ce_complex(nq.algebra, trivial_module(nq.algebra)))
+
+
 def test_inflation_identity_on_nilpotent():
     for name in NILPOTENT_NAMES:
         L = catalog.get(name)
-        report = inflation_on_cohomology(L)
+        report = inflation_on_cohomology(L, nil_quotient(L))
         assert report.is_isomorphism, name
         assert report.source_dims == report.target_dims
         # the quotient map is the identity, so every cochain map is too
-        for p, m in enumerate(inflation_map(L)):
+        for p, m in enumerate(_inflation_maps(L, nil_quotient(L))):
             assert m == QMatrix.identity(m.rows), (name, p)
 
 
 def _assert_inflation_minors(L):
     nq = nil_quotient(L)
     P = nq.projection
-    for p, m in enumerate(inflation_map(L, nq)):
+    for p, m in enumerate(_inflation_maps(L, nq)):
         for t, T in enumerate(combinations(range(L.dim), p)):
             for s, S in enumerate(combinations(range(nq.algebra.dim), p)):
                 assert m[t, s] == det_permutation([[P[i, j] for j in T] for i in S])
@@ -401,7 +412,7 @@ def test_inflation_entries_are_projection_minors():
 
 def test_inflation_example_a_iso():
     A = catalog.example_a()
-    report = inflation_on_cohomology(A)
+    report = inflation_on_cohomology(A, nil_quotient(A))
     assert report.is_isomorphism
     assert report.source_dims == (1, 1, 0)
     assert report.target_dims == (1, 1, 0)
@@ -409,7 +420,8 @@ def test_inflation_example_a_iso():
 
 def test_inflation_fails_for_prop_c_and_sl2():
     for name in ("propC", "sl2"):
-        report = inflation_on_cohomology(catalog.get(name))
+        L = catalog.get(name)
+        report = inflation_on_cohomology(L, nil_quotient(L))
         assert not report.is_isomorphism, name
 
 
@@ -417,7 +429,7 @@ def test_inflation_maps_are_chain_maps():
     # the constructor itself raises if not; run it on mixed cases
     for name in ("exampleA", "ut3", "propC", "heisenberg3"):
         L = catalog.get(name)
-        maps = inflation_map(L)
+        maps = _inflation_maps(L, nil_quotient(L))
         assert maps[0] == QMatrix([[1]])
 
 
@@ -635,6 +647,17 @@ def test_weight_zero_block_matches_unsplit_on_random_algebras():
         _assert_split_matches_unsplit(L, trivial_module(L), rng, i)
         split += _splits(L, trivial_module(L))
     assert split >= 10
+
+
+def test_weight_zero_block_matches_unsplit_with_a_module_denominator():
+    # x acts on the module by 1 and 1/7, so the common denominator of the
+    # weights is 7 while the structure constants are integers; cohomology
+    # lives in the weight-0 cochains of the value 1, which 1/7 must not move
+    A = catalog.example_a()
+    M = LieModule(A, [QMatrix([[1, 0], [0, Fraction(1, 7)]]), QMatrix.zero(2, 2)])
+    assert _splits(A, M)
+    assert cohomology(A, M).dims == (0, 1, 1)
+    _assert_split_matches_unsplit(A, M, random.Random(604), "denominator 7")
 
 
 def _elementary_conjugate(M, rng):

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from liecoh import catalog
-from liecoh.errors import AdaptedBasisError, NotAnIdealError, NotNilpotentError
+from liecoh.errors import (
+    AdaptedBasisError,
+    DimensionMismatchError,
+    NotAnIdealError,
+    NotASubalgebraError,
+    NotNilpotentError,
+)
 from liecoh.lie import (
     LieAlgebra,
     adapted_basis,
@@ -24,6 +30,7 @@ from liecoh.lie import (
     validate,
 )
 from liecoh.linalg import Subspace, unit_vector
+from oracles import dense_bracket, gauss_coordinates, gauss_rank, relabel
 
 ALL_NAMES = catalog.names()
 
@@ -382,3 +389,108 @@ def test_random_reordered_series_invariant():
         R = reorder_basis(H, tuple(perm))
         assert lower_central_series(R).dims == (3, 1, 0)
         assert is_nilpotent(R)
+
+
+# --- the int bracket path against dense brackets --------------------------
+
+def _ut3_in_random_basis(rng):
+    """ut(3) on random integer combinations of its matrix units: its series
+    terms are no coordinate subspaces, so their canonical int rows do not
+    all lead with 1."""
+    units = [[[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+             for i in range(3) for j in range(i, 3)]
+    A = [[1]]
+    while gauss_rank(A) < len(units):
+        A = [[rng.randint(-2, 2) for _ in units] for _ in units]
+    mats = [[[sum(a * u[r][c] for a, u in zip(row, units)) for c in range(3)]
+             for r in range(3)] for row in A]
+    return LieAlgebra.from_matrices([f"b{k}" for k in range(len(units))], mats)
+
+
+def _oracle_cases(rng):
+    """(algebra, subspaces) pairs: relabelled catalog algebras, ut(4) and ut(3)
+    in random bases, each with random spans (most neither closed nor
+    ideals), one-vector spans (always closed) and the terms of both series."""
+    bases = [catalog.get(name) for name in ALL_NAMES] + [catalog.ut(4)]
+    bases += [_ut3_in_random_basis(rng) for _ in range(2)]
+    for base in bases:
+        L = LieAlgebra(*relabel(base.c, base.labels, rng))
+        n = L.dim
+        spans = [Subspace.from_rows(n, [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                                        for _ in range(k)])
+                 for k in (1, rng.randint(0, n), rng.randint(0, n))]
+        spans += lower_central_series(L).terms + derived_series(L).terms
+        yield L, spans
+
+
+def _dense_closed(L, sub, ambient):
+    """Whether [a, b] lies in sub for every a in `ambient`, b in sub's basis."""
+    rows = sub.basis.data
+    hits = [dense_bracket(L.c, a, b) for a in ambient for b in rows]
+    return gauss_rank(list(rows) + hits) == len(rows)
+
+
+def test_closure_tests_match_dense_brackets():
+    rng = random.Random(1101)
+    seen = set()
+    for L, spans in _oracle_cases(rng):
+        units = [_unit(L, i) for i in range(L.dim)]
+        for sub in spans:
+            ideal = _dense_closed(L, sub, units)
+            closed = _dense_closed(L, sub, sub.basis.data)
+            assert is_ideal(L, sub) == ideal, (L, sub)
+            assert is_subalgebra(L, sub) == closed, (L, sub)
+            seen.add((ideal, closed))
+    # ideals, closed non-ideals and unclosed spans all occurred
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def test_subalgebra_and_quotient_constants_match_dense_brackets():
+    rng = random.Random(1102)
+    for L, spans in _oracle_cases(rng):
+        for sub in spans:
+            rows = sub.basis.data
+            if not _dense_closed(L, sub, rows):
+                with pytest.raises(NotASubalgebraError):
+                    subalgebra(L, sub)
+                continue
+            S, inclusion = subalgebra(L, sub)
+            assert inclusion.transpose().data == rows
+            for a, u in enumerate(rows):
+                for b, v in enumerate(rows):
+                    assert list(S.c[a][b]) == gauss_coordinates(rows, dense_bracket(L.c, u, v))
+            if not _dense_closed(L, sub, [_unit(L, i) for i in range(L.dim)]):
+                continue
+            q = quotient(L, sub)
+            lifts = [q.lift(a) for a in range(q.algebra.dim)]
+            for a, u in enumerate(lifts):
+                for b, v in enumerate(lifts):
+                    # coordinates on the lifts, modulo the ideal's basis
+                    coords = gauss_coordinates(lifts + list(rows), dense_bracket(L.c, u, v))
+                    assert list(q.algebra.c[a][b]) == coords[:len(lifts)]
+
+
+def test_closed_span_that_is_no_ideal():
+    # span{e} of sl2 and span{x} of the Heisenberg algebra are closed, and
+    # bracketing with the rest of the algebra leaves them
+    for L, i in ((catalog.sl2(), 1), (catalog.heisenberg3(), 0)):
+        line = Subspace.from_rows(L.dim, [_unit(L, i)])
+        assert is_subalgebra(L, line)
+        assert not is_ideal(L, line)
+        assert subalgebra(L, line)[0].dim == 1
+        with pytest.raises(NotAnIdealError):
+            quotient(L, line)
+
+
+def test_closure_tests_reject_a_wrong_ambient_dimension():
+    H = catalog.heisenberg3()
+    for n in (2, 4):
+        full = Subspace.full(n)
+        with pytest.raises(DimensionMismatchError):
+            bracket_span(H, full, full)
+        with pytest.raises(DimensionMismatchError):
+            bracket_span(H, Subspace.full(3), full)
+        with pytest.raises(DimensionMismatchError):
+            is_ideal(H, full)
+        with pytest.raises(DimensionMismatchError):
+            is_subalgebra(H, full)
