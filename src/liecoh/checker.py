@@ -14,7 +14,8 @@ conditions 2 and 3 and nothing more.
 
 `verify_report` asserts the cross-theorem invariants (two-condition
 agreement, the nilpotent fast path, solvability of the stable term when
-condition 3 holds, bottom-row collapse of the starting page, and the
+condition 3 holds, a trivial subquotient in H^q(L^inf) exactly when
+E2^{0,q} != 0, bottom-row collapse of the starting page, and the
 dimension bound of the page against the abutting cohomology).
 `check_catalog` runs all of that over every built-in example.
 """
@@ -27,6 +28,7 @@ from .cohomology import (
     E2Page,
     _e2_from_action,
     action_on_cohomology,
+    cohomology,
     inflation_on_cohomology,
 )
 from .errors import InvariantError, NotASubalgebraError
@@ -38,7 +40,7 @@ from .lie import (
     validate,
 )
 from .pbw import is_rees_noetherian
-from .rep import _joint_generalized_kernel_nonzero, trivial_module
+from .rep import invariants, trivial_module
 
 __all__ = [
     "TheoremReport",
@@ -78,20 +80,16 @@ class TheoremReport:
 def check(L: LieAlgebra) -> TheoremReport:
     """Run the full decision procedure on a validated algebra."""
     validate(L).require()
-    lcs = lower_central_series(L)
-    linf = lcs.last
-    triv = trivial_module(L)
-
-    aoc = action_on_cohomology(L, linf, triv)
-    infl = inflation_on_cohomology(L, aoc.quotient)
-
-    # the modules are over L/L^inf, which is nilpotent by construction
-    trivial_in = tuple(_joint_generalized_kernel_nonzero(aoc.modules[q])
-                       for q in range(1, linf.dim + 1))
+    linf = lower_central_series(L).last
+    aoc = action_on_cohomology(L, linf, trivial_module(L))
+    # H^*(N, H^q(L^inf)), N = L/L^inf; q = 0 is H^*(N, k), as H^0(L^inf, k) = k
+    page = [cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules]
+    infl = inflation_on_cohomology(L, aoc.quotient, page[0])
+    # N is nilpotent, so a trivial subquotient is a nonzero invariant (Engel, `rep`)
+    trivial_in = tuple(invariants(aoc.modules[q]).dim > 0 for q in range(1, linf.dim + 1))
     condition3 = not any(trivial_in)
     condition2 = infl.is_isomorphism
-
-    e2 = _e2_from_action(aoc)
+    e2 = _e2_from_action(page)
 
     return TheoremReport(
         is_nilpotent=linf.dim == 0,
@@ -134,6 +132,12 @@ def verify_report(report: TheoremReport, context: str = "") -> None:
         fail("graded Noetherianity must coincide with nilpotency")
     if report.condition3 and not report.linf_solvable:
         fail("condition 3 holds but the stable lower-central term is not solvable")
+    # H^0(N, M) = M^N, from delta_0 of N's complex, is nonzero exactly when M has a
+    # trivial subquotient, found from the stacked action rows of `rep.invariants`
+    invariant = tuple(d > 0 for d in report.e2_table[0][1:])
+    if report.trivial_subquotient_in_hq != invariant:
+        fail(f"trivial subquotients {report.trivial_subquotient_in_hq} in H^q, q >= 1, "
+             f"differ from the nonzero page entries E2^(0,q) {invariant}")
 
     n = len(report.h_total)
     if report.condition3:

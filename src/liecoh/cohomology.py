@@ -132,6 +132,14 @@ class CochainComplex:
     coeff: LieModule
     deltas: tuple[QMatrix, ...]          # deltas[p]: C^p -> C^{p+1}, p = 0..n-1
 
+    def __post_init__(self):
+        shapes = [(d.rows, d.cols) for d in self.deltas]
+        expected = [(self.space_dim(p + 1), self.space_dim(p)) for p in range(self.algebra.dim)]
+        if self.coeff.algebra != self.algebra or shapes != expected:
+            raise DimensionMismatchError(f"differentials of shapes {shapes} with coefficients "
+                                         f"over {self.coeff.algebra!r}; expected {expected} "
+                                         f"over {self.algebra!r}")
+
     def space_dim(self, p: int) -> int:
         return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
 
@@ -496,29 +504,28 @@ class InflationReport:
         return all(self.iso_per_degree)
 
 
-def inflation_on_cohomology(L: LieAlgebra, nq: Quotient) -> InflationReport:
-    """Whether pullback from the nilpotent quotient nq is an isomorphism."""
+def inflation_on_cohomology(L: LieAlgebra, nq: Quotient,
+                            coh_q: CohomologyResult) -> InflationReport:
+    """Whether pullback from the nilpotent quotient nq is an isomorphism.
+
+    coh_q must be H^*(nq.algebra) with one-dimensional trivial
+    coefficients (DimensionMismatchError otherwise); `checker.check`
+    passes H^*(N, H^0(L^inf)), the q = 0 row of its starting page.
+    """
+    coeff = coh_q.complex.coeff
+    if coh_q.complex.algebra != nq.algebra or coeff.dim != 1 or not coeff.is_trivial():
+        raise DimensionMismatchError("coh_q must be the quotient's cohomology with "
+                                     "one-dimensional trivial coefficients")
     cx_L = ce_complex(L, trivial_module(L))
-    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
-    maps = inflation_map(L, nq, cx_L, cx_q)
-    qd = nq.algebra.dim
+    maps = inflation_map(L, nq, cx_L, coh_q.complex)
     coh_L = cohomology_of(cx_L)
-    coh_q = cohomology_of(cx_q)
-    induced = []
-    isos = []
-    src_dims = []
-    for p in range(L.dim + 1):
-        hs = coh_q.dims[p] if p <= qd else 0
-        ht = coh_L.dims[p]
-        src_dims.append(hs)
-        if p <= qd:
-            mat = coh_L.coordinates(p, maps[p] * coh_q.rep_matrix(p))
-        else:
-            mat = QMatrix.zero(ht, 0)
-        induced.append(mat)
-        isos.append(hs == ht and rank(mat) == ht)
-    return InflationReport(nq, tuple(src_dims), tuple(coh_L.dims),
-                           tuple(induced), tuple(isos))
+    qd = nq.algebra.dim
+    src_dims = coh_q.dims + (0,) * (L.dim - qd)
+    induced = tuple(coh_L.coordinates(p, maps[p] * coh_q.rep_matrix(p)) if p <= qd
+                    else QMatrix.zero(ht, 0) for p, ht in enumerate(coh_L.dims))
+    isos = tuple(hs == ht and rank(mat) == ht
+                 for hs, ht, mat in zip(src_dims, coh_L.dims, induced))
+    return InflationReport(nq, src_dims, coh_L.dims, induced, isos)
 
 
 @dataclass(frozen=True)
@@ -550,10 +557,12 @@ class E2Page:
         return all(not d for row in self.dims for d in row[1:])
 
 
-def _e2_from_action(aoc: ActionOnCohomology) -> E2Page:
-    nil = aoc.quotient.algebra
-    dims = [cohomology(nil, mod).dims for mod in aoc.modules]
-    return E2Page(tuple(tuple(d[p] for d in dims) for p in range(nil.dim + 1)))
+def _e2_from_action(page) -> E2Page:
+    """The table of page[q] = H^*(N, H^q(ideal)), q = 0..dim(ideal): the
+    cohomologies of the quotient N with coefficients in the modules of an
+    `action_on_cohomology`, built once by the caller."""
+    top = page[0].complex.top_degree
+    return E2Page(tuple(tuple(c.dims[p] for c in page) for p in range(top + 1)))
 
 
 def hs_e2_page(L: LieAlgebra) -> E2Page:
@@ -563,4 +572,4 @@ def hs_e2_page(L: LieAlgebra) -> E2Page:
 
     linf = lower_central_series(L).last
     aoc = action_on_cohomology(L, linf, trivial_module(L))
-    return _e2_from_action(aoc)
+    return _e2_from_action([cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules])

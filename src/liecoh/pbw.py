@@ -53,7 +53,7 @@ largest, which is how `ipower_checks` verifies all layers at once, and
 
 That the layer lattice points are generated by single letters is a
 theorem, proved in `monoid_generator_check`'s docstring, so that check
-computes nothing beyond the nilpotency guard.
+computes nothing beyond the nilpotency guard and `rees` does not call it.
 """
 
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ from itertools import islice
 
 from .errors import NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, adapted_basis, is_nilpotent, reorder_basis
-from .linalg import Subspace, _insert, _span
+from .linalg import Subspace, _frac, _insert, _span
 
 __all__ = [
     "UEAElement",
@@ -89,7 +89,7 @@ class UEAElement:
 
     def __init__(self, n: int, terms):
         self.n = n
-        self.terms = {tuple(a): Fraction(c) for a, c in dict(terms).items() if c}
+        self.terms = {tuple(a): _frac(c) for a, c in dict(terms).items() if c}
 
     @classmethod
     def zero(cls, n: int) -> "UEAElement":
@@ -100,7 +100,7 @@ class UEAElement:
         exps = tuple(exps)
         if len(exps) != n or any(a < 0 for a in exps):
             raise ValueError("exponent tuple must have n non-negative entries")
-        return cls(n, {exps: Fraction(coeff)})
+        return cls(n, {exps: _frac(coeff)})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "UEAElement":
@@ -131,7 +131,8 @@ class UEAElement:
         return UEAElement(self.n, {a: -c for a, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        return UEAElement(self.n, {a: Fraction(c) * v for a, v in self.terms.items()})
+        c = _frac(c)
+        return UEAElement(self.n, {a: c * v for a, v in self.terms.items()})
 
     __rmul__ = scale
 
@@ -356,18 +357,6 @@ def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     return _weight_span(L.dim, adapted_basis(L).nu, m, r_max)
 
 
-def ipower_checks(L: LieAlgebra, m_max: int, r_max: int) -> tuple[bool, ...]:
-    """Whether `ipower_bruteforce(L, m, r_max) == ipower_predicted(L, m, r_max)`
-    for m = 1..m_max, from one adapted basis and one brute-force pass.
-
-    Nilpotent algebras only.
-    """
-    ab = adapted_basis(L)
-    brute = _ipower_pass(L, ab.order, ab.nu, 1, m_max, r_max)
-    return tuple(b == _weight_span(L.dim, ab.nu, m, r_max)
-                 for m, b in enumerate(brute, 1))
-
-
 @dataclass(frozen=True)
 class ReesLayerTable:
     """dims[r][m] = number of monomials with |a| = r and weight >= m."""
@@ -406,6 +395,15 @@ def rees_layer_table(L: LieAlgebra, r_max: int, m_max: int) -> ReesLayerTable:
                 counts[m] += 1
         table.append(tuple(counts))
     return ReesLayerTable(tuple(table), ab.nu, ab.order)
+
+
+def ipower_checks(L: LieAlgebra, table: ReesLayerTable) -> tuple[bool, ...]:
+    """Whether `ipower_bruteforce(L, m, r) == ipower_predicted(L, m, r)` for
+    m = 1..table.m_max and r = table.r_max, from one brute-force pass and the
+    adapted order and weights of `table = rees_layer_table(L, r, m_max)`."""
+    r_max, nu = table.r_max, table.nu
+    brute = _ipower_pass(L, table.order, nu, 1, table.m_max, r_max)
+    return tuple(b == _weight_span(L.dim, nu, m, r_max) for m, b in enumerate(brute, 1))
 
 
 def monoid_generator_check(L: LieAlgebra, r_max: int, m_max: int) -> bool:

@@ -8,11 +8,15 @@ restriction, direct sums) re-validate; a failure there is an
 implementation bug and raises RepresentationLawError rather than being
 swallowed.
 
-The trivial-subquotient test works over the base field: for a nilpotent
-acting algebra the simultaneous generalized kernel of the action matrices
-is nonzero exactly when some subquotient is the one-dimensional module
-with zero action.  Exponents are capped at the module dimension (Fitting
-stabilization), so no field extension is ever required.
+The trivial-subquotient test is Engel's theorem.  Over an algebraic
+closure a module M of a nilpotent algebra N splits into generalized
+weight spaces, on each of which x - lambda(x) is nilpotent for one
+linear form lambda, so every trivial composition factor lies in M_0, the
+joint generalized kernel of the action matrices.  M_0 is an N-submodule
+defined over Q on which all of N acts nilpotently, so M_0^N != 0 by
+Engel's theorem when M_0 != 0; and an invariant spans a trivial
+submodule.  Hence M has a trivial subquotient iff M^N != 0, which is one
+kernel of the stacked action rows (`invariants`), with no matrix power.
 """
 
 from dataclasses import dataclass
@@ -236,33 +240,17 @@ def direct_sum(M: LieModule, N: LieModule) -> LieModule:
 
 
 def invariants(M: LieModule) -> Subspace:
-    """Joint kernel of all action matrices."""
-    space = Subspace.full(M.dim)
-    for mat in M.rho:
-        space = space & kernel(mat)
-    return space
+    """Joint kernel of all action matrices: one kernel of their stacked rows."""
+    return kernel(QMatrix._wrap([row for mat in M.rho for row in mat.entries], M.dim))
 
 
 def has_trivial_subquotient(M: LieModule) -> bool:
     """Whether some subquotient is the trivial one-dimensional module.
 
     Only meaningful (and only allowed) over a nilpotent acting algebra:
-    there the generalized weight spaces split the module, and weight zero
-    occurs iff the simultaneous generalized kernel is nonzero.
+    there, by Engel's theorem (module docstring), that happens exactly
+    when the invariants are nonzero.
     """
     if not is_nilpotent(M.algebra):
         raise NotNilpotentError("trivial-subquotient detection needs a nilpotent algebra")
-    return _joint_generalized_kernel_nonzero(M)
-
-
-def _joint_generalized_kernel_nonzero(M: LieModule) -> bool:
-    """`has_trivial_subquotient` for a module already known to be over a
-    nilpotent algebra."""
-    if M.dim == 0:
-        return False
-    space = Subspace.full(M.dim)
-    for mat in M.rho:
-        space = space & kernel(mat ** M.dim)
-        if space.dim == 0:
-            return False
-    return space.dim > 0
+    return invariants(M).dim > 0

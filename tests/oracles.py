@@ -246,6 +246,21 @@ def det_permutation(mat):
     return total
 
 
+def generalized_kernel_nonzero(mats, dim):
+    """Whether the joint generalized kernel of square matrices (lists of rows)
+    on Q^dim is nonzero, by Fitting powers: the kernel of A^dim is the
+    generalized kernel of A, and the joint one is the kernel of the stacked
+    rows of every A^dim, here by plain elimination."""
+    rows = []
+    for mat in mats:
+        power = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        for _ in range(dim):
+            power = [[sum((Fraction(row[k]) * mat[k][j] for k in range(dim)), Fraction(0))
+                      for j in range(dim)] for row in power]
+        rows += power
+    return gauss_rank(rows) < dim
+
+
 def relabel(c, labels, rng):
     """Structure constants and labels in the basis f_a = s_a e_perm(a), for a
     random permutation and random nonzero scales."""

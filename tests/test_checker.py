@@ -98,6 +98,19 @@ def test_verify_report_flags_inconsistencies():
         verify_report(broken, context="synthetic")
 
 
+def test_verify_report_matches_trivial_subquotients_with_the_page():
+    import dataclasses
+    for name in ("propC", "exampleA", "ut3"):
+        report = check(catalog.get(name))
+        verify_report(report, context=name)
+        flipped = report.trivial_subquotient_in_hq[:-1] + (
+            not report.trivial_subquotient_in_hq[-1],)
+        # every other field stays as computed, so only the page comparison can fire
+        broken = dataclasses.replace(report, trivial_subquotient_in_hq=flipped)
+        with pytest.raises(InvariantError, match="E2"):
+            verify_report(broken, context=name)
+
+
 def test_random_solvable_algebras_are_what_they_claim():
     rng = random.Random(41)
     for _ in range(25):

@@ -372,10 +372,16 @@ def _inflation_maps(L, nq):
                          ce_complex(nq.algebra, trivial_module(nq.algebra)))
 
 
+def _inflation_on_cohomology(L):
+    """`inflation_on_cohomology` along the nil quotient, with its trivial cohomology."""
+    nq = nil_quotient(L)
+    return inflation_on_cohomology(L, nq, cohomology(nq.algebra, trivial_module(nq.algebra)))
+
+
 def test_inflation_identity_on_nilpotent():
     for name in NILPOTENT_NAMES:
         L = catalog.get(name)
-        report = inflation_on_cohomology(L, nil_quotient(L))
+        report = _inflation_on_cohomology(L)
         assert report.is_isomorphism, name
         assert report.source_dims == report.target_dims
         # the quotient map is the identity, so every cochain map is too
@@ -412,7 +418,7 @@ def test_inflation_entries_are_projection_minors():
 
 def test_inflation_example_a_iso():
     A = catalog.example_a()
-    report = inflation_on_cohomology(A, nil_quotient(A))
+    report = _inflation_on_cohomology(A)
     assert report.is_isomorphism
     assert report.source_dims == (1, 1, 0)
     assert report.target_dims == (1, 1, 0)
@@ -421,7 +427,7 @@ def test_inflation_example_a_iso():
 def test_inflation_fails_for_prop_c_and_sl2():
     for name in ("propC", "sl2"):
         L = catalog.get(name)
-        report = inflation_on_cohomology(L, nil_quotient(L))
+        report = _inflation_on_cohomology(L)
         assert not report.is_isomorphism, name
 
 
@@ -591,6 +597,34 @@ def test_cohomology_of_rejects_a_non_complex():
                          (QMatrix([[1], [0]]), QMatrix([[1, 0]])))
     with pytest.raises(ContainmentError):
         cohomology_of(bad)
+
+
+def test_cochain_complex_refuses_wrong_differentials():
+    H = catalog.heisenberg3()
+    cx = ce_complex(H, trivial_module(H))
+    with pytest.raises(DimensionMismatchError):
+        CochainComplex(H, cx.coeff, cx.deltas[:1])
+    with pytest.raises(DimensionMismatchError):
+        CochainComplex(H, cx.coeff, cx.deltas + (QMatrix.zero(0, 1),))
+    A = catalog.abelian(1)
+    with pytest.raises(DimensionMismatchError):
+        CochainComplex(A, trivial_module(A), (QMatrix([[0], [0]]),))
+    with pytest.raises(DimensionMismatchError):
+        CochainComplex(H, trivial_module(A), cx.deltas)
+    assert cohomology_of(CochainComplex(A, trivial_module(A), (QMatrix([[0]]),))).dims == (1, 1)
+
+
+def test_inflation_refuses_other_quotient_cohomology():
+    L = catalog.heisenberg3()
+    nq = nil_quotient(L)
+    N = nq.algebra
+    assert _inflation_on_cohomology(L).is_isomorphism
+    for coh_q in (cohomology(N, one_dim_module(N, Character.of((1, 0, 0)))),
+                  cohomology(N, adjoint_module(N)),
+                  cohomology(N, trivial_module(N, 2)),
+                  cohomology(catalog.abelian(3), trivial_module(catalog.abelian(3)))):
+        with pytest.raises(DimensionMismatchError):
+            inflation_on_cohomology(L, nq, coh_q)
 
 
 def test_inflation_map_checks_the_complexes_it_is_given():

@@ -255,6 +255,7 @@ def test_coordinates_roundtrip():
 
 def _float_inputs():
     from liecoh.lie import LieAlgebra
+    from liecoh.pbw import UEAElement
     from liecoh.rep import LieModule
 
     h3 = LieAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [(1, 2)]})
@@ -276,6 +277,9 @@ def _float_inputs():
             ["x", "y"], {(0, 1): [(0.5, 1)]}),
         "LieAlgebra.from_matrices": lambda: LieAlgebra.from_matrices(
             ["a"], [[[0, 0.5], [0, 0]]]),
+        "UEAElement": lambda: UEAElement(2, {(1, 0): 0.1}),
+        "UEAElement.monomial": lambda: UEAElement.monomial(2, (1, 0), 0.1),
+        "UEAElement.scale": lambda: 0.1 * UEAElement.generator(2, 0),
     }
 
 

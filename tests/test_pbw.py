@@ -184,7 +184,7 @@ def test_single_pass_snapshots_match_separate_calls():
             assert len(snapshots) == 4
             for m, snap in enumerate(snapshots, 1):
                 assert snap == ipower_bruteforce(L, m, r), (name, m, r)
-            assert ipower_checks(L, 4, r) == (True,) * 4, (name, r)
+            assert ipower_checks(L, rees_layer_table(L, r, 4)) == (True,) * 4, (name, r)
 
 
 def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
@@ -195,7 +195,7 @@ def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
     rng = random.Random(34)
     for base, r, m_max in ((catalog.strict_ut(4), 2, 3), (h5, 4, 4), (filiform5, 2, 4)):
         L = _relabelled(base, rng)
-        assert ipower_checks(L, m_max, r) == (True,) * m_max, (L, r, m_max)
+        assert ipower_checks(L, rees_layer_table(L, r, m_max)) == (True,) * m_max, (L, r, m_max)
         dims = []
         for m in range(1, m_max + 1):
             predicted = ipower_predicted(L, m, r)
@@ -226,9 +226,15 @@ def test_predicted_needs_nilpotent():
         rees_layer_table(catalog.sl2(), 2, 2)
 
 
+def _ipower_checks_on_table(L, m_max, r_max):
+    # ipower_checks reads a layer table, and the table is what refuses
+    return ipower_checks(L, rees_layer_table(L, r_max, m_max))
+
+
 @pytest.mark.parametrize("name", ["sl2", "ut3"])
 @pytest.mark.parametrize("layer_fn", [monoid_generator_check, ipower_predicted,
-                                      ipower_checks, rees_layer_table])
+                                      pytest.param(_ipower_checks_on_table, id="ipower_checks"),
+                                      rees_layer_table])
 def test_layer_functions_refuse_non_nilpotent(layer_fn, name):
     with pytest.raises(NotNilpotentError):
         layer_fn(catalog.get(name), 2, 2)

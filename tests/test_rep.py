@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh import catalog
+from liecoh.checker import random_solvable_algebra
+from liecoh.cohomology import action_on_cohomology
 from liecoh.errors import (
     CharacterError,
     ContainmentError,
@@ -28,7 +32,7 @@ from liecoh.rep import (
     trivial_module,
 )
 
-from oracles import det_permutation, exterior_power_matrix, relabel
+from oracles import det_permutation, exterior_power_matrix, generalized_kernel_nonzero, relabel
 
 
 def test_trivial_module_examples():
@@ -291,3 +295,79 @@ def test_derived_subalgebra_pairing_of_characters():
         chi_rows = kernel(QMatrix(derived.basis.data, cols=L.dim))
         for row in chi_rows.basis.data:
             assert Character.of(row).is_additive(L)
+
+
+# --- invariants and trivial subquotients against the Fitting-power oracle --
+
+def _assert_invariants_agree(M, label):
+    """`invariants` is the iterated intersection of the action kernels, and
+    `has_trivial_subquotient` is both "invariants are nonzero" and the
+    oracle's "joint generalized kernel is nonzero" (Engel).  Returns the
+    verdict."""
+    joint = Subspace.full(M.dim)
+    for mat in M.rho:
+        joint = joint & kernel(mat)
+    inv = invariants(M)
+    assert inv == joint, label
+    trivial = has_trivial_subquotient(M)
+    assert trivial == (inv.dim > 0), label
+    assert trivial == generalized_kernel_nonzero([m.data for m in M.rho], M.dim), label
+    return trivial
+
+
+def test_invariants_on_every_cohomology_module():
+    rng = random.Random(1201)
+    algebras = [(name, catalog.get(name)) for name in catalog.names()]
+    algebras += [(f"random {i}", random_solvable_algebra(rng)) for i in range(50)]
+    algebras.append(("relabelled ut(4)",
+                     LieAlgebra(*relabel(catalog.ut(4).c, catalog.ut(4).labels, rng))))
+    verdicts = set()
+    for label, L in algebras:
+        linf = lower_central_series(L).last
+        for q, M in enumerate(action_on_cohomology(L, linf, trivial_module(L)).modules):
+            verdicts.add(_assert_invariants_agree(M, (label, q)))
+    assert verdicts == {True, False}
+
+
+def test_invariants_on_adjoint_duals_and_exterior_powers():
+    for name in ("abelian1", "abelian2", "abelian3", "abelian4", "heisenberg3", "strict-ut3"):
+        L = catalog.get(name)
+        ad = adjoint_module(L)
+        for M in (ad, dual(ad)):
+            for p in range(L.dim + 1):
+                _assert_invariants_agree(exterior_power(M, p), (name, p))
+
+
+@st.composite
+def _weight_block_modules(draw):
+    """A module of the abelian algebra of dimension k, upper triangular and
+    block diagonal.  On block i, e_j acts by lam_i(e_j) plus a polynomial
+    without constant term in one strictly upper-triangular N_i, so the
+    actions commute and block i is the generalized weight space of lam_i."""
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    d = sum(sizes)
+    rho = [[[0] * d for _ in range(d)] for _ in range(k)]
+    weights = []
+    start = 0
+    for s in sizes:
+        lam = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        weights.append(lam)
+        N = [[draw(st.integers(-2, 2)) if r < c else 0 for c in range(s)] for r in range(s)]
+        N2 = [[sum(N[r][t] * N[t][c] for t in range(s)) for c in range(s)] for r in range(s)]
+        for j in range(k):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            for r in range(s):
+                for c in range(s):
+                    diagonal = lam[j] if r == c else 0
+                    rho[j][start + r][start + c] = diagonal + a * N[r][c] + b * N2[r][c]
+        start += s
+    return LieModule(catalog.abelian(k), rho), weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weight_block_modules())
+def test_invariants_on_triangular_modules_of_abelian_algebras(drawn):
+    M, weights = drawn
+    # a trivial subquotient is a block whose weight is zero on every e_j
+    assert _assert_invariants_agree(M, weights) == any(not any(lam) for lam in weights)
