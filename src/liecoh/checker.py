@@ -15,7 +15,8 @@ conditions 2 and 3 and nothing more.
 `verify_report` asserts the cross-theorem invariants (two-condition
 agreement, the nilpotent fast path, solvability of the stable term when
 condition 3 holds, a trivial subquotient in H^q(L^inf) exactly when
-E2^{0,q} != 0, bottom-row collapse of the starting page, and the
+E2^{0,q} != 0, each verdict and the bottom row against the evidence they
+are read from, bottom-row collapse of the starting page, and the
 dimension bound of the page against the abutting cohomology).
 `check_catalog` runs all of that over every built-in example.
 """
@@ -27,8 +28,7 @@ from .catalog import get, names
 from .cohomology import (
     E2Page,
     _e2_from_action,
-    action_on_cohomology,
-    cohomology,
+    _page,
     inflation_on_cohomology,
 )
 from .errors import InvariantError, NotASubalgebraError
@@ -36,11 +36,10 @@ from .lie import (
     LieAlgebra,
     is_nilpotent,
     is_solvable,
-    lower_central_series,
     validate,
 )
 from .pbw import is_rees_noetherian
-from .rep import invariants, trivial_module
+from .rep import invariants
 
 __all__ = [
     "TheoremReport",
@@ -80,10 +79,7 @@ class TheoremReport:
 def check(L: LieAlgebra) -> TheoremReport:
     """Run the full decision procedure on a validated algebra."""
     validate(L).require()
-    linf = lower_central_series(L).last
-    aoc = action_on_cohomology(L, linf, trivial_module(L))
-    # H^*(N, H^q(L^inf)), N = L/L^inf; q = 0 is H^*(N, k), as H^0(L^inf, k) = k
-    page = [cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules]
+    linf, aoc, page = _page(L)
     infl = inflation_on_cohomology(L, aoc.quotient, page[0])
     # N is nilpotent, so a trivial subquotient is a nonzero invariant (Engel, `rep`)
     trivial_in = tuple(invariants(aoc.modules[q]).dim > 0 for q in range(1, linf.dim + 1))
@@ -138,6 +134,12 @@ def verify_report(report: TheoremReport, context: str = "") -> None:
     if report.trivial_subquotient_in_hq != invariant:
         fail(f"trivial subquotients {report.trivial_subquotient_in_hq} in H^q, q >= 1, "
              f"differ from the nonzero page entries E2^(0,q) {invariant}")
+    if report.condition2 != all(report.condition2_per_degree):
+        fail(f"condition 2 differs from its per-degree verdicts {report.condition2_per_degree}")
+    if report.condition3 != (not any(report.trivial_subquotient_in_hq)):
+        fail(f"condition 3 differs from its subquotient tests {report.trivial_subquotient_in_hq}")
+    if report.e2_bottom_row != tuple(row[0] for row in report.e2_table):
+        fail(f"bottom row {report.e2_bottom_row} differs from the page's E2^(p,0)")
 
     n = len(report.h_total)
     if report.condition3:

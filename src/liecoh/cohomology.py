@@ -23,10 +23,9 @@ An ambient algebra acts on the complex of an ideal by
     (x . f)(x_1 ^ ... ^ x_p) = x . f(x_1 ^ ... ^ x_p)
                                - sum_i f(x_1 ^ ... ^ [x, x_i] ^ ... ^ x_p)
 
-and the operator is checked to commute with the differential before being
-pushed to cohomology.  The inflation map pulls cochains back along the
-projection to the nilpotent quotient and is likewise checked to be a
-chain map.
+and the inflation map pulls cochains back along the projection to the
+nilpotent quotient.  One routine, `_chain_map`, checks both to be chain
+maps before they are pushed to cohomology.
 
 Building the matrices
 ---------------------
@@ -89,7 +88,7 @@ from .errors import (
     DimensionMismatchError,
     NotAnIdealError,
 )
-from .lie import LieAlgebra, Quotient, _bracket, _constants, is_ideal, quotient
+from .lie import LieAlgebra, Quotient, _bracket, _constants, is_ideal, lower_central_series, quotient
 from .linalg import (
     QMatrix,
     Subspace,
@@ -322,10 +321,6 @@ class CohomologyResult:
         """Coordinates of the class of a cocycle z in the chosen H^q basis."""
         return self.coordinates(q, QMatrix.from_columns([vector(z)])).column(0)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def euler_characteristic(self) -> int:
         return sum(d if q % 2 == 0 else -d for q, d in enumerate(self.dims))
 
@@ -411,18 +406,19 @@ def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
     if not is_ideal(L, ideal):
         raise NotAnIdealError("the acting construction needs a Lie ideal")
     res = restrict(M, ideal)
-    return _chain_operators(ce_complex(res.algebra, res), L, ideal, M, x)
+    cx = ce_complex(res.algebra, res)
+    return _chain_map(cx, cx, _action_operator(cx, L, ideal, M, x))
 
 
-def _chain_operators(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
-                     M: LieModule, x) -> tuple[QMatrix, ...]:
-    """The operators of x on every C^p of the built complex cx of the ideal,
-    checked to commute with its differential."""
-    ops = _action_operator(cx, L, ideal, M, x)
-    for p in range(cx.top_degree):
-        if cx.delta(p) * ops[p] != ops[p + 1] * cx.delta(p):
-            raise ChainMapError("action operator does not commute with the differential")
-    return ops
+def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
+    """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
+    with the differentials in each degree p < dst.top_degree (ChainMapError otherwise)."""
+    for p in range(min(dst.top_degree, len(maps))):
+        nxt = (maps[p + 1] if p + 1 < len(maps)
+               else QMatrix.zero(dst.space_dim(p + 1), src.space_dim(p + 1)))
+        if dst.delta(p) * maps[p] != nxt * src.delta(p):
+            raise ChainMapError(f"the maps do not commute with the differentials in degree {p}")
+    return tuple(maps)
 
 
 @dataclass(frozen=True)
@@ -456,7 +452,7 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     res = restrict(M, ideal)
     cx = ce_complex(res.algebra, res)
     coh = cohomology_of(cx)
-    per_lift_ops = [_chain_operators(cx, L, ideal, M, nq.lift(a))
+    per_lift_ops = [_chain_map(cx, cx, _action_operator(cx, L, ideal, M, nq.lift(a)))
                     for a in range(nq.algebra.dim)]
     modules = []
     for q in range(cx.top_degree + 1):
@@ -480,13 +476,8 @@ def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
     n = L.dim
     qd = nq.algebra.dim
     columns = _transpose(nq.projection.entries, n)
-    maps = [QMatrix._wrap(rows, comb(qd, p))
-            for p, rows in enumerate(wedge_powers(columns, qd, qd))]
-    for p in range(qd + 1):
-        nxt = maps[p + 1] if p + 1 <= qd else QMatrix.zero(cx_L.space_dim(p + 1), 0)
-        if cx_L.delta(p) * maps[p] != nxt * cx_q.delta(p):
-            raise ChainMapError("inflation is not a chain map")
-    return tuple(maps)
+    return _chain_map(cx_q, cx_L, [QMatrix._wrap(rows, comb(qd, p))
+                                   for p, rows in enumerate(wedge_powers(columns, qd, qd))])
 
 
 @dataclass(frozen=True)
@@ -565,11 +556,16 @@ def _e2_from_action(page) -> E2Page:
     return E2Page(tuple(tuple(c.dims[p] for c in page) for p in range(top + 1)))
 
 
+def _page(L: LieAlgebra) -> tuple[Subspace, ActionOnCohomology, list[CohomologyResult]]:
+    """L^inf, the action of N = L/L^inf on H^*(L^inf, k), and the starting
+    page H^*(N, H^q(L^inf)), q = 0..dim L^inf; q = 0 is H^*(N, k), as
+    H^0(L^inf, k) = k."""
+    linf = lower_central_series(L).last
+    aoc = action_on_cohomology(L, linf, trivial_module(L))
+    return linf, aoc, [cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules]
+
+
 def hs_e2_page(L: LieAlgebra) -> E2Page:
     """E2-style dimension table for the extension of the nilpotent quotient
     by the stable term of the lower central series."""
-    from .lie import lower_central_series
-
-    linf = lower_central_series(L).last
-    aoc = action_on_cohomology(L, linf, trivial_module(L))
-    return _e2_from_action([cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules])
+    return _e2_from_action(_page(L)[2])

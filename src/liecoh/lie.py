@@ -431,9 +431,9 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     AdaptedBasisError otherwise, since a mere permutation cannot then be
     adapted.
     """
-    if not is_nilpotent(L):
-        raise NotNilpotentError("adapted bases exist only for nilpotent algebras")
     chain = power_filtration(L)
+    if chain.last.dim:           # the last term is L^inf, as for the lower central series
+        raise NotNilpotentError("adapted bases exist only for nilpotent algebras")
     # a span of standard basis vectors has them as its canonical rows
     if any(len(row) != 1 for term in chain.terms for row in term._rows.values()):
         raise AdaptedBasisError(

@@ -111,6 +111,19 @@ def test_verify_report_matches_trivial_subquotients_with_the_page():
             verify_report(broken, context=name)
 
 
+def test_verify_report_ties_verdicts_and_bottom_row_to_their_evidence():
+    import dataclasses
+    a = check(catalog.example_a())
+    tampered = (
+        (dataclasses.replace(a, condition2=False, condition3=False), "condition 2"),
+        (dataclasses.replace(a, condition2_per_degree=(True, False, True)), "condition 2"),
+        (dataclasses.replace(check(catalog.prop_c()), e2_bottom_row=(9,)), "bottom row"),
+    )
+    for broken, message in tampered:
+        with pytest.raises(InvariantError, match=message):
+            verify_report(broken)
+
+
 def test_random_solvable_algebras_are_what_they_claim():
     rng = random.Random(41)
     for _ in range(25):

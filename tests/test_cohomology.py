@@ -10,7 +10,9 @@ from liecoh.checker import random_solvable_algebra
 from liecoh.checker import check
 from liecoh.cohomology import (
     CochainComplex,
+    _chain_map,
     _grading,
+    _page,
     _weight_zero,
     action_on_cohomology,
     ce_complex,
@@ -41,6 +43,7 @@ from liecoh.rep import (
     adjoint_module,
     invariants,
     one_dim_module,
+    restrict,
     trivial_module,
 )
 from liecoh.wedge import _subset_sums, mask_positions
@@ -780,3 +783,70 @@ def test_ut5_relabelled_binomial_and_check():
     assert cohomology(L, trivial_module(L)).dims == tuple(comb(5, k) for k in range(16))
     report = check(L)
     assert report.condition2 and report.condition3
+
+
+# --- one chain-map check, one page builder ---------------------------------
+
+def _bumped(m: QMatrix, delta: QMatrix) -> QMatrix:
+    """m with 1 added to its entry (r, 0), r the first column of delta that
+    is nonzero, so that delta * m changes."""
+    r = next(r for r in range(delta.cols) if any(delta.column(r)))
+    return m + QMatrix([[int((i, j) == (r, 0)) for j in range(m.cols)]
+                        for i in range(m.rows)], cols=m.cols)
+
+
+def test_chain_map_refuses_one_changed_entry_of_an_action_operator():
+    L = catalog.ut(3)                 # L^inf is the Heisenberg algebra, delta_1 != 0
+    linf = lower_central_series(L).last
+    M = trivial_module(L)
+    res = restrict(M, linf)
+    cx = ce_complex(res.algebra, res)
+    ops = list(cochain_action_operators(L, linf, M, unit_vector(L.dim, 0)))
+    assert _chain_map(cx, cx, ops) == tuple(ops)
+    ops[1] = _bumped(ops[1], cx.delta(1))
+    with pytest.raises(ChainMapError):
+        _chain_map(cx, cx, ops)
+
+
+def test_chain_map_refuses_one_changed_entry_of_an_inflation_map():
+    L = catalog.ut(3)
+    nq = nil_quotient(L)
+    cx_L = ce_complex(L, trivial_module(L))
+    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
+    maps = inflation_map(L, nq, cx_L, cx_q)
+    # the last map has no successor: it must land in the cocycles of L
+    for p in (1, len(maps) - 1):
+        bumped = maps[:p] + (_bumped(maps[p], cx_L.delta(p)),) + maps[p + 1:]
+        with pytest.raises(ChainMapError):
+            _chain_map(cx_q, cx_L, bumped)
+
+
+def test_chain_map_and_page_at_the_boundary_cases():
+    # N = 0: the ideal is all of sl2, and inflation is the degree-0 map alone
+    L = catalog.sl2()
+    linf, aoc, page = _page(L)
+    assert linf.dim == 3 and aoc.quotient.algebra.dim == 0
+    assert [c.dims for c in page] == [(1,), (0,), (0,), (1,)]
+    maps = inflation_map(L, aoc.quotient, ce_complex(L, trivial_module(L)), page[0].complex)
+    assert maps == (QMatrix([[1]]),)
+    # N = L and L^inf = 0: inflation has a map in every degree, and the
+    # ideal's complex has C^0 alone, with no differential to check
+    H = catalog.heisenberg3()
+    linf, aoc, page = _page(H)
+    assert linf.dim == 0 and aoc.quotient.algebra.dim == 3
+    assert [c.dims for c in page] == [(1, 2, 2, 1)]
+    cx_H = ce_complex(H, trivial_module(H))
+    maps = inflation_map(H, aoc.quotient, cx_H, page[0].complex)
+    assert [m.rows for m in maps] == [1, 3, 3, 1]
+    ops = cochain_action_operators(H, linf, trivial_module(H), unit_vector(3, 0))
+    assert ops == (QMatrix([[0]]),)
+
+
+def test_e2_page_is_the_table_check_reports():
+    for name in catalog.names():
+        L = catalog.get(name)
+        assert hs_e2_page(L).dims == check(L).e2_table, name
+    rng = random.Random(1301)
+    for i in range(20):
+        L = random_solvable_algebra(rng)
+        assert hs_e2_page(L).dims == check(L).e2_table, i

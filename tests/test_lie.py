@@ -346,6 +346,20 @@ def test_adapted_basis_incompatible_coordinates():
         adapted_basis(skew)
 
 
+def test_adapted_basis_refuses_every_non_nilpotent_algebra_first():
+    refused = [name for name in catalog.names() if not is_nilpotent(catalog.get(name))]
+    assert refused
+    for name in refused:
+        with pytest.raises(NotNilpotentError):
+            adapted_basis(catalog.get(name))
+    # the Borel algebra in the basis f1 = x, f2 = x + y: [f1, f2] = f2 - f1, so
+    # L^inf = span{f2 - f1} is no coordinate subspace, but nilpotency comes first
+    skew = LieAlgebra.from_brackets("ab", {(0, 1): [(-1, 0), (1, 1)]})
+    assert validate(skew).ok and lower_central_series(skew).last.dim == 1
+    with pytest.raises(NotNilpotentError):
+        adapted_basis(skew)
+
+
 def test_reorder_basis_roundtrip():
     L = catalog.strict_ut(3)
     perm = (2, 0, 1)
