@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 from math import comb
 
 from . import catalog
@@ -372,9 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and reused: parsing
+    leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CommandError as exc:

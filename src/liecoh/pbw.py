@@ -4,21 +4,33 @@ Elements of the enveloping algebra are kept in straightened form: finitely
 supported rational combinations of monomials e_1^{a_1} ... e_n^{a_n},
 encoded as exponent tuples.
 
-Products are straightened one letter at a time.  `_times_letter` gives the
-normal form of e^a e_i for a straightened monomial e^a: when i is not
-below the last letter j of e^a the product is e^{a + eps_i}; otherwise,
-writing e^a = e^{a'} e_j,
+Products are straightened one letter at a time, in integers.  With D and
+the int table of `lie._constants`, the rescaled basis f_i = D e_i has
+[f_j, f_i] = sum_k (D c_ji^k) f_k, so every constant is an int, and so is
+every coefficient of a straightened product of f letters: the rewriting
+below only adds and multiplies them.  `_times_letter` gives the normal
+form of f^a f_i for a straightened monomial f^a: when i is not below the
+last letter j of f^a the product is f^{a + eps_i}; otherwise, writing
+f^a = f^{a'} f_j,
 
-    e^a e_i = (e^{a'} e_i) e_j + sum_k c[j][i][k] e^{a'} e_k,
+    f^a f_i = (f^{a'} f_i) f_j + sum_k D c[j][i][k] f^{a'} f_k,
 
-since e_j e_i = e_i e_j + [e_j, e_i].  Every product on the right has a
-left factor of lower degree than e^a, except b e_j for the top-degree
-term b = e^{a' + eps_i} of e^{a'} e_i, which ends in a letter <= j and
+since f_j f_i = f_i f_j + [f_j, f_i].  Every product on the right has a
+left factor of lower degree than f^a, except b f_j for the top-degree
+term b = f^{a' + eps_i} of f^{a'} f_i, which ends in a letter <= j and
 needs no rewriting; so the recursion terminates.  A memo shared by one
-caller (one `pbw_normal_form` or `multiply`, one word length of
-`_word_span`) computes each e^a e_i once.  This product is the only
+caller (one `pbw_normal_form` or `multiply`, one whole brute-force pass
+of `_word_span`) computes each f^a f_i once.  This product is the only
 straightening in the library; the tests compare it against an
 independent adjacent-pair rewriting oracle in `tests/oracles.py`.
+
+Fractions appear only at the boundary.  Since f^a = D^{|a|} e^a, a
+coefficient x on f^a is x D^{|a|} on e^a: `pbw_normal_form` and
+`multiply` divide their inputs by D^{|a|} and scale their outputs back,
+so their results are in the e basis.  The brute-force pass eliminates in
+the f coordinates and scales back only the rows it keeps.  The rescaling
+is diagonal in the monomial coordinates: it keeps every key and degree,
+and it maps a span of monomials to itself.
 
 Powers of the augmentation ideal are handled two ways, deliberately kept
 independent of each other:
@@ -62,8 +74,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import NotNilpotentError, ZeroElementError
-from .lie import LieAlgebra, adapted_basis, is_nilpotent, reorder_basis
-from .linalg import Subspace, _frac, _insert, _span
+from .lie import LieAlgebra, _constants, adapted_basis, is_nilpotent, reorder_basis
+from .linalg import Subspace, _frac, _insert, _ints, _span
 
 __all__ = [
     "UEAElement",
@@ -164,7 +176,7 @@ def _word_of(exps) -> tuple[int, ...]:
 
 
 def _combine(terms) -> dict:
-    """Sum of c * p over (p, c) pairs of a product and a coefficient, zeros dropped."""
+    """Sum of c * p over (p, c) pairs of a product and an int coefficient, zeros dropped."""
     acc: dict = {}
     for p, c in terms:
         for b, x in p.items():
@@ -175,34 +187,45 @@ def _combine(terms) -> dict:
     return {b: x for b, x in acc.items() if x}
 
 
-def _times_letter(L: LieAlgebra, a: tuple, i: int, memo: dict) -> dict:
-    """Normal form of e^a e_i as {exponents: coefficient}, for a monomial e^a.
+def _times_letter(table: tuple, a: tuple, i: int, memo: dict) -> dict:
+    """Normal form of f^a f_i as {exponents: int}, for a monomial f^a.
 
-    The recursion is the one in the module docstring.  `memo` maps (a, i)
-    to finished products; callers must not change them.
+    `table` is the int table of `lie._constants`, the constants of the
+    rescaled basis f = D e (module docstring).  The recursion is the one
+    in the module docstring.  `memo` maps (a, i) to finished products for
+    this one table; callers must not change them.
     """
     out = memo.get((a, i))
     if out is not None:
         return out
     j = max((k for k, e in enumerate(a) if e), default=-1)
     if i >= j:
-        out = {a[:i] + (a[i] + 1,) + a[i + 1:]: Fraction(1)}
+        out = {a[:i] + (a[i] + 1,) + a[i + 1:]: 1}
     else:
         rest = a[:j] + (a[j] - 1,) + a[j + 1:]
-        terms = [(_times_letter(L, b, j, memo), c)
-                 for b, c in _times_letter(L, rest, i, memo).items()]
-        terms += [(_times_letter(L, rest, k, memo), gamma)
-                  for k, gamma in enumerate(L.c[j][i]) if gamma]
+        terms = [(_times_letter(table, b, j, memo), c)
+                 for b, c in _times_letter(table, rest, i, memo).items()]
+        terms += [(_times_letter(table, rest, k, memo), gamma) for k, gamma in table[j][i]]
         out = _combine(terms)
     memo[(a, i)] = out
     return out
 
 
-def _times_word(L: LieAlgebra, terms: dict, word, memo: dict) -> dict:
-    """Normal form of (straightened terms) times the letters of `word`, one at a time."""
+def _times_word(table: tuple, terms: dict, word, memo: dict) -> dict:
+    """Normal form of (straightened int terms) times the letters of `word`, one at a time."""
     for i in word:
-        terms = _combine((_times_letter(L, a, i, memo), c) for a, c in terms.items())
+        terms = _combine((_times_letter(table, a, i, memo), c) for a, c in terms.items())
     return terms
+
+
+def _to_f(terms: dict, D: int) -> tuple[dict, int]:
+    """(d * terms, d) in the f basis: int coefficients of the f^a = D^|a| e^a."""
+    return _ints({a: c / D ** sum(a) for a, c in terms.items()})
+
+
+def _to_e(terms: dict, D: int, d: int) -> dict:
+    """Int coefficients of the f^a, divided by d, as Fraction coefficients of the e^a."""
+    return {a: Fraction(x * D ** sum(a), d) for a, x in terms.items()}
 
 
 def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
@@ -210,15 +233,21 @@ def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
     word = tuple(word)
     if any(not 0 <= i < L.dim for i in word):
         raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
-    return UEAElement(L.dim, _times_word(L, {(0,) * L.dim: Fraction(1)}, word, {}))
+    D, table = _constants(L)
+    # e_{w_1} ... e_{w_s} = f_{w_1} ... f_{w_s} / D^s
+    out = _times_word(table, {(0,) * L.dim: 1}, word, {})
+    return UEAElement(L.dim, _to_e(out, D, D ** len(word)))
 
 
 def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     """Straightened product of two straightened elements: u times each
     monomial of v, one letter at a time."""
+    D, table = _constants(L)
+    fu, du = _to_f(u.terms, D)
+    fv, dv = _to_f(v.terms, D)
     memo: dict = {}
-    return UEAElement(L.dim, _combine((_times_word(L, u.terms, _word_of(b), memo), cb)
-                                      for b, cb in v.terms.items()))
+    out = _combine((_times_word(table, fu, _word_of(b), memo), cb) for b, cb in fv.items())
+    return UEAElement(L.dim, _to_e(out, D, du * dv))
 
 
 def degree(x: UEAElement) -> int:
@@ -268,30 +297,32 @@ def _reduce_into(pivots: dict, row: dict) -> None:
     _insert(pivots, row)
 
 
-# `_word_span`'s cache is process-global, so it is bounded.  One brute-force
-# pass keeps its own list of the word lengths s = 0..cap and asks the cache
-# only for the length below each new one.  The letter-product memo is not
-# cached: it lives only while one word length is built.
-_WORD_SPAN_CACHE_SIZE = 32
+# `_word_span`'s cache is process-global, so it is bounded.  One entry holds
+# the cap + 1 word lengths of one brute-force pass, so 4 entries hold about
+# as many rows as 32 single word lengths.
+_WORD_SPAN_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=_WORD_SPAN_CACHE_SIZE)
-def _word_span(L: LieAlgebra, s: int) -> tuple:
-    """Engine pivot rows spanning the straightened words of length exactly s.
+def _word_span(L: LieAlgebra, cap: int) -> tuple:
+    """For s = 0..cap, engine pivot rows spanning the straightened words of
+    length exactly s, in the f basis of the module docstring.
 
-    Each row is a tuple of (key, int) items keyed as in `_reduce_into`: a
-    primitive int pivot row, so only the span of the rows is meaningful.
-    Ask for s = 0, 1, ... in turn: the cache then holds length s - 1 and the
-    recursion stays one level deep."""
-    if s == 0:
-        return ((((0, (0,) * L.dim), 1),),)
+    Entry s is a tuple of rows, each a tuple of (key, int) items keyed as in
+    `_reduce_into`: a primitive int pivot row, so only the span of the rows
+    is meaningful.  Length s is built from the rows of length s - 1 times
+    each letter, and one letter-product memo serves every length."""
+    _, table = _constants(L)
     memo: dict = {}
-    pivots: dict = {}
-    for prev in _word_span(L, s - 1):
-        for i in range(L.dim):
-            prod = _combine((_times_letter(L, a, i, memo), c) for (_, a), c in prev)
-            _reduce_into(pivots, {(-sum(b), b): c for b, c in prod.items()})
-    return tuple(tuple(row.items()) for row in pivots.values())
+    spans = [((((0, (0,) * L.dim), 1),),)]
+    for _ in range(cap):
+        pivots: dict = {}
+        for prev in spans[-1]:
+            for i in range(L.dim):
+                prod = _combine((_times_letter(table, a, i, memo), c) for (_, a), c in prev)
+                _reduce_into(pivots, {(-sum(b), b): c for b, c in prod.items()})
+        spans.append(tuple(tuple(row.items()) for row in pivots.values()))
+    return tuple(spans)
 
 
 def _word_cap(nu, m_max: int, r_max: int) -> int:
@@ -312,17 +343,19 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
-    spans = [_word_span(L, s) for s in range(cap + 1)]
+    spans = _word_span(L, cap)
+    D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}
     pivots: dict = {}
-    low = []        # pivot rows led by degree <= r_max, in monomial coordinates
+    low = []        # pivot rows led by degree <= r_max, in e-monomial coordinates
     powers = []
     for s in range(cap, m_lo - 1, -1):
         seen = len(pivots)
         for row in spans[s]:
             _reduce_into(pivots, dict(row))
-        low += [{index[a]: c for (_, a), c in row.items()}
+        # a coefficient x on f^a is x * D^|a| on e^a
+        low += [{index[a]: c * D ** -neg for (neg, a), c in row.items()}
                 for (neg_degree, _), row in islice(pivots.items(), seen, None)
                 if -neg_degree <= r_max]
         if s <= m_hi:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,8 +14,10 @@ from liecoh.fileformat import (
     module_from_dict,
     module_to_dict,
 )
-from liecoh.lie import LieAlgebra
+from liecoh.lie import LieAlgebra, _constants
 from liecoh.rep import adjoint_module, trivial_module
+
+from oracles import relabel
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -418,6 +421,44 @@ def test_stdout_digests_unchanged():
     assert sorted(pinned) == sorted(commands)
     moved = [cmd for cmd, argv in commands.items() if _digest(argv) != pinned[cmd]]
     assert not moved, f"stdout or exit code moved for: {moved}"
+
+
+# --- rees on rational inputs ----------------------------------------------
+
+# The stdout of `rees --verify-pbw` on the three benchmark bases, each
+# relabelled (tests/oracles.relabel, fixed seeds) so that its structure
+# constants have a denominator D > 1.  Pinned before the PBW straightening
+# moved to the rescaled int basis.
+REES_RATIONAL = {
+    "strict-ut4": ("2", "3", "cd224af4c13cc0ed4e664388cfb76eb479aa89c7a3950e7408f5e43b4c483df3"),
+    "h5": ("4", "4", "35ca29d45521627e7b5bae3ab0eab012f3a82de8ae6327c40576cf8d66a61edf"),
+    "filiform5": ("2", "4", "b582a0018b19f850e02b7dc233503264e539dd317840cc31182ce09c9046da84"),
+}
+
+
+def _rees_rational_base(name):
+    if name == "strict-ut4":
+        return catalog.strict_ut(4)
+    if name == "h5":
+        return LieAlgebra.from_brackets(["x1", "x2", "y1", "y2", "z"],
+                                        {(0, 2): [(1, 4)], (1, 3): [(1, 4)]})
+    return LieAlgebra.from_brackets(["e1", "e2", "e3", "e4", "e5"],
+                                    {(0, 1): [(1, 2)], (0, 2): [(1, 3)], (0, 3): [(1, 4)]})
+
+
+@pytest.mark.parametrize("name", sorted(REES_RATIONAL))
+def test_rees_verify_digest_on_rational_inputs(name, tmp_path, monkeypatch):
+    r_max, m_max, pinned = REES_RATIONAL[name]
+    base = _rees_rational_base(name)
+    L = LieAlgebra(*relabel(base.c, base.labels, random.Random(f"rees-rational-{name}")))
+    assert _constants(L)[0] > 1
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}-relabelled.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(algebra_to_dict(L), handle)
+    got = _digest(["rees", path, "--max-filtration", r_max, "--max-weight", m_max,
+                   "--verify-pbw"])
+    assert got == {"stdout_sha256": pinned, "exit": 0}
 
 
 if __name__ == "__main__":

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from liecoh import catalog
 from liecoh.errors import NotNilpotentError, ZeroElementError
-from liecoh.lie import LieAlgebra, power_filtration
-from liecoh.linalg import Subspace
+from liecoh.lie import LieAlgebra, _constants, power_filtration
+from liecoh.linalg import Subspace, _span
 from liecoh.pbw import (
     UEAElement,
     _ipower_pass,
     _times_letter,
+    _word_span,
     ipower_bruteforce,
     ipower_checks,
     ipower_predicted,
@@ -78,31 +80,66 @@ def _relabelled(L, rng):
     return LieAlgebra(*relabel(L.c, L.labels, rng))
 
 
+def _relabelled_rational(base, rng):
+    """A relabelling whose constants have a denominator D > 1, so that the
+    f = D e rescaling of `_constants` is exercised."""
+    L = _relabelled(base, rng)
+    while _constants(L)[0] == 1:
+        L = _relabelled(base, rng)
+    return L
+
+
 def _letter_by_letter(L, word):
-    """The straightened word, built by `_times_letter` alone."""
+    """The straightened word, built by `_times_letter` alone.
+
+    `_times_letter` works in the basis f = D e of `_constants`, where
+    f^a = D^|a| e^a and the word's letters are e_i = f_i / D.
+    """
+    D, table = _constants(L)
     memo: dict = {}
     out = UEAElement.monomial(L.dim, (0,) * L.dim)
     for i in word:
         nxt = UEAElement.zero(L.dim)
         for a, c in out.terms.items():
-            nxt = nxt + UEAElement(L.dim, _times_letter(L, a, i, memo)).scale(c)
+            nxt = nxt + UEAElement(L.dim, _times_letter(table, a, i, memo)).scale(c)
         out = nxt
-    return out
+    return UEAElement(L.dim, {a: Fraction(c * D ** sum(a), D ** len(word))
+                              for a, c in out.terms.items()})
 
 
 @pytest.mark.parametrize("name", ["sl2", "exampleA", "heisenberg3", "strict-ut4"])
 def test_letter_product_and_multiply_match_rewriting_random(name):
     rng = random.Random(f"letters-{name}")
     base = catalog.strict_ut(4) if name == "strict-ut4" else catalog.get(name)
-    L = _relabelled(base, rng)
+    L = _relabelled_rational(base, rng)
     for _ in range(20):
         word = tuple(rng.randrange(L.dim) for _ in range(rng.randrange(1, 7)))
         cut = rng.randrange(len(word) + 1)
         left, right = pbw_normal_form(L, word[:cut]), pbw_normal_form(L, word[cut:])
         for last in (False, True):
             expected = UEAElement(L.dim, straighten(L.c, word, last=last))
+            assert pbw_normal_form(L, word) == expected, (name, word, last)
             assert _letter_by_letter(L, word) == expected, (name, word, last)
             assert multiply(L, left, right) == expected, (name, word, cut, last)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "exampleA", "sl2"])
+def test_word_span_matches_rewritten_words_relabelled(name):
+    L = _relabelled_rational(catalog.get(name), random.Random(f"word-span-{name}"))
+    D = _constants(L)[0]
+    cap = 4
+    monos = monomials(L.dim, cap)
+    index = {a: t for t, a in enumerate(monos)}
+    spans = _word_span(L, cap)
+    assert len(spans) == cap + 1
+    for s in range(cap + 1):
+        # f^a = D^|a| e^a
+        got = _span(len(monos), ({index[a]: c * D ** -neg for (neg, a), c in row}
+                                 for row in spans[s]))
+        words = product(range(L.dim), repeat=s)
+        expected = _span(len(monos), ({index[a]: x for a, x in straighten(L.c, w).items()}
+                                      for w in words))
+        assert got == expected, (name, s)
 
 
 def test_degree_examples():
