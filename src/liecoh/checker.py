@@ -14,10 +14,10 @@ conditions 2 and 3 and nothing more.
 
 `verify_report` asserts the cross-theorem invariants (two-condition
 agreement, the nilpotent fast path, solvability of the stable term when
-condition 3 holds, a trivial subquotient in H^q(L^inf) exactly when
-E2^{0,q} != 0, each verdict and the bottom row against the evidence they
-are read from, bottom-row collapse of the starting page, and the
-dimension bound of the page against the abutting cohomology).
+condition 3 holds and exactly when L is solvable, a trivial subquotient
+in H^q(L^inf) exactly when E2^{0,q} != 0, each verdict and the bottom
+row against their evidence, bottom-row collapse of the starting page,
+and the page's dimension bound against the abutting cohomology).
 `check_catalog` runs all of that over every built-in example.
 """
 
@@ -128,6 +128,9 @@ def verify_report(report: TheoremReport, context: str = "") -> None:
         fail("graded Noetherianity must coincide with nilpotency")
     if report.condition3 and not report.linf_solvable:
         fail("condition 3 holds but the stable lower-central term is not solvable")
+    # L/L^inf is nilpotent, so L is solvable exactly when L^inf is
+    if report.is_solvable != report.linf_solvable:
+        fail("is_solvable differs from the solvability of the stable lower-central term")
     # H^0(N, M) = M^N, from delta_0 of N's complex, is nonzero exactly when M has a
     # trivial subquotient, found from the stacked action rows of `rep.invariants`
     invariant = tuple(d > 0 for d in report.e2_table[0][1:])

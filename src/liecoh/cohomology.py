@@ -38,8 +38,8 @@ Each term names the indices it adds and removes (`wedge._term`), and
 matrices are the wedge powers of the projection (`wedge.wedge_powers`),
 each degree built from the one below.  The wedge basis keeps its
 lexicographic order.
-* Fractions enter as the structure constants and action matrices, and
-  are scaled once to ints D * value, D the lcm of their denominators.
+* Fractions enter as the structure constants and action matrices, made
+  ints once (`lie._constants`, `_int_action`) and brought to one D here.
 * The terms of each entry add up in Python ints.
 * Fractions leave when the rows are handed to `QMatrix`: each distinct
   nonzero sum becomes one Fraction over D.  The elimination engine in
@@ -153,10 +153,9 @@ class CochainComplex:
         return self.algebra.dim
 
 
-def _block(entries, D: int) -> tuple[tuple, tuple]:
-    """`_signed` of the nonzero (beta, b, D * a) of sparse matrix rows."""
-    return _signed((beta, b, _scaled(a, D)) for beta, row in enumerate(entries)
-                   for b, a in row.items())
+def _block(rows, f: int) -> tuple[tuple, tuple]:
+    """`_signed` of the nonzero (beta, b, f * a) of sparse int matrix rows."""
+    return _signed((beta, b, f * a) for beta, row in enumerate(rows) for b, a in row.items())
 
 
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
@@ -171,21 +170,22 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
       coefficient index beta and every (p-1)-wedge R without i, j and k:
       x_i and x_j sit at places a(i) and a(j) + 1 of R + i + j, and
       sorting e_k into R costs (-1)^a(k).
-    The terms add up as ints D * entry, D the lcm of the denominators of
-    the structure constants and the action; each nonzero sum becomes a
-    Fraction over D once, when the rows are handed to `QMatrix`.  The
-    nonzero constants come from `_constants` as ints E * c_ij^k, E | D.
+    The terms add up as ints D * entry, D = lcm(E, D_M); each nonzero sum
+    becomes a Fraction over D once, when the rows are handed to `QMatrix`.
+    The nonzero constants come from `_constants` as ints E * c_ij^k, and
+    the action entries from the module's `_int_action` as ints D_M * rho.
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
     n = L.dim
     m = M.dim
     E, table = _constants(L)
-    D = lcm(E, *[a.denominator for mat in M.rho for row in mat.entries for a in row.values()])
+    DM, P = M._int_action
+    D = lcm(E, DM)
     terms = {}
-    for t, mat in enumerate(M.rho):
-        if not mat.is_zero():
-            _term(terms, (t,), (), _block(mat.entries, D))
+    for t, rows in enumerate(P):
+        if any(rows):
+            _term(terms, (t,), (), _block(rows, D // DM))
     for i in range(n):
         for j in range(i + 1, n):
             for k, g in table[i][j]:
@@ -208,15 +208,15 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
     its weight under x is 0 only when it is 0 under every x_j: x is as
     generic as a solution can be.  Returns None when every weight of every
     solution is 0, at once when no ad e_a and no rho(e_a) has a nonzero
-    diagonal entry.  The ad entries are the ints E * c of `_constants`.
+    diagonal entry.  The entries are the ints of `_constants` and `_int_action`.
     """
     n, m = L.dim, M.dim
     E, table = _constants(L)
-    rho_diag = [[(n + b, row[b]) for b, row in enumerate(M.rho[a].entries) if b in row]
-                for a in range(n)]
-    D = lcm(E, *[g.denominator for terms in rho_diag for _, g in terms])
+    DM, P = M._int_action
+    D = lcm(E, DM)
     diag = [[(i, g * (D // E)) for i, terms in enumerate(table[a]) for k, g in terms if k == i]
-            + [(k, _scaled(g, D)) for k, g in rho_diag[a]] for a in range(n)]
+            + [(n + b, row[b] * (D // DM)) for b, row in enumerate(P[a]) if b in row]
+            for a in range(n)]
     if not any(diag):
         return None
     # row (k, i) of the conditions: the (k, i) entry of ad x or rho(x), linear in x
@@ -226,7 +226,7 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
             for k, g in terms:
                 if k != i:
                     conditions.setdefault((k, i), {})[a] = g
-        for beta, row in enumerate(M.rho[a].entries):
+        for beta, row in enumerate(P[a]):
             for b, g in row.items():
                 if b != beta:
                     conditions.setdefault((n + beta, n + b), {})[a] = g
@@ -366,7 +366,7 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
 
     Built like `ce_complex`'s differential, from the nonzero terms in
     ints over one common denominator D, with u the ideal's basis:
-    - x's action on M, on every diagonal block (R, R);
+    - each nonzero x_a times e_a's int rows in M's `_int_action`, on every block (R, R);
     - each nonzero coordinate g of [x, u_i] on u_k adds
       -(-1)^(a(i) + a(k)) g at row (R + i, beta), column (R + k, beta),
       for every coefficient index beta and every (p-1)-wedge R without
@@ -378,18 +378,22 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     """
     s = cx.algebra.dim
     m = cx.coeff.dim
-    act = M.action(x).entries
     E, table = _constants(L)
-    x = _sparse(vector(x))
+    DM, P = M._int_action
+    x = vector(x)
+    if len(x) != L.dim:
+        raise DimensionMismatchError("element must have the algebra's dimension")
+    x = _sparse(x)
     coords = []
     for p, row in ideal._rows.items():
         w = _bracket(table, x, row)
         coords.append([(k, w[t] / (E * row[p])) for k, t in enumerate(ideal._rows) if t in w])
     D = lcm(*[g.denominator for v in coords for _, g in v],
-            *[a.denominator for row in act for a in row.values()])
+            *[DM * xa.denominator for xa in x.values()])
     terms = {}
-    if any(act):
-        _term(terms, (), (), _block(act, D))
+    for a, xa in x.items():
+        if any(P[a]):
+            _term(terms, (), (), _block(P[a], _scaled(xa, D // DM)))
     for i, v in enumerate(coords):
         for k, g in v:
             _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))

@@ -17,7 +17,7 @@ All values are immutable and all functions are pure.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from .errors import (
@@ -193,20 +193,19 @@ class ValidationReport:
 def validate(L: LieAlgebra) -> ValidationReport:
     """Check the Lie axioms; reports the first violated index tuple.
 
-    The Jacobi sum of a basis triple is read off the structure constants:
-    its e_t coefficient is the cyclic sum of c[i][j][k] c[k][l][t], summed
-    here D^2 times over the int constants of `_constants`.
+    Both read the int constants of `_constants`: antisymmetry compares
+    table[i][j] with table[j][i] negated, and the Jacobi sum of a basis
+    triple has e_t coefficient the cyclic sum of c[i][j][k] c[k][l][t].
     """
     n = L.dim
 
     def fail(kind, triple):
         return ValidationReport(False, kind, triple, tuple(L.labels[i] for i in triple))
 
-    for i in range(n):
-        for j in range(i, n):
-            if any(a != -b for a, b in zip(L.c[i][j], L.c[j][i])):
-                return fail("antisymmetry", (i, j))
     _, nonzero = _constants(L)
+    for i, j in combinations_with_replacement(range(n), 2):
+        if nonzero[i][j] != tuple((k, -g) for k, g in nonzero[j][i]):
+            return fail("antisymmetry", (i, j))
     for i, j, l in combinations(range(n), 3):
         s: dict = {}
         for a, b, x in ((i, j, l), (j, l, i), (l, i, j)):

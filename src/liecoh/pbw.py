@@ -71,7 +71,7 @@ computes nothing beyond the nilpotency guard and `rees` does not call it.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 from .errors import NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, _constants, adapted_basis, is_nilpotent, reorder_basis
@@ -260,21 +260,13 @@ def monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     Graded order; within a degree the e_1-heavy monomials come first, so
     the degree-one block lines up with the basis order.
     """
-    def block(k: int, d: int):
-        if k == 0:
-            if d == 0:
-                yield ()
-            return
-        if k == 1:
-            yield (d,)
-            return
-        for a in range(d, -1, -1):
-            for rest in block(k - 1, d - a):
-                yield (a,) + rest
-
     out = []
     for d in range(max_degree + 1):
-        out.extend(block(n, d))
+        for letters in combinations_with_replacement(range(n), d):
+            a = [0] * n
+            for i in letters:
+                a[i] += 1
+            out.append(tuple(a))
     return out
 
 
@@ -417,17 +409,13 @@ def rees_layer_table(L: LieAlgebra, r_max: int, m_max: int) -> ReesLayerTable:
     the algebra itself, which the tests assert.
     """
     ab = adapted_basis(L)
-    table = []
-    for r in range(r_max + 1):
-        counts = [0] * (m_max + 1)
-        for a in monomials(L.dim, r):
-            if sum(a) != r:
-                continue
-            w = sum(e * v for e, v in zip(a, ab.nu))
-            for m in range(0, min(w, m_max) + 1):
-                counts[m] += 1
-        table.append(tuple(counts))
-    return ReesLayerTable(tuple(table), ab.nu, ab.order)
+    table = [[0] * (m_max + 1) for _ in range(r_max + 1)]
+    for a in monomials(L.dim, r_max):
+        w = sum(e * v for e, v in zip(a, ab.nu))
+        counts = table[sum(a)]
+        for m in range(0, min(w, m_max) + 1):
+            counts[m] += 1
+    return ReesLayerTable(tuple(map(tuple, table)), ab.nu, ab.order)
 
 
 def ipower_checks(L: LieAlgebra, table: ReesLayerTable) -> tuple[bool, ...]:

@@ -6,7 +6,8 @@ check cannot be skipped), so a module object in hand is always a genuine
 representation.  Derived constructions (dual, exterior powers,
 restriction, direct sums) re-validate; a failure there is an
 implementation bug and raises RepresentationLawError rather than being
-swallowed.
+swallowed.  The check keeps the action as int rows (`_int_action`), its
+only int form, which every arithmetic reader of the action uses.
 
 The trivial-subquotient test is Engel's theorem.  Over an algebraic
 closure a module M of a nilpotent algebra N splits into generalized
@@ -31,7 +32,7 @@ from .errors import (
     RepresentationLawError,
 )
 from .lie import LieAlgebra, _constants, is_nilpotent, subalgebra
-from .linalg import QMatrix, Subspace, kernel, vector
+from .linalg import QMatrix, Subspace, _kernel, vector
 from .wedge import _operators, _scaled, _signed, _term
 
 __all__ = [
@@ -51,9 +52,11 @@ __all__ = [
 
 
 class LieModule:
-    """A representation: rho[i] is the matrix by which basis element i acts."""
+    """A representation: rho[i] is the matrix by which basis element i acts;
+    `_int_action` = (D, P) from the law check holds the sparse int rows P[i]
+    of D rho[i], D the lcm of the denominators.  Callers must not mutate it."""
 
-    __slots__ = ("algebra", "dim", "rho")
+    __slots__ = ("algebra", "dim", "rho", "_int_action")
 
     def __init__(self, algebra: LieAlgebra, rho, dim: int | None = None):
         rho = tuple(m if isinstance(m, QMatrix) else QMatrix(m) for m in rho)
@@ -78,13 +81,14 @@ class LieModule:
         and the ints E c_ij^k of `lie._constants`, D and E the lcms of the
         action's and the structure constants' denominators,
         E (P_i P_j - P_j P_i) must equal D sum_k (E c_ij^k) P_k, the sum
-        running over the nonzero c_ij^k.
+        running over the nonzero c_ij^k.  (D, P) is kept as `_int_action`.
         """
         n = self.algebra.dim
         E, table = _constants(self.algebra)
         D = lcm(*[a.denominator for mat in self.rho for row in mat.entries for a in row.values()])
-        P = [[{k: _scaled(a, D) for k, a in row.items()} for row in mat.entries]
-             for mat in self.rho]
+        P = tuple(tuple({k: _scaled(a, D) for k, a in row.items()} for row in mat.entries)
+                  for mat in self.rho)
+        self._int_action = D, P
         for i in range(n):
             for j in range(i + 1, n):
                 products = ((P[i], P[j], E), (P[j], P[i], -E))
@@ -181,16 +185,16 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
     nonzero mat[k][s] adds (-1)^(a(s) + a(k)) mat[k][s] at row R + k,
     column R + s, for every (p-1)-wedge R without s and k, a(.) counting
     the entries of R below an index: e_s moves to the front of R + s and
-    e_k sorts back in.  The terms add up as ints over the lcm D of the
-    matrix's denominators, as in the cochain differential.
+    e_k sorts back in.  The terms are the ints of `_int_action`, added
+    up over its D as in the cochain differential.
     """
+    D, P = M._int_action
     rho = []
-    for mat in M.rho:
-        D = lcm(*[a.denominator for row in mat.entries for a in row.values()])
+    for rows in P:
         terms = {}
-        for k, row in enumerate(mat.entries):
+        for k, row in enumerate(rows):
             for s, a in row.items():
-                _term(terms, (k,), (s,), _signed([(0, 0, _scaled(a, D))]))
+                _term(terms, (k,), (s,), _signed([(0, 0, a)]))
         rho += _operators(terms, M.dim, 1, D, [p], 0)
     return LieModule(M.algebra, rho, dim=comb(M.dim, p))
 
@@ -240,8 +244,8 @@ def direct_sum(M: LieModule, N: LieModule) -> LieModule:
 
 
 def invariants(M: LieModule) -> Subspace:
-    """Joint kernel of all action matrices: one kernel of their stacked rows."""
-    return kernel(QMatrix._wrap([row for mat in M.rho for row in mat.entries], M.dim))
+    """Joint kernel of all action matrices: one kernel of their stacked int rows."""
+    return _kernel([row for rows in M._int_action[1] for row in rows], range(M.dim), M.dim)
 
 
 def has_trivial_subquotient(M: LieModule) -> bool:

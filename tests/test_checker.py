@@ -124,6 +124,15 @@ def test_verify_report_ties_verdicts_and_bottom_row_to_their_evidence():
             verify_report(broken)
 
 
+def test_verify_report_ties_solvability_to_the_stable_term():
+    import dataclasses
+    for name in ("amazing-L", "sl2", "heisenberg3"):
+        report = check(catalog.get(name))
+        broken = dataclasses.replace(report, is_solvable=not report.is_solvable)
+        with pytest.raises(InvariantError, match="is_solvable"):
+            verify_report(broken, context=name)
+
+
 def test_random_solvable_algebras_are_what_they_claim():
     rng = random.Random(41)
     for _ in range(25):

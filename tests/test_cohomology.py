@@ -164,11 +164,16 @@ def test_delta_entries_match_defining_formula_relabelled():
         assert any(g.denominator > 1 for row in L.c for col in row for g in col), name
         _assert_deltas_match_formula(L, trivial_module(L), (name, "trivial"))
         _assert_deltas_match_formula(L, adjoint_module(L), (name, "adjoint"))
-        # a character with denominator 7 makes the common denominator differ
-        # from that of the structure constants; [L, L] is spanned by basis vectors
-        derived = bracket_span(L, Subspace.full(L.dim), Subspace.full(L.dim)).pivots()
-        chi = Character.of([0 if k in derived else Fraction(k + 1, 7) for k in range(L.dim)])
-        _assert_deltas_match_formula(L, one_dim_module(L, chi), (name, "character"))
+        _assert_deltas_match_formula(L, _sevenths_character(L), (name, "character"))
+
+
+def _sevenths_character(L):
+    """A character with denominator 7, which makes the module's common
+    denominator differ from that of the structure constants; it needs
+    [L, L] to be spanned by basis vectors."""
+    derived = bracket_span(L, Subspace.full(L.dim), Subspace.full(L.dim)).pivots()
+    chi = Character.of([0 if k in derived else Fraction(k + 1, 7) for k in range(L.dim)])
+    return one_dim_module(L, chi)
 
 
 @pytest.mark.parametrize("name", ["exampleA", "propC", "amazing-L", "ut3-relabelled"])
@@ -183,7 +188,7 @@ def test_action_operators_match_tuple_evaluation(name):
     xs = [nq.lift(a) for a in range(nq.algebra.dim)]
     xs.append(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(L.dim)))
     basis = linf.basis.data
-    for M in (trivial_module(L), adjoint_module(L)):
+    for M in (trivial_module(L), adjoint_module(L), _sevenths_character(L)):
         c, rho = _raw(L, M)
         for x in xs:
             ops = cochain_action_operators(L, linf, M, x)

@@ -181,6 +181,15 @@ def test_monomial_enumeration_degree_one_block():
     assert monos == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def test_monomial_enumeration_matches_sorted_exponent_tuples():
+    # graded, and within a degree lexicographically by descending exponents
+    for n in range(7):
+        for d in range(6):
+            expected = sorted((a for a in product(range(d + 1), repeat=n) if sum(a) <= d),
+                              key=lambda a: (sum(a), [-e for e in a]))
+            assert monomials(n, d) == expected, (n, d)
+
+
 def test_abelian_square():
     A2 = catalog.abelian(2)
     got = ipower_bruteforce(A2, 2, 2)
