@@ -20,9 +20,13 @@ left factor of lower degree than f^a, except b f_j for the top-degree
 term b = f^{a' + eps_i} of f^{a'} f_i, which ends in a letter <= j and
 needs no rewriting; so the recursion terminates.  A memo shared by one
 caller (one `pbw_normal_form` or `multiply`, one whole brute-force pass
-of `_word_span`) computes each f^a f_i once.  This product is the only
-straightening in the library; the tests compare it against an
-independent adjacent-pair rewriting oracle in `tests/oracles.py`.
+of `_word_span`) computes each f^a f_i once.  Products are keyed
+(-|a|, a), the key of the elimination engine, so `_word_span` hands
+memo entries to the engine unmodified as rows; that is safe because the
+engine leaves the row and the pivot rows alone (`linalg._insert`).
+This product is the only straightening in the library; the tests
+compare it against an independent adjacent-pair rewriting oracle in
+`tests/oracles.py`.
 
 Fractions appear only at the boundary.  Since f^a = D^{|a|} e^a, a
 coefficient x on f^a is x D^{|a|} on e^a: `pbw_normal_form` and
@@ -71,7 +75,7 @@ computes nothing beyond the nilpotency guard and `rees` does not call it.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 
 from .errors import NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, _constants, adapted_basis, is_nilpotent, reorder_basis
@@ -134,10 +138,7 @@ class UEAElement:
         return UEAElement(self.n, out)
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, Fraction(0)) - c
-        return UEAElement(self.n, out)
+        return self + -other
 
     def __neg__(self) -> "UEAElement":
         return UEAElement(self.n, {a: -c for a, c in self.terms.items()})
@@ -187,45 +188,47 @@ def _combine(terms) -> dict:
     return {b: x for b, x in acc.items() if x}
 
 
-def _times_letter(table: tuple, a: tuple, i: int, memo: dict) -> dict:
-    """Normal form of f^a f_i as {exponents: int}, for a monomial f^a.
+def _times_letter(table: tuple, key: tuple, i: int, memo: dict) -> dict:
+    """Normal form of f^a f_i as {(-|b|, b): int}, for the monomial f^a keyed
+    (-|a|, a) like the rows of `_reduce_into`.
 
-    `table` is the int table of `lie._constants`, the constants of the
-    rescaled basis f = D e (module docstring).  The recursion is the one
-    in the module docstring.  `memo` maps (a, i) to finished products for
-    this one table; callers must not change them.
+    `table` is the int table of `lie._constants` (the basis f = D e), and the
+    recursion is the module docstring's.  `memo` maps (key, i) to finished
+    products for this one table.  `_word_span` hands them to the engine
+    unmodified, which is safe: the engine leaves the row and the pivot rows alone.
     """
-    out = memo.get((a, i))
+    out = memo.get((key, i))
     if out is not None:
         return out
+    neg, a = key
     j = max((k for k, e in enumerate(a) if e), default=-1)
     if i >= j:
-        out = {a[:i] + (a[i] + 1,) + a[i + 1:]: 1}
+        out = {(neg - 1, a[:i] + (a[i] + 1,) + a[i + 1:]): 1}
     else:
-        rest = a[:j] + (a[j] - 1,) + a[j + 1:]
+        rest = (neg + 1, a[:j] + (a[j] - 1,) + a[j + 1:])
         terms = [(_times_letter(table, b, j, memo), c)
                  for b, c in _times_letter(table, rest, i, memo).items()]
         terms += [(_times_letter(table, rest, k, memo), gamma) for k, gamma in table[j][i]]
         out = _combine(terms)
-    memo[(a, i)] = out
+    memo[(key, i)] = out
     return out
 
 
 def _times_word(table: tuple, terms: dict, word, memo: dict) -> dict:
-    """Normal form of (straightened int terms) times the letters of `word`, one at a time."""
+    """Normal form of (straightened keyed int terms) times the letters of `word`, one at a time."""
     for i in word:
-        terms = _combine((_times_letter(table, a, i, memo), c) for a, c in terms.items())
+        terms = _combine((_times_letter(table, k, i, memo), c) for k, c in terms.items())
     return terms
 
 
 def _to_f(terms: dict, D: int) -> tuple[dict, int]:
-    """(d * terms, d) in the f basis: int coefficients of the f^a = D^|a| e^a."""
-    return _ints({a: c / D ** sum(a) for a, c in terms.items()})
+    """(d * terms, d) in the f basis: int coefficients of the f^a = D^|a| e^a, keyed (-|a|, a)."""
+    return _ints({(-sum(a), a): c / D ** sum(a) for a, c in terms.items()})
 
 
 def _to_e(terms: dict, D: int, d: int) -> dict:
-    """Int coefficients of the f^a, divided by d, as Fraction coefficients of the e^a."""
-    return {a: Fraction(x * D ** sum(a), d) for a, x in terms.items()}
+    """Keyed int coefficients of the f^a, divided by d, as Fraction coefficients of the e^a."""
+    return {a: Fraction(x * D ** -neg, d) for (neg, a), x in terms.items()}
 
 
 def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
@@ -235,7 +238,7 @@ def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
         raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
     D, table = _constants(L)
     # e_{w_1} ... e_{w_s} = f_{w_1} ... f_{w_s} / D^s
-    out = _times_word(table, {(0,) * L.dim: 1}, word, {})
+    out = _times_word(table, {(0, (0,) * L.dim): 1}, word, {})
     return UEAElement(L.dim, _to_e(out, D, D ** len(word)))
 
 
@@ -246,7 +249,7 @@ def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     fu, du = _to_f(u.terms, D)
     fv, dv = _to_f(v.terms, D)
     memo: dict = {}
-    out = _combine((_times_word(table, fu, _word_of(b), memo), cb) for b, cb in fv.items())
+    out = _combine((_times_word(table, fu, _word_of(b), memo), cb) for (_, b), cb in fv.items())
     return UEAElement(L.dim, _to_e(out, D, du * dv))
 
 
@@ -281,11 +284,8 @@ def straightening_order(L: LieAlgebra):
 
 
 def _reduce_into(pivots: dict, row: dict) -> None:
-    """Sparse elimination of `row` against and into `pivots`.
-
-    Rows are keyed by (-degree, exponents), so the engine's smallest
-    leading key is a monomial of the highest degree in the row.
-    """
+    """Sparse elimination of `row` against and into `pivots`.  Rows are keyed
+    (-degree, exponents), so a row's leading key is one of its highest-degree monomials."""
     _insert(pivots, row)
 
 
@@ -309,10 +309,10 @@ def _word_span(L: LieAlgebra, cap: int) -> tuple:
     spans = [((((0, (0,) * L.dim), 1),),)]
     for _ in range(cap):
         pivots: dict = {}
-        for prev in spans[-1]:
-            for i in range(L.dim):
-                prod = _combine((_times_letter(table, a, i, memo), c) for (_, a), c in prev)
-                _reduce_into(pivots, {(-sum(b), b): c for b, c in prod.items()})
+        for prev, i in product(spans[-1], range(L.dim)):
+            # a one-term primitive row has coefficient 1, so its product is a memo entry
+            _reduce_into(pivots, _times_letter(table, prev[0][0], i, memo) if len(prev) == 1
+                         else _combine((_times_letter(table, k, i, memo), c) for k, c in prev))
         spans.append(tuple(tuple(row.items()) for row in pivots.values()))
     return tuple(spans)
 

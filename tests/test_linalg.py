@@ -419,3 +419,36 @@ def test_engine_pivots_are_primitive_int_rows():
             assert lead == min(row) and row[lead] > 0
             assert all(type(a) is int for a in row.values())
             assert math.gcd(*row.values()) == 1
+
+
+def _snapshot(row):
+    return [(k, a, type(a)) for k, a in row.items()]
+
+
+# (row, leading key left over, s) against the pivot rows {0: 2, 1: 3} and
+# {1: 5, 2: 1}; s > 1 with int entries means `_eliminate` scaled the row,
+# which happens when the pivot entry it clears with is not 1
+@pytest.mark.parametrize("row, lead, s", [
+    ({0: 3, 2: 5}, 2, 10),
+    ({0: 4, 1: 6}, None, 1),
+    ({0: Fraction(1, 2), 1: Fraction(3, 4)}, None, 4),
+    ({0: 1, 1: Fraction(1, 3), 3: -7}, 2, 30),
+    ({1: 1}, 2, 5),
+    ({3: 1}, 3, 1),
+], ids=["int-scaled", "int-zero", "fraction-zero", "mixed-scaled", "one-term-scaled",
+        "one-term-free"])
+def test_engine_leaves_its_row_argument_alone(row, lead, s):
+    # pbw hands memoised letter products to the engine as rows, so a
+    # mutation here would corrupt them silently
+    pivots: dict = {}
+    for r in ({0: 2, 1: 3}, {1: 5, 2: 1}):
+        _insert(pivots, r)
+    before, stored = _snapshot(row), {k: _snapshot(r) for k, r in pivots.items()}
+    got_lead, _, got_s = _reduce(pivots, row)
+    assert (got_lead, got_s) == (lead, s)
+    assert _snapshot(row) == before
+    assert {k: _snapshot(r) for k, r in pivots.items()} == stored
+    assert _insert(pivots, row) == lead
+    assert _snapshot(row) == before
+    assert all(_snapshot(pivots[k]) == v for k, v in stored.items())
+    assert len(pivots) == len(stored) + (lead is not None)
