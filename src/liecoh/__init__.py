@@ -1,7 +1,9 @@
 """Exact-arithmetic Lie algebra cohomology and filtration toolkit.
 
-Everything is computed over the rationals with `fractions.Fraction`;
-there is no floating point anywhere and no tolerance in any comparison.
+Every rational the API takes or returns is a `fractions.Fraction`; the
+eliminations, cochain builders and PBW straightening work on Python ints
+inside.  There is no floating point anywhere and no tolerance in any
+comparison.
 """
 
 from .checker import TheoremReport, check, check_catalog, random_solvable_algebra, verify_report
@@ -13,7 +15,6 @@ from .cohomology import (
     InflationReport,
     action_on_cohomology,
     ce_complex,
-    cochain_action_operators,
     cohomology,
     cohomology_of,
     hs_e2_page,
@@ -33,7 +34,6 @@ from .lie import (
     is_ideal,
     is_nilpotent,
     is_solvable,
-    is_subalgebra,
     lower_central_series,
     nil_quotient,
     power_filtration,
@@ -46,7 +46,6 @@ from .linalg import QMatrix, Subspace, image, kernel, quotient_basis, rank
 from .pbw import (
     ReesLayerTable,
     UEAElement,
-    degree,
     ipower_bruteforce,
     ipower_predicted,
     ipower_checks,
@@ -62,7 +61,6 @@ from .rep import (
     Character,
     LieModule,
     adjoint_module,
-    direct_sum,
     dual,
     exterior_power,
     has_trivial_subquotient,

@@ -21,7 +21,7 @@ from math import comb
 from . import catalog
 from .checker import check, verify_report
 from .cohomology import cohomology, hs_e2_page
-from .errors import InvalidAlgebraError, InvariantError, LiecohError
+from .errors import InvalidAlgebraError, InvariantError, LiecohError, RepresentationLawError
 from .fileformat import (
     SCHEMA,
     FileFormatError,
@@ -162,14 +162,23 @@ def _parse_degrees(spec: str, top: int) -> tuple[int, int]:
 
 
 def _resolve_module(spec: str, L: LieAlgebra):
+    """The --module coefficients.  `_guard_wedge` runs first, on their size
+    (1 for 'trivial', dim L for 'adjoint', a module file's declared dim),
+    then L is validated; only then is a module built."""
+    def ready(size: int) -> None:
+        _guard_wedge(L, size)
+        validate(L).require()
+
     if spec == "trivial":
+        ready(1)
         return "trivial", trivial_module(L)
     if spec == "adjoint":
+        ready(L.dim)
         return "adjoint", adjoint_module(L)
     if os.path.exists(spec):
         try:
-            return spec, load_module(spec, L)
-        except (FileFormatError, LiecohError) as exc:
+            return spec, load_module(spec, L, ready)
+        except (FileFormatError, RepresentationLawError) as exc:
             raise CommandError(f"{spec}: {exc}") from None
     raise CommandError(
         f"--module takes 'trivial', 'adjoint' or a module file path, got {spec!r}")
@@ -177,9 +186,7 @@ def _resolve_module(spec: str, L: LieAlgebra):
 
 def cmd_cohomology(args) -> int:
     name, L = _resolve_algebra(args.input)
-    validate(L).require()
     mod_name, M = _resolve_module(args.module, L)
-    _guard_wedge(L, M.dim)
     lo, hi = (0, L.dim) if args.degrees is None else _parse_degrees(args.degrees, L.dim)
     result = cohomology(L, M)
     payload = {
@@ -250,6 +257,10 @@ def cmd_rees(args) -> int:
     }
     summary = f"{name}: rees_noetherian={payload['rees_noetherian']}"
     if payload["nilpotent"]:
+        cells = (r_max + 1) * (m_max + 1)
+        if cells > REES_MONOMIAL_CAP:
+            raise CommandError(f"the layer table would need {cells} cells; the cap is "
+                               f"{REES_MONOMIAL_CAP}; lower --max-weight or --max-filtration")
         _guard_monomials(L, r_max, "--max-filtration")
         table = rees_layer_table(L, r_max, m_max)
         matches = all(table.dim(1, m) == lcs.term(m).dim
@@ -279,8 +290,8 @@ def cmd_rees(args) -> int:
 
 def cmd_e2(args) -> int:
     name, L = _resolve_algebra(args.input)
-    validate(L).require()
     _guard_wedge(L, 1)
+    validate(L).require()
     page = hs_e2_page(L)
     h_total = cohomology(L, trivial_module(L)).dims
     top = len(h_total) - 1

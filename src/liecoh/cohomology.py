@@ -82,13 +82,8 @@ runs over all of them.
 from dataclasses import dataclass, field
 from math import comb, lcm
 
-from .errors import (
-    ChainMapError,
-    ContainmentError,
-    DimensionMismatchError,
-    NotAnIdealError,
-)
-from .lie import LieAlgebra, Quotient, _bracket, _constants, is_ideal, lower_central_series, quotient
+from .errors import ChainMapError, ContainmentError, DimensionMismatchError
+from .lie import LieAlgebra, Quotient, _bracket, _constants, lower_central_series, quotient
 from .linalg import (
     QMatrix,
     Subspace,
@@ -115,7 +110,6 @@ __all__ = [
     "ce_complex",
     "cohomology",
     "cohomology_of",
-    "cochain_action_operators",
     "action_on_cohomology",
     "inflation_map",
     "inflation_on_cohomology",
@@ -400,20 +394,6 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     return tuple(_operators(terms, s, m, D, range(s + 1), 0))
 
 
-def cochain_action_operators(L: LieAlgebra, ideal: Subspace, M: LieModule,
-                             x) -> tuple[QMatrix, ...]:
-    """Chain-level operators of an ambient element on C^*(ideal, M).
-
-    One square matrix per degree 0..dim(ideal); verified to commute with
-    the differential (ChainMapError otherwise, which would mean a bug).
-    """
-    if not is_ideal(L, ideal):
-        raise NotAnIdealError("the acting construction needs a Lie ideal")
-    res = restrict(M, ideal)
-    cx = ce_complex(res.algebra, res)
-    return _chain_map(cx, cx, _action_operator(cx, L, ideal, M, x))
-
-
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
     """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
     with the differentials in each degree p < dst.top_degree (ChainMapError otherwise)."""
@@ -547,9 +527,6 @@ class E2Page:
             if 0 <= q < len(row):
                 total += row[q]
         return total
-
-    def concentrated_in_bottom_row(self) -> bool:
-        return all(not d for row in self.dims for d in row[1:])
 
 
 def _e2_from_action(page) -> E2Page:

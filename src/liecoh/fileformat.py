@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import LiecohError
 from .lie import LieAlgebra
+from .linalg import _frac
 from .rep import LieModule
 
 SCHEMA = 1
@@ -49,7 +50,7 @@ def _parse_coeff(s, where: str) -> Fraction:
     if isinstance(s, float):
         raise FileFormatError(f"bad coefficient {s!r} in {where}: write rationals as strings")
     try:
-        return Fraction(str(s))
+        return _frac(str(s))        # refuses exponent notation before Fraction expands it
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(f"bad coefficient {s!r} in {where}: {exc}") from None
 
@@ -123,7 +124,9 @@ def module_to_dict(M: LieModule) -> dict:
     }
 
 
-def module_from_dict(d: dict, L: LieAlgebra) -> LieModule:
+def module_from_dict(d: dict, L: LieAlgebra, check_dim=None) -> LieModule:
+    """The module a parsed module file describes.  `check_dim`, if given, is
+    called with the declared dim before any matrix is read or module built."""
     if not isinstance(d, dict):
         raise FileFormatError("module file must be a JSON object")
     try:
@@ -131,6 +134,8 @@ def module_from_dict(d: dict, L: LieAlgebra) -> LieModule:
         action = _list(d["action"], "action")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"module file is missing or mistypes a field: {exc}") from None
+    if check_dim is not None:
+        check_dim(dim)
     if len(action) != L.dim:
         raise FileFormatError(
             f"module file has {len(action)} action matrices for an algebra of dim {L.dim}")
@@ -144,19 +149,17 @@ def module_from_dict(d: dict, L: LieAlgebra) -> LieModule:
     return LieModule(L, mats, dim=dim)
 
 
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:   # bad JSON or UTF-8, or an int past the digit limit
+            raise FileFormatError(f"not valid JSON ({exc})") from None
+
+
 def load_algebra(path: str) -> LieAlgebra:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
-    return algebra_from_dict(payload)
+    return algebra_from_dict(_load_json(path))
 
 
-def load_module(path: str, L: LieAlgebra) -> LieModule:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
-    return module_from_dict(payload, L)
+def load_module(path: str, L: LieAlgebra, check_dim=None) -> LieModule:
+    return module_from_dict(_load_json(path), L, check_dim)

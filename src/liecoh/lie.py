@@ -59,7 +59,6 @@ __all__ = [
     "is_nilpotent",
     "is_solvable",
     "is_ideal",
-    "is_subalgebra",
     "quotient",
     "nil_quotient",
     "subalgebra",
@@ -333,10 +332,6 @@ def is_nilpotent(L: LieAlgebra) -> bool:
 
 def is_solvable(L: LieAlgebra) -> bool:
     return derived_series(L).last.dim == 0
-
-
-def is_subalgebra(L: LieAlgebra, sub: Subspace) -> bool:
-    return bracket_span(L, sub, sub) <= sub
 
 
 def is_ideal(L: LieAlgebra, sub: Subspace) -> bool:

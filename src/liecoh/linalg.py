@@ -17,7 +17,7 @@ Conventions
   echelon form with no zero rows.  This makes the basis canonical: two
   subspaces are equal iff their basis matrices are equal.  Next to it
   the subspace keeps the same rows as the engine's int pivot rows.
-* Every elimination (rank, echelon forms, kernels, images, solving,
+* Every elimination (rank, echelon forms, kernels, images,
   intersections, quotient bases, subspace membership) runs through one
   sparse engine on Python-int rows, fraction-free in the manner of
   Bareiss (Math. Comp. 1968):
@@ -54,13 +54,11 @@ __all__ = [
     "rank",
     "rref",
     "rref_transform",
-    "solve",
     "kernel",
     "image",
     "quotient_basis",
     "vector",
     "unit_vector",
-    "zero_vector",
 ]
 
 
@@ -69,6 +67,8 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass ints, Fractions or strings")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"{x!r} is no rational literal: exponents such as 1e3 are refused")
     return Fraction(x)
 
 
@@ -76,13 +76,10 @@ def vector(entries) -> tuple:
     """Coerce an iterable of ints/Fractions/strings into a rational vector.
 
     Floats are rejected outright: silently converting them would smuggle
-    binary rounding into an exact computation.
+    binary rounding into an exact computation.  So are strings in exponent
+    notation: Fraction("1e10000000") would build a ten-million-digit int.
     """
     return tuple(map(_frac, entries))
-
-
-def zero_vector(n: int) -> tuple:
-    return (Fraction(0),) * n
 
 
 def unit_vector(n: int, i: int) -> tuple:
@@ -208,20 +205,6 @@ class QMatrix:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __pow__(self, n: int) -> "QMatrix":
-        if self.rows != self.cols:
-            raise DimensionMismatchError("matrix power needs a square matrix")
-        if n < 0:
-            raise ValueError("matrix power needs a non-negative exponent")
-        result = QMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def apply(self, v) -> tuple:
         """Matrix times column vector."""
@@ -427,25 +410,6 @@ def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
     return (QMatrix._wrap(({k: a for k, a in row.items() if k < n} for row in rows), n),
             QMatrix._wrap(({k - n: a for k, a in row.items() if k >= n} for row in rows), m.rows),
             tuple(lead for lead in ech if lead < n))
-
-
-def solve(m: QMatrix, b) -> tuple | None:
-    """One exact solution x of m x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    b = vector(b)
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side has wrong length")
-    if not m.rows:
-        return zero_vector(m.cols)
-    ech = _echelon({**row, m.cols: bb} if bb else row for row, bb in zip(m.entries, b))
-    if m.cols in ech:
-        return None
-    x = [_ZERO] * m.cols
-    for p, row in ech.items():
-        x[p] = Fraction(row.get(m.cols, 0), row[p])
-    return tuple(x)
 
 
 class Subspace:

@@ -87,7 +87,6 @@ __all__ = [
     "monomials",
     "pbw_normal_form",
     "multiply",
-    "degree",
     "straightening_order",
     "ipower_bruteforce",
     "ipower_predicted",
@@ -251,10 +250,6 @@ def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     memo: dict = {}
     out = _combine((_times_word(table, fu, _word_of(b), memo), cb) for (_, b), cb in fv.items())
     return UEAElement(L.dim, _to_e(out, D, du * dv))
-
-
-def degree(x: UEAElement) -> int:
-    return x.degree()
 
 
 def monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:

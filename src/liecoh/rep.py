@@ -4,7 +4,7 @@ A `LieModule` stores one action matrix per basis element of the acting
 algebra and checks the bracket relations on every construction (the
 check cannot be skipped), so a module object in hand is always a genuine
 representation.  Derived constructions (dual, exterior powers,
-restriction, direct sums) re-validate; a failure there is an
+restriction, submodules) re-validate; a failure there is an
 implementation bug and raises RepresentationLawError rather than being
 swallowed.  The check keeps the action as int rows (`_int_action`), its
 only int form, which every arithmetic reader of the action uses.
@@ -45,7 +45,6 @@ __all__ = [
     "exterior_power",
     "restrict",
     "submodule",
-    "direct_sum",
     "invariants",
     "has_trivial_subquotient",
 ]
@@ -228,19 +227,6 @@ def submodule(M: LieModule, sub: Subspace) -> LieModule:
             cols.append(tuple(w[p] for p in pivots))
         rho.append(QMatrix.from_columns(cols, rows=sub.dim))
     return LieModule(M.algebra, rho, dim=sub.dim)
-
-
-def direct_sum(M: LieModule, N: LieModule) -> LieModule:
-    """Block-diagonal sum of two modules over the same algebra."""
-    if M.algebra != N.algebra:
-        raise DimensionMismatchError("summands must share the acting algebra")
-    d = M.dim + N.dim
-    rho = []
-    for a, b in zip(M.rho, N.rho):
-        rows = [row + (Fraction(0),) * N.dim for row in a.data]
-        rows += [(Fraction(0),) * M.dim + row for row in b.data]
-        rho.append(QMatrix(tuple(rows), cols=d))
-    return LieModule(M.algebra, rho, dim=d)
 
 
 def invariants(M: LieModule) -> Subspace:

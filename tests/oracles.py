@@ -1,6 +1,6 @@
 """Independent recomputations used by the tests.
 
-Apart from `unsplit_cohomology`, nothing here imports the library's
+Apart from `unsplit_cohomology` and `chain_action`, nothing here imports the library's
 cohomology or elimination code: the differential, the action of an
 ambient element on an ideal's cochains and exterior powers of a module
 are evaluated verbatim from their defining formulas with a bubble-sort
@@ -13,7 +13,9 @@ two-route check.
 `unsplit_cohomology` is the other kind of reference: the elimination
 `cohomology_of` ran before it kept to the weight-0 block, on the
 library's own engine, so the split can be held to the very same
-representatives and coordinates.
+representatives and coordinates.  `chain_action` is no reference at
+all: it builds the library's own chain-level action operators, checked to
+be a chain map, for the tests that hold them to the formula.
 """
 
 from fractions import Fraction
@@ -331,3 +333,15 @@ def unsplit_cohomology(cx):
         return tuple(c.get(i, Fraction(0)) for i in range(len(reps_all[q])))
 
     return tuple(reps_all), coordinates
+
+
+def chain_action(L, ideal, M, x):
+    """The library's operators of x in L on C^p(ideal, M), p = 0..dim(ideal),
+    checked by `_chain_map` to commute with the differential (ChainMapError
+    otherwise): the operators `action_on_cohomology` pushes to cohomology."""
+    from liecoh.cohomology import _action_operator, _chain_map, ce_complex
+    from liecoh.rep import restrict
+
+    res = restrict(M, ideal)
+    cx = ce_complex(res.algebra, res)
+    return _chain_map(cx, cx, _action_operator(cx, L, ideal, M, x))

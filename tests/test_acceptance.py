@@ -13,7 +13,6 @@ from liecoh.checker import check, random_solvable_algebra, verify_report
 from liecoh.cohomology import (
     action_on_cohomology,
     ce_complex,
-    cochain_action_operators,
     cohomology,
     inflation_map,
 )
@@ -48,7 +47,7 @@ from liecoh.rep import (
     trivial_module,
 )
 
-from oracles import straighten
+from oracles import chain_action, straighten
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -224,10 +223,9 @@ def test_criterion_7_structural_invariants():
                 continue
             aoc = action_on_cohomology(L, linf, trivial_module(L))
             for a in range(aoc.quotient.algebra.dim):
-                cochain_action_operators(L, linf, trivial_module(L),
-                                         aoc.quotient.lift(a))
+                chain_action(L, linf, trivial_module(L), aoc.quotient.lift(a))
             for row in linf.basis.data:
-                cochain_action_operators(L, linf, trivial_module(L), row)
+                chain_action(L, linf, trivial_module(L), row)
 
         # inflation is a chain map on every catalog entry
         for L in algebras:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,64 @@ def test_cohomology_guard_refuses_oversized_input(tmp_path):
     assert "cap" in proc.stderr
 
 
+def _abelian_file(tmp_path, n, brackets=()):
+    path = tmp_path / f"abelian{n}.json"
+    path.write_text(json.dumps({"schema": 1, "dim": n, "basis": [f"e{i}" for i in range(n)],
+                                "brackets": list(brackets)}))
+    return str(path)
+
+
+def test_guards_run_before_validation_and_module_building(tmp_path, monkeypatch):
+    from liecoh import cli
+    from liecoh.rep import LieModule
+
+    def refuse(*args):
+        raise AssertionError("work started before the size guard")
+
+    monkeypatch.setattr(cli, "validate", refuse)
+    monkeypatch.setattr(LieModule, "_check_representation_law", refuse)
+    # 2^12 wedges times a 2-dim module file, or the 12-dim adjoint module: over 4096
+    alg = _abelian_file(tmp_path, 12)
+    mod = tmp_path / "module.json"
+    mod.write_text(json.dumps({"schema": 1, "dim": 2, "action": [[["0"] * 2] * 2] * 12}))
+    assert cli.main(["cohomology", alg, "--module", str(mod)]) == 2
+    assert cli.main(["cohomology", alg, "--module", "adjoint"]) == 2
+    # an invalid algebra over the cap is refused as oversized, as `check` does
+    broken = _abelian_file(tmp_path, 13, [{"left": 0, "right": 1, "result": [["1", 0]]},
+                                          {"left": 0, "right": 2, "result": [["1", 2]]},
+                                          {"left": 1, "right": 2, "result": [["1", 1]]}])
+    for command in ("cohomology", "e2", "check"):
+        assert cli.main([command, broken]) == 2, command
+
+
+def test_refuses_exponent_notation_before_expanding_it(tmp_path):
+    from liecoh import cli
+
+    # Fraction("1e10000000") alone takes seconds; the file is 100 bytes
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"schema": 1, "dim": 2, "basis": ["x", "y"], "brackets": [
+        {"left": 0, "right": 1, "result": [["1e10000000", 1]]}]}))
+    start = time.monotonic()
+    assert cli.main(["validate", str(path)]) == 2
+    assert time.monotonic() - start < 1
+    with pytest.raises(FileFormatError):
+        algebra_from_dict(json.loads(path.read_text()))
+
+
+def test_refuses_json_integers_past_the_digit_limit(tmp_path):
+    # json.load raises ValueError for ints past Python's 4300-digit conversion limit
+    huge = "7" * 5000
+    alg = tmp_path / "coefficient.json"
+    alg.write_text('{"schema": 1, "dim": 2, "basis": ["x", "y"], "brackets": '
+                   '[{"left": 0, "right": 1, "result": [[%s, 1]]}]}' % huge)
+    proc = run_cli("validate", str(alg), expect=2)
+    assert "Traceback" not in proc.stderr and "not valid JSON" in proc.stderr
+    mod = tmp_path / "module.json"
+    mod.write_text('{"schema": 1, "dim": %s, "action": []}' % huge)
+    proc = run_cli("cohomology", "heisenberg3", "--module", str(mod), expect=2)
+    assert "Traceback" not in proc.stderr and "not valid JSON" in proc.stderr
+
+
 def test_rees_command_heisenberg():
     proc = run_cli("rees", "heisenberg3", "--max-filtration", "4",
                    "--max-weight", "4", "--verify-pbw")
@@ -330,6 +389,14 @@ def test_rees_verify_pbw_refuses_words_past_the_monomial_cap():
     # the layer table alone counts the monomials of degree <= R only
     assert payload_of(run_cli("rees", "heisenberg3", "--max-filtration", "1",
                               "--max-weight", "60"))["table"] is not None
+
+
+def test_rees_refuses_a_layer_table_past_the_cap():
+    # (R + 1)(M + 1) cells; abelian1 with R = 1, M = 900 (1802 cells) still runs above
+    proc = run_cli("rees", "heisenberg3", "--max-filtration", "1",
+                   "--max-weight", "1000000000", expect=2)
+    assert "2000000002 cells" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_e2_command_sl2():
