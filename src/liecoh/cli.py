@@ -37,6 +37,7 @@ from .lie import (
     lower_central_series,
     validate,
 )
+from .linalg import _ZERO
 from .pbw import (
     _word_cap,
     ipower_checks,
@@ -47,13 +48,53 @@ from .rep import adjoint_module, trivial_module
 
 WEDGE_COORD_CAP = 4096          # 2**12 exterior-algebra coordinates
 REES_MONOMIAL_CAP = 5000
+ALGEBRA_DIM_CAP = 100           # 10**6 cells of the dense bracket table
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, indent: str = "") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for dicts
+    with str keys (any other key raises TypeError), lists, tuples and
+    scalars.  Python 3.10 to 3.13 fall back to the pure-Python encoder for
+    any indent; this one quotes a list of strings in one join, writes
+    strings, ints, bools and None itself, and leaves other scalars to
+    `json.dumps`."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if any(type(key) is not str for key in obj):
+            raise TypeError(f"keys must be str, not {sorted({type(k).__name__ for k in obj})}")
+        return ("{\n" + ",\n".join(f"{inner}{_quote(key)}: {_json(obj[key], inner)}"
+                                   for key in sorted(obj))
+                + "\n" + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(item) is str for item in obj):
+            body = (",\n" + inner).join(map(_quote, obj))
+        else:
+            body = (",\n" + inner).join(_json(item, inner) for item in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(_json(obj))
     sys.stdout.write("\n")
 
 
@@ -67,23 +108,32 @@ class CommandError(Exception):
         self.code = code
 
 
-def _resolve_algebra(spec: str) -> tuple[str, LieAlgebra]:
-    """A catalog name or a path to an algebra file."""
+def _resolve_algebra(spec: str, check_dim) -> tuple[str, LieAlgebra]:
+    """A catalog name or a path to an algebra file.  `check_dim` (a size
+    guard) gets the dimension first: a file's declared "dim", before any
+    bracket is read or the algebra is built."""
     if os.path.exists(spec):
         try:
-            return spec, load_algebra(spec)
+            return spec, load_algebra(spec, check_dim)
         except (FileFormatError, LiecohError) as exc:
             raise CommandError(f"{spec}: {exc}") from None
     try:
-        return spec, catalog.get(spec)
+        L = catalog.get(spec)
     except KeyError:
         raise CommandError(
             f"{spec!r} is neither a readable file nor a known example "
             f"(known: {', '.join(catalog.names())})") from None
+    check_dim(L.dim)
+    return spec, L
 
 
-def _guard_wedge(L: LieAlgebra, coeff_dim: int) -> None:
-    size = (2 ** L.dim) * coeff_dim
+def _guard_dim(dim: int) -> None:
+    if dim > ALGEBRA_DIM_CAP:
+        raise CommandError(f"an algebra of dimension {dim} is over the cap {ALGEBRA_DIM_CAP}")
+
+
+def _guard_wedge(dim: int, coeff_dim: int = 1) -> None:
+    size = (2 ** dim) * coeff_dim
     if size > WEDGE_COORD_CAP:
         raise CommandError(
             f"the exterior algebra would need {size} coordinates; "
@@ -97,7 +147,8 @@ def _guard_monomials(L: LieAlgebra, degree: int, option: str) -> None:
 
 
 def _frac_strings(vec) -> list[str]:
-    return [str(a) for a in vec]
+    # dense vectors share linalg's one zero Fraction
+    return ["0" if a is _ZERO else str(a) for a in vec]
 
 
 def _chain_payload(chain) -> dict:
@@ -110,7 +161,7 @@ def _chain_payload(chain) -> dict:
 
 
 def cmd_validate(args) -> int:
-    name, L = _resolve_algebra(args.input)
+    name, L = _resolve_algebra(args.input, _guard_dim)
     report = validate(L)
     payload = {"schema": SCHEMA, "command": "validate", "input": name,
                "ok": report.ok, "violation": None}
@@ -129,7 +180,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_series(args) -> int:
-    name, L = _resolve_algebra(args.input)
+    name, L = _resolve_algebra(args.input, _guard_dim)
     validate(L).require()
     lcs = lower_central_series(L)
     der = derived_series(L)
@@ -166,7 +217,7 @@ def _resolve_module(spec: str, L: LieAlgebra):
     (1 for 'trivial', dim L for 'adjoint', a module file's declared dim),
     then L is validated; only then is a module built."""
     def ready(size: int) -> None:
-        _guard_wedge(L, size)
+        _guard_wedge(L.dim, size)
         validate(L).require()
 
     if spec == "trivial":
@@ -185,7 +236,7 @@ def _resolve_module(spec: str, L: LieAlgebra):
 
 
 def cmd_cohomology(args) -> int:
-    name, L = _resolve_algebra(args.input)
+    name, L = _resolve_algebra(args.input, _guard_wedge)
     mod_name, M = _resolve_module(args.module, L)
     lo, hi = (0, L.dim) if args.degrees is None else _parse_degrees(args.degrees, L.dim)
     result = cohomology(L, M)
@@ -208,8 +259,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_check(args) -> int:
-    name, L = _resolve_algebra(args.input)
-    _guard_wedge(L, 1)
+    name, L = _resolve_algebra(args.input, _guard_wedge)
     report = check(L)          # validates first
     payload = {
         "schema": SCHEMA,
@@ -234,7 +284,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_rees(args) -> int:
-    name, L = _resolve_algebra(args.input)
+    name, L = _resolve_algebra(args.input, _guard_dim)
     validate(L).require()
     r_max, m_max = args.max_filtration, args.max_weight
     if r_max < 1 or m_max < 1:
@@ -289,8 +339,7 @@ def cmd_rees(args) -> int:
 
 
 def cmd_e2(args) -> int:
-    name, L = _resolve_algebra(args.input)
-    _guard_wedge(L, 1)
+    name, L = _resolve_algebra(args.input, _guard_wedge)
     validate(L).require()
     page = hs_e2_page(L)
     h_total = cohomology(L, trivial_module(L)).dims

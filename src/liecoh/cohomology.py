@@ -33,17 +33,16 @@ Building the matrices
 these formulas: each nonzero structure constant, action entry or bracket
 coordinate, against each wedge R that avoids the indices it names.
 Each term names the indices it adds and removes (`wedge._term`), and
-`wedge._operators` sums the terms with wedges as bitmasks, placed by
-`wedge.mask_positions`, and every sign a popcount parity.  The inflation
-matrices are the wedge powers of the projection (`wedge.wedge_powers`),
-each degree built from the one below.  The wedge basis keeps its
-lexicographic order.
+`wedge._operators` sums the terms with wedges as bitmasks, each sign a
+popcount parity.  The inflation matrices are the wedge powers of the
+projection (`wedge.wedge_powers`), each degree built from the one below.
+The wedge basis keeps its lexicographic order.
 * Fractions enter as the structure constants and action matrices, made
   ints once (`lie._constants`, `_int_action`) and brought to one D here.
 * The terms of each entry add up in Python ints.
-* Fractions leave when the rows are handed to `QMatrix`: each distinct
-  nonzero sum becomes one Fraction over D.  The elimination engine in
-  `linalg` turns the rows back into ints when it reads them.
+* Fractions leave when a row is finished: each distinct nonzero sum
+  becomes one Fraction over D.  The elimination engine in `linalg` turns
+  the rows back into ints when it reads them.
 
 Weight-0 blocks
 ---------------
@@ -57,8 +56,15 @@ weight blocks.  By Cartan's formula theta_x = d iota_x + iota_x d
 null-homotopic, and so is its restriction to one block (the projection
 onto a block commutes with d).  On a block of weight w != 0 that
 restriction is w times the identity, so the block is acyclic and all of
-H^q lives in the weight-0 block.  `cohomology_of` eliminates that block
-alone, and nothing it returns depends on which such x it used:
+H^q lives in the weight-0 block.
+
+`ce_complex` builds that block alone: `_grading` picks x, `wedge`
+lists the weight-0 wedges of each degree by their weights, and only the
+rows at them are summed, each term visiting only the wedges R that put
+its row at weight 0.  A term whose column weighs otherwise than its row
+raises ChainMapError, which no honest module does.  `cohomology_of`
+eliminates the block, and nothing it returns depends on which such x
+was used:
 * the canonical basis of a kernel that is a direct sum over disjoint
   coordinate blocks is the union of the blocks' canonical bases, so the
   weight-0 rows of Z^q's basis are the canonical basis of the kernel of
@@ -70,16 +76,26 @@ alone, and nothing it returns depends on which such x it used:
 So the representatives, their order and their tags are the ones the
 unsplit elimination would give.  A cocycle's components of nonzero
 weight are cocycles there, hence coboundaries, so its class is that of
-its weight-0 component (`CohomologyResult.coordinates`).
+its weight-0 component (`CohomologyResult.coordinates`).  Inflation
+lands in the weight-0 block (`inflation_map`), and its chain-map check
+reads the block rows alone.
+
+The whole differential (`CochainComplex.delta`, `deltas`) is built on
+first use, from the same filed terms, only by its callers: the chain-map
+check of the action operators on the complex of L^inf, `coordinates`
+given a vector with a nonzero part off the block, and the tests.  So
+`check` and `e2` never build it for L, nor the blocks of nonzero weight
+of the complexes of N with coefficients in H^q(L^inf).
 
 `_grading` picks x from the linear conditions "ad x and rho(x) have no
 off-diagonal entries" (see its docstring).  When no solution has a
 nonzero weight (nilpotent L, abelian quotients, bases that are not
-weight bases), every coordinate has weight 0 and the same elimination
-runs over all of them.
+weight bases), every coordinate has weight 0: the block is the whole
+complex, built by the same code over every wedge, and `deltas` reads it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, lcm
 
 from .errors import ChainMapError, ContainmentError, DimensionMismatchError
@@ -99,7 +115,15 @@ from .linalg import (
     vector,
 )
 from .rep import LieModule, restrict, trivial_module
-from .wedge import _operators, _scaled, _signed, _subset_sums, _term, wedge_powers
+from .wedge import (
+    _matrices,
+    _operators,
+    _scaled,
+    _signed,
+    _term,
+    _weight_zero,
+    wedge_powers,
+)
 
 __all__ = [
     "CochainComplex",
@@ -117,28 +141,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CochainComplex:
-    """Differential matrices of the standard complex of (algebra, coeff)."""
+    """Differential matrices of the standard complex of (algebra, coeff).
 
-    algebra: LieAlgebra
-    coeff: LieModule
-    deltas: tuple[QMatrix, ...]          # deltas[p]: C^p -> C^{p+1}, p = 0..n-1
+    `deltas[p]`, C^p -> C^{p+1} for p = 0..dim - 1, is the whole
+    differential.  `_block` is (zero, rows): zero[q] the weight-0
+    coordinates of C^q, q = 0..dim + 1, as a range or dict keys in
+    increasing order, and rows[q] the rows of delta_q at zero[q + 1], as
+    {row: {column: Fraction}}, q = 0..dim (module docstring).  A complex
+    from `ce_complex` holds only that block, and builds `deltas` from its
+    filed terms on first use.  A complex made from given matrices reads
+    its block off them when first asked, and raises ChainMapError when an
+    entry joins a weight-0 coordinate to another one.
+    """
 
-    def __post_init__(self):
+    def __init__(self, algebra: LieAlgebra, coeff: LieModule, deltas):
+        self.algebra = algebra
+        self.coeff = coeff
+        self.deltas = tuple(deltas)
         shapes = [(d.rows, d.cols) for d in self.deltas]
-        expected = [(self.space_dim(p + 1), self.space_dim(p)) for p in range(self.algebra.dim)]
-        if self.coeff.algebra != self.algebra or shapes != expected:
+        expected = [(self.space_dim(p + 1), self.space_dim(p)) for p in range(algebra.dim)]
+        if coeff.algebra != algebra or shapes != expected:
             raise DimensionMismatchError(f"differentials of shapes {shapes} with coefficients "
-                                         f"over {self.coeff.algebra!r}; expected {expected} "
-                                         f"over {self.algebra!r}")
+                                         f"over {coeff.algebra!r}; expected {expected} "
+                                         f"over {algebra!r}")
+
+    @classmethod
+    def _filed(cls, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
+        """The complex of `wedge._term` terms over D: its weight-0 block
+        under weights, (lam, mu) or None, built now."""
+        cx = object.__new__(cls)
+        cx.algebra, cx.coeff = L, M
+        n, m = L.dim, M.dim
+        zero = _weight_zero(n, m, weights, range(n + 2))
+        rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, 1, weights)
+        cx._block = (zero, rows + [{}])
+        cx._terms = (terms, D, weights)
+        return cx
+
+    @cached_property
+    def deltas(self) -> tuple[QMatrix, ...]:
+        """The whole differential of a `_filed` complex: its block when that
+        is every coordinate, else built from the terms."""
+        terms, D, weights = self._terms
+        n = self.algebra.dim
+        if weights is None:
+            return tuple(QMatrix._wrap(rows.values(), self.space_dim(q))
+                         for q, rows in enumerate(self._block[1][:n]))
+        return tuple(_matrices(terms, n, self.coeff.dim, D, range(n), 1))
+
+    @cached_property
+    def _block(self) -> tuple[list, list]:
+        """(zero, rows) of given differentials, under `_grading`'s weights."""
+        n = self.algebra.dim
+        zero = _weight_zero(n, self.coeff.dim, _grading(self.algebra, self.coeff), range(n + 2))
+        rows = []
+        for q, delta in enumerate(self.deltas):
+            src, dst = zero[q], zero[q + 1]
+            for r, row in enumerate(delta.entries):
+                if any((c in src) != (r in dst) for c in row):
+                    raise ChainMapError("the differential does not preserve the weights "
+                                        "of the grading element")
+            rows.append({r: delta.entries[r] for r in dst})
+        return zero, rows + [{}]
 
     def space_dim(self, p: int) -> int:
         return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
 
     def delta(self, p: int) -> QMatrix:
         """The differential out of C^p; zero maps beyond the stored range."""
-        if 0 <= p < len(self.deltas):
+        if 0 <= p < self.algebra.dim:
             return self.deltas[p]
         return QMatrix.zero(self.space_dim(p + 1), self.space_dim(p))
 
@@ -147,16 +219,16 @@ class CochainComplex:
         return self.algebra.dim
 
 
-def _block(rows, f: int) -> tuple[tuple, tuple]:
+def _signed_rows(rows, f: int) -> tuple[tuple, tuple]:
     """`_signed` of the nonzero (beta, b, f * a) of sparse int matrix rows."""
     return _signed((beta, b, f * a) for beta, row in enumerate(rows) for b, a in row.items())
 
 
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
-    """Matrices of the standard-complex differential in the wedge basis.
+    """The standard complex, built as its weight-0 block.
 
-    Built from the nonzero terms of the formula alone, with wedges R as
-    bitmasks; a(k) below is the number of entries of R less than k.
+    The terms of the differential are filed with wedges R as bitmasks;
+    a(k) below is the number of entries of R less than k.
     - Each nonzero rho(x_t)[beta][b] adds (-1)^a(t) rho(x_t)[beta][b] at
       row (R + t, beta), column (R, b), for every p-wedge R without t.
     - Each nonzero c_ij^k, i < j, adds -(-1)^(a(i) + a(j) + a(k)) c_ij^k
@@ -165,9 +237,11 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
       x_i and x_j sit at places a(i) and a(j) + 1 of R + i + j, and
       sorting e_k into R costs (-1)^a(k).
     The terms add up as ints D * entry, D = lcm(E, D_M); each nonzero sum
-    becomes a Fraction over D once, when the rows are handed to `QMatrix`.
-    The nonzero constants come from `_constants` as ints E * c_ij^k, and
-    the action entries from the module's `_int_action` as ints D_M * rho.
+    becomes a Fraction over D once, when a row is finished.  The nonzero
+    constants come from `_constants` as ints E * c_ij^k, and the action
+    entries from the module's `_int_action` as ints D_M * rho.  Only the
+    rows of weight 0 under `_grading`'s x are built now (module
+    docstring); `deltas` builds the rest on first use.
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
@@ -179,12 +253,12 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     terms = {}
     for t, rows in enumerate(P):
         if any(rows):
-            _term(terms, (t,), (), _block(rows, D // DM))
+            _term(terms, (t,), (), _signed_rows(rows, D // DM))
     for i in range(n):
         for j in range(i + 1, n):
             for k, g in table[i][j]:
                 _term(terms, (i, j), (k,), _signed((b, b, -g * (D // E)) for b in range(m)))
-    return CochainComplex(L, M, tuple(_operators(terms, n, m, D, range(n), 1)))
+    return CochainComplex._filed(L, M, terms, D, _grading(L, M))
 
 
 def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
@@ -240,33 +314,6 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
     return (total[:n], total[n:]) if t > 1 else None
 
 
-def _weight_zero(cx: CochainComplex) -> list:
-    """The weight-0 cochain coordinates of each degree 0..top + 1 under the
-    x of `_grading`, as a range or dict keys: in increasing order, with
-    constant-time membership.  Every coordinate when `_grading` finds no
-    weights.
-
-    ChainMapError when a differential joins coordinates of different
-    weights, which no complex built by `ce_complex` does.
-    """
-    n = cx.algebra.dim
-    grading = _grading(cx.algebra, cx.coeff)
-    if grading is None:
-        return [range(cx.space_dim(q)) for q in range(n + 2)]
-    lam, mu = grading
-    # (R, b) weighs mu_b minus the sum of lam over R
-    weights = [[u - s for s in _subset_sums(lam, q) for u in mu] for q in range(n + 2)]
-    for q, delta in enumerate(cx.deltas):
-        src, dst = weights[q], weights[q + 1]
-        for r, row in enumerate(delta.entries):
-            w = dst[r]
-            for c in row:
-                if src[c] != w:
-                    raise ChainMapError("the differential does not preserve the weights "
-                                        "of the grading element")
-    return [dict.fromkeys(i for i, w in enumerate(ws) if not w) for ws in weights]
-
-
 @dataclass(frozen=True)
 class CohomologyResult:
     """Per-degree dimensions, representative cocycles, and class coordinates.
@@ -274,7 +321,7 @@ class CohomologyResult:
     representatives[q] are vectors in C^q whose classes form a basis of
     H^q; `coordinates` reads classes in that basis off the degree-q pivot
     dict of `linalg._classes` and refuses anything that is not a cocycle.
-    The pivot dicts hold the weight-0 block of each degree (`_weight_zero`).
+    The pivot dicts hold the weight-0 block of each degree (`CochainComplex._block`).
     """
 
     complex: CochainComplex
@@ -293,8 +340,8 @@ class CohomologyResult:
 
         The weight-0 part of each column is reduced against the pivots,
         which refuses it unless it is a cocycle.  The rest must be a
-        cocycle too, checked on the full differential; it is then a
-        coboundary, and adds nothing to the class.
+        cocycle too, checked on the whole differential (built then, if it
+        is nonzero); it is then a coboundary, and adds nothing to the class.
         """
         n = self.complex.space_dim(q)
         if m.rows != n:
@@ -322,21 +369,19 @@ class CohomologyResult:
 def cohomology_of(cx: CochainComplex) -> CohomologyResult:
     """Cohomology of an already-built complex, from its weight-0 block.
 
-    Two sparse eliminations per degree, on the weight-0 coordinates of
-    `_weight_zero` alone (module docstring): the canonical basis of the
-    kernel of delta_q on them, then one pivot dict (`linalg._classes`) fed
-    delta_{q-1}'s weight-0 columns as they are, keeping the rows of that
-    kernel basis that add a pivot as the representatives.  Dense vectors
-    are made only for the representatives.
+    Two sparse eliminations per degree, on the block rows and weight-0
+    coordinates of `cx._block` alone (module docstring): the canonical
+    basis of the kernel of delta_q on them, then one pivot dict
+    (`linalg._classes`) fed delta_{q-1}'s weight-0 columns as they are,
+    keeping the rows of that kernel basis that add a pivot as the
+    representatives.  Dense vectors are made only for the representatives.
     """
-    zero = _weight_zero(cx)
+    zero, rows = cx._block
     reps_all = []
     pivots_all = []
     coboundaries = ()
     for q in range(cx.top_degree + 1):
-        entries = cx.delta(q).entries
-        # the weight-0 block of delta_q, by row; its entries lie in weight-0 columns
-        block = {r: entries[r] for r in zero[q + 1]}
+        block = rows[q]
         pivots, reps = _classes(coboundaries, _kernel(block.values(), zero[q], cx.space_dim(q)))
         reps_all.append(tuple(_dense(row, 0, cx.space_dim(q)) for row in reps))
         pivots_all.append(pivots)
@@ -387,20 +432,40 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     terms = {}
     for a, xa in x.items():
         if any(P[a]):
-            _term(terms, (), (), _block(P[a], _scaled(xa, D // DM)))
+            _term(terms, (), (), _signed_rows(P[a], _scaled(xa, D // DM)))
     for i, v in enumerate(coords):
         for k, g in v:
             _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
-    return tuple(_operators(terms, s, m, D, range(s + 1), 0))
+    return tuple(_matrices(terms, s, m, D, range(s + 1), 0))
 
 
-def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
+def _chain_map(src: CochainComplex, dst: CochainComplex, maps,
+               block: bool = False) -> tuple[QMatrix, ...]:
     """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
-    with the differentials in each degree p < dst.top_degree (ChainMapError otherwise)."""
+    with the differentials in each degree p < dst.top_degree (ChainMapError otherwise).
+
+    With block, every nonzero row of every map must lie in dst's weight-0
+    block, and each degree compares the block rows alone, read off
+    `dst._block`: delta_p takes weight-0 cochains to weight-0 cochains, so
+    the other rows are zero on both sides, and dst's whole differential is
+    never built.
+    """
+    if any((mp.rows, mp.cols) != (dst.space_dim(p), src.space_dim(p))
+           for p, mp in enumerate(maps)):
+        raise DimensionMismatchError("the maps do not take C^p(src) to C^p(dst)")
+    zero, rows = dst._block if block else (None, None)
+    if block and any(row and r not in zero[p]
+                     for p, mp in enumerate(maps) for r, row in enumerate(mp.entries)):
+        raise ChainMapError("a map has a nonzero row outside the weight-0 block")
     for p in range(min(dst.top_degree, len(maps))):
         nxt = (maps[p + 1] if p + 1 < len(maps)
                else QMatrix.zero(dst.space_dim(p + 1), src.space_dim(p + 1)))
-        if dst.delta(p) * maps[p] != nxt * src.delta(p):
+        if block:
+            d = QMatrix._wrap(rows[p].values(), dst.space_dim(p))
+            nxt = QMatrix._wrap([nxt.entries[r] for r in rows[p]], nxt.cols)
+        else:
+            d = dst.delta(p)
+        if d * maps[p] != nxt * src.delta(p):
             raise ChainMapError(f"the maps do not commute with the differentials in degree {p}")
     return tuple(maps)
 
@@ -452,16 +517,22 @@ def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
 
     With trivial coefficients the degree-p matrix has entries the p x p
     minors of the projection: row T holds the wedge expansion of the
-    projected basis vectors indexed by T.  The family is verified to be a
-    chain map between the trivial-coefficient complexes cx_L of L and
-    cx_q of the quotient nq.
+    projected basis vectors indexed by T, and is built only when none of
+    them is zero (`wedge_powers`).  Those rows lie in the weight-0 block
+    of cx_L: a basis vector e_t with [x, e_t] = lam_t e_t projects to an
+    eigenvector of the nilpotent ad of x's image, so lam_t = 0 unless its
+    projection is 0.  The family is checked to be a chain map between the
+    trivial-coefficient complexes cx_L of L and cx_q of the quotient nq on
+    that block (`_chain_map`).
     Returns matrices for p = 0..dim(quotient).
     """
     n = L.dim
     qd = nq.algebra.dim
     columns = _transpose(nq.projection.entries, n)
-    return _chain_map(cx_q, cx_L, [QMatrix._wrap(rows, comb(qd, p))
-                                   for p, rows in enumerate(wedge_powers(columns, qd, qd))])
+    empty: dict = {}
+    maps = [QMatrix._wrap([rows.get(r, empty) for r in range(comb(n, p))], comb(qd, p))
+            for p, rows in enumerate(wedge_powers(columns, qd, qd))]
+    return _chain_map(cx_q, cx_L, maps, block=True)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,9 @@ def _list(x, where: str) -> list:
     return x
 
 
-def algebra_from_dict(d: dict) -> LieAlgebra:
+def algebra_from_dict(d: dict, check_dim=None) -> LieAlgebra:
+    """The algebra a parsed algebra file describes.  `check_dim`, if given, is
+    called with the declared dim before any bracket is read or algebra built."""
     if not isinstance(d, dict):
         raise FileFormatError("algebra file must be a JSON object")
     try:
@@ -78,6 +80,8 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
         brackets = _list(d.get("brackets", []), "brackets")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
+    if check_dim is not None:
+        check_dim(dim)
     if len(basis) != dim:
         raise FileFormatError(f"dim is {dim} but {len(basis)} basis names are given")
     if any(type(label) is not str for label in basis):
@@ -157,8 +161,8 @@ def _load_json(path: str):
             raise FileFormatError(f"not valid JSON ({exc})") from None
 
 
-def load_algebra(path: str) -> LieAlgebra:
-    return algebra_from_dict(_load_json(path))
+def load_algebra(path: str, check_dim=None) -> LieAlgebra:
+    return algebra_from_dict(_load_json(path), check_dim)
 
 
 def load_module(path: str, L: LieAlgebra, check_dim=None) -> LieModule:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lie import LieAlgebra, _constants, is_nilpotent, subalgebra
 from .linalg import QMatrix, Subspace, _kernel, vector
-from .wedge import _operators, _scaled, _signed, _term
+from .wedge import _matrices, _scaled, _signed, _term
 
 __all__ = [
     "LieModule",
@@ -194,7 +194,7 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
         for k, row in enumerate(rows):
             for s, a in row.items():
                 _term(terms, (k,), (s,), _signed([(0, 0, a)]))
-        rho += _operators(terms, M.dim, 1, D, [p], 0)
+        rho += _matrices(terms, M.dim, 1, D, [p], 0)
     return LieModule(M.algebra, rho, dim=comb(M.dim, p))
 
 

@@ -7,7 +7,8 @@ wedge or computes its sign:
   indexed by the p-subsets S of range(n), listed in the lexicographic
   order of their increasing tuples (s_0 < ... < s_{p-1});
 * a subset is held as a bitmask, bit s set for s in S, and
-  `mask_positions` gives its place in that order;
+  `mask_positions` (every subset) or `_rank` (one subset) gives its place
+  in that order;
 * sorting e_k into a wedge S costs (-1)^(number of entries of S below
   k), the parity of the popcount of S & `_below(k)`;
 * dual wedges pair by the determinant rule, so the basis cochain labelled
@@ -19,14 +20,25 @@ powers of a module are sums of terms that each swap a few wedge factors.
 `_operators` sums the terms over every wedge they apply to, in Python
 ints D * entry over one common denominator D, and turns each distinct
 sum into a Fraction once.  Wedges of vectors (`wedge_powers`) grow one
-factor at a time, and `_subset_sums` lists a sum over each wedge's
-indices in basis order, as the weights of a grading need.
+factor at a time, over the indices whose vectors are nonzero.
+
+Weight blocks.  Given int weights lam of the indices and mu of an
+m-dimensional coefficient block, the coordinate (S, b) weighs mu[b]
+minus the sum of lam over S.  `_weight_zero` lists the coordinates of
+weight 0 and `_operators` builds only their rows.  Both list wedges by
+their weight (`_subsets`): the indices of weight 0 are free, and the
+others are chosen depth first (`_sums`), largest weight first, dropping
+every branch whose remaining target the unchosen weights cannot reach.
+No list of all 2^n wedges is made.  With no weights every coordinate
+weighs 0, and the same code runs over `itertools.combinations` of every
+index, as for the whole matrices.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .errors import ChainMapError
 from .linalg import QMatrix
 
 __all__ = ["mask_positions", "wedge_powers"]
@@ -44,10 +56,100 @@ def mask_positions(n: int, sizes) -> list[int]:
     return pos
 
 
-def _subset_sums(values, p: int):
-    """The sum of values[s] over each p-subset S of range(len(values)), in
-    the order of the degree-p wedge basis."""
-    return map(sum, combinations(values, p))
+def _rank(n: int, mask: int) -> int:
+    """The position of a subset of range(n) in the lexicographic enumeration
+    of the subsets of its size: C(n, p) - 1 - sum_j C(n - 1 - s_j, p - j)
+    over its entries s_0 < ... < s_{p-1}."""
+    p = mask.bit_count()
+    r = comb(n, p) - 1
+    j = 0
+    while mask:
+        r -= comb(n - (mask & -mask).bit_length(), p - j)
+        mask &= mask - 1
+        j += 1
+    return r
+
+
+class _Ranks(dict):
+    """`_rank(n, mask)` by mask, computed on first lookup."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, mask: int) -> int:
+        r = self[mask] = _rank(self.n, mask)
+        return r
+
+
+def _sums(values, target: int, avoid: int) -> dict[int, list[int]]:
+    """The subsets of the indices outside the mask `avoid` with a nonzero
+    value whose values sum to target, as masks by size.
+
+    Depth first, largest value first, with the reach (lowest and highest
+    sum) of the values not yet decided: a branch stops as soon as its
+    remaining target leaves that reach.
+    """
+    order = sorted((i for i, v in enumerate(values) if v and not avoid >> i & 1),
+                   key=lambda i: -abs(values[i]))
+    if not order:
+        return {0: [0]} if target == 0 else {}
+    reach = [(0, 0)] * (len(order) + 1)
+    for j in reversed(range(len(order))):
+        v, (lo, hi) = values[order[j]], reach[j + 1]
+        reach[j] = (lo + min(v, 0), hi + max(v, 0))
+    found: dict = {}
+
+    def walk(j, mask, size, rest):
+        lo, hi = reach[j]
+        if not lo <= rest <= hi:
+            return
+        if j == len(order):                 # the reach is (0, 0): rest is 0
+            found.setdefault(size, []).append(mask)
+            return
+        i = order[j]
+        walk(j + 1, mask | 1 << i, size + 1, rest - values[i])
+        walk(j + 1, mask, size, rest)
+
+    walk(0, 0, 0, target)
+    return found
+
+
+def _subsets(values, size: int, target: int, avoid: int, memo: dict):
+    """Masks of the size-subsets of range(len(values)) outside `avoid` whose
+    values sum to target: each subset of `_sums` joined with every choice of
+    the indices of value 0.  memo keeps, by (avoid, target), those indices
+    and the subsets of `_sums`; with no nonzero value outside avoid, this is
+    `combinations` of the free indices."""
+    if (avoid, target) not in memo:
+        free = [1 << i for i, v in enumerate(values) if not v and not avoid >> i & 1]
+        memo[avoid, target] = (free, _sums(values, target, avoid))
+    free, found = memo[avoid, target]
+    if found == {0: [0]}:
+        return map(sum, combinations(free, size))
+    return (mask | rest for a, masks in found.items() if a <= size
+            for rest in map(sum, combinations(free, size - a)) for mask in masks)
+
+
+def _weight_zero(n: int, m: int, weights, degrees) -> list:
+    """The weight-0 coordinates (S, b) of each degree in degrees, as their
+    positions (place of S) * m + b: a range when weights is None (every
+    coordinate), else a dict keyed by them in increasing order.  weights
+    is (lam, mu)."""
+    if weights is None:
+        return [range(comb(n, p) * m) for p in degrees]
+    lam, mu = weights
+    memo: dict = {}
+    out = []
+    for p in degrees:
+        coords = []
+        for v in set(mu):
+            bs = [b for b, u in enumerate(mu) if u == v]
+            for S in _subsets(lam, p, v, 0, memo):
+                base = _rank(n, S) * m
+                coords += [base + b for b in bs]
+        out.append(dict.fromkeys(sorted(coords)))
+    return out
 
 
 def _below(k: int) -> int:
@@ -84,8 +186,40 @@ def _term(groups: dict, rows: tuple, cols: tuple, blocks) -> None:
         (row_bits, col_bits, sign_mask, blocks))
 
 
-def _operators(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> list:
-    """The matrices of the terms filed by `_term`, one out of each degree q in degrees.
+def _weigh(lam, mask: int) -> int:
+    return sum(lam[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _by_target(groups: dict, lam, mu) -> dict:
+    """The terms of `_term` groups (F, c) regrouped as (F, c, t): each term
+    keeps the entries (beta, b, v) whose row (R | row bits, beta) weighs 0
+    exactly when lam sums to t over R, t = mu[beta] - lam(row bits).
+    ChainMapError when an entry's column weighs otherwise than its row."""
+    lo = sum(v for v in lam if v < 0)
+    hi = sum(v for v in lam if v > 0)
+    parts: dict = {}
+    for (forbid, c), terms in groups.items():
+        for row_bits, col_bits, sign_mask, blocks in terms:
+            row_w, col_w = _weigh(lam, row_bits), _weigh(lam, col_bits)
+            split: dict = {}
+            for k, (beta, b, _) in enumerate(blocks[0]):
+                if mu[beta] - row_w != mu[b] - col_w:
+                    raise ChainMapError("a term joins cochains of different weights "
+                                        "under the grading element")
+                split.setdefault(mu[beta] - row_w, []).append(k)
+            for t, ks in split.items():
+                if not lo <= t <= hi:       # no wedge R weighs t: the entries reach no row
+                    continue
+                parts.setdefault((forbid, c, t), []).append(
+                    (row_bits, col_bits, sign_mask,
+                     tuple(tuple(block[k] for k in ks) for block in blocks)))
+    return parts
+
+
+def _operators(groups: dict, n: int, m: int, D: int, rows: dict, shift: int,
+               weights=None) -> list[dict]:
+    """The rows of the matrices of the terms filed by `_term`, one out of
+    each degree q in rows, as {row: {column: Fraction}} dicts over rows[q].
 
     Columns are the q-wedges of range(n) and rows the (q + shift)-wedges,
     each times an m-dimensional block, in lexicographic order.  For a
@@ -94,16 +228,30 @@ def _operators(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> lis
     of blocks[popcount(R & sign mask) % 2] is added at row
     (R | row bits, beta), column (R | column bits, b).  The sums are ints;
     each distinct nonzero sum then becomes one Fraction over D.
+
+    With weights (lam, mu), rows[q] must be the weight-0 rows of
+    `_weight_zero`, and only the R that place an entry there are visited:
+    those whose lam sums to mu[beta] minus lam over the row bits.  An entry
+    that joins coordinates of different weights raises ChainMapError.
+    With weights None every coordinate weighs 0, so rows[q] must be every
+    row, and every R is visited.
     """
-    bits = [1 << s for s in range(n)]
-    pos = mask_positions(n, {size for q in degrees for size in (q, q + shift)})
+    if weights is None:
+        lam = (0,) * n
+        parts = {(forbid, c, 0): terms for (forbid, c), terms in groups.items()}
+        pos = mask_positions(n, {size for q in rows for size in (q, q + shift)})
+    else:
+        lam, mu = weights
+        parts = _by_target(groups, lam, mu)
+        pos = _Ranks(n)
+    memo: dict = {}
     mats = []
-    for q in degrees:
-        out = [{} for _ in range(comb(n, q + shift) * m)]
-        for (forbid, c), terms in groups.items():
+    for q, keys in rows.items():
+        out = {r: {} for r in keys}
+        for (forbid, c, t), terms in parts.items():
             if c > q:
                 continue
-            for R in map(sum, combinations([b for b in bits if not b & forbid], q - c)):
+            for R in _subsets(lam, q - c, t, forbid, memo):
                 for row_bits, col_bits, sign_mask, blocks in terms:
                     rbase = pos[R | row_bits] * m
                     cbase = pos[R | col_bits] * m
@@ -111,31 +259,40 @@ def _operators(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> lis
                         row = out[rbase + beta]
                         key = cbase + b
                         row[key] = row.get(key, 0) + v
-        value = {a: Fraction(a, D) for a in {a for row in out for a in row.values()}}
-        mats.append(QMatrix._wrap([{k: value[a] for k, a in row.items() if a} for row in out],
-                                  comb(n, q) * m))
+        value = {a: Fraction(a, D) for a in {a for row in out.values() for a in row.values()}}
+        mats.append({r: {k: value[a] for k, a in row.items() if a} for r, row in out.items()})
     return mats
 
 
-def wedge_powers(columns, m: int, top: int) -> list[list[dict]]:
+def _matrices(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> list[QMatrix]:
+    """The whole matrices of `_operators`, one out of each degree in degrees."""
+    rows = {q: range(comb(n, q + shift) * m) for q in degrees}
+    return [QMatrix._wrap(out.values(), comb(n, q) * m)
+            for q, out in zip(rows, _operators(groups, n, m, D, rows, shift))]
+
+
+def wedge_powers(columns, m: int, top: int) -> list[dict]:
     """Exterior powers of the linear map with images columns[t] of e_t.
 
     columns[t] is a {coordinate: Fraction} dict in a space of dimension
-    m.  Returns, for p = 0..top, the rows of the degree-p power: row T,
-    T running over the p-subsets of range(len(columns)) in lexicographic
-    order, holds the coordinates {position of S: coefficient} of
-    columns[t_0] ^ ... ^ columns[t_{p-1}], that is the p x p minors at
-    columns T.  Row T is row T - {t} of degree p - 1, t the top index of
-    T, wedged on the right with columns[t]: e_S ^ e_k sorts with sign
-    (-1)^(number of entries of S above k).
+    m.  Returns, for p = 0..top, the rows of the degree-p power that can
+    be nonzero, as {position of T: row}: T runs over the p-subsets of the
+    indices t with columns[t] nonzero, in lexicographic order, and its
+    position is its place among all p-subsets of range(len(columns)).
+    Every other row of the power is zero.  Row T holds the coordinates
+    {position of S: coefficient} of columns[t_0] ^ ... ^ columns[t_{p-1}],
+    that is the p x p minors at columns T.  Row T is row T - {t} of degree
+    p - 1, t the top index of T, wedged on the right with columns[t]:
+    e_S ^ e_k sorts with sign (-1)^(number of entries of S above k).
     """
+    n = len(columns)
     pos = mask_positions(m, range(top + 1))
-    bits = [1 << t for t in range(len(columns))]
+    live = [1 << t for t, col in enumerate(columns) if col]
     rows = {0: {0: Fraction(1)}}
-    powers = [[{0: Fraction(1)}]]
+    powers = [{0: {0: Fraction(1)}}]
     for p in range(1, top + 1):
         nxt = {}
-        for T in map(sum, combinations(bits, p)):
+        for T in map(sum, combinations(live, p)):
             t = T.bit_length() - 1
             row = {}
             for S, c in rows[T ^ (1 << t)].items():
@@ -145,5 +302,5 @@ def wedge_powers(columns, m: int, top: int) -> list[list[dict]]:
                         row[S | 1 << k] = row.get(S | 1 << k, 0) + v
             nxt[T] = {S: c for S, c in row.items() if c}
         rows = nxt
-        powers.append([{pos[S]: c for S, c in row.items()} for row in rows.values()])
+        powers.append({_rank(n, T): {pos[S]: c for S, c in row.items()} for T, row in rows.items()})
     return powers

@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh import catalog
 from liecoh.fileformat import (
@@ -317,6 +319,26 @@ def test_guards_run_before_validation_and_module_building(tmp_path, monkeypatch)
         assert cli.main([command, broken]) == 2, command
 
 
+def test_algebra_files_past_the_dimension_cap_are_refused_before_loading(tmp_path, monkeypatch):
+    from liecoh import cli
+
+    # dim 1200 would be a dense table of 1.7e9 Fractions; refused before it is built
+    def refuse(*args):
+        raise AssertionError("the algebra was built before the size guard")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", refuse)
+    path = _abelian_file(tmp_path, 1200)
+    for argv in (["validate", path], ["series", path], ["check", path], ["e2", path],
+                 ["cohomology", path],
+                 ["rees", path, "--max-filtration", "2", "--max-weight", "2"]):
+        start = time.monotonic()
+        assert cli.main(argv) == 2, argv
+        assert time.monotonic() - start < 1, argv
+    cli._guard_dim(cli.ALGEBRA_DIM_CAP)
+    with pytest.raises(cli.CommandError, match="cap"):
+        cli._guard_dim(cli.ALGEBRA_DIM_CAP + 1)
+
+
 def test_refuses_exponent_notation_before_expanding_it(tmp_path):
     from liecoh import cli
 
@@ -488,6 +510,43 @@ def test_stdout_digests_unchanged():
     assert sorted(pinned) == sorted(commands)
     moved = [cmd for cmd, argv in commands.items() if _digest(argv) != pinned[cmd]]
     assert not moved, f"stdout or exit code moved for: {moved}"
+
+
+def test_json_writer_matches_json_dumps_on_every_digest_payload(monkeypatch):
+    from liecoh import cli
+
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", payloads.append)
+    commands = _digest_commands()
+    for argv in commands:
+        cli.main(argv)
+    assert len(payloads) == len(commands)
+    for argv, obj in zip(commands, payloads):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2), argv
+
+
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(st.text())
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps_on_drawn_documents(doc):
+    from liecoh import cli
+
+    assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert cli._json((doc, [])) == json.dumps((doc, []), sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_keys_that_are_not_strings():
+    from liecoh import cli
+
+    for doc in ({1: "a"}, {"a": [{"b": 1, None: 2}]}, {("x",): []}):
+        with pytest.raises(TypeError):
+            cli._json(doc)
 
 
 # --- rees on rational inputs ----------------------------------------------

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from liecoh import catalog
+from liecoh import catalog, wedge
 from liecoh.checker import random_solvable_algebra
 from liecoh.checker import check
 from liecoh.cohomology import (
@@ -13,7 +14,6 @@ from liecoh.cohomology import (
     _chain_map,
     _grading,
     _page,
-    _weight_zero,
     action_on_cohomology,
     ce_complex,
     cohomology,
@@ -45,7 +45,7 @@ from liecoh.rep import (
     restrict,
     trivial_module,
 )
-from liecoh.wedge import _subset_sums, mask_positions
+from liecoh.wedge import _rank, mask_positions
 
 from oracles import (
     action_matrix,
@@ -57,6 +57,9 @@ from oracles import (
     relabel,
     unsplit_cohomology,
 )
+
+# the module itself: the package's name `cohomology` is the function
+cohomology_module = import_module("liecoh.cohomology")
 
 NILPOTENT_NAMES = ("abelian1", "abelian2", "abelian3", "abelian4",
                    "heisenberg3", "strict-ut3")
@@ -226,9 +229,9 @@ def test_mask_positions_match_subset_index():
                 i if mask.bit_count() == p else 0 for mask, i in enumerate(pos)]
             for i, S in enumerate(combinations(range(n), p)):
                 assert pos[sum(1 << s for s in S)] == i, (n, S)
-            # sums of distinct powers of two are the masks, in basis order
-            masks = list(_subset_sums([1 << s for s in range(n)], p))
-            assert [pos[mask] for mask in masks] == list(range(comb(n, p)))
+            # _rank places each subset alone where the enumeration does
+            assert all(_rank(n, mask) == i for mask, i in enumerate(pos)
+                       if mask.bit_count() == p)
 
 
 # --- cohomology ----------------------------------------------------------
@@ -641,13 +644,42 @@ def test_inflation_map_checks_the_complexes_it_is_given():
     wrong = ce_complex(catalog.abelian(3), trivial_module(catalog.abelian(3)))
     with pytest.raises(ChainMapError):
         inflation_map(L, nq, ce_complex(L, trivial_module(L)), wrong)
+    A = catalog.abelian(4)
+    with pytest.raises(DimensionMismatchError):
+        inflation_map(L, nq, ce_complex(A, trivial_module(A)),
+                      ce_complex(nq.algebra, trivial_module(nq.algebra)))
 
 
 # --- the weight-0 block against the unsplit elimination -------------------
 
+def _weight_zero_by_listing(L, M):
+    """The weight-0 coordinates of each degree 0..dim + 1 under `_grading`'s
+    weights, by listing every wedge in `combinations` order."""
+    n, m = L.dim, M.dim
+    lam, mu = _grading(L, M) or ((0,) * n, (0,) * m)
+    return [[i * m + b for i, S in enumerate(combinations(range(n), q)) for b in range(m)
+             if sum(lam[s] for s in S) == mu[b]] for q in range(n + 2)]
+
+
+def _assert_block_is_the_weight_zero_rows(L, M, label):
+    """The built block: the listed weight-0 coordinates, in increasing
+    order, and exactly the rows of the whole differential at them."""
+    cx = ce_complex(L, M)
+    zero, rows = cx._block
+    listed = _weight_zero_by_listing(L, M)
+    assert [list(z) for z in zero] == listed, label
+    for q in range(L.dim + 1):
+        entries = cx.delta(q).entries
+        assert list(rows[q]) == listed[q + 1], (label, q)
+        assert rows[q] == {r: entries[r] for r in listed[q + 1]}, (label, q)
+        assert all(c in zero[q] for row in rows[q].values() for c in row), (label, q)
+
+
 def _assert_split_matches_unsplit(L, M, rng, label):
-    """Same dims, representatives and class coordinates as eliminating every
-    coordinate; the test cocycles carry coboundaries of every weight."""
+    """The block is the weight-0 rows of the whole differential, and gives
+    the same dims, representatives and class coordinates as eliminating
+    every coordinate; the test cocycles carry coboundaries of every weight."""
+    _assert_block_is_the_weight_zero_rows(L, M, label)
     cx = ce_complex(L, M)
     result = cohomology_of(cx)
     reps, coordinates = unsplit_cohomology(cx)
@@ -670,7 +702,7 @@ def _assert_split_matches_unsplit(L, M, rng, label):
 
 def _splits(L, M):
     cx = ce_complex(L, M)
-    return any(len(z) < cx.space_dim(q) for q, z in enumerate(_weight_zero(cx)))
+    return any(len(z) < cx.space_dim(q) for q, z in enumerate(cx._block[0]))
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -689,6 +721,17 @@ def test_weight_zero_block_matches_unsplit_on_random_algebras():
         _assert_split_matches_unsplit(L, trivial_module(L), rng, i)
         split += _splits(L, trivial_module(L))
     assert split >= 10
+
+
+def test_block_is_the_weight_zero_rows_with_adjoint_coefficients():
+    # under ad, weights of the algebra cancel against those of the module,
+    # so several wedges of one size share a target weight
+    rng = random.Random(609)
+    for i in range(50):
+        L = random_solvable_algebra(rng)
+        _assert_block_is_the_weight_zero_rows(L, adjoint_module(L), i)
+    ut4 = _relabelled(catalog.ut(4), rng)
+    _assert_block_is_the_weight_zero_rows(ut4, adjoint_module(ut4), "ut4 adjoint")
 
 
 def test_weight_zero_block_matches_unsplit_with_a_module_denominator():
@@ -729,11 +772,42 @@ def test_weight_zero_block_matches_unsplit_on_relabelled_ut():
     _assert_split_matches_unsplit(ut3, M, rng, "conjugated adjoint")
 
 
+def _torus(L):
+    """The basis vectors whose ad is diagonal."""
+    n = L.dim
+    return [t for t in range(n)
+            if not any(L.c[t][j][k] for j in range(n) for k in range(n) if k != j)]
+
+
+def _root_character(L):
+    """The character of ut(n) in a relabelled basis that is the root of one
+    root vector e_r on the torus, [e_t, e_r] = alpha_t e_r, and 0 on the roots."""
+    torus = _torus(L)
+    r = next(r for r in range(L.dim) if r not in torus)
+    return one_dim_module(L, Character.of([L.c[t][r][r] if t in torus else 0
+                                           for t in range(L.dim)]))
+
+
+def test_weight_zero_block_matches_unsplit_with_nonzero_characters():
+    # a character moves every weight by mu: the block is the wedges whose
+    # weights add up to it; a generic one leaves none, a root leaves some
+    rng = random.Random(608)
+    ut3, ut4 = _relabelled(catalog.ut(3), rng), _relabelled(catalog.ut(4), rng)
+    cases = [(catalog.example_a(), _sevenths_character(catalog.example_a())),
+             (ut3, _sevenths_character(ut3)), (ut3, _root_character(ut3)),
+             (ut4, _root_character(ut4))]
+    for L, M in cases:
+        assert not M.is_trivial() and _grading(L, M)[1] != [0]
+        _assert_split_matches_unsplit(L, M, rng, L.labels)
+    for L, M in cases[2:]:
+        assert any(ce_complex(L, M)._block[0][q] for q in range(L.dim + 1))
+
+
 def test_coordinates_refuse_a_defect_outside_weight_zero():
     L = _relabelled(catalog.ut(3), random.Random(603))
     cx = ce_complex(L, trivial_module(L))
     result = cohomology_of(cx)
-    zero = _weight_zero(cx)
+    zero = cx._block[0]
     refused = 0
     for q in range(1, L.dim):
         if not result.dims[q]:
@@ -769,7 +843,7 @@ def test_a_basis_without_diagonal_ad_runs_as_one_block():
     M = trivial_module(L)
     assert _grading(L, M) is None
     cx = ce_complex(L, M)
-    assert _weight_zero(cx) == [range(cx.space_dim(q)) for q in range(L.dim + 2)]
+    assert cx._block[0] == [range(cx.space_dim(q)) for q in range(L.dim + 2)]
     assert cohomology_of(cx).dims == cohomology(base, trivial_module(base)).dims \
         == tuple(comb(3, k) for k in range(7))
 
@@ -783,11 +857,76 @@ def test_a_complex_whose_differential_mixes_weights_is_refused():
         cohomology_of(bad)
 
 
-def test_ut5_relabelled_binomial_and_check():
+def test_ut5_relabelled_binomial_and_check(monkeypatch):
     L = _relabelled(catalog.ut(5), random.Random(605))
-    assert cohomology(L, trivial_module(L)).dims == tuple(comb(5, k) for k in range(16))
+    whole = CochainComplex.deltas
+
+    def guarded(cx):
+        assert cx.algebra is not L, "the whole differential of L's complex was built"
+        return whole.func(cx)
+
+    monkeypatch.setattr(CochainComplex, "deltas", property(guarded))
+    binomial = tuple(comb(5, k) for k in range(16))
+    assert cohomology(L, trivial_module(L)).dims == binomial
     report = check(L)
+    assert report.h_total == binomial
     assert report.condition2 and report.condition3
+
+
+def test_check_builds_no_row_of_the_algebra_complex_outside_weight_zero(monkeypatch):
+    # ut(4): the weight-0 block is the 16 wedges of the torus, the basis
+    # vectors whose ad is diagonal; the whole complex has 1,024 coordinates
+    L = _relabelled(catalog.ut(4), random.Random(606))
+    n = L.dim
+    torus = set(_torus(L))
+    assert len(torus) == 4
+    built = []
+    real = wedge._operators
+
+    def spy(groups, dim, m, D, rows, shift, weights=None):
+        out = real(groups, dim, m, D, rows, shift, weights)
+        if dim == n and shift == 1:
+            built.extend((q + 1, r) for q, r_rows in zip(rows, out) for r in r_rows)
+        return out
+
+    monkeypatch.setattr(wedge, "_operators", spy)
+    monkeypatch.setattr(cohomology_module, "_operators", spy)
+    report = check(L)
+    assert report.h_total == tuple(comb(4, k) for k in range(n + 1))
+    assert report.condition2 and report.condition3
+    inside = {(p, i) for p in range(1, n + 1) for i, S in enumerate(combinations(range(n), p))
+              if set(S) <= torus}
+    assert sorted(built) == sorted(inside)
+
+
+def test_inflation_refuses_a_row_outside_the_weight_zero_block(monkeypatch):
+    # on the block alone, a stray row at a root wedge would pass: the torus
+    # N has delta = 0, and the block rows of delta_L never read that row
+    L = _relabelled(catalog.ut(3), random.Random(607))
+    nq = nil_quotient(L)
+    cx_L = ce_complex(L, trivial_module(L))
+    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
+    assert inflation_map(L, nq, cx_L, cx_q)
+    root = next(r for r in range(L.dim) if r not in cx_L._block[0][1])
+    real = cohomology_module.wedge_powers
+
+    def stray(columns, m, top):
+        powers = real(columns, m, top)
+        powers[1][root] = {0: Fraction(1)}
+        return powers
+
+    monkeypatch.setattr(cohomology_module, "wedge_powers", stray)
+    with pytest.raises(ChainMapError, match="outside the weight-0 block"):
+        inflation_map(L, nq, cx_L, cx_q)
+
+
+def test_the_builder_refuses_weights_that_a_term_does_not_preserve(monkeypatch):
+    L = catalog.example_a()           # [x, y] = y: x must weigh 0
+    lam, mu = _grading(L, trivial_module(L))
+    monkeypatch.setattr(cohomology_module, "_grading",
+                        lambda L, M: ([lam[0] + 1, lam[1]], mu))
+    with pytest.raises(ChainMapError):
+        ce_complex(L, trivial_module(L))
 
 
 # --- one chain-map check, one page builder ---------------------------------
