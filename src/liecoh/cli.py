@@ -110,8 +110,8 @@ class CommandError(Exception):
 
 def _resolve_algebra(spec: str, check_dim) -> tuple[str, LieAlgebra]:
     """A catalog name or a path to an algebra file.  `check_dim` (a size
-    guard) gets the dimension first: a file's declared "dim", before any
-    bracket is read or the algebra is built."""
+    guard) gets the dimension first: a file's "dim", once it matches the
+    basis and before any bracket is read or the algebra is built."""
     if os.path.exists(spec):
         try:
             return spec, load_algebra(spec, check_dim)
@@ -133,11 +133,11 @@ def _guard_dim(dim: int) -> None:
 
 
 def _guard_wedge(dim: int, coeff_dim: int = 1) -> None:
-    size = (2 ** dim) * coeff_dim
-    if size > WEDGE_COORD_CAP:
+    # dims come from files: dim is compared before 2 ** dim is formed
+    if dim >= WEDGE_COORD_CAP.bit_length() or 2 ** dim * coeff_dim > WEDGE_COORD_CAP:
         raise CommandError(
-            f"the exterior algebra would need {size} coordinates; "
-            f"the cap is {WEDGE_COORD_CAP}")
+            f"the exterior algebra of a {dim}-dimensional algebra with {coeff_dim}-dimensional "
+            f"coefficients would need more than the cap of {WEDGE_COORD_CAP} coordinates")
 
 
 def _guard_monomials(L: LieAlgebra, degree: int, option: str) -> None:

@@ -77,13 +77,15 @@ So the representatives, their order and their tags are the ones the
 unsplit elimination would give.  A cocycle's components of nonzero
 weight are cocycles there, hence coboundaries, so its class is that of
 its weight-0 component (`CohomologyResult.coordinates`).  Inflation
-lands in the weight-0 block (`inflation_map`), and its chain-map check
-reads the block rows alone.
+lands in the weight-0 block (`inflation_map`), so `_chain_map` checks it
+on the block rows alone; a map with a nonzero row off the block is
+checked on the whole differentials.
 
 The whole differential (`CochainComplex.delta`, `deltas`) is built on
-first use, from the same filed terms, only by its callers: the chain-map
-check of the action operators on the complex of L^inf, `coordinates`
-given a vector with a nonzero part off the block, and the tests.  So
+first use, from the same filed terms, only by its callers: `_chain_map`
+given such a map (action operators on a graded complex of L^inf),
+`coordinates` given a vector with a nonzero part off the block, and the
+tests.  So
 `check` and `e2` never build it for L, nor the blocks of nonzero weight
 of the complexes of N with coefficients in H^q(L^inf).
 
@@ -174,7 +176,7 @@ class CochainComplex:
         cx.algebra, cx.coeff = L, M
         n, m = L.dim, M.dim
         zero = _weight_zero(n, m, weights, range(n + 2))
-        rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, 1, weights)
+        rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, weights)
         cx._block = (zero, rows + [{}])
         cx._terms = (terms, D, weights)
         return cx
@@ -439,28 +441,26 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
     return tuple(_matrices(terms, s, m, D, range(s + 1), 0))
 
 
-def _chain_map(src: CochainComplex, dst: CochainComplex, maps,
-               block: bool = False) -> tuple[QMatrix, ...]:
+def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
     """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
     with the differentials in each degree p < dst.top_degree (ChainMapError otherwise).
 
-    With block, every nonzero row of every map must lie in dst's weight-0
-    block, and each degree compares the block rows alone, read off
-    `dst._block`: delta_p takes weight-0 cochains to weight-0 cochains, so
-    the other rows are zero on both sides, and dst's whole differential is
-    never built.
+    When every nonzero row of every map lies in dst's weight-0 block, each
+    degree compares the block rows alone, read off `dst._block`: delta_p
+    takes weight-0 cochains to weight-0 cochains, so the other rows are
+    zero on both sides, and dst's whole differential is not built.
+    Otherwise the whole differentials are compared.
     """
     if any((mp.rows, mp.cols) != (dst.space_dim(p), src.space_dim(p))
            for p, mp in enumerate(maps)):
         raise DimensionMismatchError("the maps do not take C^p(src) to C^p(dst)")
-    zero, rows = dst._block if block else (None, None)
-    if block and any(row and r not in zero[p]
-                     for p, mp in enumerate(maps) for r, row in enumerate(mp.entries)):
-        raise ChainMapError("a map has a nonzero row outside the weight-0 block")
+    zero, rows = dst._block
+    in_block = all(r in zero[p] for p, mp in enumerate(maps)
+                   for r, row in enumerate(mp.entries) if row)
     for p in range(min(dst.top_degree, len(maps))):
         nxt = (maps[p + 1] if p + 1 < len(maps)
                else QMatrix.zero(dst.space_dim(p + 1), src.space_dim(p + 1)))
-        if block:
+        if in_block:
             d = QMatrix._wrap(rows[p].values(), dst.space_dim(p))
             nxt = QMatrix._wrap([nxt.entries[r] for r in rows[p]], nxt.cols)
         else:
@@ -532,7 +532,7 @@ def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
     empty: dict = {}
     maps = [QMatrix._wrap([rows.get(r, empty) for r in range(comb(n, p))], comb(qd, p))
             for p, rows in enumerate(wedge_powers(columns, qd, qd))]
-    return _chain_map(cx_q, cx_L, maps, block=True)
+    return _chain_map(cx_q, cx_L, maps)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,8 @@ def _list(x, where: str) -> list:
 
 def algebra_from_dict(d: dict, check_dim=None) -> LieAlgebra:
     """The algebra a parsed algebra file describes.  `check_dim`, if given, is
-    called with the declared dim before any bracket is read or algebra built."""
+    called with dim, once it matches the basis, before any bracket is read
+    or algebra built."""
     if not isinstance(d, dict):
         raise FileFormatError("algebra file must be a JSON object")
     try:
@@ -80,10 +81,10 @@ def algebra_from_dict(d: dict, check_dim=None) -> LieAlgebra:
         brackets = _list(d.get("brackets", []), "brackets")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
-    if check_dim is not None:
-        check_dim(dim)
     if len(basis) != dim:
         raise FileFormatError(f"dim is {dim} but {len(basis)} basis names are given")
+    if check_dim is not None:
+        check_dim(dim)
     if any(type(label) is not str for label in basis):
         raise FileFormatError("basis names must be strings")
     if len(set(basis)) != dim:

@@ -29,9 +29,10 @@ weight 0 and `_operators` builds only their rows.  Both list wedges by
 their weight (`_subsets`): the indices of weight 0 are free, and the
 others are chosen depth first (`_sums`), largest weight first, dropping
 every branch whose remaining target the unchosen weights cannot reach.
-No list of all 2^n wedges is made.  With no weights every coordinate
-weighs 0, and the same code runs over `itertools.combinations` of every
-index, as for the whole matrices.
+No list of all 2^n wedges is made, and `_operators` places each wedge
+alone (`_rank`).  With no weights every coordinate weighs 0, and the
+same code runs over `itertools.combinations` of every index, as for the
+whole matrices.
 """
 
 from fractions import Fraction
@@ -216,13 +217,13 @@ def _by_target(groups: dict, lam, mu) -> dict:
     return parts
 
 
-def _operators(groups: dict, n: int, m: int, D: int, rows: dict, shift: int,
+def _operators(groups: dict, n: int, m: int, D: int, rows: dict,
                weights=None) -> list[dict]:
     """The rows of the matrices of the terms filed by `_term`, one out of
     each degree q in rows, as {row: {column: Fraction}} dicts over rows[q].
 
-    Columns are the q-wedges of range(n) and rows the (q + shift)-wedges,
-    each times an m-dimensional block, in lexicographic order.  For a
+    Columns are the q-wedges of range(n) and rows the wedges the terms take
+    them to, each times an m-dimensional block, in lexicographic order.  For a
     group (F, c) of terms (row bits, column bits, sign mask, blocks) and
     every (q - c)-wedge R disjoint from F, each block entry (beta, b, v)
     of blocks[popcount(R & sign mask) % 2] is added at row
@@ -233,17 +234,12 @@ def _operators(groups: dict, n: int, m: int, D: int, rows: dict, shift: int,
     `_weight_zero`, and only the R that place an entry there are visited:
     those whose lam sums to mu[beta] minus lam over the row bits.  An entry
     that joins coordinates of different weights raises ChainMapError.
-    With weights None every coordinate weighs 0, so rows[q] must be every
-    row, and every R is visited.
+    Weights None are all 0: rows[q] must be every row, and every R is
+    visited.
     """
-    if weights is None:
-        lam = (0,) * n
-        parts = {(forbid, c, 0): terms for (forbid, c), terms in groups.items()}
-        pos = mask_positions(n, {size for q in rows for size in (q, q + shift)})
-    else:
-        lam, mu = weights
-        parts = _by_target(groups, lam, mu)
-        pos = _Ranks(n)
+    lam, mu = weights or ((0,) * n, (0,) * m)
+    parts = _by_target(groups, lam, mu)
+    pos = _Ranks(n)
     memo: dict = {}
     mats = []
     for q, keys in rows.items():
@@ -268,7 +264,7 @@ def _matrices(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> list
     """The whole matrices of `_operators`, one out of each degree in degrees."""
     rows = {q: range(comb(n, q + shift) * m) for q in degrees}
     return [QMatrix._wrap(out.values(), comb(n, q) * m)
-            for q, out in zip(rows, _operators(groups, n, m, D, rows, shift))]
+            for q, out in zip(rows, _operators(groups, n, m, D, rows))]
 
 
 def wedge_powers(columns, m: int, top: int) -> list[dict]:

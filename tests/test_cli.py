@@ -339,6 +339,27 @@ def test_algebra_files_past_the_dimension_cap_are_refused_before_loading(tmp_pat
         cli._guard_dim(cli.ALGEBRA_DIM_CAP + 1)
 
 
+def test_a_huge_declared_dim_is_refused_at_once(tmp_path):
+    from liecoh import cli
+
+    # 2 ** dim is never formed: a 10^9-bit int, or a size past the int-to-str limit
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, "dim": 10 ** 9, "basis": []}))
+    for command in ("check", "e2", "cohomology", "validate"):
+        start = time.monotonic()
+        assert cli.main([command, str(path)]) == 2, command
+        assert time.monotonic() - start < 1, command
+    for dim, coeff_dim in ((10 ** 9, 1), (13, 1), (20000, 1), (12, 10 ** 4000)):
+        start = time.monotonic()
+        with pytest.raises(cli.CommandError, match="cap"):
+            cli._guard_wedge(dim, coeff_dim)
+        assert time.monotonic() - start < 1, dim
+    cli._guard_wedge(12)
+    cli._guard_wedge(6, 64)
+    with pytest.raises(cli.CommandError, match="cap"):
+        cli._guard_wedge(6, 65)
+
+
 def test_refuses_exponent_notation_before_expanding_it(tmp_path):
     from liecoh import cli
 
