@@ -58,11 +58,12 @@ onto a block commutes with d).  On a block of weight w != 0 that
 restriction is w times the identity, so the block is acyclic and all of
 H^q lives in the weight-0 block.
 
-`ce_complex` builds that block alone: `_grading` picks x, `wedge`
-lists the weight-0 wedges of each degree by their weights, and only the
-rows at them are summed, each term visiting only the wedges R that put
-its row at weight 0.  A term whose column weighs otherwise than its row
-raises ChainMapError, which no honest module does.  `cohomology_of`
+`ce_complex`, the one way to make a `CochainComplex`, builds that block
+alone: `_grading` picks x, `wedge` lists the weight-0 wedges of each
+degree by their weights, and only the rows at them are summed, each term
+visiting only the wedges R that put its row at weight 0.  A term whose
+column weighs otherwise than its row raises ChainMapError, which no
+honest module does.  `cohomology_of`
 eliminates the block, and nothing it returns depends on which such x
 was used:
 * the canonical basis of a kernel that is a direct sum over disjoint
@@ -81,11 +82,10 @@ lands in the weight-0 block (`inflation_map`), so `_chain_map` checks it
 on the block rows alone; a map with a nonzero row off the block is
 checked on the whole differentials.
 
-The whole differential (`CochainComplex.delta`, `deltas`) is built on
-first use, from the same filed terms, only by its callers: `_chain_map`
-given such a map (action operators on a graded complex of L^inf),
-`coordinates` given a vector with a nonzero part off the block, and the
-tests.  So
+The whole differential (`CochainComplex.delta`, `deltas`) is built from
+the same filed terms on first use, which only `_chain_map` given such a
+map (action operators on a graded complex of L^inf), `coordinates` given
+a vector with a nonzero part off the block, and the tests make.  So
 `check` and `e2` never build it for L, nor the blocks of nonzero weight
 of the complexes of N with coefficients in H^q(L^inf).
 
@@ -112,7 +112,6 @@ from .linalg import (
     _sparse,
     _tag_coordinates,
     _transpose,
-    kernel,
     rank,
     vector,
 )
@@ -146,66 +145,34 @@ __all__ = [
 class CochainComplex:
     """Differential matrices of the standard complex of (algebra, coeff).
 
-    `deltas[p]`, C^p -> C^{p+1} for p = 0..dim - 1, is the whole
-    differential.  `_block` is (zero, rows): zero[q] the weight-0
-    coordinates of C^q, q = 0..dim + 1, as a range or dict keys in
-    increasing order, and rows[q] the rows of delta_q at zero[q + 1], as
-    {row: {column: Fraction}}, q = 0..dim (module docstring).  A complex
-    from `ce_complex` holds only that block, and builds `deltas` from its
-    filed terms on first use.  A complex made from given matrices reads
-    its block off them when first asked, and raises ChainMapError when an
-    entry joins a weight-0 coordinate to another one.
+    Built by `ce_complex` alone, from its `wedge._term` terms over D and
+    the weights (lam, mu) of `_grading`, or None.  `_block` is (zero,
+    rows): zero[q] the weight-0 coordinates of C^q, q = 0..dim + 1, as a
+    range or dict keys in increasing order, and rows[q] the rows of
+    delta_q at zero[q + 1], as {row: {column: Fraction}}, q = 0..dim
+    (module docstring); it is built at once.  `deltas[p]`, C^p -> C^{p+1}
+    for p = 0..dim - 1, is the whole differential, built from the same
+    terms on first use.
     """
 
-    def __init__(self, algebra: LieAlgebra, coeff: LieModule, deltas):
-        self.algebra = algebra
-        self.coeff = coeff
-        self.deltas = tuple(deltas)
-        shapes = [(d.rows, d.cols) for d in self.deltas]
-        expected = [(self.space_dim(p + 1), self.space_dim(p)) for p in range(algebra.dim)]
-        if coeff.algebra != algebra or shapes != expected:
-            raise DimensionMismatchError(f"differentials of shapes {shapes} with coefficients "
-                                         f"over {coeff.algebra!r}; expected {expected} "
-                                         f"over {algebra!r}")
-
-    @classmethod
-    def _filed(cls, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
-        """The complex of `wedge._term` terms over D: its weight-0 block
-        under weights, (lam, mu) or None, built now."""
-        cx = object.__new__(cls)
-        cx.algebra, cx.coeff = L, M
+    def __init__(self, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
+        self.algebra, self.coeff = L, M
         n, m = L.dim, M.dim
-        zero = _weight_zero(n, m, weights, range(n + 2))
+        zero = _weight_zero(n, m, weights)
         rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, weights)
-        cx._block = (zero, rows + [{}])
-        cx._terms = (terms, D, weights)
-        return cx
+        self._block = (zero, rows + [{}])
+        self._terms = (terms, D, weights)
 
     @cached_property
     def deltas(self) -> tuple[QMatrix, ...]:
-        """The whole differential of a `_filed` complex: its block when that
-        is every coordinate, else built from the terms."""
+        """The whole differential: the block when that is every coordinate,
+        else built from the terms."""
         terms, D, weights = self._terms
         n = self.algebra.dim
         if weights is None:
             return tuple(QMatrix._wrap(rows.values(), self.space_dim(q))
                          for q, rows in enumerate(self._block[1][:n]))
         return tuple(_matrices(terms, n, self.coeff.dim, D, range(n), 1))
-
-    @cached_property
-    def _block(self) -> tuple[list, list]:
-        """(zero, rows) of given differentials, under `_grading`'s weights."""
-        n = self.algebra.dim
-        zero = _weight_zero(n, self.coeff.dim, _grading(self.algebra, self.coeff), range(n + 2))
-        rows = []
-        for q, delta in enumerate(self.deltas):
-            src, dst = zero[q], zero[q + 1]
-            for r, row in enumerate(delta.entries):
-                if any((c in src) != (r in dst) for c in row):
-                    raise ChainMapError("the differential does not preserve the weights "
-                                        "of the grading element")
-            rows.append({r: delta.entries[r] for r in dst})
-        return zero, rows + [{}]
 
     def space_dim(self, p: int) -> int:
         return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
@@ -260,7 +227,7 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
         for j in range(i + 1, n):
             for k, g in table[i][j]:
                 _term(terms, (i, j), (k,), _signed((b, b, -g * (D // E)) for b in range(m)))
-    return CochainComplex._filed(L, M, terms, D, _grading(L, M))
+    return CochainComplex(L, M, terms, D, _grading(L, M))
 
 
 def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
@@ -300,7 +267,7 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
             for b, g in row.items():
                 if b != beta:
                     conditions.setdefault((n + beta, n + b), {})[a] = g
-    solutions = kernel(QMatrix._wrap(conditions.values(), n))
+    solutions = _kernel(conditions.values(), range(n), n)
     weights = []
     for x in solutions._rows.values():      # int rows, a basis of the solutions
         w: dict = {}
@@ -330,7 +297,6 @@ class CohomologyResult:
     dims: tuple[int, ...]
     representatives: tuple[tuple[tuple, ...], ...]
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
-    _zero: tuple = field(repr=False, compare=False)
 
     def rep_matrix(self, q: int) -> QMatrix:
         """Representatives of H^q as the columns of a matrix."""
@@ -348,7 +314,7 @@ class CohomologyResult:
         n = self.complex.space_dim(q)
         if m.rows != n:
             raise DimensionMismatchError(f"{m.rows} rows for cochains of dimension {n}")
-        zero = self._zero[q]
+        zero = self.complex._block[0][q]
         rest = [{} if r in zero else row for r, row in enumerate(m.entries)]
         if any(rest) and not (self.complex.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero():
             raise ContainmentError("vector is not a cocycle")
@@ -392,8 +358,7 @@ def cohomology_of(cx: CochainComplex) -> CohomologyResult:
             for c, a in row.items():
                 columns.setdefault(c, {})[r] = a
         coboundaries = columns.values()
-    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all),
-                            tuple(pivots_all), tuple(zero))
+    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all), tuple(pivots_all))
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:

@@ -92,7 +92,8 @@ class QMatrix:
     `entries[i]` is a {column: Fraction} dict of row i's nonzero entries;
     `data`, the dense row tuples, is built from them on first use.
     Zero-by-k and k-by-zero shapes are allowed; they show up naturally as
-    differentials at the ends of a complex.
+    differentials at the ends of a complex.  `cols` sets the width of a
+    matrix without rows and must agree with the rows of any other.
     """
 
     __slots__ = ("rows", "cols", "entries", "_data")
@@ -104,10 +105,10 @@ class QMatrix:
             self.cols = len(data[0])
             if any(len(row) != self.cols for row in data):
                 raise DimensionMismatchError("rows of unequal length")
+            if cols not in (None, self.cols):
+                raise DimensionMismatchError(f"rows of length {self.cols}, but cols={cols}")
         else:
-            if cols is None:
-                cols = 0
-            self.cols = cols
+            self.cols = cols or 0
         self.entries = tuple(_sparse(row) for row in data)
         self._data = data
 

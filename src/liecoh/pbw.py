@@ -77,7 +77,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
 
-from .errors import NotNilpotentError, ZeroElementError
+from .errors import DimensionMismatchError, NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, _constants, adapted_basis, is_nilpotent, reorder_basis
 from .linalg import Subspace, _frac, _insert, _ints, _span
 
@@ -98,13 +98,22 @@ __all__ = [
 
 
 class UEAElement:
-    """A straightened element: {exponent tuple: coefficient}, no zeros stored."""
+    """A straightened element: {exponent tuple: coefficient}, no zeros stored.
+
+    Each key has n non-negative int entries (ValueError otherwise), and each
+    coefficient is coerced like a matrix entry before zeros are dropped."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
         self.n = n
-        self.terms = {tuple(a): _frac(c) for a, c in dict(terms).items() if c}
+        self.terms = {}
+        for a, c in dict(terms).items():
+            a, c = tuple(a), _frac(c)
+            if len(a) != n or any(type(e) is not int or e < 0 for e in a):
+                raise ValueError("exponent tuple must have n non-negative int entries")
+            if c:
+                self.terms[a] = c
 
     @classmethod
     def zero(cls, n: int) -> "UEAElement":
@@ -112,10 +121,7 @@ class UEAElement:
 
     @classmethod
     def monomial(cls, n: int, exps, coeff=1) -> "UEAElement":
-        exps = tuple(exps)
-        if len(exps) != n or any(a < 0 for a in exps):
-            raise ValueError("exponent tuple must have n non-negative entries")
-        return cls(n, {exps: _frac(coeff)})
+        return cls(n, {tuple(exps): coeff})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "UEAElement":
@@ -131,6 +137,8 @@ class UEAElement:
         return max(sum(a) for a in self.terms)
 
     def __add__(self, other: "UEAElement") -> "UEAElement":
+        if other.n != self.n:
+            raise DimensionMismatchError(f"adding elements over {self.n} and {other.n} generators")
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = out.get(a, Fraction(0)) + c
@@ -244,6 +252,8 @@ def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
 def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     """Straightened product of two straightened elements: u times each
     monomial of v, one letter at a time."""
+    if u.n != L.dim or v.n != L.dim:
+        raise DimensionMismatchError(f"elements over {u.n} and {v.n} generators; expected {L.dim}")
     D, table = _constants(L)
     fu, du = _to_f(u.terms, D)
     fv, dv = _to_f(v.terms, D)

@@ -6,9 +6,9 @@ wedge or computes its sign:
 * the degree-p basis of an exterior power of an n-dimensional space is
   indexed by the p-subsets S of range(n), listed in the lexicographic
   order of their increasing tuples (s_0 < ... < s_{p-1});
-* a subset is held as a bitmask, bit s set for s in S, and
-  `mask_positions` (every subset) or `_rank` (one subset) gives its place
-  in that order;
+* a subset is held as a bitmask, bit s set for s in S, and `_rank`, the
+  one placement routine, gives its place in that order (`_Ranks` keeps
+  the places it has given, by mask);
 * sorting e_k into a wedge S costs (-1)^(number of entries of S below
   k), the parity of the popcount of S & `_below(k)`;
 * dual wedges pair by the determinant rule, so the basis cochain labelled
@@ -29,10 +29,9 @@ weight 0 and `_operators` builds only their rows.  Both list wedges by
 their weight (`_subsets`): the indices of weight 0 are free, and the
 others are chosen depth first (`_sums`), largest weight first, dropping
 every branch whose remaining target the unchosen weights cannot reach.
-No list of all 2^n wedges is made, and `_operators` places each wedge
-alone (`_rank`).  With no weights every coordinate weighs 0, and the
-same code runs over `itertools.combinations` of every index, as for the
-whole matrices.
+No list of all 2^n wedges is made, and each wedge is placed alone.
+With no weights every coordinate weighs 0, and the same code runs over
+`itertools.combinations` of every index, as for the whole matrices.
 """
 
 from fractions import Fraction
@@ -42,19 +41,7 @@ from math import comb
 from .errors import ChainMapError
 from .linalg import QMatrix
 
-__all__ = ["mask_positions", "wedge_powers"]
-
-
-def mask_positions(n: int, sizes) -> list[int]:
-    """Position of each subset of range(n) with a size in `sizes`, as a
-    bitmask, in the lexicographic enumeration of the subsets of its size.
-    Other masks read 0."""
-    pos = [0] * (1 << n)
-    bits = [1 << s for s in range(n)]
-    for p in sizes:
-        for i, mask in enumerate(map(sum, combinations(bits, p))):
-            pos[mask] = i
-    return pos
+__all__ = ["wedge_powers"]
 
 
 def _rank(n: int, mask: int) -> int:
@@ -132,17 +119,17 @@ def _subsets(values, size: int, target: int, avoid: int, memo: dict):
             for rest in map(sum, combinations(free, size - a)) for mask in masks)
 
 
-def _weight_zero(n: int, m: int, weights, degrees) -> list:
-    """The weight-0 coordinates (S, b) of each degree in degrees, as their
+def _weight_zero(n: int, m: int, weights) -> list:
+    """The weight-0 coordinates (S, b) of each degree 0..n + 1, as their
     positions (place of S) * m + b: a range when weights is None (every
     coordinate), else a dict keyed by them in increasing order.  weights
     is (lam, mu)."""
     if weights is None:
-        return [range(comb(n, p) * m) for p in degrees]
+        return [range(comb(n, p) * m) for p in range(n + 2)]
     lam, mu = weights
     memo: dict = {}
     out = []
-    for p in degrees:
+    for p in range(n + 2):
         coords = []
         for v in set(mu):
             bs = [b for b, u in enumerate(mu) if u == v]
@@ -282,7 +269,7 @@ def wedge_powers(columns, m: int, top: int) -> list[dict]:
     e_S ^ e_k sorts with sign (-1)^(number of entries of S above k).
     """
     n = len(columns)
-    pos = mask_positions(m, range(top + 1))
+    pos = _Ranks(m)
     live = [1 << t for t, col in enumerate(columns) if col]
     rows = {0: {0: Fraction(1)}}
     powers = [{0: {0: Fraction(1)}}]

@@ -4,7 +4,8 @@ Apart from `unsplit_cohomology` and `chain_action`, nothing here imports the lib
 cohomology or elimination code: the differential, the action of an
 ambient element on an ideal's cochains and exterior powers of a module
 are evaluated verbatim from their defining formulas with a bubble-sort
-sign function, ranks and reduced echelon forms come from local Gaussian
+sign function, wedge positions from listing every subset in
+`combinations` order, ranks and reduced echelon forms come from local Gaussian
 eliminations over Fractions, determinants from the permutation
 expansion, and PBW normal forms from adjacent-pair rewriting on the raw
 structure constants.  Agreement with the library is therefore a genuine
@@ -230,6 +231,19 @@ def exterior_power_matrix(mat, p):
                 if hit is not None:
                     rows[where[hit[1]]][col] += hit[0] * a
     return [tuple(row) for row in rows]
+
+
+def mask_positions(n, sizes):
+    """Position of each subset of range(n) with a size in `sizes`, as a
+    bitmask, in the lexicographic enumeration of the subsets of its size,
+    by listing every such subset in `combinations` order.  Other masks
+    read 0."""
+    pos = [0] * (1 << n)
+    bits = [1 << s for s in range(n)]
+    for p in sizes:
+        for i, mask in enumerate(map(sum, combinations(bits, p))):
+            pos[mask] = i
+    return pos
 
 
 def det_permutation(mat):

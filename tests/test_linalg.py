@@ -130,6 +130,14 @@ def test_empty_shapes():
     assert prod == QMatrix.zero(2, 5)
 
 
+def test_cols_must_agree_with_the_rows():
+    assert QMatrix([], cols=5).cols == 5
+    assert QMatrix([[1, 2]], cols=2) == QMatrix([[1, 2]])
+    for cols in (0, 1, 5):
+        with pytest.raises(DimensionMismatchError):
+            QMatrix([[1, 2]], cols=cols)
+
+
 def test_subspace_canonical_and_idempotent():
     s = Subspace.from_rows(3, [[2, 4, 0], [1, 2, 1]])
     again = Subspace.from_rows(3, s.basis.data)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from liecoh import catalog
-from liecoh.errors import NotNilpotentError, ZeroElementError
+from liecoh.errors import DimensionMismatchError, NotNilpotentError, ZeroElementError
 from liecoh.lie import LieAlgebra, _constants, power_filtration
 from liecoh.linalg import Subspace, _span
 from liecoh.pbw import (
@@ -190,6 +190,36 @@ def test_degree_subadditive_on_sums():
     v = UEAElement.monomial(3, (1, 1, 0), -1) + UEAElement.generator(3, 2)
     assert (u + v).degree() == 1      # leading terms cancel
     assert max(u.degree(), v.degree()) == 2
+
+
+def test_an_element_coerces_its_coefficients_before_dropping_zeros():
+    for zero in ("0", "0/3", Fraction(0), 0):
+        u = UEAElement(1, {(1,): zero})
+        assert u.is_zero() and u == UEAElement.zero(1), zero
+    assert UEAElement(1, {(1,): "2/4"}) == UEAElement.monomial(1, (1,), Fraction(1, 2))
+    with pytest.raises(TypeError):
+        UEAElement(1, {(1,): 0.0})
+
+
+def test_an_element_refuses_keys_that_are_no_exponent_tuples():
+    for key in ((1, 0, 0), (1,), (), (1, -1), (1.5, 0), (True, 0)):
+        with pytest.raises(ValueError):
+            UEAElement(2, {key: 1})
+        with pytest.raises(ValueError):
+            UEAElement.monomial(2, key)
+
+
+def test_elements_over_other_generator_counts_do_not_combine():
+    H = catalog.heisenberg3()
+    u, v = UEAElement.generator(2, 0), UEAElement.generator(3, 0)
+    with pytest.raises(DimensionMismatchError):
+        u + v
+    with pytest.raises(DimensionMismatchError):
+        v - u
+    for a, b in ((u, v), (v, u), (u, u)):
+        with pytest.raises(DimensionMismatchError):
+            multiply(H, a, b)
+    assert multiply(H, v, v) == pbw_normal_form(H, (0, 0))
 
 
 # --- ideal powers --------------------------------------------------------
