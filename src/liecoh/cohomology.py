@@ -78,22 +78,19 @@ So the representatives, their order and their tags are the ones the
 unsplit elimination would give.  A cocycle's components of nonzero
 weight are cocycles there, hence coboundaries, so its class is that of
 its weight-0 component (`CohomologyResult.coordinates`).  Inflation
-lands in the weight-0 block (`inflation_map`), so `_chain_map` checks it
-on the block rows alone; a map with a nonzero row off the block is
-checked on the whole differentials.
-
-The whole differential (`CochainComplex.delta`, `deltas`) is built from
-the same filed terms on first use, which only `_chain_map` given such a
-map (action operators on a graded complex of L^inf), `coordinates` given
-a vector with a nonzero part off the block, and the tests make.  So
-`check` and `e2` never build it for L, nor the blocks of nonzero weight
-of the complexes of N with coefficients in H^q(L^inf).
+lands in the weight-0 block (`inflation_map`).  An ambient x acting on
+the complex of a graded ideal may move weights; `_action_operator`
+builds P_0 theta_x iota_0, a chain map as the projection P_0 commutes
+with d, and for a weight-0 cocycle z, P_{!=0} theta_x z is a cocycle of
+acyclic blocks, hence a coboundary: both induce one action on H^*.
+`_chain_map` refuses entries off the blocks and compares block rows: the
+pipeline never builds the whole differential (`CochainComplex.deltas`).
 
 `_grading` picks x from the linear conditions "ad x and rho(x) have no
 off-diagonal entries" (see its docstring).  When no solution has a
 nonzero weight (nilpotent L, abelian quotients, bases that are not
 weight bases), every coordinate has weight 0: the block is the whole
-complex, built by the same code over every wedge, and `deltas` reads it.
+complex, built by the same code over every wedge.
 """
 
 from dataclasses import dataclass, field
@@ -150,9 +147,9 @@ class CochainComplex:
     rows): zero[q] the weight-0 coordinates of C^q, q = 0..dim + 1, as a
     range or dict keys in increasing order, and rows[q] the rows of
     delta_q at zero[q + 1], as {row: {column: Fraction}}, q = 0..dim
-    (module docstring); it is built at once.  `deltas[p]`, C^p -> C^{p+1}
-    for p = 0..dim - 1, is the whole differential, built from the same
-    terms on first use.
+    (module docstring); it is built at once, and the weights kept as
+    `_weights`.  `deltas[p]`, C^p -> C^{p+1} for p = 0..dim - 1, is the
+    whole differential, a view built from the same terms on first use.
     """
 
     def __init__(self, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
@@ -161,17 +158,14 @@ class CochainComplex:
         zero = _weight_zero(n, m, weights)
         rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, weights)
         self._block = (zero, rows + [{}])
-        self._terms = (terms, D, weights)
+        self._terms = (terms, D)
+        self._weights = weights
 
     @cached_property
     def deltas(self) -> tuple[QMatrix, ...]:
-        """The whole differential: the block when that is every coordinate,
-        else built from the terms."""
-        terms, D, weights = self._terms
+        """The whole differential, for callers; the pipeline never reads it."""
+        terms, D = self._terms
         n = self.algebra.dim
-        if weights is None:
-            return tuple(QMatrix._wrap(rows.values(), self.space_dim(q))
-                         for q, rows in enumerate(self._block[1][:n]))
         return tuple(_matrices(terms, n, self.coeff.dim, D, range(n), 1))
 
     def space_dim(self, p: int) -> int:
@@ -186,11 +180,6 @@ class CochainComplex:
     @property
     def top_degree(self) -> int:
         return self.algebra.dim
-
-
-def _signed_rows(rows, f: int) -> tuple[tuple, tuple]:
-    """`_signed` of the nonzero (beta, b, f * a) of sparse int matrix rows."""
-    return _signed((beta, b, f * a) for beta, row in enumerate(rows) for b, a in row.items())
 
 
 def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
@@ -209,8 +198,7 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     becomes a Fraction over D once, when a row is finished.  The nonzero
     constants come from `_constants` as ints E * c_ij^k, and the action
     entries from the module's `_int_action` as ints D_M * rho.  Only the
-    rows of weight 0 under `_grading`'s x are built now (module
-    docstring); `deltas` builds the rest on first use.
+    rows of weight 0 under `_grading`'s x are built (module docstring).
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
@@ -222,7 +210,8 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     terms = {}
     for t, rows in enumerate(P):
         if any(rows):
-            _term(terms, (t,), (), _signed_rows(rows, D // DM))
+            _term(terms, (t,), (), _signed((beta, b, D // DM * a) for beta, row in enumerate(rows)
+                                           for b, a in row.items()))
     for i in range(n):
         for j in range(i + 1, n):
             for k, g in table[i][j]:
@@ -368,7 +357,8 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
                      M: LieModule, x) -> tuple[QMatrix, ...]:
-    """Matrices of the ambient element x on C^p(ideal, M), p = 0..dim(ideal).
+    """P_0 theta_x iota_0: the ambient element x on C^p(ideal, M), p =
+    0..dim(ideal), between the weight-0 coordinates of cx (module docstring).
 
     Built like `ce_complex`'s differential, from the nonzero terms in
     ints over one common denominator D, with u the ideal's basis:
@@ -378,12 +368,14 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
       for every coefficient index beta and every (p-1)-wedge R without
       i and k, a(.) counting the entries of R below an index: the
       replaced factor moves to the front and e_k sorts back in.
-    x's brackets and D are computed once, for all degrees.  [x, u_i] is
-    `_bracket` of x with the ideal's int basis row d_i u_i; in the ideal,
-    its coordinate on u_k is its entry at u_k's pivot.
+    An entry moves weights (cx._weights) by mu_beta - mu_b or lam_k - lam_i,
+    whatever R is: only those of shift 0 are filed, and the block rows built.
+    [x, u_i] is `_bracket` of x with the ideal's int basis row d_i u_i; in
+    the ideal, its coordinate on u_k is its entry at u_k's pivot.
     """
     s = cx.algebra.dim
     m = cx.coeff.dim
+    lam, mu = cx._weights or ((0,) * s, (0,) * m)
     E, table = _constants(L)
     DM, P = M._int_action
     x = vector(x)
@@ -398,39 +390,44 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
             *[DM * xa.denominator for xa in x.values()])
     terms = {}
     for a, xa in x.items():
-        if any(P[a]):
-            _term(terms, (), (), _signed_rows(P[a], _scaled(xa, D // DM)))
+        f = _scaled(xa, D // DM)
+        block = [(beta, b, f * g) for beta, row in enumerate(P[a])
+                 for b, g in row.items() if mu[beta] == mu[b]]
+        if block:
+            _term(terms, (), (), _signed(block))
     for i, v in enumerate(coords):
         for k, g in v:
-            _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
-    return tuple(_matrices(terms, s, m, D, range(s + 1), 0))
+            if lam[i] == lam[k]:
+                _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+    empty: dict = {}
+    rows = _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights)
+    return tuple(QMatrix._wrap([out.get(r, empty) for r in range(cx.space_dim(p))],
+                               cx.space_dim(p)) for p, out in enumerate(rows))
 
 
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
     """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
     with the differentials in each degree p < dst.top_degree (ChainMapError otherwise).
 
-    When every nonzero row of every map lies in dst's weight-0 block, each
-    degree compares the block rows alone, read off `dst._block`: delta_p
-    takes weight-0 cochains to weight-0 cochains, so the other rows are
-    zero on both sides, and dst's whole differential is not built.
-    Otherwise the whole differentials are compared.
+    An entry off the weight-0 blocks, its row off dst's or its column off
+    src's, raises ChainMapError at once.  delta_p keeps weights, so each
+    degree compares delta_p f_p with f_{p+1} delta_p on the block rows of
+    both complexes (`_block`) alone.
     """
     if any((mp.rows, mp.cols) != (dst.space_dim(p), src.space_dim(p))
            for p, mp in enumerate(maps)):
         raise DimensionMismatchError("the maps do not take C^p(src) to C^p(dst)")
-    zero, rows = dst._block
-    in_block = all(r in zero[p] for p, mp in enumerate(maps)
-                   for r, row in enumerate(mp.entries) if row)
+    (zs, src_rows), (zd, dst_rows) = src._block, dst._block
+    if any(r not in zd[p] or any(c not in zs[p] for c in row)
+           for p, mp in enumerate(maps) for r, row in enumerate(mp.entries) if row):
+        raise ChainMapError("a map entry lies off the weight-0 blocks")
+    empty: dict = {}
     for p in range(min(dst.top_degree, len(maps))):
-        nxt = (maps[p + 1] if p + 1 < len(maps)
-               else QMatrix.zero(dst.space_dim(p + 1), src.space_dim(p + 1)))
-        if in_block:
-            d = QMatrix._wrap(rows[p].values(), dst.space_dim(p))
-            nxt = QMatrix._wrap([nxt.entries[r] for r in rows[p]], nxt.cols)
-        else:
-            d = dst.delta(p)
-        if d * maps[p] != nxt * src.delta(p):
+        nxt = maps[p + 1].entries if p + 1 < len(maps) else {}
+        d_src = QMatrix._wrap([src_rows[p].get(r, empty) for r in range(src.space_dim(p + 1))],
+                              src.space_dim(p))
+        rhs = QMatrix._wrap([nxt[r] if nxt else empty for r in dst_rows[p]], d_src.rows) * d_src
+        if QMatrix._wrap(dst_rows[p].values(), dst.space_dim(p)) * maps[p] != rhs:
             raise ChainMapError(f"the maps do not commute with the differentials in degree {p}")
     return tuple(maps)
 

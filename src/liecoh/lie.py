@@ -445,9 +445,6 @@ def reorder_basis(L: LieAlgebra, order) -> LieAlgebra:
     order = tuple(order)
     if sorted(order) != list(range(L.dim)):
         raise DimensionMismatchError("order must be a permutation of the basis indices")
-    inv = [0] * L.dim
-    for p, i in enumerate(order):
-        inv[i] = p
     c = [[[L.c[order[p]][order[q]][k] for k in order] for q in range(L.dim)]
          for p in range(L.dim)]
     return LieAlgebra(c, tuple(L.labels[i] for i in order))

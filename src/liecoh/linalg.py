@@ -93,7 +93,8 @@ class QMatrix:
     `data`, the dense row tuples, is built from them on first use.
     Zero-by-k and k-by-zero shapes are allowed; they show up naturally as
     differentials at the ends of a complex.  `cols` sets the width of a
-    matrix without rows and must agree with the rows of any other.
+    matrix without rows and must agree with the rows of any other; a
+    negative size raises DimensionMismatchError.
     """
 
     __slots__ = ("rows", "cols", "entries", "_data")
@@ -107,8 +108,10 @@ class QMatrix:
                 raise DimensionMismatchError("rows of unequal length")
             if cols not in (None, self.cols):
                 raise DimensionMismatchError(f"rows of length {self.cols}, but cols={cols}")
-        else:
+        elif cols is None or cols >= 0:
             self.cols = cols or 0
+        else:
+            raise DimensionMismatchError(f"a matrix cannot have {cols} columns")
         self.entries = tuple(_sparse(row) for row in data)
         self._data = data
 
@@ -135,21 +138,24 @@ class QMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
+        if rows < 0 or cols < 0:
+            raise DimensionMismatchError(f"a matrix cannot have shape {rows}x{cols}")
         return cls._wrap(({},) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
+        if n < 0:
+            raise DimensionMismatchError(f"an identity matrix cannot have size {n}")
         return cls._wrap(({i: Fraction(1)} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, rows=None) -> "QMatrix":
         columns = [vector(c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-            if any(len(c) != rows for c in columns):
-                raise DimensionMismatchError("columns of unequal length")
-        elif rows is None:
-            rows = 0
+        if not columns:
+            return cls.zero(rows or 0, 0)
+        rows = len(columns[0]) if rows is None else rows
+        if any(len(c) != rows for c in columns):
+            raise DimensionMismatchError(f"every column must have {rows} entries")
         return cls._wrap(_transpose([_sparse(c) for c in columns], rows), len(columns))
 
     def __getitem__(self, ij):

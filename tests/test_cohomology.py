@@ -7,8 +7,7 @@ from math import comb
 import pytest
 
 from liecoh import catalog, wedge
-from liecoh.checker import random_solvable_algebra
-from liecoh.checker import check
+from liecoh.checker import check, random_solvable_algebra, verify_report
 from liecoh.cohomology import (
     CochainComplex,
     _chain_map,
@@ -828,11 +827,9 @@ def test_a_basis_without_diagonal_ad_runs_as_one_block():
 
 def test_ut5_relabelled_binomial_and_check(monkeypatch):
     L = _relabelled(catalog.ut(5), random.Random(605))
-    whole = CochainComplex.deltas
 
     def guarded(cx):
-        assert cx.algebra is not L, "the whole differential of L's complex was built"
-        return whole.func(cx)
+        raise AssertionError("a whole differential was built")
 
     monkeypatch.setattr(CochainComplex, "deltas", property(guarded))
     binomial = tuple(comb(5, k) for k in range(16))
@@ -963,3 +960,161 @@ def test_e2_page_is_the_table_check_reports():
     for i in range(20):
         L = random_solvable_algebra(rng)
         assert hs_e2_page(L).dims == check(L).e2_table, i
+
+
+# --- graded ideals acted on off their weight-0 blocks ---------------------
+
+def _units(n, *terms):
+    """The n x n matrix sum of c E_ij over the (c, i, j) given, indices from 0."""
+    return [[sum(c for c, i, j in terms if (i, j) == (r, k)) for k in range(n)] for r in range(n)]
+
+
+def _gl2_with_a_shifted_centre():
+    """gl2 in the basis h, e, f, w = I + E12 (input A).
+
+    [h, e] = 2e, [h, f] = -2f, [e, f] = h, and w acts as e does:
+    [w, h] = -2e, [w, e] = 0, [w, f] = h.  L^inf = [L, L] = sl2, graded by
+    h with weights (0, 2, -2), and w moves every weight by 2."""
+    mats = [_units(2, (1, 0, 0), (-1, 1, 1)), _units(2, (1, 0, 1)), _units(2, (1, 1, 0)),
+            _units(2, (1, 0, 0), (1, 1, 1), (1, 0, 1))]
+    return LieAlgebra.from_matrices("hefw", mats)
+
+
+def _sl2_on_a_plane_with_a_shifted_centre():
+    """The span of h = E11 - E22, e = E12, f = E21, u = E13, v = E23 and
+    w = E11 + E22 + E12 in gl3 (input B).
+
+    sl2 acts on Q^2 = span(u, v) as on column vectors: [h, u] = u,
+    [h, v] = -v, [e, v] = u, [f, u] = v, [u, v] = 0.  w acts as e on sl2
+    and as 1 + e on Q^2: [w, u] = u, [w, v] = u + v.  L^inf = sl2 x Q^2,
+    graded by h with weights (0, 2, -2, 1, -1)."""
+    mats = [_units(3, (1, 0, 0), (-1, 1, 1)), _units(3, (1, 0, 1)), _units(3, (1, 1, 0)),
+            _units(3, (1, 0, 2)), _units(3, (1, 1, 2)), _units(3, (1, 0, 0), (1, 1, 1), (1, 0, 1))]
+    return LieAlgebra.from_matrices("hefuvw", mats)
+
+
+GRADED_IDEAL_INPUTS = {
+    # H^*(sl2) = (1, 0, 0, 1), and L acts on it trivially (every derivation
+    # of sl2 is inner).  Hochschild-Serre Theorem 13 (L/L^inf = N is
+    # abelian, hence reductive) gives H^n(L) = sum_{p+q=n} H^p(N) (x)
+    # H^q(sl2)^L with H^*(N) = (1, 1): H^*(gl2) = (1, 1, 0, 1, 1).  The page
+    # H^p(N, H^q(sl2)) is H^*(N) in the rows q = 0 and 3.
+    "A": (_gl2_with_a_shifted_centre, (1, 1, 0, 1, 1), ((1, 0, 0, 1), (1, 0, 0, 1))),
+    # H^*(sl2 x Q^2) = H^*(sl2) (x) (Lambda (Q^2)^*)^sl2, by Theorem 13 for the
+    # ideal Q^2 with semisimple quotient sl2; the invariants are Lambda^0
+    # and Lambda^2, so the dims are (1, 0, 1, 1, 0, 1).  w acts on
+    # Lambda^2 (Q^2)^* by -tr(1 + e) = -2 and trivially on H^*(sl2), so
+    # H^p(N, H^q) vanishes for q = 2 and 5 (w is invertible there), and
+    # Theorem 13 for L^inf in L keeps the w-invariants q = 0, 3 alone.
+    "B": (_sl2_on_a_plane_with_a_shifted_centre, (1, 1, 0, 1, 1, 0, 0),
+          ((1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_IDEAL_INPUTS))
+def test_graded_ideal_inputs_match_hochschild_serre(name):
+    build, h_total, e2_table = GRADED_IDEAL_INPUTS[name]
+    L = build()
+    report = check(L)
+    # H^3(L^inf) is a trivial N-module (condition 3 fails), and H^*(N) =
+    # (1, 1) cannot map onto H^3(L) != 0 (condition 2 fails)
+    assert not report.condition2 and not report.condition3
+    verify_report(report, context=name)
+    assert report.h_total == h_total
+    assert report.e2_table == e2_table == hs_e2_page(L).dims
+    assert cohomology(L, trivial_module(L)).dims == h_total
+
+
+def _assert_block_action(L, ideal, M, x, label):
+    """The library's operators of x on C^p(ideal, M) are the formula's
+    (`action_matrix`) kept to the weight-0 rows and columns, listed by
+    `_weight_zero_by_listing`, and both push the representatives of H^q to
+    the same classes.  Returns the operators and the number of the
+    formula's nonzero entries off the block."""
+    res = restrict(M, ideal)
+    block = _weight_zero_by_listing(res.algebra, res)
+    coh = cohomology(res.algebra, res)
+    c, rho = _raw(L, M)
+    ops = chain_action(L, ideal, M, x)
+    outside = 0
+    for p, op in enumerate(ops):
+        whole = action_matrix(c, ideal.basis.data, rho, x, p)
+        zero = set(block[p])
+        outside += sum(1 for r, row in enumerate(whole) for k, a in enumerate(row)
+                       if a and not (r in zero and k in zero))
+        assert [list(row) for row in op.data] == [
+            [a if r in zero and k in zero else 0 for k, a in enumerate(row)]
+            for r, row in enumerate(whole)], (label, p)
+        # theta_x z - P_0 theta_x z is a cocycle of nonzero weight, a coboundary
+        reps = coh.rep_matrix(p)
+        assert coh.coordinates(p, op * reps) == coh.coordinates(p, QMatrix(whole) * reps), \
+            (label, p)
+    return ops, outside
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_IDEAL_INPUTS))
+def test_the_action_of_w_is_its_formula_on_the_weight_zero_block(name):
+    L = GRADED_IDEAL_INPUTS[name][0]()
+    linf = lower_central_series(L).last
+    M = trivial_module(L)
+    res = restrict(M, linf)
+    assert _grading(res.algebra, res) is not None
+    w = unit_vector(L.dim, L.dim - 1)
+    assert nil_quotient(L).lift(0) == w
+    ops, outside = _assert_block_action(L, linf, M, w, name)
+    # w moves weights, so theta_w has entries off the block: the traffic
+    # that the chain-map check once compared on whole differentials
+    assert outside
+    if name == "B":
+        # u* ^ v*, the last 2-wedge of (h, e, f, u, v), weighs 0; w scales it by -2
+        top = comb(5, 2) - 1
+        assert ops[2].column(top) == tuple(-2 if r == top else 0 for r in range(comb(5, 2)))
+
+
+def test_sl2_acts_on_its_adjoint_cochains_through_the_weight_zero_block():
+    # coefficients graded by h too: rho(e) and rho(f) move the weights of
+    # the module, ad e and ad f those of the wedges
+    L = catalog.sl2()
+    full = Subspace.full(3)
+    rng = random.Random(611)
+    xs = [unit_vector(3, a) for a in range(3)]
+    xs.append(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)))
+    for M in (adjoint_module(L), trivial_module(L)):
+        for x in xs:
+            _, outside = _assert_block_action(L, full, M, x, (M.dim, x))
+            assert outside
+
+
+def test_chain_map_refuses_an_entry_off_the_weight_zero_blocks():
+    # sl2 graded by h: the 2-wedges (h, e), (h, f), (e, f) weigh 2, -2, 0
+    # (on cochains, minus that).  delta_2 = 0 and delta_1 reads C^2 at
+    # (e, f) alone, so neither entry below changes a block row of either side
+    L = catalog.sl2()
+    cx = ce_complex(L, trivial_module(L))
+    assert list(cx._block[0][2]) == [2]
+    ops = chain_action(L, Subspace.full(3), trivial_module(L), (0, 0, 0))
+    for r, k in ((2, 0), (0, 2)):
+        stray = QMatrix([[int((i, j) == (r, k)) for j in range(3)] for i in range(3)])
+        with pytest.raises(ChainMapError, match="off the weight-0 blocks"):
+            _chain_map(cx, cx, ops[:2] + (ops[2] + stray,) + ops[3:])
+
+
+def test_no_library_path_reads_a_whole_differential(monkeypatch):
+    # `check`, `hs_e2_page` and `cohomology` keep to the weight-0 blocks of
+    # every complex they build, the L^inf side and the page included
+    reads = []
+    whole = CochainComplex.deltas
+
+    def spy(cx):
+        reads.append(cx.algebra.labels)
+        return whole.func(cx)
+
+    monkeypatch.setattr(CochainComplex, "deltas", property(spy))
+    algebras = [catalog.get(name) for name in catalog.names()]
+    algebras.append(_relabelled(catalog.ut(4), random.Random(610)))
+    algebras += [build() for build, _, _ in GRADED_IDEAL_INPUTS.values()]
+    for L in algebras:
+        check(L)
+        hs_e2_page(L)
+        cohomology(L, trivial_module(L))
+    assert reads == []

@@ -138,6 +138,38 @@ def test_cols_must_agree_with_the_rows():
             QMatrix([[1, 2]], cols=cols)
 
 
+def test_a_matrix_without_rows_refuses_a_negative_width():
+    # a 0 x -3 matrix would give a kernel inside Q^-3
+    with pytest.raises(DimensionMismatchError):
+        QMatrix([], cols=-3)
+    assert kernel(QMatrix([], cols=0)).ambient_dim == 0
+
+
+def test_zero_refuses_a_negative_size():
+    for rows, cols in ((2, -3), (-1, 2), (-1, -1)):
+        with pytest.raises(DimensionMismatchError):
+            QMatrix.zero(rows, cols)
+    assert QMatrix.zero(0, 0).rows == 0
+
+
+def test_identity_refuses_a_negative_size():
+    with pytest.raises(DimensionMismatchError):
+        QMatrix.identity(-2)
+    assert QMatrix.identity(0) == QMatrix.zero(0, 0)
+
+
+def test_from_columns_refuses_columns_of_another_length_than_rows():
+    # like `cols` of the constructor: rows must agree with the columns given
+    with pytest.raises(DimensionMismatchError):
+        QMatrix.from_columns([[1, 2]], rows=5)
+    with pytest.raises(DimensionMismatchError):
+        QMatrix.from_columns([[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        QMatrix.from_columns([], rows=-1)
+    assert QMatrix.from_columns([[1, 2]], rows=2) == QMatrix([[1], [2]])
+    assert QMatrix.from_columns([], rows=3) == QMatrix.zero(3, 0)
+
+
 def test_subspace_canonical_and_idempotent():
     s = Subspace.from_rows(3, [[2, 4, 0], [1, 2, 1]])
     again = Subspace.from_rows(3, s.basis.data)
