@@ -249,8 +249,8 @@ def cmd_cohomology(args) -> int:
         "dims": list(result.dims),
         "euler_characteristic": result.euler_characteristic(),
         "representatives": {
-            str(q): [_frac_strings(rep) for rep in result.representatives[q]]
-            for q in range(lo, hi + 1)
+            str(q): [_frac_strings(rep) for rep in reps]
+            for q, reps in enumerate(result.representatives) if lo <= q <= hi
         },
     }
     _emit(payload)

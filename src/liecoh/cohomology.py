@@ -34,9 +34,10 @@ these formulas: each nonzero structure constant, action entry or bracket
 coordinate, against each wedge R that avoids the indices it names.
 Each term names the indices it adds and removes (`wedge._term`), and
 `wedge._operators` sums the terms with wedges as bitmasks, each sign a
-popcount parity.  The inflation matrices are the wedge powers of the
+popcount parity.  The inflation maps are the wedge powers of the
 projection (`wedge.wedge_powers`), each degree built from the one below.
-The wedge basis keeps its lexicographic order.
+Every map keeps that form: per degree, sparse rows in the lexicographic
+wedge basis, {row: {column: Fraction}} at the rows that can be nonzero.
 * Fractions enter as the structure constants and action matrices, made
   ints once (`lie._constants`, `_int_action`) and brought to one D here.
 * The terms of each entry add up in Python ints.
@@ -83,8 +84,9 @@ the complex of a graded ideal may move weights; `_action_operator`
 builds P_0 theta_x iota_0, a chain map as the projection P_0 commutes
 with d, and for a weight-0 cocycle z, P_{!=0} theta_x z is a cocycle of
 acyclic blocks, hence a coboundary: both induce one action on H^*.
-`_chain_map` refuses entries off the blocks and compares block rows: the
-pipeline never builds the whole differential (`CochainComplex.deltas`).
+`_chain_map` refuses entries off the blocks and compares block rows
+(`linalg._product`), and induced maps push sparse representatives through
+them: the pipeline builds no whole differential and pads no map.
 
 `_grading` picks x from the linear conditions "ad x and rho(x) have no
 off-diagonal entries" (see its docstring).  When no solution has a
@@ -103,9 +105,11 @@ from .linalg import (
     QMatrix,
     Subspace,
     _classes,
+    _columns,
     _dense,
     _echelon,
     _kernel,
+    _product,
     _sparse,
     _tag_coordinates,
     _transpose,
@@ -140,16 +144,16 @@ __all__ = [
 
 
 class CochainComplex:
-    """Differential matrices of the standard complex of (algebra, coeff).
+    """The standard complex of (algebra, coeff), held as its weight-0 block.
 
     Built by `ce_complex` alone, from its `wedge._term` terms over D and
     the weights (lam, mu) of `_grading`, or None.  `_block` is (zero,
     rows): zero[q] the weight-0 coordinates of C^q, q = 0..dim + 1, as a
     range or dict keys in increasing order, and rows[q] the rows of
-    delta_q at zero[q + 1], as {row: {column: Fraction}}, q = 0..dim
-    (module docstring); it is built at once, and the weights kept as
+    delta_q at zero[q + 1], as {row: {column: Fraction}}, q = 0..dim, the
+    form every chain map takes (module docstring); the weights are kept as
     `_weights`.  `deltas[p]`, C^p -> C^{p+1} for p = 0..dim - 1, is the
-    whole differential, a view built from the same terms on first use.
+    whole differential, built from the same terms on first use, for callers.
     """
 
     def __init__(self, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
@@ -276,21 +280,26 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
 class CohomologyResult:
     """Per-degree dimensions, representative cocycles, and class coordinates.
 
-    representatives[q] are vectors in C^q whose classes form a basis of
-    H^q; `coordinates` reads classes in that basis off the degree-q pivot
-    dict of `linalg._classes` and refuses anything that is not a cocycle.
-    The pivot dicts hold the weight-0 block of each degree (`CochainComplex._block`).
+    The representatives of H^q are kept as sparse rows on the weight-0 block
+    of C^q (`CochainComplex._block`), beside the pivot dict of `linalg._classes`
+    that `_classes_of` reads classes off; only API callers get dense vectors.
     """
 
     complex: CochainComplex
     dims: tuple[int, ...]
-    representatives: tuple[tuple[tuple, ...], ...]
+    _reps: tuple[tuple[dict, ...], ...] = field(repr=False, compare=False)
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
 
-    def rep_matrix(self, q: int) -> QMatrix:
-        """Representatives of H^q as the columns of a matrix."""
-        return QMatrix.from_columns(self.representatives[q],
-                                    rows=self.complex.space_dim(q))
+    @property
+    def representatives(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per degree q, vectors in C^q whose classes form a basis of H^q."""
+        return tuple(tuple(_dense(row, 0, self.complex.space_dim(q)) for row in reps)
+                     for q, reps in enumerate(self._reps))
+
+    def _classes_of(self, q: int, rows) -> QMatrix:
+        """Classes of weight-0 cocycles given as sparse rows, as matrix columns."""
+        cols = [_tag_coordinates(self._pivots[q], self.complex.space_dim(q), r) for r in rows]
+        return QMatrix._wrap(_transpose(cols, self.dims[q]), len(cols))
 
     def coordinates(self, q: int, m: QMatrix) -> QMatrix:
         """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles.
@@ -300,6 +309,8 @@ class CohomologyResult:
         cocycle too, checked on the whole differential (built then, if it
         is nonzero); it is then a coboundary, and adds nothing to the class.
         """
+        if not 0 <= q <= self.complex.top_degree:
+            raise DimensionMismatchError(f"degree {q} is outside 0..{self.complex.top_degree}")
         n = self.complex.space_dim(q)
         if m.rows != n:
             raise DimensionMismatchError(f"{m.rows} rows for cochains of dimension {n}")
@@ -308,12 +319,10 @@ class CohomologyResult:
         if any(rest) and not (self.complex.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero():
             raise ContainmentError("vector is not a cocycle")
         try:
-            cols = [_tag_coordinates(self._pivots[q], n,
-                                     {k: a for k, a in col.items() if k in zero})
-                    for col in _transpose(m.entries, m.cols)]
+            return self._classes_of(q, ({k: a for k, a in col.items() if k in zero}
+                                        for col in _transpose(m.entries, m.cols)))
         except ContainmentError:
             raise ContainmentError("vector is not a cocycle") from None
-        return QMatrix._wrap(_transpose(cols, self.dims[q]), m.cols)
 
     def project(self, q: int, z) -> tuple:
         """Coordinates of the class of a cocycle z in the chosen H^q basis."""
@@ -331,23 +340,16 @@ def cohomology_of(cx: CochainComplex) -> CohomologyResult:
     basis of the kernel of delta_q on them, then one pivot dict
     (`linalg._classes`) fed delta_{q-1}'s weight-0 columns as they are,
     keeping the rows of that kernel basis that add a pivot as the
-    representatives.  Dense vectors are made only for the representatives.
+    representatives, sparse as they come.
     """
     zero, rows = cx._block
-    reps_all = []
-    pivots_all = []
+    classes = []
     coboundaries = ()
     for q in range(cx.top_degree + 1):
-        block = rows[q]
-        pivots, reps = _classes(coboundaries, _kernel(block.values(), zero[q], cx.space_dim(q)))
-        reps_all.append(tuple(_dense(row, 0, cx.space_dim(q)) for row in reps))
-        pivots_all.append(pivots)
-        columns: dict = {}
-        for r, row in block.items():
-            for c, a in row.items():
-                columns.setdefault(c, {})[r] = a
-        coboundaries = columns.values()
-    return CohomologyResult(cx, tuple(map(len, reps_all)), tuple(reps_all), tuple(pivots_all))
+        classes.append(_classes(coboundaries, _kernel(rows[q].values(), zero[q], cx.space_dim(q))))
+        coboundaries = _columns(rows[q]).values()
+    pivots, reps = zip(*classes)
+    return CohomologyResult(cx, tuple(map(len, reps)), tuple(map(tuple, reps)), pivots)
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
@@ -356,7 +358,7 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
-                     M: LieModule, x) -> tuple[QMatrix, ...]:
+                     M: LieModule, x) -> list[dict]:
     """P_0 theta_x iota_0: the ambient element x on C^p(ideal, M), p =
     0..dim(ideal), between the weight-0 coordinates of cx (module docstring).
 
@@ -369,7 +371,7 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
       i and k, a(.) counting the entries of R below an index: the
       replaced factor moves to the front and e_k sorts back in.
     An entry moves weights (cx._weights) by mu_beta - mu_b or lam_k - lam_i,
-    whatever R is: only those of shift 0 are filed, and the block rows built.
+    whatever R is: only those of shift 0 are filed, and the block rows returned.
     [x, u_i] is `_bracket` of x with the ideal's int basis row d_i u_i; in
     the ideal, its coordinate on u_k is its entry at u_k's pivot.
     """
@@ -399,35 +401,26 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         for k, g in v:
             if lam[i] == lam[k]:
                 _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
-    empty: dict = {}
-    rows = _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights)
-    return tuple(QMatrix._wrap([out.get(r, empty) for r in range(cx.space_dim(p))],
-                               cx.space_dim(p)) for p, out in enumerate(rows))
+    return _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights)
 
 
-def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[QMatrix, ...]:
-    """maps[p]: C^p(src) -> C^p(dst), maps past the last one zero, checked to commute
-    with the differentials in each degree p < dst.top_degree (ChainMapError otherwise).
+def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ...]:
+    """maps[p]: C^p(src) -> C^p(dst), given as rows {row: {column: Fraction}}
+    as in `_block` (absent rows zero), maps past the last one zero, checked to
+    commute with the differentials in each degree p < dst.top_degree.
 
     An entry off the weight-0 blocks, its row off dst's or its column off
-    src's, raises ChainMapError at once.  delta_p keeps weights, so each
-    degree compares delta_p f_p with f_{p+1} delta_p on the block rows of
-    both complexes (`_block`) alone.
+    src's, raises ChainMapError at once, as does a degree where delta_p f_p
+    and f_{p+1} delta_p (`linalg._product`) differ on dst's block rows.
     """
-    if any((mp.rows, mp.cols) != (dst.space_dim(p), src.space_dim(p))
-           for p, mp in enumerate(maps)):
-        raise DimensionMismatchError("the maps do not take C^p(src) to C^p(dst)")
     (zs, src_rows), (zd, dst_rows) = src._block, dst._block
-    if any(r not in zd[p] or any(c not in zs[p] for c in row)
-           for p, mp in enumerate(maps) for r, row in enumerate(mp.entries) if row):
+    if any(row and (r not in zd[p] or any(c not in zs[p] for c in row))
+           for p, mp in enumerate(maps) for r, row in mp.items()):
         raise ChainMapError("a map entry lies off the weight-0 blocks")
-    empty: dict = {}
     for p in range(min(dst.top_degree, len(maps))):
-        nxt = maps[p + 1].entries if p + 1 < len(maps) else {}
-        d_src = QMatrix._wrap([src_rows[p].get(r, empty) for r in range(src.space_dim(p + 1))],
-                              src.space_dim(p))
-        rhs = QMatrix._wrap([nxt[r] if nxt else empty for r in dst_rows[p]], d_src.rows) * d_src
-        if QMatrix._wrap(dst_rows[p].values(), dst.space_dim(p)) * maps[p] != rhs:
+        nxt = maps[p + 1] if p + 1 < len(maps) else {}
+        if (_product(dst_rows[p].values(), maps[p])
+                != _product((nxt.get(r, {}) for r in dst_rows[p]), src_rows[p])):
             raise ChainMapError(f"the maps do not commute with the differentials in degree {p}")
     return tuple(maps)
 
@@ -467,17 +460,17 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
                     for a in range(nq.algebra.dim)]
     modules = []
     for q in range(cx.top_degree + 1):
-        reps = coh.rep_matrix(q)
-        rho = [coh.coordinates(q, ops[q] * reps) for ops in per_lift_ops]
+        rho = [coh._classes_of(q, _product(coh._reps[q], _columns(ops[q])))
+               for ops in per_lift_ops]
         modules.append(LieModule(nq.algebra, rho, dim=coh.dims[q]))
     return ActionOnCohomology(nq, coh, tuple(modules))
 
 
 def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
-                  cx_q: CochainComplex) -> tuple[QMatrix, ...]:
+                  cx_q: CochainComplex) -> tuple[dict, ...]:
     """Cochain pullback along the projection to the nilpotent quotient.
 
-    With trivial coefficients the degree-p matrix has entries the p x p
+    With trivial coefficients the degree-p map has entries the p x p
     minors of the projection: row T holds the wedge expansion of the
     projected basis vectors indexed by T, and is built only when none of
     them is zero (`wedge_powers`).  Those rows lie in the weight-0 block
@@ -485,16 +478,13 @@ def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
     eigenvector of the nilpotent ad of x's image, so lam_t = 0 unless its
     projection is 0.  The family is checked to be a chain map between the
     trivial-coefficient complexes cx_L of L and cx_q of the quotient nq on
-    that block (`_chain_map`).
-    Returns matrices for p = 0..dim(quotient).
+    that block (`_chain_map`), and DimensionMismatchError when their sizes
+    do not fit.  Returns the block rows of each degree p = 0..dim(quotient).
     """
-    n = L.dim
     qd = nq.algebra.dim
-    columns = _transpose(nq.projection.entries, n)
-    empty: dict = {}
-    maps = [QMatrix._wrap([rows.get(r, empty) for r in range(comb(n, p))], comb(qd, p))
-            for p, rows in enumerate(wedge_powers(columns, qd, qd))]
-    return _chain_map(cx_q, cx_L, maps)
+    if (cx_L.algebra.dim, cx_L.coeff.dim, cx_q.algebra.dim, cx_q.coeff.dim) != (L.dim, 1, qd, 1):
+        raise DimensionMismatchError("the maps do not take C^p(cx_q) to C^p(cx_L)")
+    return _chain_map(cx_q, cx_L, wedge_powers(nq.projection.transpose().entries, qd, qd))
 
 
 @dataclass(frozen=True)
@@ -529,8 +519,8 @@ def inflation_on_cohomology(L: LieAlgebra, nq: Quotient,
     coh_L = cohomology_of(cx_L)
     qd = nq.algebra.dim
     src_dims = coh_q.dims + (0,) * (L.dim - qd)
-    induced = tuple(coh_L.coordinates(p, maps[p] * coh_q.rep_matrix(p)) if p <= qd
-                    else QMatrix.zero(ht, 0) for p, ht in enumerate(coh_L.dims))
+    induced = tuple(coh_L._classes_of(p, _product(coh_q._reps[p], _columns(maps[p])))
+                    if p <= qd else QMatrix.zero(ht, 0) for p, ht in enumerate(coh_L.dims))
     isos = tuple(hs == ht and rank(mat) == ht
                  for hs, ht, mat in zip(src_dims, coh_L.dims, induced))
     return InflationReport(nq, src_dims, coh_L.dims, induced, isos)

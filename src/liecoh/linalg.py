@@ -200,14 +200,7 @@ class QMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            out = []
-            for r in self.entries:
-                acc = {}
-                for k, a in r.items():
-                    for j, b in other.entries[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                out.append({j: v for j, v in acc.items() if v})
-            return QMatrix._wrap(out, other.cols)
+            return QMatrix._wrap(_product(self.entries, dict(enumerate(other.entries))), other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -262,13 +255,32 @@ def _dense(row: dict, lo: int, hi: int) -> tuple:
     return tuple(out)
 
 
+def _columns(rows: dict) -> dict:
+    """The nonzero columns {column: {row: value}} of sparse rows {row: {column: value}}."""
+    cols: dict = {}
+    for r, row in rows.items():
+        for c, a in row.items():
+            cols.setdefault(c, {})[r] = a
+    return cols
+
+
 def _transpose(rows, n: int) -> list:
     """The n sparse columns of a list of sparse rows, as fresh dicts."""
-    cols = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            cols[j][i] = a
-    return cols
+    cols = _columns(dict(enumerate(rows)))
+    return [cols.get(j, {}) for j in range(n)]
+
+
+def _product(rows, other: dict) -> list[dict]:
+    """The sparse rows of rows times the matrix with rows other[k], {column:
+    value} dicts; a k that other lacks is a zero row."""
+    out = []
+    for r in rows:
+        acc: dict = {}
+        for k, a in r.items():
+            for j, b in other.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def _combine(row: dict, f, other: dict) -> dict:

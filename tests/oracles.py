@@ -1,6 +1,7 @@
 """Independent recomputations used by the tests.
 
-Apart from `unsplit_cohomology` and `chain_action`, nothing here imports the library's
+Apart from `unsplit_cohomology`, `chain_action` and the whole-shape
+helpers (`whole`, `rep_columns`, `whole_induced`), nothing here imports the library's
 cohomology or elimination code: the differential, the action of an
 ambient element on an ideal's cochains and exterior powers of a module
 are evaluated verbatim from their defining formulas with a bubble-sort
@@ -16,7 +17,12 @@ two-route check.
 library's own engine, so the split can be held to the very same
 representatives and coordinates.  `chain_action` is no reference at
 all: it builds the library's own chain-level action operators, checked to
-be a chain map, for the tests that hold them to the formula.
+be a chain map, for the tests that hold them to the formula.  The
+library keeps every chain map as sparse rows {row: {column: value}};
+`whole` makes the whole-shape `QMatrix` of one, and `whole_induced`
+pushes it to cohomology the way the library did before it kept to those
+rows, as coordinates(q, whole(f) * R) with R the representatives as
+columns.
 """
 
 from fractions import Fraction
@@ -359,3 +365,28 @@ def chain_action(L, ideal, M, x):
     res = restrict(M, ideal)
     cx = ce_complex(res.algebra, res)
     return _chain_map(cx, cx, _action_operator(cx, L, ideal, M, x))
+
+
+def whole(rows, n_rows, n_cols):
+    """The n_rows x n_cols `QMatrix` of a map given as sparse rows {row:
+    {column: value}}, a row not given being zero; every key must fit the
+    shape."""
+    from liecoh.linalg import QMatrix
+
+    assert all(0 <= r < n_rows and all(0 <= c < n_cols for c in row) for r, row in rows.items())
+    return QMatrix([[rows.get(r, {}).get(c, 0) for c in range(n_cols)] for r in range(n_rows)])
+
+
+def rep_columns(result, q):
+    """The representatives of H^q in a `CohomologyResult`, as the columns of a `QMatrix`."""
+    from liecoh.linalg import QMatrix
+
+    return QMatrix.from_columns(result.representatives[q], rows=result.complex.space_dim(q))
+
+
+def whole_induced(target, q, f, source):
+    """The map on H^q of the chain map f: C^q(source) -> C^q(target), given
+    as sparse rows, by the whole-shape route: target.coordinates(q, whole(f)
+    * R), R the representatives of source as columns."""
+    f = whole(f, target.complex.space_dim(q), source.complex.space_dim(q))
+    return target.coordinates(q, f * rep_columns(source, q))

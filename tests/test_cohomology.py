@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import import_module
 from itertools import combinations, permutations
@@ -55,7 +56,10 @@ from oracles import (
     gauss_rank,
     mask_positions,
     relabel,
+    rep_columns,
     unsplit_cohomology,
+    whole,
+    whole_induced,
 )
 
 # the module itself: the package's name `cohomology` is the function
@@ -197,7 +201,9 @@ def test_action_operators_match_tuple_evaluation(name):
             ops = chain_action(L, linf, M, x)
             assert len(ops) == linf.dim + 1
             for p, op in enumerate(ops):
-                assert list(op.data) == action_matrix(c, basis, rho, x, p), (name, x, p)
+                d = comb(linf.dim, p) * M.dim
+                assert list(whole(op, d, d).data) == action_matrix(c, basis, rho, x, p), \
+                    (name, x, p)
 
 
 def test_degenerate_shapes():
@@ -206,7 +212,8 @@ def test_degenerate_shapes():
     cx = ce_complex(Z, trivial_module(Z))
     assert cx.deltas == ()
     assert cohomology(Z, trivial_module(Z)).dims == (1,)
-    assert chain_action(Z, Subspace.zero(0), trivial_module(Z), ()) == (
+    assert tuple(whole(op, 1, 1) for op in chain_action(Z, Subspace.zero(0),
+                                                        trivial_module(Z), ())) == (
         QMatrix.zero(1, 1),)
     # a zero-dimensional module: every cochain space is 0
     H = catalog.heisenberg3()
@@ -217,7 +224,7 @@ def test_degenerate_shapes():
     center = Subspace.from_rows(3, [(0, 0, 1)])
     for ideal in (center, Subspace.full(3)):
         ops = chain_action(H, ideal, M, (1, 2, 3))
-        assert [(op.rows, op.cols) for op in ops] == [(0, 0)] * (ideal.dim + 1)
+        assert [whole(op, 0, 0) for op in ops] == [QMatrix.zero(0, 0)] * (ideal.dim + 1)
 
 
 def test_mask_positions_match_subset_index():
@@ -351,7 +358,7 @@ def test_ideal_elements_act_by_zero_on_cohomology():
         for row in linf.basis.data:
             ops = chain_action(L, linf, trivial_module(L), row)
             for q in range(len(coh.dims)):
-                induced = coh.coordinates(q, ops[q] * coh.rep_matrix(q))
+                induced = whole_induced(coh, q, ops[q], coh)
                 assert induced.is_zero(), (name, q)
 
 
@@ -398,13 +405,15 @@ def test_inflation_identity_on_nilpotent():
         assert report.source_dims == report.target_dims
         # the quotient map is the identity, so every cochain map is too
         for p, m in enumerate(_inflation_maps(L, nil_quotient(L))):
-            assert m == QMatrix.identity(m.rows), (name, p)
+            d = comb(L.dim, p)
+            assert whole(m, d, d) == QMatrix.identity(d), (name, p)
 
 
 def _assert_inflation_minors(L):
     nq = nil_quotient(L)
     P = nq.projection
     for p, m in enumerate(_inflation_maps(L, nq)):
+        m = whole(m, comb(L.dim, p), comb(nq.algebra.dim, p))
         for t, T in enumerate(combinations(range(L.dim), p)):
             for s, S in enumerate(combinations(range(nq.algebra.dim), p)):
                 assert m[t, s] == det_permutation([[P[i, j] for j in T] for i in S])
@@ -448,7 +457,7 @@ def test_inflation_maps_are_chain_maps():
     for name in ("exampleA", "ut3", "propC", "heisenberg3"):
         L = catalog.get(name)
         maps = _inflation_maps(L, nil_quotient(L))
-        assert maps[0] == QMatrix([[1]])
+        assert whole(maps[0], 1, 1) == QMatrix([[1]])
 
 
 # --- the starting page ---------------------------------------------------
@@ -897,12 +906,18 @@ def test_the_builder_refuses_weights_that_a_term_does_not_preserve(monkeypatch):
 
 # --- one chain-map check, one page builder ---------------------------------
 
-def _bumped(m: QMatrix, delta: QMatrix) -> QMatrix:
+def _plus_one(m: dict, r: int, k: int) -> dict:
+    """The map m, given as sparse rows, with 1 added to its entry (r, k)."""
+    row = dict(m.get(r, {}))
+    row[k] = row.get(k, 0) + 1
+    return {**m, r: {c: a for c, a in row.items() if a}}
+
+
+def _bumped(m: dict, delta: QMatrix) -> dict:
     """m with 1 added to its entry (r, 0), r the first column of delta that
     is nonzero, so that delta * m changes."""
     r = next(r for r in range(delta.cols) if any(delta.column(r)))
-    return m + QMatrix([[int((i, j) == (r, 0)) for j in range(m.cols)]
-                        for i in range(m.rows)], cols=m.cols)
+    return _plus_one(m, r, 0)
 
 
 def test_chain_map_refuses_one_changed_entry_of_an_action_operator():
@@ -938,7 +953,7 @@ def test_chain_map_and_page_at_the_boundary_cases():
     assert linf.dim == 3 and aoc.quotient.algebra.dim == 0
     assert [c.dims for c in page] == [(1,), (0,), (0,), (1,)]
     maps = inflation_map(L, aoc.quotient, ce_complex(L, trivial_module(L)), page[0].complex)
-    assert maps == (QMatrix([[1]]),)
+    assert tuple(whole(m, 1, 1) for m in maps) == (QMatrix([[1]]),)
     # N = L and L^inf = 0: inflation has a map in every degree, and the
     # ideal's complex has C^0 alone, with no differential to check
     H = catalog.heisenberg3()
@@ -947,9 +962,9 @@ def test_chain_map_and_page_at_the_boundary_cases():
     assert [c.dims for c in page] == [(1, 2, 2, 1)]
     cx_H = ce_complex(H, trivial_module(H))
     maps = inflation_map(H, aoc.quotient, cx_H, page[0].complex)
-    assert [m.rows for m in maps] == [1, 3, 3, 1]
+    assert [whole(m, comb(3, p), comb(3, p)).rows for p, m in enumerate(maps)] == [1, 3, 3, 1]
     ops = chain_action(H, linf, trivial_module(H), unit_vector(3, 0))
-    assert ops == (QMatrix([[0]]),)
+    assert tuple(whole(op, 1, 1) for op in ops) == (QMatrix([[0]]),)
 
 
 def test_e2_page_is_the_table_check_reports():
@@ -1038,16 +1053,17 @@ def _assert_block_action(L, ideal, M, x, label):
     ops = chain_action(L, ideal, M, x)
     outside = 0
     for p, op in enumerate(ops):
-        whole = action_matrix(c, ideal.basis.data, rho, x, p)
+        formula = action_matrix(c, ideal.basis.data, rho, x, p)
         zero = set(block[p])
-        outside += sum(1 for r, row in enumerate(whole) for k, a in enumerate(row)
+        outside += sum(1 for r, row in enumerate(formula) for k, a in enumerate(row)
                        if a and not (r in zero and k in zero))
-        assert [list(row) for row in op.data] == [
+        d = coh.complex.space_dim(p)
+        assert [list(row) for row in whole(op, d, d).data] == [
             [a if r in zero and k in zero else 0 for k, a in enumerate(row)]
-            for r, row in enumerate(whole)], (label, p)
+            for r, row in enumerate(formula)], (label, p)
         # theta_x z - P_0 theta_x z is a cocycle of nonzero weight, a coboundary
-        reps = coh.rep_matrix(p)
-        assert coh.coordinates(p, op * reps) == coh.coordinates(p, QMatrix(whole) * reps), \
+        reps = rep_columns(coh, p)
+        assert whole_induced(coh, p, op, coh) == coh.coordinates(p, QMatrix(formula) * reps), \
             (label, p)
     return ops, outside
 
@@ -1068,7 +1084,8 @@ def test_the_action_of_w_is_its_formula_on_the_weight_zero_block(name):
     if name == "B":
         # u* ^ v*, the last 2-wedge of (h, e, f, u, v), weighs 0; w scales it by -2
         top = comb(5, 2) - 1
-        assert ops[2].column(top) == tuple(-2 if r == top else 0 for r in range(comb(5, 2)))
+        assert whole(ops[2], comb(5, 2), comb(5, 2)).column(top) == tuple(
+            -2 if r == top else 0 for r in range(comb(5, 2)))
 
 
 def test_sl2_acts_on_its_adjoint_cochains_through_the_weight_zero_block():
@@ -1094,27 +1111,132 @@ def test_chain_map_refuses_an_entry_off_the_weight_zero_blocks():
     assert list(cx._block[0][2]) == [2]
     ops = chain_action(L, Subspace.full(3), trivial_module(L), (0, 0, 0))
     for r, k in ((2, 0), (0, 2)):
-        stray = QMatrix([[int((i, j) == (r, k)) for j in range(3)] for i in range(3)])
         with pytest.raises(ChainMapError, match="off the weight-0 blocks"):
-            _chain_map(cx, cx, ops[:2] + (ops[2] + stray,) + ops[3:])
+            _chain_map(cx, cx, ops[:2] + (_plus_one(ops[2], r, k),) + ops[3:])
 
 
 def test_no_library_path_reads_a_whole_differential(monkeypatch):
     # `check`, `hs_e2_page` and `cohomology` keep to the weight-0 blocks of
-    # every complex they build, the L^inf side and the page included
-    reads = []
-    whole = CochainComplex.deltas
+    # every complex they build, the L^inf side and the page included: they
+    # read no whole differential, multiply no `QMatrix` and make no dense
+    # cochain (`representatives`, `coordinates` and `project` are for callers)
+    reads, products, dense = [], [], []
+    whole_deltas = CochainComplex.deltas
+    real_mul = QMatrix.__mul__
+    real_dense = cohomology_module._dense
 
     def spy(cx):
         reads.append(cx.algebra.labels)
-        return whole.func(cx)
+        return whole_deltas.func(cx)
 
-    monkeypatch.setattr(CochainComplex, "deltas", property(spy))
+    def spy_mul(a, b):
+        products.append((a.rows, a.cols))
+        return real_mul(a, b)
+
+    def spy_dense(row, lo, hi):
+        dense.append(hi - lo)
+        return real_dense(row, lo, hi)
+
     algebras = [catalog.get(name) for name in catalog.names()]
     algebras.append(_relabelled(catalog.ut(4), random.Random(610)))
     algebras += [build() for build, _, _ in GRADED_IDEAL_INPUTS.values()]
+    monkeypatch.setattr(CochainComplex, "deltas", property(spy))
+    monkeypatch.setattr(QMatrix, "__mul__", spy_mul)
+    monkeypatch.setattr(cohomology_module, "_dense", spy_dense)
     for L in algebras:
         check(L)
         hs_e2_page(L)
-        cohomology(L, trivial_module(L))
+        result = cohomology(L, trivial_module(L))
     assert reads == []
+    assert products == []
+    assert dense == []
+    # the spies are live: the API boundary goes through them
+    assert result.representatives and dense
+    assert QMatrix.identity(2) * QMatrix.identity(2) == QMatrix.identity(2) and products
+
+
+# --- one map form: the pipeline against the whole-shape route -------------
+
+def _assert_induced_maps_match_whole_shapes(L, M, label):
+    """`action_on_cohomology` and, with one-dimensional trivial coefficients,
+    `inflation_on_cohomology` give the maps that padding each chain map to
+    its whole shape and reading `coordinates(q, whole(f) * R)` gives."""
+    linf = lower_central_series(L).last
+    aoc = action_on_cohomology(L, linf, M)
+    coh = aoc.ideal_cohomology
+    nq = aoc.quotient
+    for a in range(nq.algebra.dim):
+        ops = chain_action(L, linf, M, nq.lift(a))
+        for q, module in enumerate(aoc.modules):
+            assert module.rho[a] == whole_induced(coh, q, ops[q], coh), (label, a, q)
+    if M.dim != 1 or not M.is_trivial():
+        return
+    coh_q = cohomology(nq.algebra, trivial_module(nq.algebra))
+    report = inflation_on_cohomology(L, nq, coh_q)
+    cx_L = ce_complex(L, trivial_module(L))
+    maps = inflation_map(L, nq, cx_L, coh_q.complex)
+    coh_L = cohomology_of(cx_L)
+    assert len(report.induced) == L.dim + 1 and len(maps) == nq.algebra.dim + 1, label
+    for p, f in enumerate(maps):
+        assert report.induced[p] == whole_induced(coh_L, p, f, coh_q), (label, p)
+
+
+def test_induced_maps_match_the_whole_shape_route():
+    for name in catalog.names():
+        L = catalog.get(name)
+        _assert_induced_maps_match_whole_shapes(L, trivial_module(L), name)
+    L = _relabelled(catalog.ut(4), random.Random(612))
+    _assert_induced_maps_match_whole_shapes(L, trivial_module(L), "ut4-relabelled")
+    rng = random.Random(613)
+    for i in range(30):
+        L = random_solvable_algebra(rng)
+        _assert_induced_maps_match_whole_shapes(L, trivial_module(L), ("random", i))
+    for name, (build, _, _) in sorted(GRADED_IDEAL_INPUTS.items()):
+        L = build()
+        for M in (trivial_module(L), adjoint_module(L)):
+            _assert_induced_maps_match_whole_shapes(L, M, (name, M.dim))
+    # H^*(sl2, ad) = 0 (Whitehead) and N = 0: the maps of every degree are empty
+    L = catalog.sl2()
+    _assert_induced_maps_match_whole_shapes(L, adjoint_module(L), "sl2-adjoint")
+
+
+def test_cohomology_results_hash_and_compare():
+    # the sparse representatives and the pivots stay out of hash and ==
+    L = catalog.heisenberg3()
+    cx = ce_complex(L, trivial_module(L))
+    a, b = cohomology_of(cx), cohomology_of(cx)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a.representatives == b.representatives
+
+
+def test_coordinates_refuse_a_degree_outside_the_complex():
+    # a negative degree once read H^q from the end: project(-1, ()) gave a
+    # class in H^3 and project(-3, ()) one in H^1; past the top, IndexError
+    L = catalog.heisenberg3()
+    result = cohomology(L, trivial_module(L))
+    for q in (-1, -3, -4, L.dim + 1, L.dim + 5):
+        with pytest.raises(DimensionMismatchError):
+            result.project(q, ())
+        with pytest.raises(DimensionMismatchError):
+            result.coordinates(q, QMatrix.zero(0, 1))
+    assert result.project(L.dim, (1,)) == (Fraction(1),)
+
+
+def test_inflation_on_ut7_keeps_to_its_block():
+    # ut(7) has dimension 28, and its weight-0 block 2^7 = 128 coordinates
+    # of the 2^28 of the whole complex: padding any map to a whole cochain
+    # space allocates far more than the bound (162 MB before the maps kept
+    # to block rows)
+    L = catalog.ut(7)
+    nq = nil_quotient(L)
+    coh_q = cohomology(nq.algebra, trivial_module(nq.algebra))
+    tracemalloc.start()
+    try:
+        report = inflation_on_cohomology(L, nq, coh_q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_isomorphism
+    assert report.target_dims == tuple(comb(7, k) for k in range(L.dim + 1))
+    assert peak < 8_000_000, peak
