@@ -37,13 +37,18 @@ Each term names the indices it adds and removes (`wedge._term`), and
 popcount parity.  The inflation maps are the wedge powers of the
 projection (`wedge.wedge_powers`), each degree built from the one below.
 Every map keeps that form: per degree, sparse rows in the lexicographic
-wedge basis, {row: {column: Fraction}} at the rows that can be nonzero.
+wedge basis, {row: {column: value}} at the rows that can be nonzero.
 * Fractions enter as the structure constants and action matrices, made
   ints once (`lie._constants`, `_int_action`) and brought to one D here.
-* The terms of each entry add up in Python ints.
-* Fractions leave when a row is finished: each distinct nonzero sum
-  becomes one Fraction over D.  The elimination engine in `linalg` turns
-  the rows back into ints when it reads them.
+* The terms of each entry add up in Python ints, and the rows stay so:
+  the differential's block rows and the action operators are int rows
+  of D times the map, D kept beside them, and the engine in `linalg`
+  eliminates them as they are.  Inflation, the minors of a rational
+  projection, is the one map in Fraction rows.
+* Fractions are made at the boundary alone: the representatives, the
+  class coordinates (`linalg._tag_coordinates`), each induced action
+  matrix divided once by its operator's D, and the `QMatrix`
+  differentials `delta` builds for callers (`wedge._matrices`).
 
 Weight-0 blocks
 ---------------
@@ -96,8 +101,8 @@ complex, built by the same code over every wedge.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import comb, lcm
+from fractions import Fraction
+from math import comb, gcd, lcm
 
 from .errors import ChainMapError, ContainmentError, DimensionMismatchError
 from .lie import LieAlgebra, Quotient, _bracket, _constants, lower_central_series, quotient
@@ -147,13 +152,13 @@ class CochainComplex:
     """The standard complex of (algebra, coeff), held as its weight-0 block.
 
     Built by `ce_complex` alone, from its `wedge._term` terms over D and
-    the weights (lam, mu) of `_grading`, or None.  `_block` is (zero,
-    rows): zero[q] the weight-0 coordinates of C^q, q = 0..dim + 1, as a
-    range or dict keys in increasing order, and rows[q] the rows of
-    delta_q at zero[q + 1], as {row: {column: Fraction}}, q = 0..dim, the
-    form every chain map takes (module docstring); the weights are kept as
-    `_weights`.  `deltas[p]`, C^p -> C^{p+1} for p = 0..dim - 1, is the
-    whole differential, built from the same terms on first use, for callers.
+    the weights (lam, mu) of `_grading`, or None, kept as `_terms` =
+    (terms, D) and `_weights`.  `_block` is (zero, rows): zero[q] the
+    weight-0 coordinates of C^q, q = 0..dim + 1, as a range or dict keys
+    in increasing order, and rows[q] the int rows {row: {column: int}} of
+    D * delta_q at zero[q + 1], q = 0..dim, the form every chain map takes
+    (module docstring).  `delta(p)`, C^p -> C^{p+1}, is one degree of the
+    whole differential, built on first use, for callers; `deltas` is all.
     """
 
     def __init__(self, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
@@ -164,22 +169,24 @@ class CochainComplex:
         self._block = (zero, rows + [{}])
         self._terms = (terms, D)
         self._weights = weights
+        self._deltas: dict = {}
 
-    @cached_property
+    @property
     def deltas(self) -> tuple[QMatrix, ...]:
         """The whole differential, for callers; the pipeline never reads it."""
-        terms, D = self._terms
-        n = self.algebra.dim
-        return tuple(_matrices(terms, n, self.coeff.dim, D, range(n), 1))
+        return tuple(map(self.delta, range(self.algebra.dim)))
 
     def space_dim(self, p: int) -> int:
         return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
 
     def delta(self, p: int) -> QMatrix:
         """The differential out of C^p; zero maps beyond the stored range."""
-        if 0 <= p < self.algebra.dim:
-            return self.deltas[p]
-        return QMatrix.zero(self.space_dim(p + 1), self.space_dim(p))
+        if not 0 <= p < self.algebra.dim:
+            return QMatrix.zero(self.space_dim(p + 1), self.space_dim(p))
+        if p not in self._deltas:
+            terms, D = self._terms
+            self._deltas[p] = _matrices(terms, self.algebra.dim, self.coeff.dim, D, [p], 1)[0]
+        return self._deltas[p]
 
     @property
     def top_degree(self) -> int:
@@ -358,9 +365,10 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
-                     M: LieModule, x) -> list[dict]:
+                     M: LieModule, x) -> tuple[list[dict], int]:
     """P_0 theta_x iota_0: the ambient element x on C^p(ideal, M), p =
-    0..dim(ideal), between the weight-0 coordinates of cx (module docstring).
+    0..dim(ideal), between the weight-0 coordinates of cx (module docstring),
+    as (rows, D): int rows of D times the operator, and D.
 
     Built like `ce_complex`'s differential, from the nonzero terms in
     ints over one common denominator D, with u the ideal's basis:
@@ -401,26 +409,34 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         for k, g in v:
             if lam[i] == lam[k]:
                 _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
-    return _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights)
+    return _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights), D
 
 
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ...]:
-    """maps[p]: C^p(src) -> C^p(dst), given as rows {row: {column: Fraction}}
+    """maps[p]: C^p(src) -> C^p(dst), given as rows {row: {column: value}}
     as in `_block` (absent rows zero), maps past the last one zero, checked to
     commute with the differentials in each degree p < dst.top_degree.
 
     An entry off the weight-0 blocks, its row off dst's or its column off
     src's, raises ChainMapError at once, as does a degree where delta_p f_p
-    and f_{p+1} delta_p (`linalg._product`) differ on dst's block rows.
+    and f_{p+1} delta_p (`linalg._product`) differ on dst's block rows.  As
+    the block rows hold D_dst delta and D_src delta, each product is scaled
+    by the other complex's D (over their gcd) before they are compared.
     """
     (zs, src_rows), (zd, dst_rows) = src._block, dst._block
     if any(row and (r not in zd[p] or any(c not in zs[p] for c in row))
            for p, mp in enumerate(maps) for r, row in mp.items()):
         raise ChainMapError("a map entry lies off the weight-0 blocks")
+    Ds, Dd = src._terms[1], dst._terms[1]
+    a, b = Ds // gcd(Ds, Dd), Dd // gcd(Ds, Dd)
     for p in range(min(dst.top_degree, len(maps))):
         nxt = maps[p + 1] if p + 1 < len(maps) else {}
-        if (_product(dst_rows[p].values(), maps[p])
-                != _product((nxt.get(r, {}) for r in dst_rows[p]), src_rows[p])):
+        lhs = _product(dst_rows[p].values(), maps[p])
+        rhs = _product((nxt.get(r, {}) for r in dst_rows[p]), src_rows[p])
+        if a != b:
+            lhs = [{k: a * v for k, v in row.items()} for row in lhs]
+            rhs = [{k: b * v for k, v in row.items()} for row in rhs]
+        if lhs != rhs:
             raise ChainMapError(f"the maps do not commute with the differentials in degree {p}")
     return tuple(maps)
 
@@ -449,6 +465,7 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     Lifts of the quotient basis act through the chain-level operator;
     elements of the ideal itself induce zero, so the matrices satisfy the
     quotient's bracket relations (this is re-checked on construction).
+    Each operator is int rows of D times it: its matrix on H^q is divided by D.
     """
     if M.algebra != L:
         raise DimensionMismatchError("coefficients must form a module over the ambient algebra")
@@ -456,12 +473,14 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     res = restrict(M, ideal)
     cx = ce_complex(res.algebra, res)
     coh = cohomology_of(cx)
-    per_lift_ops = [_chain_map(cx, cx, _action_operator(cx, L, ideal, M, nq.lift(a)))
-                    for a in range(nq.algebra.dim)]
+    per_lift_ops = []
+    for a in range(nq.algebra.dim):
+        ops, D = _action_operator(cx, L, ideal, M, nq.lift(a))
+        per_lift_ops.append((_chain_map(cx, cx, ops), Fraction(1, D)))
     modules = []
     for q in range(cx.top_degree + 1):
-        rho = [coh._classes_of(q, _product(coh._reps[q], _columns(ops[q])))
-               for ops in per_lift_ops]
+        rho = [coh._classes_of(q, _product(coh._reps[q], _columns(ops[q]))).scale(inv)
+               for ops, inv in per_lift_ops]
         modules.append(LieModule(nq.algebra, rho, dim=coh.dims[q]))
     return ActionOnCohomology(nq, coh, tuple(modules))
 

@@ -36,6 +36,7 @@ from .linalg import (
     _dense,
     _frac,
     _insert,
+    _ints,
     _reduce,
     _span,
     _sparse,
@@ -129,7 +130,7 @@ class LieAlgebra:
         # row combines the original matrices.
         pivots: dict = {}
         for s, f in enumerate(flat):
-            _insert(pivots, {**f, ambient + s: Fraction(1)})
+            _insert(pivots, _ints({**f, ambient + s: 1})[0])
         if any(lead >= ambient for lead in pivots):
             raise NotASubalgebraError("matrices are linearly dependent")
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]

@@ -21,8 +21,12 @@ Conventions
   intersections, quotient bases, subspace membership) runs through one
   sparse engine on Python-int rows, fraction-free in the manner of
   Bareiss (Math. Comp. 1968):
-  - Fractions enter in `_reduce`, which converts a {key: Fraction} (or
-    int) row once, to d * row for d the lcm of its denominators.
+  - The engine (`_reduce`, `_insert`, `_echelon`, `_kernel`, `_span`,
+    `_classes`) reads {key: int} rows alone.  Fractions enter at the
+    boundary: `rank`, `rref`, `rref_transform`, `kernel`, `image`,
+    `Subspace` and `_tag_coordinates` make each row they are given
+    d * row once (`_ints`), d the lcm of its denominators.  The rows of
+    `cohomology` and `pbw` are ints already and go in as they are.
   - The pivot dict maps each leading (smallest) key to a primitive int
     row: content 1 and positive at its lead.  A row is reduced by
     cross-multiplying with the pivot row at its lead, scaled by the two
@@ -83,6 +87,9 @@ def vector(entries) -> tuple:
 
 
 def unit_vector(n: int, i: int) -> tuple:
+    """The i-th standard basis vector of Q^n; IndexError unless 0 <= i < n."""
+    if not 0 <= i < n:
+        raise IndexError(f"no unit vector {i} in dimension {n}")
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
@@ -311,6 +318,11 @@ def _ints(row: dict) -> tuple[dict, int]:
     return {k: a.numerator * (d // a.denominator) for k, a in row.items()}, d
 
 
+def _int_rows(rows):
+    """The rational rows as int rows, each `_ints` of it: the same span."""
+    return (_ints(row)[0] for row in rows)
+
+
 def _rational(row: dict, lead) -> dict:
     """An int row divided by its entry at `lead`, as a {key: Fraction} row."""
     d = row[lead]
@@ -350,17 +362,16 @@ def _primitive(row: dict, lead) -> dict:
 
 
 def _reduce(pivots: dict, row: dict):
-    """Reduce a rational row against primitive int pivot rows.
+    """Reduce an int row against primitive int pivot rows.
 
     `pivots` maps each leading (smallest) key to a primitive int row that
-    is positive there.  The row (Fractions or ints; left unchanged) is
-    converted once, to d * row for d the lcm of its denominators, and
-    then cross-multiplied with pivot rows until its leading key is no
-    pivot.  Returns (lead, reduced, s): the leading key left over (None
+    is positive there.  The row, a {key: int} dict left unchanged, is
+    copied and cross-multiplied with pivot rows until its leading key is
+    no pivot.  Returns (lead, reduced, s): the leading key left over (None
     when the row reduced to zero), the reduced int row, and the int s > 0
     with reduced = s * row - (an int combination of pivot rows).
     """
-    row, s = _ints(row)
+    row, s = dict(row), 1
     while row:
         lead = min(row)
         piv = pivots.get(lead)
@@ -371,7 +382,7 @@ def _reduce(pivots: dict, row: dict):
 
 
 def _insert(pivots: dict, row: dict):
-    """Reduce a rational row and add what is left to `pivots` as a primitive int row.
+    """Reduce an int row and add what is left to `pivots` as a primitive int row.
 
     Returns the new leading key, or None when the row lay in the span of
     the pivot rows already.  Leaves the row and the pivot rows alone.
@@ -383,7 +394,7 @@ def _insert(pivots: dict, row: dict):
 
 
 def _echelon(rows) -> dict:
-    """Canonical echelon form of the span of rational rows, as primitive int rows.
+    """Canonical echelon form of the span of int rows, as primitive int rows.
 
     Returns {pivot key: row} in increasing key order; every row is
     positive at its own pivot and 0 at every other one, so dividing each
@@ -406,14 +417,14 @@ def _echelon(rows) -> dict:
 def rank(m: QMatrix) -> int:
     """Rank over Q: the number of pivots the rows reduce to."""
     pivots: dict = {}
-    for row in m.entries:
+    for row in _int_rows(m.entries):
         _insert(pivots, row)
     return len(pivots)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    ech = _echelon(m.entries)
+    ech = _echelon(_int_rows(m.entries))
     rows = [_rational(row, lead) for lead, row in ech.items()] + [{}] * (m.rows - len(ech))
     return QMatrix._wrap(rows, m.cols), tuple(ech)
 
@@ -424,7 +435,7 @@ def rref_transform(m: QMatrix) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
     [rref(m) | T] is the reduced echelon form of [m | I].
     """
     n = m.cols
-    ech = _echelon({**row, n + i: 1} for i, row in enumerate(m.entries))
+    ech = _echelon(_int_rows({**row, n + i: 1} for i, row in enumerate(m.entries)))
     rows = [_rational(row, lead) for lead, row in ech.items()]
     return (QMatrix._wrap(({k: a for k, a in row.items() if k < n} for row in rows), n),
             QMatrix._wrap(({k - n: a for k, a in row.items() if k >= n} for row in rows), m.rows),
@@ -447,7 +458,7 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: QMatrix):
         if basis.cols != ambient_dim:
             raise DimensionMismatchError("basis rows differ in length from the ambient dimension")
-        ech = _echelon(basis.entries)
+        ech = _echelon(_int_rows(basis.entries))
         if basis.entries != tuple(_rational(row, lead) for lead, row in ech.items()):
             raise ValueError("basis is not in reduced row echelon form without zero rows")
         self.ambient_dim = ambient_dim
@@ -459,7 +470,7 @@ class Subspace:
         rows = [vector(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatchError("row length differs from ambient dimension")
-        return _span(ambient_dim, (_sparse(r) for r in rows))
+        return _span(ambient_dim, _int_rows(map(_sparse, rows)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -481,7 +492,7 @@ class Subspace:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong ambient dimension")
-        return _reduce(self._rows, _sparse(v))[0] is None
+        return _reduce(self._rows, _ints(_sparse(v))[0])[0] is None
 
     def coordinates(self, v) -> tuple:
         """Coordinates of v in the canonical basis; ContainmentError if v is outside."""
@@ -534,35 +545,38 @@ def _echelon_space(n: int, ech: dict) -> Subspace:
 
 
 def _span(n: int, rows) -> Subspace:
-    """The subspace of Q^n spanned by rational sparse rows."""
+    """The subspace of Q^n spanned by sparse int rows."""
     return _echelon_space(n, _echelon(rows))
 
 
 def kernel(m: QMatrix) -> Subspace:
     """The solution space {v : m v = 0} as a subspace of Q^cols."""
-    return _kernel(m.entries, range(m.cols), m.cols)
+    return _kernel(_int_rows(m.entries), range(m.cols), m.cols)
 
 
 def _kernel(rows, cols, n: int) -> Subspace:
-    """The solutions supported on the keys `cols` of the rational rows' system,
+    """The solutions supported on the keys `cols` of the int rows' system,
     as a subspace of Q^n; every key of the rows must be one of cols."""
     ech = _echelon(rows)
-    # one solution per free column f: 1 at f, minus column f of the reduced echelon rows
-    basis = {f: {f: 1} for f in cols if f not in ech}
-    for p, row in ech.items():
-        for f, a in row.items():
-            if f != p:
-                basis[f][p] = Fraction(-a, row[p])
-    return _span(n, basis.values())
+    # one solution per free column f, in ints: d e_f - sum_p (d / row_p[p]) row_p[f] e_p,
+    # d the lcm of the pivot entries row_p[p] over the rows with row_p[f] != 0
+    at = _columns(ech)
+    basis = []
+    for f in cols:
+        if f not in ech:
+            col = at.get(f, {})
+            d = lcm(*[ech[p][p] for p in col])
+            basis.append({f: d, **{p: -a * (d // ech[p][p]) for p, a in col.items()}})
+    return _span(n, basis)
 
 
 def image(m: QMatrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return _span(m.rows, _transpose(m.entries, m.cols))
+    return _span(m.rows, _int_rows(_transpose(m.entries, m.cols)))
 
 
 def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
-    """Pivots of the small rows, then of big's basis rows that add one.
+    """Pivots of the small int rows, then of big's basis rows that add one.
 
     The i-th kept basis row r is inserted as d * (r, tag 1 at key
     big.ambient_dim + i), where d * r is its int pivot row.  Returns the
@@ -589,13 +603,15 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
 def _tag_coordinates(pivots: dict, n: int, row: dict) -> dict:
     """A rational row's coordinates {i: c} on the kept rows of `_classes`.
 
-    Reducing the row leaves s * row - (pivot rows) = t on the tags alone,
-    so the coordinates are -t / s.
+    The row is made d * row in ints (`_ints`), and reducing that leaves
+    s * d * row - (pivot rows) = t on the tags alone, so the coordinates
+    are -t / (s * d).
     """
+    row, d = _ints(row)
     lead, row, s = _reduce(pivots, row)
     if lead is not None and lead < n:
         raise ContainmentError("vector is outside the span of the pivot rows")
-    return {k - n: Fraction(-a, s) for k, a in row.items()}
+    return {k - n: Fraction(-a, s * d) for k, a in row.items()}
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:

@@ -374,7 +374,7 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
 
 def _weight_span(n: int, nu, m: int, r_max: int) -> Subspace:
     monos = monomials(n, r_max)
-    return _span(len(monos), ({t: Fraction(1)} for t, a in enumerate(monos)
+    return _span(len(monos), ({t: 1} for t, a in enumerate(monos)
                               if sum(e * w for e, w in zip(a, nu)) >= m))
 
 

@@ -18,9 +18,11 @@ The cochain differential, the action on cochains and the exterior
 powers of a module are sums of terms that each swap a few wedge factors.
 `_term` files one nonzero term by the indices it adds and removes;
 `_operators` sums the terms over every wedge they apply to, in Python
-ints D * entry over one common denominator D, and turns each distinct
-sum into a Fraction once.  Wedges of vectors (`wedge_powers`) grow one
-factor at a time, over the indices whose vectors are nonzero.
+ints D * entry over one common denominator D, and returns the int sums:
+the rows `cohomology` eliminates hold no Fraction.  `_matrices`, for
+callers that want a `QMatrix`, makes them Fractions over D.  Wedges of
+vectors (`wedge_powers`) grow one factor at a time, over the indices
+whose vectors are nonzero.
 
 Weight blocks.  Given int weights lam of the indices and mu of an
 m-dimensional coefficient block, the coordinate (S, b) weighs mu[b]
@@ -206,16 +208,16 @@ def _by_target(groups: dict, lam, mu) -> dict:
 
 def _operators(groups: dict, n: int, m: int, D: int, rows: dict,
                weights=None) -> list[dict]:
-    """The rows of the matrices of the terms filed by `_term`, one out of
-    each degree q in rows, as {row: {column: Fraction}} dicts over rows[q].
+    """The rows of D times the matrices of the terms filed by `_term`, one out
+    of each degree q in rows, as {row: {column: int}} dicts over rows[q].
 
     Columns are the q-wedges of range(n) and rows the wedges the terms take
     them to, each times an m-dimensional block, in lexicographic order.  For a
     group (F, c) of terms (row bits, column bits, sign mask, blocks) and
     every (q - c)-wedge R disjoint from F, each block entry (beta, b, v)
     of blocks[popcount(R & sign mask) % 2] is added at row
-    (R | row bits, beta), column (R | column bits, b).  The sums are ints;
-    each distinct nonzero sum then becomes one Fraction over D.
+    (R | row bits, beta), column (R | column bits, b).  The entries v are
+    D times the rational ones, and the rows returned hold their int sums.
 
     With weights (lam, mu), rows[q] must be the weight-0 rows of
     `_weight_zero`, and only the R that place an entry there are visited:
@@ -242,16 +244,18 @@ def _operators(groups: dict, n: int, m: int, D: int, rows: dict,
                         row = out[rbase + beta]
                         key = cbase + b
                         row[key] = row.get(key, 0) + v
-        value = {a: Fraction(a, D) for a in {a for row in out.values() for a in row.values()}}
-        mats.append({r: {k: value[a] for k, a in row.items() if a} for r, row in out.items()})
+        mats.append({r: {k: a for k, a in row.items() if a} for r, row in out.items()})
     return mats
 
 
 def _matrices(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> list[QMatrix]:
-    """The whole matrices of `_operators`, one out of each degree in degrees."""
+    """The whole matrices of `_operators`, one out of each degree in degrees,
+    as `QMatrix`es: each distinct int sum becomes one Fraction over D here."""
     rows = {q: range(comb(n, q + shift) * m) for q in degrees}
-    return [QMatrix._wrap(out.values(), comb(n, q) * m)
-            for q, out in zip(rows, _operators(groups, n, m, D, rows))]
+    mats = _operators(groups, n, m, D, rows)
+    value = {a: Fraction(a, D) for out in mats for row in out.values() for a in row.values()}
+    return [QMatrix._wrap(({k: value[a] for k, a in row.items()} for row in out.values()),
+                          comb(n, q) * m) for q, out in zip(rows, mats)]
 
 
 def wedge_powers(columns, m: int, top: int) -> list[dict]:

@@ -338,12 +338,13 @@ def unsplit_cohomology(cx):
     class of a cocycle v in their basis as a tuple of Fractions, and
     raises ContainmentError off the cocycles.
     """
-    from liecoh.linalg import _classes, _dense, _tag_coordinates, _transpose, kernel
+    from liecoh.linalg import _classes, _dense, _ints, _tag_coordinates, _transpose, kernel
 
     reps_all, pivots_all = [], []
     for q in range(cx.top_degree + 1):
         prev = cx.delta(q - 1)
-        pivots, reps = _classes(_transpose(prev.entries, prev.cols), kernel(cx.delta(q)))
+        columns = (_ints(col)[0] for col in _transpose(prev.entries, prev.cols))
+        pivots, reps = _classes(columns, kernel(cx.delta(q)))
         reps_all.append(tuple(_dense(row, 0, prev.rows) for row in reps))
         pivots_all.append(pivots)
 
@@ -358,13 +359,16 @@ def unsplit_cohomology(cx):
 def chain_action(L, ideal, M, x):
     """The library's operators of x in L on C^p(ideal, M), p = 0..dim(ideal),
     checked by `_chain_map` to commute with the differential (ChainMapError
-    otherwise): the operators `action_on_cohomology` pushes to cohomology."""
+    otherwise): the operators `action_on_cohomology` pushes to cohomology,
+    which come as int rows of D times them, here divided by that D."""
     from liecoh.cohomology import _action_operator, _chain_map, ce_complex
     from liecoh.rep import restrict
 
     res = restrict(M, ideal)
     cx = ce_complex(res.algebra, res)
-    return _chain_map(cx, cx, _action_operator(cx, L, ideal, M, x))
+    ops, D = _action_operator(cx, L, ideal, M, x)
+    return tuple({r: {c: Fraction(a, D) for c, a in row.items()} for r, row in op.items()}
+                 for op in _chain_map(cx, cx, ops))
 
 
 def whole(rows, n_rows, n_cols):

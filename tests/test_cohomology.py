@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from liecoh import catalog, wedge
+from liecoh import catalog, linalg, pbw, wedge
 from liecoh.checker import check, random_solvable_algebra, verify_report
 from liecoh.cohomology import (
     CochainComplex,
@@ -40,6 +40,7 @@ from liecoh.rep import (
     Character,
     LieModule,
     adjoint_module,
+    dual,
     invariants,
     one_dim_module,
     restrict,
@@ -649,15 +650,19 @@ def _weight_zero_by_listing(L, M):
 
 def _assert_block_is_the_weight_zero_rows(L, M, label):
     """The built block: the listed weight-0 coordinates, in increasing
-    order, and exactly the rows of the whole differential at them."""
+    order, and exactly the rows of the whole differential at them, as int
+    rows of the complex's D times them."""
     cx = ce_complex(L, M)
     zero, rows = cx._block
+    D = cx._terms[1]
     listed = _weight_zero_by_listing(L, M)
     assert [list(z) for z in zero] == listed, label
     for q in range(L.dim + 1):
         entries = cx.delta(q).entries
         assert list(rows[q]) == listed[q + 1], (label, q)
-        assert rows[q] == {r: entries[r] for r in listed[q + 1]}, (label, q)
+        assert rows[q] == {r: {c: D * a for c, a in entries[r].items()}
+                           for r in listed[q + 1]}, (label, q)
+        assert all(type(a) is int for row in rows[q].values() for a in row.values()), (label, q)
         assert all(c in zero[q] for row in rows[q].values() for c in row), (label, q)
 
 
@@ -1121,13 +1126,13 @@ def test_no_library_path_reads_a_whole_differential(monkeypatch):
     # read no whole differential, multiply no `QMatrix` and make no dense
     # cochain (`representatives`, `coordinates` and `project` are for callers)
     reads, products, dense = [], [], []
-    whole_deltas = CochainComplex.deltas
+    whole_delta = CochainComplex.delta
     real_mul = QMatrix.__mul__
     real_dense = cohomology_module._dense
 
-    def spy(cx):
+    def spy(cx, p):
         reads.append(cx.algebra.labels)
-        return whole_deltas.func(cx)
+        return whole_delta(cx, p)
 
     def spy_mul(a, b):
         products.append((a.rows, a.cols))
@@ -1140,7 +1145,7 @@ def test_no_library_path_reads_a_whole_differential(monkeypatch):
     algebras = [catalog.get(name) for name in catalog.names()]
     algebras.append(_relabelled(catalog.ut(4), random.Random(610)))
     algebras += [build() for build, _, _ in GRADED_IDEAL_INPUTS.values()]
-    monkeypatch.setattr(CochainComplex, "deltas", property(spy))
+    monkeypatch.setattr(CochainComplex, "delta", spy)
     monkeypatch.setattr(QMatrix, "__mul__", spy_mul)
     monkeypatch.setattr(cohomology_module, "_dense", spy_dense)
     for L in algebras:
@@ -1153,6 +1158,7 @@ def test_no_library_path_reads_a_whole_differential(monkeypatch):
     # the spies are live: the API boundary goes through them
     assert result.representatives and dense
     assert QMatrix.identity(2) * QMatrix.identity(2) == QMatrix.identity(2) and products
+    assert len(result.complex.deltas) == result.complex.top_degree and reads
 
 
 # --- one map form: the pipeline against the whole-shape route -------------
@@ -1240,3 +1246,100 @@ def test_inflation_on_ut7_keeps_to_its_block():
     assert report.is_isomorphism
     assert report.target_dims == tuple(comb(7, k) for k in range(L.dim + 1))
     assert peak < 8_000_000, peak
+
+
+# --- int rows end to end ---------------------------------------------------
+
+def test_coordinates_build_the_differential_of_their_own_degree_alone(monkeypatch):
+    # the part of a cochain off the weight-0 block is checked to be a
+    # cocycle on delta_q alone: building every degree took 0.39 s on ut(5)
+    L = _relabelled(catalog.ut(3), random.Random(620))
+    M = adjoint_module(L)
+    result = cohomology(L, M)
+    cx = result.complex
+    off = next(b for b in range(M.dim) if b not in cx._block[0][0])
+    z = cx.delta(0).apply(unit_vector(M.dim, off))      # a coboundary off the block
+    assert any(a for r, a in enumerate(z) if r not in cx._block[0][1])
+    asked = []
+    real = cohomology_module._matrices
+
+    def spy(groups, n, m, D, degrees, shift):
+        asked.append(list(degrees))
+        return real(groups, n, m, D, degrees, shift)
+
+    monkeypatch.setattr(cohomology_module, "_matrices", spy)
+    for _ in range(2):          # the second call reads the degree built by the first
+        assert result.project(1, z) == (Fraction(0),) * result.dims[1]
+    assert asked == [[1]]
+    # `deltas` stays a tuple of every degree's `QMatrix`, for callers
+    assert [type(d) for d in cx.deltas] == [QMatrix] * L.dim
+
+
+def test_chain_map_scales_between_complexes_with_different_denominators():
+    # h3 + b2, [a, b] = c and [x, y] = y: L^inf = <y>, and N = L/L^inf is
+    # h3 + <x>, not abelian, so inflation meets delta f != 0.  In the fifth
+    # basis drawn the complexes of N and L are ints over D = 3 and 6, and
+    # the chain-map check must scale each side by the other's D
+    base = LieAlgebra.from_brackets("abcxy", {(0, 1): [(1, 2)], (3, 4): [(1, 4)]})
+    rng = random.Random(5)
+    L = [_relabelled(base, rng) for _ in range(5)][-1]
+    nq = nil_quotient(L)
+    cx_L = ce_complex(L, trivial_module(L))
+    cx_q = ce_complex(nq.algebra, trivial_module(nq.algebra))
+    assert (cx_q._terms[1], cx_L._terms[1]) == (3, 6)
+    assert any(cx_q._block[1][1].values())     # N is not abelian: delta_1 of N is nonzero
+    assert inflation_map(L, nq, cx_L, cx_q)
+    report = check(L)
+    verify_report(report)
+    assert report.condition2 and report.condition3
+
+
+def test_the_engine_receives_int_rows_alone(monkeypatch):
+    # every row the library eliminates is an int row: the complexes, the
+    # action operators and the PBW words are ints already, and public
+    # Fraction inputs are made ints once, where they enter (`linalg._ints`)
+    seen = []
+    real = linalg._reduce
+
+    def spy(pivots, row):
+        seen.append(len(row))
+        assert all(type(a) is int for a in row.values()), row
+        return real(pivots, row)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    monkeypatch.setattr(import_module("liecoh.lie"), "_reduce", spy)
+    check(_relabelled(catalog.ut(4), random.Random(621)))
+    S = catalog.strict_ut(4)
+    cohomology(S, adjoint_module(S))
+    H = _h5()
+    assert all(pbw.ipower_checks(H, pbw.rees_layer_table(H, 2, 3)))
+    assert len(seen) > 1000
+
+
+def _trace_twisted_dual(M):
+    """M^* (x) k_{tr ad}: dual(M), with tr ad(x) times the identity added to
+    each rho(x)."""
+    L = M.algebra
+    one = QMatrix.identity(M.dim)
+    traces = [sum(L.c[a][i][i] for i in range(L.dim)) for a in range(L.dim)]
+    return LieModule(L, [m + one.scale(t) for m, t in zip(dual(M).rho, traces)], dim=M.dim)
+
+
+def test_hazewinkel_duality_ties_degree_q_to_degree_n_minus_q():
+    # dim H^q(L, M) = dim H^{n-q}(L, M^* (x) k_{tr ad}) (Hazewinkel 1970):
+    # two complexes eliminated by one engine, tied degree by degree; the
+    # non-unimodular inputs (tr ad != 0) make the twist's sign matter
+    rng = random.Random(622)
+    algebras = [catalog.get(name) for name in catalog.names()]
+    algebras.append(_relabelled(catalog.ut(4), rng))
+    algebras += [random_solvable_algebra(rng) for _ in range(30)]
+    twisted = 0
+    for L in algebras:
+        for M in (trivial_module(L), adjoint_module(L)):
+            if 2 ** L.dim * M.dim > 5000:
+                continue
+            partner = _trace_twisted_dual(M)
+            dims = cohomology(L, M).dims
+            assert dims == cohomology(L, partner).dims[::-1], (L.labels, M.dim)
+            twisted += partner != dual(M)
+    assert twisted > 40         # pairs where tr ad != 0, so the twist is no plain dual

@@ -10,6 +10,7 @@ from liecoh.linalg import (
     Subspace,
     _classes,
     _insert,
+    _ints,
     _reduce,
     _tag_coordinates,
     image,
@@ -266,6 +267,14 @@ def test_coordinates_roundtrip():
         s.coordinates(unit_vector(3, 0))
 
 
+def test_unit_vector_refuses_an_index_out_of_range():
+    # an index past the end, or a negative one, once gave the zero vector
+    assert unit_vector(3, 2) == (Fraction(0), Fraction(0), Fraction(1))
+    for n, i in ((3, 3), (3, 5), (3, -1), (0, 0)):
+        with pytest.raises(IndexError):
+            unit_vector(n, i)
+
+
 def _float_inputs():
     from liecoh.lie import LieAlgebra
     from liecoh.pbw import UEAElement
@@ -404,7 +413,8 @@ def test_tag_coordinates_recover_combinations_with_large_entries():
         small_rows = [_combination(rng, big.basis.data, n)
                       for _ in range(rng.randint(0, big.dim))]
         small = Subspace.from_rows(n, small_rows)
-        pivots, reps = _classes(({j: a for j, a in enumerate(r) if a} for r in small_rows), big)
+        pivots, reps = _classes((_ints({j: a for j, a in enumerate(r) if a})[0]
+                                 for r in small_rows), big)
         assert len(reps) == big.dim - small.dim
         leads.update(row[lead] for lead, row in pivots.items())
         c = [_big_entry(rng) for _ in reps]
@@ -424,7 +434,7 @@ def test_engine_pivots_are_primitive_int_rows():
         n = rng.randint(1, 7)
         pivots: dict = {}
         for row in _big_rows(rng, rng.randint(1, 7), n):
-            sparse = {j: a for j, a in enumerate(row) if a}
+            sparse, _ = _ints({j: a for j, a in enumerate(row) if a})
             lead, reduced, s = _reduce(pivots, sparse)
             assert s > 0 and all(type(a) is int for a in reduced.values())
             assert _insert(pivots, sparse) == lead
@@ -440,7 +450,9 @@ def _snapshot(row):
 
 # (row, leading key left over, s) against the pivot rows {0: 2, 1: 3} and
 # {1: 5, 2: 1}; s > 1 with int entries means `_eliminate` scaled the row,
-# which happens when the pivot entry it clears with is not 1
+# which happens when the pivot entry it clears with is not 1.  The engine
+# reads int rows, so a row with Fractions goes in as d * row (`_ints`), and
+# s is the engine's multiplier times that d
 @pytest.mark.parametrize("row, lead, s", [
     ({0: 3, 2: 5}, 2, 10),
     ({0: 4, 1: 6}, None, 1),
@@ -453,12 +465,13 @@ def _snapshot(row):
 def test_engine_leaves_its_row_argument_alone(row, lead, s):
     # pbw hands memoised letter products to the engine as rows, so a
     # mutation here would corrupt them silently
+    row, d = _ints(row)
     pivots: dict = {}
     for r in ({0: 2, 1: 3}, {1: 5, 2: 1}):
         _insert(pivots, r)
     before, stored = _snapshot(row), {k: _snapshot(r) for k, r in pivots.items()}
     got_lead, _, got_s = _reduce(pivots, row)
-    assert (got_lead, got_s) == (lead, s)
+    assert (got_lead, got_s * d) == (lead, s)
     assert _snapshot(row) == before
     assert {k: _snapshot(r) for k, r in pivots.items()} == stored
     assert _insert(pivots, row) == lead
