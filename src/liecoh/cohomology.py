@@ -64,12 +64,12 @@ onto a block commutes with d).  On a block of weight w != 0 that
 restriction is w times the identity, so the block is acyclic and all of
 H^q lives in the weight-0 block.
 
-`ce_complex`, the one way to make a `CochainComplex`, builds that block
-alone: `_grading` picks x, `wedge` lists the weight-0 wedges of each
-degree by their weights, and only the rows at them are summed, each term
-visiting only the wedges R that put its row at weight 0.  A term whose
-column weighs otherwise than its row raises ChainMapError, which no
-honest module does.  `cohomology_of`
+`ce_complex`, the one way to make a `CochainComplex` (its body is
+`_complex`), builds that block alone: `_grading` picks x, `wedge` lists
+the weight-0 wedges of each degree by their weights, and only the rows
+at them are summed, each term visiting only the wedges R that put its
+row at weight 0.  A term whose column weighs otherwise than its row
+raises ChainMapError, which no honest module does.  `cohomology_of`
 eliminates the block, and nothing it returns depends on which such x
 was used:
 * the canonical basis of a kernel that is a direct sum over disjoint
@@ -98,6 +98,34 @@ off-diagonal entries" (see its docstring).  When no solution has a
 nonzero weight (nilpotent L, abelian quotients, bases that are not
 weight bases), every coordinate has weight 0: the block is the whole
 complex, built by the same code over every wedge.
+
+The L^inf side of the page, by an ambient x
+-------------------------------------------
+For solvable L, L^inf lies in [L, L] and is nilpotent, so its own
+grading is often none at all (the whole complex of strict_ut(n) for
+ut(n)).  `_page` grades its complex by x from `_grading(L, k)` instead:
+* L^inf is x-stable, so it is the direct sum of its intersections with
+  the weight spaces, and each row of its canonical basis lies in one of
+  them: lam of a row is L's weight at the row's pivot (`_action`).  The
+  coefficient weights mu are M's, 0 for the trivial module.
+* Every lift of N = L/L^inf is a basis vector e_j (`lie.quotient`), so
+  its weight lam_j is an eigenvalue of ad xbar on N.  That map is
+  diagonalizable, and nilpotent as N is, so it is 0: every lift weighs
+  0, commutes with x, and its theta keeps each weight block; xbar is
+  central in N.  Likewise every basis vector of nonzero weight lies in
+  L^inf, so a grading of L has a nonzero weight on L^inf too.
+* So x acts on H^q(L^inf) by its weights, each weight space is an
+  N-submodule, and xbar acts on H^q(L^inf)_w by w.  Cartan's formula on
+  N (xbar central) makes theta_xbar = w * 1 null-homotopic on
+  C^*(N, H^q(L^inf)_w), which is acyclic for w != 0.  Hence
+  E2^{p,q} = H^p(N, H^q(L^inf)_0), and the N-invariants of condition 3,
+  killed by xbar, lie in H^q(L^inf)_0 too.
+`_page` therefore builds the weight-0 block of C^*(L^inf) alone; for
+ut(n) that is the empty wedge, one coordinate, in agreement with Kostant
+(Ann. Math. 1961: every weight of H^{>0}(strict_ut(n)) is w.rho - rho,
+nonzero).  It is exact for the page and the verdicts, not for
+H^*(L^inf), which `action_on_cohomology` gives whole by the same body.
+When L has no grading, the ideal's own is used, as there.
 """
 
 from dataclasses import dataclass, field
@@ -211,6 +239,12 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
     entries from the module's `_int_action` as ints D_M * rho.  Only the
     rows of weight 0 under `_grading`'s x are built (module docstring).
     """
+    return _complex(L, M, _grading(L, M))
+
+
+def _complex(L: LieAlgebra, M: LieModule, weights) -> CochainComplex:
+    """`ce_complex`'s body: the complex built on the weight-0 block of the
+    weights (lam, mu) given, all of it when they are None."""
     if M.algebra != L:
         raise DimensionMismatchError("coefficient module is not a module over this algebra")
     n = L.dim
@@ -227,7 +261,7 @@ def ce_complex(L: LieAlgebra, M: LieModule) -> CochainComplex:
         for j in range(i + 1, n):
             for k, g in table[i][j]:
                 _term(terms, (i, j), (k,), _signed((b, b, -g * (D // E)) for b in range(m)))
-    return CochainComplex(L, M, terms, D, _grading(L, M))
+    return CochainComplex(L, M, terms, D, weights)
 
 
 def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
@@ -446,7 +480,8 @@ class ActionOnCohomology:
     """The nilpotent quotient acting on the cohomology of an ideal.
 
     modules[q] is H^q(ideal, coeff) as a module over quotient.algebra, in
-    the representative basis of ideal_cohomology.
+    the representative basis of ideal_cohomology; in the one `_page` makes,
+    its part of ambient weight 0 alone.
     """
 
     quotient: Quotient
@@ -460,18 +495,34 @@ class ActionOnCohomology:
 
 def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
                          M: LieModule) -> ActionOnCohomology:
-    """Induced action of L/ideal on H^*(ideal, M).
+    """Induced action of L/ideal on the whole of H^*(ideal, M).
 
     Lifts of the quotient basis act through the chain-level operator;
     elements of the ideal itself induce zero, so the matrices satisfy the
     quotient's bracket relations (this is re-checked on construction).
     Each operator is int rows of D times it: its matrix on H^q is divided by D.
+    The ideal's complex is graded by the ideal's own `_grading`, which
+    loses no class; `_page` runs the same body on the ambient weight-0 part.
     """
+    return _action(L, ideal, M, None)
+
+
+def _action(L: LieAlgebra, ideal: Subspace, M: LieModule, grading) -> ActionOnCohomology:
+    """`action_on_cohomology`'s body.  With grading = `_grading(L, M)`, the
+    ideal's complex is built on its weight-0 block under that ambient x: each
+    row of the ideal's canonical basis weighs lam at its pivot, each coefficient
+    mu.  Then modules[q] is H^q(ideal, M)_0 alone (module docstring).  With
+    grading None, the ideal's own grading is used."""
     if M.algebra != L:
         raise DimensionMismatchError("coefficients must form a module over the ambient algebra")
     nq = quotient(L, ideal)     # NotAnIdealError unless the ideal is one
     res = restrict(M, ideal)
-    cx = ce_complex(res.algebra, res)
+    if grading is None:
+        grading = _grading(res.algebra, res)
+    else:
+        lam, mu = grading
+        grading = ([lam[p] for p in ideal._rows], mu)
+    cx = _complex(res.algebra, res, grading)
     coh = cohomology_of(cx)
     per_lift_ops = []
     for a in range(nq.algebra.dim):
@@ -580,11 +631,14 @@ def _e2_from_action(page) -> E2Page:
 
 
 def _page(L: LieAlgebra) -> tuple[Subspace, ActionOnCohomology, list[CohomologyResult]]:
-    """L^inf, the action of N = L/L^inf on H^*(L^inf, k), and the starting
-    page H^*(N, H^q(L^inf)), q = 0..dim L^inf; q = 0 is H^*(N, k), as
-    H^0(L^inf, k) = k."""
+    """L^inf, the action of N = L/L^inf on H^*(L^inf, k)_0, the part of
+    weight 0 under `_grading(L, k)`'s x, and the starting page
+    H^*(N, H^q(L^inf)) = H^*(N, H^q(L^inf)_0), q = 0..dim L^inf (module
+    docstring); q = 0 is H^*(N, k), as H^0(L^inf, k) = k has weight 0.
+    The modules are not the whole H^q(L^inf): `action_on_cohomology` is."""
     linf = lower_central_series(L).last
-    aoc = action_on_cohomology(L, linf, trivial_module(L))
+    k = trivial_module(L)
+    aoc = _action(L, linf, k, _grading(L, k))
     return linf, aoc, [cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules]
 
 

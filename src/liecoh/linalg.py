@@ -13,10 +13,11 @@ Conventions
   (`entries`) and builds the dense rows (`data`) only when they are
   asked for.  Public constructors coerce every entry and reject floats;
   matrices the library builds from its own Fractions skip that step.
-* A `Subspace` stores its basis as the rows of a matrix in reduced row
+* A `Subspace` has its basis as the rows of a matrix in reduced row
   echelon form with no zero rows.  This makes the basis canonical: two
-  subspaces are equal iff their basis matrices are equal.  Next to it
-  the subspace keeps the same rows as the engine's int pivot rows.
+  subspaces are equal iff their basis matrices are equal.  It keeps the
+  same rows as the engine's int pivot rows, and makes the Fraction rows
+  from them when the basis is first asked for.
 * Every elimination (rank, echelon forms, kernels, images,
   intersections, quotient bases, subspace membership) runs through one
   sparse engine on Python-int rows, fraction-free in the manner of
@@ -447,13 +448,14 @@ class Subspace:
 
     `basis` is a QMatrix whose rows form a basis in reduced row echelon
     form (no zero rows), so equality of subspaces is equality of matrices.
-    Next to it the subspace keeps, once, the same rows as the engine's
-    primitive int pivot rows, keyed by their pivot columns.  The
-    constructor refuses a basis that is not already that canonical form;
-    `from_rows` spans arbitrary rows.
+    The subspace keeps, once, the same rows as the engine's primitive int
+    pivot rows, keyed by their pivot columns; `basis` is made from them on
+    first use when the engine built the subspace.  The constructor refuses
+    a basis that is not already that canonical form; `from_rows` spans
+    arbitrary rows.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_rows")
+    __slots__ = ("ambient_dim", "_basis", "_rows")
 
     def __init__(self, ambient_dim: int, basis: QMatrix):
         if basis.cols != ambient_dim:
@@ -462,7 +464,7 @@ class Subspace:
         if basis.entries != tuple(_rational(row, lead) for lead, row in ech.items()):
             raise ValueError("basis is not in reduced row echelon form without zero rows")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self._basis = basis
         self._rows = ech
 
     @classmethod
@@ -481,8 +483,15 @@ class Subspace:
         return _echelon_space(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
+    def basis(self) -> QMatrix:
+        if self._basis is None:
+            self._basis = QMatrix._wrap((_rational(row, lead) for lead, row in self._rows.items()),
+                                        self.ambient_dim)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._rows)
@@ -509,7 +518,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -536,10 +545,11 @@ class Subspace:
 
 
 def _echelon_space(n: int, ech: dict) -> Subspace:
-    """The subspace of Q^n with the canonical int rows `ech` from the engine."""
+    """The subspace of Q^n with the canonical int rows `ech` from the engine;
+    its Fraction basis is made when it is asked for."""
     space = object.__new__(Subspace)
     space.ambient_dim = n
-    space.basis = QMatrix._wrap((_rational(row, lead) for lead, row in ech.items()), n)
+    space._basis = None
     space._rows = ech
     return space
 
@@ -580,7 +590,7 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
 
     The i-th kept basis row r is inserted as d * (r, tag 1 at key
     big.ambient_dim + i), where d * r is its int pivot row.  Returns the
-    pivots and the kept rows (untagged Fraction rows of big.basis);
+    pivots and the kept rows, as Fraction rows of big.basis made for them alone;
     ContainmentError unless span(small rows) <= big.
     """
     n = big.ambient_dim
@@ -588,10 +598,10 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
     for row in small_rows:
         _insert(pivots, row)
     chosen = []
-    for (p, ints), row in zip(big._rows.items(), big.basis.entries):
+    for p, ints in big._rows.items():
         lead = _insert(pivots, {**ints, n + len(chosen): ints[p]})
         if lead < n:            # the new tag survives reduction, so lead is never None
-            chosen.append(row)
+            chosen.append(_rational(ints, p))
         else:                   # only tags were left: the row adds no pivot
             del pivots[lead]
     # the pivots span small + big, which is big exactly when small <= big

@@ -608,6 +608,35 @@ def test_rees_verify_digest_on_rational_inputs(name, tmp_path, monkeypatch):
     assert got == {"stdout_sha256": pinned, "exit": 0}
 
 
+# --- check and e2 on relabelled inputs ------------------------------------
+
+# The stdout of `check` and `e2` on ut(4) and propC, each relabelled
+# (tests/oracles.relabel, fixed seeds).  Pinned before the L^inf side of
+# the page was restricted to the ambient weight-0 block.
+PAGE_RELABELLED = {
+    ("check", "ut4"):
+        "ba6239414c719a6f89d13c44442b92432c3658965d631bf50584decf2fe6c2b5",
+    ("e2", "ut4"):
+        "00110ba23f69f788b1912138e12e6e03a945f26ee0b4b8f23c4eb24f3c65df0e",
+    ("check", "propC"):
+        "e8aa1d0c95a452a6b5349e288b85d1ae8acafceb6a7e8160e56c416c9da5ca01",
+    ("e2", "propC"):
+        "819ba3be91b4fb97eba51ea7fd87f2b9183df082b2c9649b16b621b677819261",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PAGE_RELABELLED))
+def test_page_digest_on_relabelled_inputs(command, name, tmp_path, monkeypatch):
+    base = catalog.ut(4) if name == "ut4" else catalog.get(name)
+    L = LieAlgebra(*relabel(base.c, base.labels, random.Random(f"page-relabelled-{name}")))
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}-relabelled.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(algebra_to_dict(L), handle)
+    assert _digest([command, path]) == {"stdout_sha256": PAGE_RELABELLED[command, name],
+                                        "exit": 0}
+
+
 if __name__ == "__main__":
     with open(DIGESTS, "w", encoding="utf-8") as handle:
         json.dump({" ".join(argv): _digest(argv) for argv in _digest_commands()},

@@ -1206,6 +1206,77 @@ def test_induced_maps_match_the_whole_shape_route():
     _assert_induced_maps_match_whole_shapes(L, adjoint_module(L), "sl2-adjoint")
 
 
+# --- the L^inf side of the page on the ambient weight-0 block ------------
+
+def _whole_page(L):
+    """E2 and the condition-3 test read from the whole H^*(L^inf): public
+    `action_on_cohomology`, then `cohomology(N, H^q)` for each q."""
+    linf = lower_central_series(L).last
+    aoc = action_on_cohomology(L, linf, trivial_module(L))
+    page = [cohomology(aoc.quotient.algebra, module) for module in aoc.modules]
+    e2 = tuple(tuple(c.dims[p] for c in page) for p in range(aoc.quotient.algebra.dim + 1))
+    return aoc.dims, e2, tuple(invariants(m).dim > 0 for m in aoc.modules[1:])
+
+
+def _page_inputs():
+    for name in catalog.names():
+        yield name, catalog.get(name)
+    rng = random.Random(1401)
+    for name in catalog.names():
+        yield ("relabelled", name), _relabelled(catalog.get(name), rng)
+    rng = random.Random(1402)
+    for i in range(60):
+        yield ("random", i), random_solvable_algebra(rng)
+    for name, (build, _, _) in sorted(GRADED_IDEAL_INPUTS.items()):
+        yield name, build()
+
+
+def test_the_page_from_the_ambient_weight_zero_part_is_the_whole_page():
+    restricted = 0
+    for label, L in _page_inputs():
+        whole_dims, e2, invariant = _whole_page(L)
+        report = check(L)
+        assert hs_e2_page(L).dims == report.e2_table == e2, label
+        assert report.trivial_subquotient_in_hq == invariant, label
+        dims = _page(L)[1].dims
+        assert len(dims) == len(whole_dims) and all(map(int.__le__, dims, whole_dims)), label
+        restricted += dims != whole_dims
+    # the page dropped a nonzero weight of H^*(L^inf) on many inputs
+    assert restricted >= 20, restricted
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_check_on_relabelled_ut_keeps_the_kostant_weight_zero_part(n):
+    # every weight of H^{>0}(strict_ut(n)) is w.rho - rho != 0 (Kostant), so
+    # the page's L^inf cohomology is k in degree 0 and nothing above
+    L = _relabelled(catalog.ut(n), random.Random(1410 + n))
+    report = check(L)
+    assert report.h_total == tuple(comb(n, k) for k in range(L.dim + 1))
+    assert report.condition2 and report.condition3
+    linf, aoc, _ = _page(L)
+    assert aoc.dims == (1,) + (0,) * linf.dim
+
+
+def test_action_on_cohomology_of_relabelled_ut4_stays_whole():
+    L = _relabelled(catalog.ut(4), random.Random(1420))
+    linf = lower_central_series(L).last
+    assert action_on_cohomology(L, linf, trivial_module(L)).dims == _inversion_counts(4)
+
+
+def test_check_on_relabelled_ut7_keeps_to_its_blocks():
+    # the whole complex of L^inf = strict_ut(7) has 2^21 coordinates; the
+    # ambient weight-0 block has one, and the page peaked near 1 MB
+    L = _relabelled(catalog.ut(7), random.Random(1417))
+    tracemalloc.start()
+    try:
+        report = check(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.condition2 and report.condition3
+    assert peak < 16_000_000, peak
+
+
 def test_cohomology_results_hash_and_compare():
     # the sparse representatives and the pivots stay out of hash and ==
     L = catalog.heisenberg3()
@@ -1314,6 +1385,23 @@ def test_the_engine_receives_int_rows_alone(monkeypatch):
     H = _h5()
     assert all(pbw.ipower_checks(H, pbw.rees_layer_table(H, 2, 3)))
     assert len(seen) > 1000
+
+
+def test_cohomology_of_makes_fractions_for_its_representatives_alone(monkeypatch):
+    # the kernels it eliminates stay int rows; only the rows `_classes`
+    # keeps become Fraction rows
+    L = _relabelled(catalog.strict_ut(4), random.Random(622))
+    cx = ce_complex(L, adjoint_module(L))
+    made = []
+    real = linalg._rational
+
+    def spy(row, lead):
+        made.append(lead)
+        return real(row, lead)
+
+    monkeypatch.setattr(linalg, "_rational", spy)
+    result = cohomology_of(cx)
+    assert len(made) == sum(result.dims) > 0
 
 
 def _trace_twisted_dual(M):
