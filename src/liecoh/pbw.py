@@ -67,6 +67,34 @@ engine never edits a stored one.  So one pass serves every m up to the
 largest, which is how `ipower_checks` verifies all layers at once, and
 `ipower_bruteforce` is the same pass for a single m.
 
+For nilpotent input the pass runs in U / F_{T+1} with T = cap, where F_w
+is the span of the adapted monomials of weight >= w: `_times_letter`
+drops f^a f_i whole when w(a) + nu_i > T and keeps only terms of weight
+<= T, so `_word_span` spans the words modulo F_{T+1}.  Most rows of the
+exact pass carry only monomials of weight above T, and none of them can
+reach degree <= r_max.  Three facts make the truncation exact:
+
+1. In an adapted basis [e_i, e_j] has weight >= nu_i + nu_j
+   (`AdaptedBasis`), and straightening only ever trades f_j f_i for
+   f_i f_j plus such brackets, so every term of a straightened f^a f_i
+   weighs at least w(a) + nu_i.  So F_{T+1} is a right ideal: truncating
+   before or after multiplying by a letter gives the same result, and
+   the truncated words of length s are the truncated products of those
+   of length s - 1.
+2. e_i lies in L^{nu_i}, which lies in I^{nu_i}, so F_{T+1} lies in
+   I^{T+1}, which lies in I^m for every m <= cap.
+3. T >= r_max * max nu, so F_{T+1} meets U_{<= r_max} in 0: a monomial of
+   degree <= r_max weighs at most T.
+
+Let W be the span of the words of lengths m..cap and W' its truncation.
+By fact 3 truncation fixes every element of W of degree <= r_max, so
+W' contains W's degree <= r_max part; by fact 2 W' lies in W + F_{T+1},
+inside I^m.  So W' (degree <= r_max) lies between W (degree <= r_max) and
+I^m (degree <= r_max), which the exhaustion argument above makes equal:
+every snapshot is the exact pass's, and so is every printed result.
+Without weights (non-nilpotent input, `pbw_normal_form`, `multiply`) the
+products are exact.
+
 That the layer lattice points are generated by single letters is a
 theorem, proved in `monoid_generator_check`'s docstring, so that check
 computes nothing beyond the nilpotency guard and `rees` does not call it.
@@ -195,7 +223,7 @@ def _combine(terms) -> dict:
     return {b: x for b, x in acc.items() if x}
 
 
-def _times_letter(table: tuple, key: tuple, i: int, memo: dict) -> dict:
+def _times_letter(table: tuple, key: tuple, i: int, memo: dict, ceiling=None) -> dict:
     """Normal form of f^a f_i as {(-|b|, b): int}, for the monomial f^a keyed
     (-|a|, a) like the rows of `_reduce_into`.
 
@@ -203,19 +231,37 @@ def _times_letter(table: tuple, key: tuple, i: int, memo: dict) -> dict:
     recursion is the module docstring's.  `memo` maps (key, i) to finished
     products for this one table.  `_word_span` hands them to the engine
     unmodified, which is safe: the engine leaves the row and the pivot rows alone.
+
+    `ceiling` is None (the exact product) or (nu, top, weight) for one memo:
+    the product is then taken modulo the monomials of weight above top
+    (module docstring), and `weight` maps each exponent tuple met so far,
+    starting with that of f^a, to its weight sum_k a_k nu_k.
     """
     out = memo.get((key, i))
     if out is not None:
         return out
     neg, a = key
+    if ceiling is not None:
+        nu, top, weight = ceiling
+        w = weight[a] + nu[i]        # every term of f^a f_i weighs at least w
+        if w > top:
+            memo[(key, i)] = out = {}
+            return out
     j = max((k for k, e in enumerate(a) if e), default=-1)
     if i >= j:
-        out = {(neg - 1, a[:i] + (a[i] + 1,) + a[i + 1:]): 1}
+        b = a[:i] + (a[i] + 1,) + a[i + 1:]
+        if ceiling is not None:
+            weight[b] = w
+        out = {(neg - 1, b): 1}
     else:
-        rest = (neg + 1, a[:j] + (a[j] - 1,) + a[j + 1:])
-        terms = [(_times_letter(table, b, j, memo), c)
-                 for b, c in _times_letter(table, rest, i, memo).items()]
-        terms += [(_times_letter(table, rest, k, memo), gamma) for k, gamma in table[j][i]]
+        a_rest = a[:j] + (a[j] - 1,) + a[j + 1:]
+        if ceiling is not None:
+            weight[a_rest] = w - nu[i] - nu[j]
+        rest = (neg + 1, a_rest)
+        terms = [(_times_letter(table, b, j, memo, ceiling), c)
+                 for b, c in _times_letter(table, rest, i, memo, ceiling).items()]
+        terms += [(_times_letter(table, rest, k, memo, ceiling), gamma)
+                  for k, gamma in table[j][i]]
         out = _combine(terms)
     memo[(key, i)] = out
     return out
@@ -295,29 +341,41 @@ def _reduce_into(pivots: dict, row: dict) -> None:
 
 
 # `_word_span`'s cache is process-global, so it is bounded.  One entry holds
-# the cap + 1 word lengths of one brute-force pass, so 4 entries hold about
-# as many rows as 32 single word lengths.
+# the cap + 1 word lengths of one brute-force pass.  Under the weight
+# ceiling of nilpotent input, the benchmark's passes (strict_ut(4) R=2 M=3,
+# filiform-5 R=2 M=4, h5 R=4 M=4) keep 427, 450 and 1190 rows (1488, 2728
+# and 1897 exact), so 4 entries hold at most about 5,000 such rows.
 _WORD_SPAN_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=_WORD_SPAN_CACHE_SIZE)
-def _word_span(L: LieAlgebra, cap: int) -> tuple:
+def _word_span(L: LieAlgebra, cap: int, nu=None) -> tuple:
     """For s = 0..cap, engine pivot rows spanning the straightened words of
     length exactly s, in the f basis of the module docstring.
 
     Entry s is a tuple of rows, each a tuple of (key, int) items keyed as in
     `_reduce_into`: a primitive int pivot row, so only the span of the rows
     is meaningful.  Length s is built from the rows of length s - 1 times
-    each letter, and one letter-product memo serves every length."""
+    each letter, and one letter-product memo serves every length.
+
+    With the weights nu of an adapted basis (nilpotent input), the words
+    are spanned modulo F_{cap+1}: monomials of weight above cap are
+    dropped from every product, which the module docstring shows leaves
+    every snapshot of `_ipower_pass` unchanged.  With nu None the span is
+    exact."""
     _, table = _constants(L)
     memo: dict = {}
-    spans = [((((0, (0,) * L.dim), 1),),)]
+    one = (0,) * L.dim
+    ceiling = None if nu is None else (nu, cap, {one: 0})
+    spans = [((((0, one), 1),),)]
     for _ in range(cap):
         pivots: dict = {}
         for prev, i in product(spans[-1], range(L.dim)):
             # a one-term primitive row has coefficient 1, so its product is a memo entry
-            _reduce_into(pivots, _times_letter(table, prev[0][0], i, memo) if len(prev) == 1
-                         else _combine((_times_letter(table, k, i, memo), c) for k, c in prev))
+            row = (_times_letter(table, prev[0][0], i, memo, ceiling) if len(prev) == 1
+                   else _combine((_times_letter(table, k, i, memo, ceiling), c) for k, c in prev))
+            if row:
+                _reduce_into(pivots, row)
         spans.append(tuple(tuple(row.items()) for row in pivots.values()))
     return tuple(spans)
 
@@ -333,14 +391,16 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     descending pass over word lengths (see the module docstring).
 
     The cap on word lengths is that of the largest m, which also exhausts
-    the smaller ones.  Coordinates are `monomials(dim, r_max)` in `order`.
+    the smaller ones; with weights nu the words are spanned modulo the
+    monomials of weight above that cap.  Coordinates are
+    `monomials(dim, r_max)` in `order`.
     """
     if not 1 <= m_lo <= m_hi:
         raise ValueError("powers of the augmentation ideal start at m = 1")
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
-    spans = _word_span(L, cap)
+    spans = _word_span(L, cap, nu)
     D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}
@@ -366,7 +426,9 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
 
     Coordinates are the `monomials(dim, r_max)` enumeration in the
     straightening basis order.  See the module docstring for the word
-    length cap and what it does and does not certify.
+    length cap and what it does and does not certify, and for why, on
+    nilpotent input, dropping the monomials of weight above that cap from
+    every product leaves the result unchanged.
     """
     order, nu = straightening_order(L)
     return _ipower_pass(L, order, nu, m, m, r_max)[0]

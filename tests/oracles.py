@@ -1,7 +1,7 @@
 """Independent recomputations used by the tests.
 
-Apart from `unsplit_cohomology`, `chain_action` and the whole-shape
-helpers (`whole`, `rep_columns`, `whole_induced`), nothing here imports the library's
+Apart from `unsplit_cohomology`, `exact_ipower_pass`, `chain_action` and the
+whole-shape helpers (`whole`, `rep_columns`, `whole_induced`), nothing here imports the library's
 cohomology or elimination code: the differential, the action of an
 ambient element on an ideal's cochains and exterior powers of a module
 are evaluated verbatim from their defining formulas with a bubble-sort
@@ -15,7 +15,11 @@ two-route check.
 `unsplit_cohomology` is the other kind of reference: the elimination
 `cohomology_of` ran before it kept to the weight-0 block, on the
 library's own engine, so the split can be held to the very same
-representatives and coordinates.  `chain_action` is no reference at
+representatives and coordinates.  `exact_ipower_pass` is of that kind
+too: the descending brute-force pass over the exact word spans, as it ran
+before it spanned the words modulo the monomials of weight above its word
+cap, so the ceiling can be held to the very same snapshots.
+`chain_action` is no reference at
 all: it builds the library's own chain-level action operators, checked to
 be a chain map, for the tests that hold them to the formula.  The
 library keeps every chain map as sparse rows {row: {column: value}};
@@ -354,6 +358,36 @@ def unsplit_cohomology(cx):
         return tuple(c.get(i, Fraction(0)) for i in range(len(reps_all[q])))
 
     return tuple(reps_all), coordinates
+
+
+def exact_ipower_pass(L, order, nu, m_lo, m_hi, r_max):
+    """(snapshots, rows): the degree <= r_max parts of the m-th powers for
+    m = m_lo..m_hi, from one descending pass over the exact spans of the
+    words of lengths cap, cap - 1, ..., m_lo (`pbw._word_span(L, cap)`,
+    no weights), and the number of rows those spans keep."""
+    from itertools import islice
+
+    from liecoh.lie import _constants, reorder_basis
+    from liecoh.linalg import _insert, _span
+    from liecoh.pbw import _word_cap, _word_span, monomials
+
+    L = reorder_basis(L, order)
+    cap = _word_cap(nu, m_hi, r_max)
+    spans = _word_span(L, cap)
+    D = _constants(L)[0]
+    monos = monomials(L.dim, r_max)
+    index = {a: t for t, a in enumerate(monos)}
+    pivots, low, powers = {}, [], []
+    for s in range(cap, m_lo - 1, -1):
+        seen = len(pivots)
+        for row in spans[s]:
+            _insert(pivots, dict(row))
+        low += [{index[a]: c * D ** -neg for (neg, a), c in row.items()}
+                for (neg_degree, _), row in islice(pivots.items(), seen, None)
+                if -neg_degree <= r_max]
+        if s <= m_hi:
+            powers.append(_span(len(monos), low))
+    return powers[::-1], sum(map(len, spans))
 
 
 def chain_action(L, ideal, M, x):

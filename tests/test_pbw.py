@@ -7,12 +7,13 @@ import pytest
 
 from liecoh import catalog
 from liecoh.errors import DimensionMismatchError, NotNilpotentError, ZeroElementError
-from liecoh.lie import LieAlgebra, _constants, power_filtration
+from liecoh.lie import LieAlgebra, _constants, is_nilpotent, power_filtration, reorder_basis
 from liecoh.linalg import Subspace, _ints, _span
 from liecoh.pbw import (
     UEAElement,
     _ipower_pass,
     _times_letter,
+    _word_cap,
     _word_span,
     ipower_bruteforce,
     ipower_checks,
@@ -26,7 +27,7 @@ from liecoh.pbw import (
     straightening_order,
 )
 
-from oracles import relabel, straighten
+from oracles import exact_ipower_pass, relabel, straighten
 
 NILPOTENT_TRIO = ("abelian2", "heisenberg3", "strict-ut3")
 
@@ -159,6 +160,34 @@ def test_word_span_matches_rewritten_words_relabelled(name):
         expected = _span(len(monos), (_ints({index[a]: x for a, x in straighten(L.c, w).items()})
                                       [0] for w in words))
         assert got == expected, (name, s)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "strict-ut4", "h5", "filiform5"])
+def test_ceilinged_word_span_matches_truncated_rewritten_words_relabelled(name):
+    L = _relabelled_rational(_base(name), random.Random(f"ceiling-{name}"))
+    order, nu = straightening_order(L)
+    L = reorder_basis(L, order)
+    D = _constants(L)[0]
+    cap = 4
+    monos = monomials(L.dim, cap)
+    index = {a: t for t, a in enumerate(monos)}
+    light = {a for a in monos if sum(e * w for e, w in zip(a, nu)) <= cap}
+    spans = _word_span(L, cap, nu)
+    assert len(spans) == cap + 1
+    shrunk = False
+    for s in range(cap + 1):
+        got = _span(len(monos), ({index[a]: c * D ** -neg for (neg, a), c in row}
+                                 for row in spans[s]))
+        words = [straighten(L.c, w) for w in product(range(L.dim), repeat=s)]
+        # every monomial of weight above the cap dropped from every straightened word
+        truncated = ({index[a]: x for a, x in word.items() if a in light} for word in words)
+        expected = _span(len(monos), (_ints(row)[0] for row in truncated if row))
+        assert got == expected, (name, s)
+        exact = _span(len(monos), (_ints({index[a]: x for a, x in word.items()})[0]
+                                   for word in words))
+        shrunk |= got.dim < exact.dim
+    # the ceiling really drops something at these lengths
+    assert shrunk, name
 
 
 def test_degree_examples():
@@ -294,6 +323,41 @@ def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
             dims.append(predicted.dim)
         # the layers really shrink, so equality is not between two full spaces
         assert dims == sorted(dims, reverse=True) and dims[0] > dims[-1] > 0, dims
+
+
+def _ceilinged_rows(L, order, nu, m_max, r_max):
+    """Rows kept by the word spans of the ceilinged pass `_ipower_pass` makes."""
+    return sum(map(len, _word_span(reorder_basis(L, order), _word_cap(nu, m_max, r_max), nu)))
+
+
+def test_ceilinged_pass_matches_the_exact_pass():
+    rng = random.Random(35)
+    cases = [(catalog.get(name), r, 4) for name in catalog.names()
+             if is_nilpotent(catalog.get(name)) for r in (1, 2, 3)]
+    cases += [(_relabelled(_base(name), rng), r, m_max)
+              for name, r, m_max in (("strict-ut4", 2, 3), ("h5", 4, 4), ("filiform5", 2, 4))]
+    for L, r, m_max in cases:
+        order, nu = straightening_order(L)
+        assert nu is not None, L
+        expected, _ = exact_ipower_pass(L, order, nu, 1, m_max, r)
+        assert _ipower_pass(L, order, nu, 1, m_max, r) == expected, (L.labels, r, m_max)
+
+
+@pytest.mark.parametrize("name, r, m_max", [("strict-ut4", 2, 3), ("filiform5", 2, 4)])
+def test_ceilinged_pass_keeps_at_most_a_third_of_the_rows(name, r, m_max):
+    L = _relabelled(_base(name), random.Random(f"rows-{name}"))
+    order, nu = straightening_order(L)
+    expected, exact_rows = exact_ipower_pass(L, order, nu, 1, m_max, r)
+    assert _ipower_pass(L, order, nu, 1, m_max, r) == expected
+    assert 3 * _ceilinged_rows(L, order, nu, m_max, r) <= exact_rows, name
+
+
+def test_ipower_checks_reach_strict_ut5():
+    # the exact spans keep 73,154 rows here, the ceilinged ones 6,473
+    L = _relabelled(catalog.strict_ut(5), random.Random(36))
+    table = rees_layer_table(L, 2, 4)
+    assert ipower_checks(L, table) == (True,) * 4
+    assert _ceilinged_rows(L, table.order, table.nu, 4, 2) <= 10_000
 
 
 def test_predicted_layers_of_heisenberg():
