@@ -32,13 +32,7 @@ from .cohomology import (
     inflation_on_cohomology,
 )
 from .errors import InvariantError, NotASubalgebraError
-from .lie import (
-    LieAlgebra,
-    is_nilpotent,
-    is_solvable,
-    validate,
-)
-from .pbw import is_rees_noetherian
+from .lie import LieAlgebra, is_solvable, validate
 from .rep import invariants
 
 __all__ = [
@@ -96,7 +90,7 @@ def check(L: LieAlgebra) -> TheoremReport:
         condition3=condition3,
         trivial_subquotient_in_hq=trivial_in,
         conditions_agree=condition2 == condition3,
-        rees_noetherian=is_rees_noetherian(L),
+        rees_noetherian=linf.dim == 0,      # `pbw.is_rees_noetherian`
         linf_solvable=is_solvable(aoc.ideal_cohomology.complex.algebra),
         h_total=infl.target_dims,
         h_nil=infl.source_dims,

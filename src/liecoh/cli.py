@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from functools import cache
-from math import comb
 
 from . import catalog
 from .checker import check, verify_report
@@ -38,12 +37,7 @@ from .lie import (
     validate,
 )
 from .linalg import _ZERO
-from .pbw import (
-    _word_cap,
-    ipower_checks,
-    is_rees_noetherian,
-    rees_layer_table,
-)
+from .pbw import _word_cap, ipower_checks, rees_layer_table
 from .rep import adjoint_module, trivial_module
 
 WEDGE_COORD_CAP = 4096          # 2**12 exterior-algebra coordinates
@@ -140,8 +134,14 @@ def _guard_wedge(dim: int, coeff_dim: int = 1) -> None:
             f"coefficients would need more than the cap of {WEDGE_COORD_CAP} coordinates")
 
 
-def _guard_monomials(L: LieAlgebra, degree: int, option: str) -> None:
-    size = comb(L.dim + degree, L.dim)      # the monomials of degree <= degree
+def _guard_monomials(nu, cap: int, option: str) -> None:
+    """Refuse when more than REES_MONOMIAL_CAP monomials e^a weigh
+    sum_i a_i nu_i <= cap; counts[w] is how many weigh w in the letters so far."""
+    counts = [1] + [0] * cap
+    for v in nu:
+        for w in range(v, cap + 1):
+            counts[w] += counts[w - v]
+    size = sum(counts)
     if size > REES_MONOMIAL_CAP:
         raise CommandError(f"{size} monomials exceed the cap {REES_MONOMIAL_CAP}; lower {option}")
 
@@ -297,7 +297,7 @@ def cmd_rees(args) -> int:
         "max_filtration": r_max,
         "max_weight": m_max,
         "nilpotent": lcs.last.dim == 0,
-        "rees_noetherian": is_rees_noetherian(L),
+        "rees_noetherian": lcs.last.dim == 0,       # `pbw.is_rees_noetherian`
         "table": None,
         "nu": None,
         "adapted_order": None,
@@ -311,7 +311,7 @@ def cmd_rees(args) -> int:
         if cells > REES_MONOMIAL_CAP:
             raise CommandError(f"the layer table would need {cells} cells; the cap is "
                                f"{REES_MONOMIAL_CAP}; lower --max-weight or --max-filtration")
-        _guard_monomials(L, r_max, "--max-filtration")
+        _guard_monomials((1,) * L.dim, r_max, "--max-filtration")       # degree <= R
         table = rees_layer_table(L, r_max, m_max)
         matches = all(table.dim(1, m) == lcs.term(m).dim
                       for m in range(1, m_max + 1))
@@ -322,8 +322,9 @@ def cmd_rees(args) -> int:
         # `pbw.monoid_generator_check` proves this for every nilpotent algebra
         payload["monoid_generated"] = True
         if args.verify_pbw:
-            # the brute-force pass spans the words up to this length
-            _guard_monomials(L, _word_cap(table.nu, m_max, r_max), "--max-weight")
+            # the brute-force pass spans the words up to this length, modulo
+            # the monomials of higher weight
+            _guard_monomials(table.nu, _word_cap(table.nu, m_max, r_max), "--max-weight")
             checks = [{"m": m, "r_max": r_max, "equal": equal}
                       for m, equal in enumerate(ipower_checks(L, table), 1)]
             all_equal = all(check["equal"] for check in checks)

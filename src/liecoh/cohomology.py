@@ -193,7 +193,7 @@ class CochainComplex:
         self.algebra, self.coeff = L, M
         n, m = L.dim, M.dim
         zero = _weight_zero(n, m, weights)
-        rows = _operators(terms, n, m, D, {q: zero[q + 1] for q in range(n)}, weights)
+        rows = _operators(terms, n, m, {q: zero[q + 1] for q in range(n)}, weights)
         self._block = (zero, rows + [{}])
         self._terms = (terms, D)
         self._weights = weights
@@ -213,7 +213,7 @@ class CochainComplex:
             return QMatrix.zero(self.space_dim(p + 1), self.space_dim(p))
         if p not in self._deltas:
             terms, D = self._terms
-            self._deltas[p] = _matrices(terms, self.algebra.dim, self.coeff.dim, D, [p], 1)[0]
+            self._deltas[p] = _matrices(terms, self.algebra.dim, self.coeff.dim, D, p, 1)
         return self._deltas[p]
 
     @property
@@ -443,7 +443,7 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         for k, g in v:
             if lam[i] == lam[k]:
                 _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
-    return _operators(terms, s, m, D, dict(enumerate(cx._block[0][:s + 1])), cx._weights), D
+    return _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])), cx._weights), D
 
 
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ...]:

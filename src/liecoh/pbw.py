@@ -512,5 +512,7 @@ def monoid_generator_check(L: LieAlgebra, r_max: int, m_max: int) -> bool:
 
 def is_rees_noetherian(L: LieAlgebra) -> bool:
     """Whether the graded algebra of augmentation-ideal powers is left
-    Noetherian; equivalent to nilpotency of the algebra."""
+    Noetherian; equivalent to nilpotency of the algebra.  `check` and the
+    `rees` command read this verdict off the lower central series they
+    already build."""
     return is_nilpotent(L)

@@ -194,7 +194,7 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
         for k, row in enumerate(rows):
             for s, a in row.items():
                 _term(terms, (k,), (s,), _signed([(0, 0, a)]))
-        rho += _matrices(terms, M.dim, 1, D, [p], 0)
+        rho.append(_matrices(terms, M.dim, 1, D, p, 0))
     return LieModule(M.algebra, rho, dim=comb(M.dim, p))
 
 

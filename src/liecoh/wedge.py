@@ -206,8 +206,7 @@ def _by_target(groups: dict, lam, mu) -> dict:
     return parts
 
 
-def _operators(groups: dict, n: int, m: int, D: int, rows: dict,
-               weights=None) -> list[dict]:
+def _operators(groups: dict, n: int, m: int, rows: dict, weights=None) -> list[dict]:
     """The rows of D times the matrices of the terms filed by `_term`, one out
     of each degree q in rows, as {row: {column: int}} dicts over rows[q].
 
@@ -248,14 +247,13 @@ def _operators(groups: dict, n: int, m: int, D: int, rows: dict,
     return mats
 
 
-def _matrices(groups: dict, n: int, m: int, D: int, degrees, shift: int) -> list[QMatrix]:
-    """The whole matrices of `_operators`, one out of each degree in degrees,
-    as `QMatrix`es: each distinct int sum becomes one Fraction over D here."""
-    rows = {q: range(comb(n, q + shift) * m) for q in degrees}
-    mats = _operators(groups, n, m, D, rows)
-    value = {a: Fraction(a, D) for out in mats for row in out.values() for a in row.values()}
-    return [QMatrix._wrap(({k: value[a] for k, a in row.items()} for row in out.values()),
-                          comb(n, q) * m) for q, out in zip(rows, mats)]
+def _matrices(groups: dict, n: int, m: int, D: int, q: int, shift: int) -> QMatrix:
+    """The whole matrix of `_operators` out of degree q, into degree q + shift,
+    as a `QMatrix`: each distinct int sum becomes one Fraction over D here."""
+    rows = _operators(groups, n, m, {q: range(comb(n, q + shift) * m)})[0]
+    value = {a: Fraction(a, D) for row in rows.values() for a in row.values()}
+    return QMatrix._wrap(({k: value[a] for k, a in row.items()} for row in rows.values()),
+                         comb(n, q) * m)
 
 
 def wedge_powers(columns, m: int, top: int) -> list[dict]:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -91,7 +93,6 @@ def test_check_propagates_validation_failure():
 
 
 def test_verify_report_flags_inconsistencies():
-    import dataclasses
     report = check(catalog.heisenberg3())
     broken = dataclasses.replace(report, rees_noetherian=False)
     with pytest.raises(InvariantError):
@@ -99,7 +100,6 @@ def test_verify_report_flags_inconsistencies():
 
 
 def test_verify_report_matches_trivial_subquotients_with_the_page():
-    import dataclasses
     for name in ("propC", "exampleA", "ut3"):
         report = check(catalog.get(name))
         verify_report(report, context=name)
@@ -112,7 +112,6 @@ def test_verify_report_matches_trivial_subquotients_with_the_page():
 
 
 def test_verify_report_ties_verdicts_and_bottom_row_to_their_evidence():
-    import dataclasses
     a = check(catalog.example_a())
     tampered = (
         (dataclasses.replace(a, condition2=False, condition3=False), "condition 2"),
@@ -124,8 +123,40 @@ def test_verify_report_ties_verdicts_and_bottom_row_to_their_evidence():
             verify_report(broken)
 
 
+# one tampered catalog report per failure message; the other fields are
+# chosen so that no earlier check fires first
+TAMPERED = {
+    "conditions_agree is inconsistent with the two verdicts":
+        ("heisenberg3", {"conditions_agree": False}),
+    "condition 2 (False) and condition 3 (True) disagree":
+        ("exampleA", {"condition2": False, "condition2_per_degree": (True, False, True),
+                      "conditions_agree": False}),
+    "graded Noetherianity must coincide with nilpotency":
+        ("exampleA", {"rees_noetherian": True}),
+    "condition 3 holds but the stable lower-central term is not solvable":
+        ("exampleA", {"linf_solvable": False}),
+    "condition 3 differs from its subquotient tests":
+        ("amazing-L", {"condition2": False, "condition3": False,
+                       "condition2_per_degree": (True, True, True, True, True, False)}),
+    "condition 3 holds but the bottom row (1, 1, 0) differs from the total cohomology":
+        ("exampleA", {"h_total": (1, 2, 0)}),
+    "condition 3 holds but the page has dimension 1 at position (1, 1)":
+        ("exampleA", {"e2_table": ((1, 0), (1, 1))}),
+    "page dimensions 1 in total degree 5 fall below the abutting cohomology 2":
+        ("propC", {"h_total": (1, 2, 1, 1, 2, 2)}),
+}
+
+
+@pytest.mark.parametrize("message", TAMPERED)
+def test_verify_report_reaches_each_failure_message(message):
+    name, changes = TAMPERED[message]
+    report = check(catalog.get(name))
+    verify_report(report, context=name)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        verify_report(dataclasses.replace(report, **changes), context=name)
+
+
 def test_verify_report_ties_solvability_to_the_stable_term():
-    import dataclasses
     for name in ("amazing-L", "sl2", "heisenberg3"):
         report = check(catalog.get(name))
         broken = dataclasses.replace(report, is_solvable=not report.is_solvable)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -420,18 +421,54 @@ def test_rees_verify_pbw_spans_long_words():
 
 
 def test_rees_verify_pbw_refuses_words_past_the_monomial_cap():
-    # heisenberg3 has max weight 2, so R = 1, M = 60 spans words up to length
-    # 60 in 3 letters: comb(63, 3) = 39711 monomials
+    # heisenberg3 has weights 1, 1, 2, so R = 1, M = 60 spans words up to
+    # length 60 modulo the monomials of weight above 60: a + b + 2c <= 60
+    # has 20336 solutions
     proc = run_cli("rees", "heisenberg3", "--max-filtration", "1", "--max-weight", "60",
                    "--verify-pbw", expect=2)
-    assert "39711 monomials exceed the cap 5000" in proc.stderr
+    assert "20336 monomials exceed the cap 5000" in proc.stderr
     assert proc.stdout == ""
-    # comb(32, 3) = 4960 stays below it
+    # a + b + 2c <= 29 has 2600 solutions, below it
     run_cli("rees", "heisenberg3", "--max-filtration", "1", "--max-weight", "29",
             "--verify-pbw")
     # the layer table alone counts the monomials of degree <= R only
     assert payload_of(run_cli("rees", "heisenberg3", "--max-filtration", "1",
                               "--max-weight", "60"))["table"] is not None
+
+
+def test_rees_verify_pbw_counts_monomials_by_weight(tmp_path):
+    # strict_ut(5) with R = 2, M = 4 spans words up to length 8: 2418 monomials
+    # weigh at most 8, of the 43758 of degree at most 8
+    path = tmp_path / "strict_ut5.json"
+    path.write_text(json.dumps(algebra_to_dict(catalog.strict_ut(5))))
+    proc = run_cli("rees", str(path), "--max-filtration", "2", "--max-weight", "4",
+                   "--verify-pbw")
+    assert payload_of(proc)["pbw_verified"]["all_equal"] is True
+
+
+def test_check_and_rees_build_one_lower_central_series(monkeypatch, capsys):
+    # nilpotency and the Rees verdict are read off the series already built
+    from liecoh import checker, cli, lie
+
+    cohomology = importlib.import_module("liecoh.cohomology")   # the package exports a function
+    calls = []
+    real = lie.lower_central_series
+
+    def spy(L):
+        calls.append(L)
+        return real(L)
+
+    for module in (lie, cohomology, cli):
+        monkeypatch.setattr(module, "lower_central_series", spy)
+    for name in ("heisenberg3", "ut3", "propC"):
+        calls.clear()
+        checker.check(catalog.get(name))
+        assert len(calls) == 1, name
+        calls.clear()
+        assert cli.main(["rees", name, "--max-filtration", "2", "--max-weight", "3",
+                         "--verify-pbw"]) == 0
+        assert len(calls) == 1, name
+    capsys.readouterr()
 
 
 def test_rees_refuses_a_layer_table_past_the_cap():

@@ -1,7 +1,8 @@
 """No library module imports a name it never uses.
 
 Each module under `src/liecoh` is parsed with `ast`; a name bound by an
-import must be read somewhere in the module or listed in its `__all__`
+import must be read somewhere in the module (binding the same name, as
+a dataclass field does, is not a read) or listed in its `__all__`
 (the package's re-exports), so a deletion cannot leave a dead import.
 The package's `__init__` has no `__all__`: what it imports from the
 package's own modules is its public API.
@@ -28,7 +29,7 @@ def _unused_imports(source: str, package_init: bool = False) -> list[str]:
                 imported[name] = node.lineno
                 if package_init and isinstance(node, ast.ImportFrom) and node.level:
                     exported.add(name)
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -44,7 +45,9 @@ def test_every_imported_name_is_used_or_exported(filename):
 
 
 def test_an_unused_import_is_caught():
+    # a dataclass field named like an import binds that name; it does not read it
     source = ("from fractions import Fraction\nimport os.path\nfrom math import comb, lcm\n"
-              "from .linalg import rank\n__all__ = ['lcm']\nprint(comb)\n")
+              "from .linalg import rank\n__all__ = ['lcm']\nprint(comb)\n"
+              "class Report:\n    rank: bool\n")
     assert _unused_imports(source) == ["Fraction (line 1)", "os (line 2)", "rank (line 4)"]
     assert _unused_imports(source, package_init=True) == ["Fraction (line 1)", "os (line 2)"]

@@ -6,6 +6,10 @@ own definition: as a name (`_rank(...)`, `key=_weigh`) or as an
 attribute (`wedge._operators`, `M._int_action`).  Importing it does not
 count, so a deletion cannot leave a helper that only its import keeps
 alive.
+
+Nor may such a function, or a private method, take a parameter that its
+body never reads: a signature change cannot leave an argument that every
+caller passes for nothing.
 """
 
 import ast
@@ -40,6 +44,31 @@ def _orphans(sources: dict[str, str]) -> list[str]:
             and not any(own.name in names for node, names in reads if node is not own)]
 
 
+def _unread_parameters(sources: dict[str, str]) -> list[str]:
+    """'module.function(parameter)', or 'module.Class.function(parameter)', of
+    each parameter, `self` and `cls` aside, that the body of a private module-
+    or class-level function never reads.  Public signatures are API and may
+    take a parameter on purpose (`pbw.monoid_generator_check`)."""
+    out = []
+    for module, source in sorted(sources.items()):
+        body = ast.parse(source).body
+        scoped = [("", node) for node in body] + [
+            (f"{node.name}.", sub) for node in body if isinstance(node, ast.ClassDef)
+            for sub in node.body]
+        for owner, node in scoped:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _is_private_definition(node)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            out += [f"{module}.{owner}{node.name}({p})" for p in params
+                    if p not in ("self", "cls") and p not in read]
+    return out
+
+
 def _library() -> dict[str, str]:
     out = {}
     for filename in sorted(os.listdir(SRC)):
@@ -70,3 +99,23 @@ def test_an_orphaned_helper_is_caught():
               "_shadowed = 3\n"),
     }
     assert _orphans(sources) == ["a._recursive", "a._only_imported", "a._shadowed"]
+
+
+def test_every_private_function_reads_its_parameters():
+    assert _unread_parameters(_library()) == []
+
+
+def test_an_unread_parameter_is_caught():
+    sources = {
+        "a": ("def _reads_all(x, *rest, key=None, **extra):\n"
+              "    return x, rest, key, extra\n"
+              "def _drops(x, D):\n    return x\n"
+              "def _closure(x):\n    return lambda: x\n"
+              "def _rebinds(x):\n    x = 1\n    return 0\n"
+              "def public(x, unused):\n    return x\n"
+              "class _Box:\n"
+              "    def _get(self, key):\n        return self.key\n"
+              "    @classmethod\n    def _make(cls):\n        return 0\n"
+              "    def __init__(self, size):\n        pass\n"),
+    }
+    assert _unread_parameters(sources) == ["a._drops(D)", "a._rebinds(x)", "a._Box._get(key)"]

@@ -1,0 +1,95 @@
+"""Every public refusal of the library raises its typed error in-process.
+
+Each case is a call on bad input, the error type it must raise and a
+fragment of the message: wrong shapes and lengths, mismatched ambient
+dimensions, a span that is not closed, and out-of-range indices.
+"""
+
+import re
+
+import pytest
+
+from liecoh import catalog
+from liecoh.cohomology import action_on_cohomology
+from liecoh.errors import DimensionMismatchError, NotASubalgebraError
+from liecoh.lie import (
+    LieAlgebra,
+    bracket,
+    lower_central_series,
+    reorder_basis,
+    subalgebra,
+)
+from liecoh.linalg import QMatrix, Subspace, quotient_basis
+from liecoh.pbw import ipower_bruteforce
+from liecoh.rep import (
+    Character,
+    LieModule,
+    one_dim_module,
+    restrict,
+    submodule,
+    trivial_module,
+)
+
+H = catalog.heisenberg3()
+A = catalog.abelian(2)
+ONE, TWO = Subspace.full(1), Subspace.full(2)
+
+CASES = {
+    # lie
+    "cubic table": (lambda: LieAlgebra([[[0, 0]], [[0, 0]]]),
+                    DimensionMismatchError, "structure constants must be dim x dim x dim"),
+    "labels": (lambda: LieAlgebra(A.c, ["a"]),
+               DimensionMismatchError, "one label per basis element"),
+    "bracket pair": (lambda: LieAlgebra.from_brackets("ab", {(1, 0): [(1, 0)]}),
+                     DimensionMismatchError, "bracket pair (1, 0) must satisfy"),
+    "matrix labels": (lambda: LieAlgebra.from_matrices("ab", [[[1]]]),
+                      DimensionMismatchError, "one label per matrix"),
+    "open span": (lambda: LieAlgebra.from_matrices("xy", [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]),
+                  NotASubalgebraError, "[x, y] falls outside the span"),
+    "bracket length": (lambda: bracket(H, (1, 0), (0, 1, 0)),
+                       DimensionMismatchError, "vectors must have the algebra's dimension"),
+    "term 0": (lambda: lower_central_series(H).term(0),
+               ValueError, "terms are indexed from 1"),
+    "subalgebra ambient": (lambda: subalgebra(H, TWO),
+                           DimensionMismatchError, "subspace has wrong ambient dimension"),
+    "permutation": (lambda: reorder_basis(H, (0, 0, 1)),
+                    DimensionMismatchError, "order must be a permutation"),
+    # linalg
+    "ragged rows": (lambda: QMatrix([[1, 2], [3]]),
+                    DimensionMismatchError, "rows of unequal length"),
+    "column index": (lambda: QMatrix.identity(2)[0, 2],
+                     IndexError, "column index out of range"),
+    "apply length": (lambda: QMatrix.identity(2).apply((1,)),
+                     DimensionMismatchError, "vector of length 1 for 2x2"),
+    "row length": (lambda: Subspace.from_rows(2, [(1,)]),
+                   DimensionMismatchError, "row length differs from ambient dimension"),
+    "<= ambient": (lambda: ONE <= TWO,
+                   DimensionMismatchError, "ambient dimensions differ"),
+    "quotient_basis ambient": (lambda: quotient_basis(TWO, ONE),
+                               DimensionMismatchError, "ambient dimensions differ"),
+    # pbw
+    "power 0": (lambda: ipower_bruteforce(H, 0, 2),
+                ValueError, "powers of the augmentation ideal start at m = 1"),
+    # rep
+    "module matrices": (lambda: LieModule(A, [[[0]]]),
+                        DimensionMismatchError, "one action matrix per basis element"),
+    "action length": (lambda: trivial_module(A).action((1,)),
+                      DimensionMismatchError, "element must have the algebra's dimension"),
+    "character values": (lambda: one_dim_module(A, Character.of((1,))),
+                         DimensionMismatchError, "one character value per basis element"),
+    "restrict ambient": (lambda: restrict(trivial_module(A), Subspace.full(3)),
+                         DimensionMismatchError, "subspace must sit inside the acting algebra"),
+    "submodule ambient": (lambda: submodule(trivial_module(A), TWO),
+                          DimensionMismatchError, "subspace must sit inside the module"),
+    # cohomology
+    "module over another algebra": (
+        lambda: action_on_cohomology(H, Subspace.zero(3), trivial_module(catalog.abelian(3))),
+        DimensionMismatchError, "coefficients must form a module over the ambient algebra"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_public_calls_refuse_bad_input_with_a_typed_error(case):
+    call, error, fragment = CASES[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
