@@ -79,7 +79,7 @@ def _json(obj, indent: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(item) is str for item in obj):
+        if {*map(type, obj)} == {str}:
             body = (",\n" + inner).join(map(_quote, obj))
         else:
             body = (",\n" + inner).join(_json(item, inner) for item in obj)
@@ -149,6 +149,14 @@ def _guard_monomials(nu, cap: int, option: str) -> None:
 def _frac_strings(vec) -> list[str]:
     # dense vectors share linalg's one zero Fraction
     return ["0" if a is _ZERO else str(a) for a in vec]
+
+
+def _sparse_strings(row: dict, n: int) -> list[str]:
+    """The dense vector of length n of a sparse row, as `_frac_strings` writes it."""
+    out = ["0"] * n
+    for k, a in row.items():
+        out[k] = str(a)
+    return out
 
 
 def _chain_payload(chain) -> dict:
@@ -249,8 +257,8 @@ def cmd_cohomology(args) -> int:
         "dims": list(result.dims),
         "euler_characteristic": result.euler_characteristic(),
         "representatives": {
-            str(q): [_frac_strings(rep) for rep in reps]
-            for q, reps in enumerate(result.representatives) if lo <= q <= hi
+            str(q): [_sparse_strings(rep, result.complex.space_dim(q)) for rep in reps]
+            for q, reps in enumerate(result._reps) if lo <= q <= hi
         },
     }
     _emit(payload)

@@ -20,10 +20,22 @@ left factor of lower degree than f^a, except b f_j for the top-degree
 term b = f^{a' + eps_i} of f^{a'} f_i, which ends in a letter <= j and
 needs no rewriting; so the recursion terminates.  A memo shared by one
 caller (one `pbw_normal_form` or `multiply`, one whole brute-force pass
-of `_word_span`) computes each f^a f_i once.  Products are keyed
-(-|a|, a), the key of the elimination engine, so `_word_span` hands
+of `_word_span`) computes each f^a f_i once.
+
+Inside the straightening a monomial f^a in n letters is one int, its
+packed key enc(a) - (|a| << b n) with enc(a) = sum_k a_k << b (n - 1 - k)
+(`_Keys`).  The field width b is the bit length of the largest exponent
+the caller can make: the word cap of `_word_span`, the word length of
+`pbw_normal_form`, deg u + deg v for `multiply`.  Every exponent then
+fits its field, so the keys sort exactly like the tuples (-|a|, a):
+by degree, highest first, then lexicographically by exponents.  That is
+the order the elimination engine leads rows by, so `_word_span` hands
 memo entries to the engine unmodified as rows; that is safe because the
 engine leaves the row and the pivot rows alone (`linalg._insert`).
+Multiplying by f_i adds 1 << b (n - 1 - i) and subtracts 1 << b n, and
+the last letter of f^a is the field of the lowest set bit of enc(a).
+Keys are made from and decoded to exponent tuples only at the boundary:
+`_to_f`, `_to_e` and the rows `_ipower_pass` keeps.
 This product is the only straightening in the library; the tests
 compare it against an independent adjacent-pair rewriting oracle in
 `tests/oracles.py`.
@@ -104,6 +116,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotNilpotentError, ZeroElementError
 from .lie import LieAlgebra, _constants, adapted_basis, is_nilpotent, reorder_basis
@@ -223,65 +236,106 @@ def _combine(terms) -> dict:
     return {b: x for b, x in acc.items() if x}
 
 
-def _times_letter(table: tuple, key: tuple, i: int, memo: dict, ceiling=None) -> dict:
-    """Normal form of f^a f_i as {(-|b|, b): int}, for the monomial f^a keyed
-    (-|a|, a) like the rows of `_reduce_into`.
+class _Keys(NamedTuple):
+    """Packed int keys of the monomials f^a in n letters whose exponents all
+    fit in b bits (module docstring): one b-bit field per letter, letter 0
+    in the highest, and the degree subtracted above them."""
+
+    n: int
+    bits: int
+    unit: tuple         # unit[i] = 1 << b (n - 1 - i): one more f_i in enc(a)
+    one: int            # 1 << b n: one degree more is one `one` less
+    last: tuple         # last[p]: the letter whose field holds bit p - 1
+
+    def key(self, a) -> int:
+        enc = 0
+        for e in a:
+            enc = enc << self.bits | e
+        return enc - (sum(a) << self.bits * self.n)
+
+    def degree(self, key: int) -> int:
+        return -(key >> self.bits * self.n)
+
+    def exps(self, key: int) -> tuple[int, ...]:
+        b, mask = self.bits, (1 << self.bits) - 1
+        return tuple(key >> b * k & mask for k in range(self.n - 1, -1, -1))
+
+
+def _keys(n: int, top: int) -> _Keys:
+    """The packed keys for n letters and exponents at most `top`, at least one bit each."""
+    b = max(top, 1).bit_length()
+    last = (-1,) + tuple(n - 1 - p // b for p in range(b * n))
+    return _Keys(n, b, tuple(1 << b * (n - 1 - i) for i in range(n)), 1 << b * n, last)
+
+
+def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict,
+                  ceiling=None) -> dict:
+    """Normal form of f^a f_i as {packed key: int}, for the monomial f^a of
+    packed key `key` (`keys`, module docstring), keyed like the rows of
+    `_reduce_into`.  The caller's `keys` must hold every exponent the
+    products can reach.
 
     `table` is the int table of `lie._constants` (the basis f = D e), and the
-    recursion is the module docstring's.  `memo` maps (key, i) to finished
-    products for this one table.  `_word_span` hands them to the engine
-    unmodified, which is safe: the engine leaves the row and the pivot rows alone.
+    recursion is the module docstring's.  `memo` maps key * n + i to finished
+    products for this one table and `keys`.  `_word_span` hands them to the
+    engine unmodified, which is safe: the engine leaves the row and the pivot
+    rows alone.
 
     `ceiling` is None (the exact product) or (nu, top, weight) for one memo:
     the product is then taken modulo the monomials of weight above top
-    (module docstring), and `weight` maps each exponent tuple met so far,
-    starting with that of f^a, to its weight sum_k a_k nu_k.
+    (module docstring), and `weight` maps the packed key of each monomial
+    met so far, starting with f^a, to its weight sum_k a_k nu_k.
     """
-    out = memo.get((key, i))
+    n, _, unit, one, last = keys
+    slot = key * n + i
+    out = memo.get(slot)
     if out is not None:
         return out
-    neg, a = key
     if ceiling is not None:
         nu, top, weight = ceiling
-        w = weight[a] + nu[i]        # every term of f^a f_i weighs at least w
+        w = weight[key] + nu[i]        # every term of f^a f_i weighs at least w
         if w > top:
-            memo[(key, i)] = out = {}
+            memo[slot] = out = {}
             return out
-    j = max((k for k, e in enumerate(a) if e), default=-1)
-    if i >= j:
-        b = a[:i] + (a[i] + 1,) + a[i + 1:]
+    # the lowest set bit of enc(a) lies in the field of the last letter j;
+    # key 0 (the monomial 1) has none, and `one` is above every field
+    low = key & -key or one
+    if unit[i] <= low:               # i >= j
+        b = key + unit[i] - one
         if ceiling is not None:
             weight[b] = w
-        out = {(neg - 1, b): 1}
+        out = {b: 1}
     else:
-        a_rest = a[:j] + (a[j] - 1,) + a[j + 1:]
+        j = last[low.bit_length()]
+        rest = key - unit[j] + one   # f^a = f^rest f_j
         if ceiling is not None:
-            weight[a_rest] = w - nu[i] - nu[j]
-        rest = (neg + 1, a_rest)
-        terms = [(_times_letter(table, b, j, memo, ceiling), c)
-                 for b, c in _times_letter(table, rest, i, memo, ceiling).items()]
-        terms += [(_times_letter(table, rest, k, memo, ceiling), gamma)
+            weight[rest] = w - nu[i] - nu[j]
+        terms = [(_times_letter(table, keys, b, j, memo, ceiling), c)
+                 for b, c in _times_letter(table, keys, rest, i, memo, ceiling).items()]
+        terms += [(_times_letter(table, keys, rest, k, memo, ceiling), gamma)
                   for k, gamma in table[j][i]]
         out = _combine(terms)
-    memo[(key, i)] = out
+    memo[slot] = out
     return out
 
 
-def _times_word(table: tuple, terms: dict, word, memo: dict) -> dict:
+def _times_word(table: tuple, keys: _Keys, terms: dict, word, memo: dict) -> dict:
     """Normal form of (straightened keyed int terms) times the letters of `word`, one at a time."""
     for i in word:
-        terms = _combine((_times_letter(table, k, i, memo), c) for k, c in terms.items())
+        terms = _combine((_times_letter(table, keys, k, i, memo), c) for k, c in terms.items())
     return terms
 
 
-def _to_f(terms: dict, D: int) -> tuple[dict, int]:
-    """(d * terms, d) in the f basis: int coefficients of the f^a = D^|a| e^a, keyed (-|a|, a)."""
-    return _ints({(-sum(a), a): c / D ** sum(a) for a, c in terms.items()})
+def _to_f(terms: dict, D: int, keys: _Keys) -> tuple[dict, int]:
+    """(d * terms, d) in the f basis: int coefficients of the f^a = D^|a| e^a,
+    under the packed keys of `keys`."""
+    return _ints({keys.key(a): c / D ** sum(a) for a, c in terms.items()})
 
 
-def _to_e(terms: dict, D: int, d: int) -> dict:
-    """Keyed int coefficients of the f^a, divided by d, as Fraction coefficients of the e^a."""
-    return {a: Fraction(x * D ** -neg, d) for (neg, a), x in terms.items()}
+def _to_e(terms: dict, D: int, d: int, keys: _Keys) -> dict:
+    """Int coefficients of the f^a under the packed keys of `keys`, divided by
+    d, as Fraction coefficients of the e^a keyed by exponent tuples."""
+    return {keys.exps(k): Fraction(x * D ** keys.degree(k), d) for k, x in terms.items()}
 
 
 def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
@@ -290,9 +344,10 @@ def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
     if any(not 0 <= i < L.dim for i in word):
         raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
     D, table = _constants(L)
-    # e_{w_1} ... e_{w_s} = f_{w_1} ... f_{w_s} / D^s
-    out = _times_word(table, {(0, (0,) * L.dim): 1}, word, {})
-    return UEAElement(L.dim, _to_e(out, D, D ** len(word)))
+    keys = _keys(L.dim, len(word))
+    # e_{w_1} ... e_{w_s} = f_{w_1} ... f_{w_s} / D^s; the monomial 1 has key 0
+    out = _times_word(table, keys, {0: 1}, word, {})
+    return UEAElement(L.dim, _to_e(out, D, D ** len(word), keys))
 
 
 def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
@@ -301,11 +356,14 @@ def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     if u.n != L.dim or v.n != L.dim:
         raise DimensionMismatchError(f"elements over {u.n} and {v.n} generators; expected {L.dim}")
     D, table = _constants(L)
-    fu, du = _to_f(u.terms, D)
-    fv, dv = _to_f(v.terms, D)
+    # no exponent of the product exceeds its degree, deg u + deg v
+    keys = _keys(L.dim, sum(max(map(sum, w.terms), default=0) for w in (u, v)))
+    fu, du = _to_f(u.terms, D, keys)
+    fv, dv = _to_f(v.terms, D, keys)
     memo: dict = {}
-    out = _combine((_times_word(table, fu, _word_of(b), memo), cb) for (_, b), cb in fv.items())
-    return UEAElement(L.dim, _to_e(out, D, du * dv))
+    out = _combine((_times_word(table, keys, fu, _word_of(keys.exps(b)), memo), cb)
+                   for b, cb in fv.items())
+    return UEAElement(L.dim, _to_e(out, D, du * dv, keys))
 
 
 def monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -336,7 +394,8 @@ def straightening_order(L: LieAlgebra):
 
 def _reduce_into(pivots: dict, row: dict) -> None:
     """Sparse elimination of `row` against and into `pivots`.  Rows are keyed
-    (-degree, exponents), so a row's leading key is one of its highest-degree monomials."""
+    by packed ints (`_Keys`), which sort like (-degree, exponents), so a row's
+    leading (smallest) key is one of its highest-degree monomials."""
     _insert(pivots, row)
 
 
@@ -354,9 +413,11 @@ def _word_span(L: LieAlgebra, cap: int, nu=None) -> tuple:
     length exactly s, in the f basis of the module docstring.
 
     Entry s is a tuple of rows, each a tuple of (key, int) items keyed as in
-    `_reduce_into`: a primitive int pivot row, so only the span of the rows
-    is meaningful.  Length s is built from the rows of length s - 1 times
-    each letter, and one letter-product memo serves every length.
+    `_reduce_into`, by the packed keys of `_keys(L.dim, cap)`: no exponent
+    of a word of length <= cap exceeds cap.  Each is a primitive int pivot
+    row, so only the span of the rows is meaningful.  Length s is built
+    from the rows of length s - 1 times each letter, and one letter-product
+    memo serves every length.
 
     With the weights nu of an adapted basis (nilpotent input), the words
     are spanned modulo F_{cap+1}: monomials of weight above cap are
@@ -364,16 +425,18 @@ def _word_span(L: LieAlgebra, cap: int, nu=None) -> tuple:
     every snapshot of `_ipower_pass` unchanged.  With nu None the span is
     exact."""
     _, table = _constants(L)
+    keys = _keys(L.dim, cap)
     memo: dict = {}
-    one = (0,) * L.dim
-    ceiling = None if nu is None else (nu, cap, {one: 0})
-    spans = [((((0, one), 1),),)]
+    # the monomial 1 has key 0 and weight 0
+    ceiling = None if nu is None else (nu, cap, {0: 0})
+    spans = [(((0, 1),),)]
     for _ in range(cap):
         pivots: dict = {}
         for prev, i in product(spans[-1], range(L.dim)):
             # a one-term primitive row has coefficient 1, so its product is a memo entry
-            row = (_times_letter(table, prev[0][0], i, memo, ceiling) if len(prev) == 1
-                   else _combine((_times_letter(table, k, i, memo, ceiling), c) for k, c in prev))
+            row = (_times_letter(table, keys, prev[0][0], i, memo, ceiling) if len(prev) == 1
+                   else _combine((_times_letter(table, keys, k, i, memo, ceiling), c)
+                                 for k, c in prev))
             if row:
                 _reduce_into(pivots, row)
         spans.append(tuple(tuple(row.items()) for row in pivots.values()))
@@ -401,9 +464,10 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
     spans = _word_span(L, cap, nu)
+    keys = _keys(L.dim, cap)
     D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
-    index = {a: t for t, a in enumerate(monos)}
+    index = {keys.key(a): t for t, a in enumerate(monos)}
     pivots: dict = {}
     low = []        # pivot rows led by degree <= r_max, in e-monomial coordinates
     powers = []
@@ -412,9 +476,9 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
         for row in spans[s]:
             _reduce_into(pivots, dict(row))
         # a coefficient x on f^a is x * D^|a| on e^a
-        low += [{index[a]: c * D ** -neg for (neg, a), c in row.items()}
-                for (neg_degree, _), row in islice(pivots.items(), seen, None)
-                if -neg_degree <= r_max]
+        low += [{index[k]: c * D ** keys.degree(k) for k, c in row.items()}
+                for lead, row in islice(pivots.items(), seen, None)
+                if keys.degree(lead) <= r_max]
         if s <= m_hi:
             powers.append(_span(len(monos), low))
     return powers[::-1]

@@ -369,11 +369,12 @@ def exact_ipower_pass(L, order, nu, m_lo, m_hi, r_max):
 
     from liecoh.lie import _constants, reorder_basis
     from liecoh.linalg import _insert, _span
-    from liecoh.pbw import _word_cap, _word_span, monomials
+    from liecoh.pbw import _keys, _word_cap, _word_span, monomials
 
     L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
     spans = _word_span(L, cap)
+    keys = _keys(L.dim, cap)
     D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}
@@ -382,9 +383,9 @@ def exact_ipower_pass(L, order, nu, m_lo, m_hi, r_max):
         seen = len(pivots)
         for row in spans[s]:
             _insert(pivots, dict(row))
-        low += [{index[a]: c * D ** -neg for (neg, a), c in row.items()}
-                for (neg_degree, _), row in islice(pivots.items(), seen, None)
-                if -neg_degree <= r_max]
+        low += [{index[keys.exps(k)]: c * D ** keys.degree(k) for k, c in row.items()}
+                for lead, row in islice(pivots.items(), seen, None)
+                if keys.degree(lead) <= r_max]
         if s <= m_hi:
             powers.append(_span(len(monos), low))
     return powers[::-1], sum(map(len, spans))

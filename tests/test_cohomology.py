@@ -1368,13 +1368,15 @@ def test_chain_map_scales_between_complexes_with_different_denominators():
 def test_the_engine_receives_int_rows_alone(monkeypatch):
     # every row the library eliminates is an int row: the complexes, the
     # action operators and the PBW words are ints already, and public
-    # Fraction inputs are made ints once, where they enter (`linalg._ints`)
+    # Fraction inputs are made ints once, where they enter (`linalg._ints`).
+    # Its keys are ints too: coordinates, or the packed keys of PBW monomials
     seen = []
     real = linalg._reduce
 
     def spy(pivots, row):
         seen.append(len(row))
         assert all(type(a) is int for a in row.values()), row
+        assert all(type(k) is int for k in row), row
         return real(pivots, row)
 
     monkeypatch.setattr(linalg, "_reduce", spy)

@@ -12,6 +12,7 @@ from liecoh.linalg import Subspace, _ints, _span
 from liecoh.pbw import (
     UEAElement,
     _ipower_pass,
+    _keys,
     _times_letter,
     _word_cap,
     _word_span,
@@ -108,16 +109,17 @@ def _letter_by_letter(L, word):
 
     `_times_letter` works in the basis f = D e of `_constants`, where
     f^a = D^|a| e^a and the word's letters are e_i = f_i / D, on monomials
-    keyed (-|a|, a).
+    under the packed keys of `_keys`, wide enough for the word's length.
     """
     D, table = _constants(L)
+    keys = _keys(L.dim, len(word))
     memo: dict = {}
     out = UEAElement.monomial(L.dim, (0,) * L.dim)
     for i in word:
         nxt = UEAElement.zero(L.dim)
         for a, c in out.terms.items():
-            prod = _times_letter(table, (-sum(a), a), i, memo)
-            nxt = nxt + UEAElement(L.dim, {b: x for (_, b), x in prod.items()}).scale(c)
+            prod = _times_letter(table, keys, keys.key(a), i, memo)
+            nxt = nxt + UEAElement(L.dim, {keys.exps(b): x for b, x in prod.items()}).scale(c)
         out = nxt
     return UEAElement(L.dim, {a: Fraction(c * D ** sum(a), D ** len(word))
                               for a, c in out.terms.items()})
@@ -138,6 +140,40 @@ def test_letter_product_and_multiply_match_rewriting_random(name):
             assert multiply(L, left, right) == expected, (name, word, cut, last)
 
 
+def test_packed_keys_round_trip_and_sort_like_degree_then_exponents():
+    # the engine leads rows by the smallest key, so the packed ints must
+    # order the monomials exactly as the tuples (-|a|, a) do
+    for n in range(1, 6):
+        keys = _keys(n, 6)
+        monos = monomials(n, 6)
+        packed = [keys.key(a) for a in monos]
+        assert [keys.exps(k) for k in packed] == monos, n
+        assert [keys.degree(k) for k in packed] == [sum(a) for a in monos], n
+        by_key = [keys.exps(k) for k in sorted(packed)]
+        assert by_key == sorted(monos, key=lambda a: (-sum(a), a)), n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_exponent_of_exactly_two_to_the_k_fits_its_field(k):
+    # 2^k needs k + 1 bits, so one bit less would carry it into the next
+    # field: the degree's for the first letter, a letter's for the last
+    L = _relabelled_rational(catalog.heisenberg3(), random.Random(f"width-{k}"))
+    for i in (0, L.dim - 1):
+        word = (i,) * 2 ** k
+        assert pbw_normal_form(L, word) == UEAElement(L.dim, straighten(L.c, word)), (k, i)
+        # u v = (e_i^h + e_j)(e_i^h + e_l) with h = 2^(k-1) has degree 2^k,
+        # and its straightened form reaches e_i^(2^k)
+        half = (i,) * 2 ** (k - 1)
+        lefts, rights = (half, ((i + 1) % 3,)), (half, ((i + 2) % 3,))
+        u, v = (pbw_normal_form(L, w) + pbw_normal_form(L, w2) for w, w2 in (lefts, rights))
+        expected = UEAElement.zero(L.dim)
+        for left, right in product(lefts, rights):
+            expected = expected + UEAElement(L.dim, straighten(L.c, left + right))
+        got = multiply(L, u, v)
+        assert got == expected, (k, i)
+        assert got.degree() == 2 ** k and any(a[i] == 2 ** k for a in got.terms), (k, i)
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "exampleA", "sl2",
                                   "strict-ut4", "h5", "filiform5"])
 def test_word_span_matches_rewritten_words_relabelled(name):
@@ -147,13 +183,14 @@ def test_word_span_matches_rewritten_words_relabelled(name):
     monos = monomials(L.dim, cap)
     index = {a: t for t, a in enumerate(monos)}
     spans = _word_span(L, cap)
+    keys = _keys(L.dim, cap)
     assert len(spans) == cap + 1
     for s in range(cap + 1):
         # a one-term primitive row has coefficient 1, so `_word_span` may
         # hand its letter products to the engine as they are memoised
         assert all(row[0][1] == 1 for row in spans[s] if len(row) == 1), (name, s)
         # f^a = D^|a| e^a
-        got = _span(len(monos), ({index[a]: c * D ** -neg for (neg, a), c in row}
+        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k) for k, c in row}
                                  for row in spans[s]))
         words = product(range(L.dim), repeat=s)
         # the oracle's Fraction rows enter the engine as int rows
@@ -173,10 +210,11 @@ def test_ceilinged_word_span_matches_truncated_rewritten_words_relabelled(name):
     index = {a: t for t, a in enumerate(monos)}
     light = {a for a in monos if sum(e * w for e, w in zip(a, nu)) <= cap}
     spans = _word_span(L, cap, nu)
+    keys = _keys(L.dim, cap)
     assert len(spans) == cap + 1
     shrunk = False
     for s in range(cap + 1):
-        got = _span(len(monos), ({index[a]: c * D ** -neg for (neg, a), c in row}
+        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k) for k, c in row}
                                  for row in spans[s]))
         words = [straighten(L.c, w) for w in product(range(L.dim), repeat=s)]
         # every monomial of weight above the cap dropped from every straightened word
