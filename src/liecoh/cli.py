@@ -36,7 +36,6 @@ from .lie import (
     lower_central_series,
     validate,
 )
-from .linalg import _ZERO
 from .pbw import _word_cap, ipower_checks, rees_layer_table
 from .rep import adjoint_module, trivial_module
 
@@ -146,13 +145,8 @@ def _guard_monomials(nu, cap: int, option: str) -> None:
         raise CommandError(f"{size} monomials exceed the cap {REES_MONOMIAL_CAP}; lower {option}")
 
 
-def _frac_strings(vec) -> list[str]:
-    # dense vectors share linalg's one zero Fraction
-    return ["0" if a is _ZERO else str(a) for a in vec]
-
-
 def _sparse_strings(row: dict, n: int) -> list[str]:
-    """The dense vector of length n of a sparse row, as `_frac_strings` writes it."""
+    """The dense vector of length n of a sparse row, each entry as a string."""
     out = ["0"] * n
     for k, a in row.items():
         out[k] = str(a)
@@ -163,7 +157,7 @@ def _chain_payload(chain) -> dict:
     return {
         "dims": list(chain.dims),
         "stabilized": chain.stabilized,
-        "bases": [[_frac_strings(row) for row in term.basis.data]
+        "bases": [[_sparse_strings(row, term.ambient_dim) for row in term.basis.entries]
                   for term in chain.terms],
     }
 

@@ -143,6 +143,7 @@ from .linalg import (
     _echelon,
     _kernel,
     _product,
+    _scaled,
     _sparse,
     _tag_coordinates,
     _transpose,
@@ -153,8 +154,6 @@ from .rep import LieModule, restrict, trivial_module
 from .wedge import (
     _matrices,
     _operators,
-    _scaled,
-    _signed,
     _term,
     _weight_zero,
     wedge_powers,
@@ -255,12 +254,12 @@ def _complex(L: LieAlgebra, M: LieModule, weights) -> CochainComplex:
     terms = {}
     for t, rows in enumerate(P):
         if any(rows):
-            _term(terms, (t,), (), _signed((beta, b, D // DM * a) for beta, row in enumerate(rows)
-                                           for b, a in row.items()))
+            _term(terms, (t,), (), ((beta, b, D // DM * a) for beta, row in enumerate(rows)
+                                    for b, a in row.items()))
     for i in range(n):
         for j in range(i + 1, n):
             for k, g in table[i][j]:
-                _term(terms, (i, j), (k,), _signed((b, b, -g * (D // E)) for b in range(m)))
+                _term(terms, (i, j), (k,), ((b, b, -g * (D // E)) for b in range(m)))
     return CochainComplex(L, M, terms, D, weights)
 
 
@@ -438,11 +437,11 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         block = [(beta, b, f * g) for beta, row in enumerate(P[a])
                  for b, g in row.items() if mu[beta] == mu[b]]
         if block:
-            _term(terms, (), (), _signed(block))
+            _term(terms, (), (), block)
     for i, v in enumerate(coords):
         for k, g in v:
             if lam[i] == lam[k]:
-                _term(terms, (i,), (k,), _signed((b, b, -_scaled(g, D)) for b in range(m)))
+                _term(terms, (i,), (k,), ((b, b, -_scaled(g, D)) for b in range(m)))
     return _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])), cx._weights), D
 
 

@@ -155,11 +155,13 @@ def module_from_dict(d: dict, L: LieAlgebra, check_dim=None) -> LieModule:
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-        except ValueError as exc:   # bad JSON or UTF-8, or an int past the digit limit
-            raise FileFormatError(f"not valid JSON ({exc})") from None
+    except OSError as exc:          # a directory, or a file we may not read
+        raise FileFormatError(f"cannot read it ({exc.strerror})") from None
+    except ValueError as exc:       # bad JSON or UTF-8, or an int past the digit limit
+        raise FileFormatError(f"not valid JSON ({exc})") from None
 
 
 def load_algebra(path: str, check_dim=None) -> LieAlgebra:

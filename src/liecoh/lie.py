@@ -38,6 +38,7 @@ from .linalg import (
     _insert,
     _ints,
     _reduce,
+    _scaled,
     _span,
     _sparse,
     _tag_coordinates,
@@ -170,8 +171,7 @@ def _constants(L: LieAlgebra) -> tuple[int, tuple]:
     first use and kept on the algebra."""
     if L._table is None:
         D = lcm(*[g.denominator for row in L.c for col in row for g in col if g])
-        L._table = D, tuple(tuple(tuple((k, g.numerator * (D // g.denominator))
-                                        for k, g in enumerate(col) if g)
+        L._table = D, tuple(tuple(tuple((k, _scaled(g, D)) for k, g in enumerate(col) if g)
                                   for col in row) for row in L.c)
     return L._table
 

@@ -319,6 +319,11 @@ def _ints(row: dict) -> tuple[dict, int]:
     return {k: a.numerator * (d // a.denominator) for k, a in row.items()}, d
 
 
+def _scaled(a, D: int) -> int:
+    """D * a as an int, for a rational a whose denominator divides D."""
+    return a.numerator * (D // a.denominator)
+
+
 def _int_rows(rows):
     """The rational rows as int rows, each `_ints` of it: the same span."""
     return (_ints(row)[0] for row in rows)

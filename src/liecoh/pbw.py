@@ -23,19 +23,29 @@ caller (one `pbw_normal_form` or `multiply`, one whole brute-force pass
 of `_word_span`) computes each f^a f_i once.
 
 Inside the straightening a monomial f^a in n letters is one int, its
-packed key enc(a) - (|a| << b n) with enc(a) = sum_k a_k << b (n - 1 - k)
-(`_Keys`).  The field width b is the bit length of the largest exponent
-the caller can make: the word cap of `_word_span`, the word length of
-`pbw_normal_form`, deg u + deg v for `multiply`.  Every exponent then
-fits its field, so the keys sort exactly like the tuples (-|a|, a):
-by degree, highest first, then lexicographically by exponents.  That is
+packed key (`_Keys`)
+
+    (enc(a) << b | w(a)) - (|a| << b (n + 1)),  enc(a) = sum_k a_k << b (n - 1 - k),
+
+with w(a) = sum_k a_k nu_k its weight.  Every caller names the letter
+weights nu and a ceiling `top`, and products keep only the monomials of
+weight <= top; b is the bit length of top.  Each nu_k is >= 1, so every
+exponent and the weight fit their b-bit fields, and the keys sort
+exactly like the tuples (-|a|, a): by degree, highest first, then
+lexicographically by exponents (the weight is a function of a).  That is
 the order the elimination engine leads rows by, so `_word_span` hands
 memo entries to the engine unmodified as rows; that is safe because the
 engine leaves the row and the pivot rows alone (`linalg._insert`).
-Multiplying by f_i adds 1 << b (n - 1 - i) and subtracts 1 << b n, and
+Multiplying by f_i adds one precomputed step (one more f_i, nu_i more
+weight, one degree more), the ceiling test reads the lowest field, and
 the last letter of f^a is the field of the lowest set bit of enc(a).
-Keys are made from and decoded to exponent tuples only at the boundary:
-`_to_f`, `_to_e` and the rows `_ipower_pass` keeps.
+
+Exact straightening is the case nu = (1, ..., 1), with top the caller's
+degree bound: the word length for `pbw_normal_form`, deg u + deg v for
+`multiply`, the word cap for non-nilpotent input to the brute-force
+pass.  A product of s letters has degree <= s, so that ceiling never
+drops a term.  Keys are made from and decoded to exponent tuples only at
+the boundary: `_to_f`, `_to_e` and the rows `_ipower_pass` keeps.
 This product is the only straightening in the library; the tests
 compare it against an independent adjacent-pair rewriting oracle in
 `tests/oracles.py`.
@@ -80,9 +90,10 @@ largest, which is how `ipower_checks` verifies all layers at once, and
 `ipower_bruteforce` is the same pass for a single m.
 
 For nilpotent input the pass runs in U / F_{T+1} with T = cap, where F_w
-is the span of the adapted monomials of weight >= w: `_times_letter`
-drops f^a f_i whole when w(a) + nu_i > T and keeps only terms of weight
-<= T, so `_word_span` spans the words modulo F_{T+1}.  Most rows of the
+is the span of the adapted monomials of weight >= w: under the adapted
+weights and top = T, `_times_letter` drops f^a f_i whole when
+w(a) + nu_i > T and keeps only terms of weight <= T, so `_word_span`
+spans the words modulo F_{T+1}.  Most rows of the
 exact pass carry only monomials of weight above T, and none of them can
 reach degree <= r_max.  Three facts make the truncation exact:
 
@@ -104,8 +115,8 @@ W' contains W's degree <= r_max part; by fact 2 W' lies in W + F_{T+1},
 inside I^m.  So W' (degree <= r_max) lies between W (degree <= r_max) and
 I^m (degree <= r_max), which the exhaustion argument above makes equal:
 every snapshot is the exact pass's, and so is every printed result.
-Without weights (non-nilpotent input, `pbw_normal_form`, `multiply`) the
-products are exact.
+Non-nilpotent input runs the same pass with all weights 1 and T = cap,
+which drops nothing: it is the exact pass.
 
 That the layer lattice points are generated by single letters is a
 theorem, proved in `monoid_generator_check`'s docstring, so that check
@@ -237,84 +248,77 @@ def _combine(terms) -> dict:
 
 
 class _Keys(NamedTuple):
-    """Packed int keys of the monomials f^a in n letters whose exponents all
-    fit in b bits (module docstring): one b-bit field per letter, letter 0
-    in the highest, and the degree subtracted above them."""
+    """Packed int keys of the monomials f^a in n letters of weight at most
+    `top` under the letter weights nu (module docstring): one b-bit field
+    per letter, letter 0 in the highest, the weight in one more b-bit field
+    below them, and the degree subtracted above them all."""
 
     n: int
     bits: int
-    unit: tuple         # unit[i] = 1 << b (n - 1 - i): one more f_i in enc(a)
-    one: int            # 1 << b n: one degree more is one `one` less
-    last: tuple         # last[p]: the letter whose field holds bit p - 1
+    mask: int           # (1 << b) - 1: one field; key & mask is the weight
+    top: int
+    nu: tuple
+    step: tuple         # step[i] = key(a + eps_i) - key(a)
+    last: tuple         # last[p]: the letter whose field holds bit p - 1 of enc(a)
 
     def key(self, a) -> int:
         enc = 0
-        for e in a:
+        for e in (*a, sum(e * v for e, v in zip(a, self.nu))):
             enc = enc << self.bits | e
-        return enc - (sum(a) << self.bits * self.n)
+        return enc - (sum(a) << self.bits * (self.n + 1))
 
     def degree(self, key: int) -> int:
-        return -(key >> self.bits * self.n)
+        return -(key >> self.bits * (self.n + 1))
 
     def exps(self, key: int) -> tuple[int, ...]:
-        b, mask = self.bits, (1 << self.bits) - 1
-        return tuple(key >> b * k & mask for k in range(self.n - 1, -1, -1))
+        b, mask = self.bits, self.mask
+        return tuple(key >> b * k & mask for k in range(self.n, 0, -1))
 
 
-def _keys(n: int, top: int) -> _Keys:
-    """The packed keys for n letters and exponents at most `top`, at least one bit each."""
+def _keys(n: int, top: int, nu) -> _Keys:
+    """The packed keys for n letters of weights nu (each >= 1) and
+    monomials of weight at most `top`, with fields of at least one bit."""
     b = max(top, 1).bit_length()
+    step = tuple((1 << b * (n - i)) + v - (1 << b * (n + 1)) for i, v in enumerate(nu))
     last = (-1,) + tuple(n - 1 - p // b for p in range(b * n))
-    return _Keys(n, b, tuple(1 << b * (n - 1 - i) for i in range(n)), 1 << b * n, last)
+    return _Keys(n, b, (1 << b) - 1, top, tuple(nu), step, last)
 
 
-def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict,
-                  ceiling=None) -> dict:
-    """Normal form of f^a f_i as {packed key: int}, for the monomial f^a of
-    packed key `key` (`keys`, module docstring), keyed like the rows of
-    `_reduce_into`.  The caller's `keys` must hold every exponent the
-    products can reach.
+def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict) -> dict:
+    """Normal form of f^a f_i modulo the monomials of weight above
+    `keys.top`, as {packed key: int}, for the monomial f^a of packed key
+    `key` (`keys`, module docstring), keyed like the rows of `_reduce_into`.
 
     `table` is the int table of `lie._constants` (the basis f = D e), and the
-    recursion is the module docstring's.  `memo` maps key * n + i to finished
-    products for this one table and `keys`.  `_word_span` hands them to the
-    engine unmodified, which is safe: the engine leaves the row and the pivot
-    rows alone.
-
-    `ceiling` is None (the exact product) or (nu, top, weight) for one memo:
-    the product is then taken modulo the monomials of weight above top
-    (module docstring), and `weight` maps the packed key of each monomial
-    met so far, starting with f^a, to its weight sum_k a_k nu_k.
+    recursion is the module docstring's.  Every term of f^a f_i weighs at
+    least w(a) + nu_i when nu are the weights of an adapted basis, so the
+    product is dropped whole above the ceiling; under all weights 1 the
+    caller's ceiling bounds the degree and is never crossed.  `memo` maps
+    key * n + i to finished products for this one table and `keys`.
+    `_word_span` hands them to the engine unmodified, which is safe: the
+    engine leaves the row and the pivot rows alone.
     """
-    n, _, unit, one, last = keys
+    n, b, mask, top, nu, step, last = keys
     slot = key * n + i
     out = memo.get(slot)
     if out is not None:
         return out
-    if ceiling is not None:
-        nu, top, weight = ceiling
-        w = weight[key] + nu[i]        # every term of f^a f_i weighs at least w
-        if w > top:
-            memo[slot] = out = {}
-            return out
-    # the lowest set bit of enc(a) lies in the field of the last letter j;
-    # key 0 (the monomial 1) has none, and `one` is above every field
-    low = key & -key or one
-    if unit[i] <= low:               # i >= j
-        b = key + unit[i] - one
-        if ceiling is not None:
-            weight[b] = w
-        out = {b: 1}
+    if (key & mask) + nu[i] > top:
+        out = {}
     else:
-        j = last[low.bit_length()]
-        rest = key - unit[j] + one   # f^a = f^rest f_j
-        if ceiling is not None:
-            weight[rest] = w - nu[i] - nu[j]
-        terms = [(_times_letter(table, keys, b, j, memo, ceiling), c)
-                 for b, c in _times_letter(table, keys, rest, i, memo, ceiling).items()]
-        terms += [(_times_letter(table, keys, rest, k, memo, ceiling), gamma)
-                  for k, gamma in table[j][i]]
-        out = _combine(terms)
+        # key >> b has the lowest set bit of enc(a), in the field of the last
+        # letter j; the monomial 1 has none, and last[0] = -1
+        enc = key >> b
+        j = last[(enc & -enc).bit_length()]
+        if i >= j:
+            out = {key + step[i]: 1}
+        else:
+            rest = key - step[j]         # f^a = f^rest f_j
+            terms = [(_times_letter(table, keys, c, j, memo), x)
+                     for c, x in _times_letter(table, keys, rest, i, memo).items()]
+            terms += [(_times_letter(table, keys, rest, k, memo), gamma)
+                      for k, gamma in table[j][i]]
+            out = _combine(terms)
     memo[slot] = out
     return out
 
@@ -344,7 +348,7 @@ def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
     if any(not 0 <= i < L.dim for i in word):
         raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
     D, table = _constants(L)
-    keys = _keys(L.dim, len(word))
+    keys = _keys(L.dim, len(word), (1,) * L.dim)
     # e_{w_1} ... e_{w_s} = f_{w_1} ... f_{w_s} / D^s; the monomial 1 has key 0
     out = _times_word(table, keys, {0: 1}, word, {})
     return UEAElement(L.dim, _to_e(out, D, D ** len(word), keys))
@@ -356,8 +360,8 @@ def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     if u.n != L.dim or v.n != L.dim:
         raise DimensionMismatchError(f"elements over {u.n} and {v.n} generators; expected {L.dim}")
     D, table = _constants(L)
-    # no exponent of the product exceeds its degree, deg u + deg v
-    keys = _keys(L.dim, sum(max(map(sum, w.terms), default=0) for w in (u, v)))
+    # the product has degree at most deg u + deg v
+    keys = _keys(L.dim, sum(max(map(sum, w.terms), default=0) for w in (u, v)), (1,) * L.dim)
     fu, du = _to_f(u.terms, D, keys)
     fv, dv = _to_f(v.terms, D, keys)
     memo: dict = {}
@@ -408,44 +412,38 @@ _WORD_SPAN_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=_WORD_SPAN_CACHE_SIZE)
-def _word_span(L: LieAlgebra, cap: int, nu=None) -> tuple:
-    """For s = 0..cap, engine pivot rows spanning the straightened words of
-    length exactly s, in the f basis of the module docstring.
+def _word_span(L: LieAlgebra, cap: int, nu: tuple) -> tuple:
+    """(keys, spans): the packed keys `_keys(L.dim, cap, nu)` and, for
+    s = 0..cap, engine pivot rows spanning the straightened words of length
+    exactly s modulo the monomials of weight above cap, in the f basis of
+    the module docstring.
 
-    Entry s is a tuple of rows, each a tuple of (key, int) items keyed as in
-    `_reduce_into`, by the packed keys of `_keys(L.dim, cap)`: no exponent
-    of a word of length <= cap exceeds cap.  Each is a primitive int pivot
-    row, so only the span of the rows is meaningful.  Length s is built
-    from the rows of length s - 1 times each letter, and one letter-product
-    memo serves every length.
-
-    With the weights nu of an adapted basis (nilpotent input), the words
-    are spanned modulo F_{cap+1}: monomials of weight above cap are
-    dropped from every product, which the module docstring shows leaves
-    every snapshot of `_ipower_pass` unchanged.  With nu None the span is
-    exact."""
+    Entry s of spans is a tuple of rows, each a tuple of (key, int) items
+    keyed as in `_reduce_into`.  Each is a primitive int pivot row, so only
+    the span of the rows is meaningful.  Length s is built from the rows of
+    length s - 1 times each letter, and one letter-product memo serves every
+    length.  Under the weights of an adapted basis the module docstring
+    shows that the ceiling leaves every snapshot of `_ipower_pass`
+    unchanged; under all weights 1 it drops nothing."""
     _, table = _constants(L)
-    keys = _keys(L.dim, cap)
+    keys = _keys(L.dim, cap, nu)
     memo: dict = {}
-    # the monomial 1 has key 0 and weight 0
-    ceiling = None if nu is None else (nu, cap, {0: 0})
-    spans = [(((0, 1),),)]
+    spans = [(((0, 1),),)]          # the monomial 1 has key 0
     for _ in range(cap):
         pivots: dict = {}
         for prev, i in product(spans[-1], range(L.dim)):
             # a one-term primitive row has coefficient 1, so its product is a memo entry
-            row = (_times_letter(table, keys, prev[0][0], i, memo, ceiling) if len(prev) == 1
-                   else _combine((_times_letter(table, keys, k, i, memo, ceiling), c)
-                                 for k, c in prev))
+            row = (_times_letter(table, keys, prev[0][0], i, memo) if len(prev) == 1
+                   else _combine((_times_letter(table, keys, k, i, memo), c) for k, c in prev))
             if row:
                 _reduce_into(pivots, row)
         spans.append(tuple(tuple(row.items()) for row in pivots.values()))
-    return tuple(spans)
+    return keys, tuple(spans)
 
 
 def _word_cap(nu, m_max: int, r_max: int) -> int:
     """Longest words spanned for the powers m <= m_max (module docstring)."""
-    return max(m_max, r_max * max(nu)) if nu else max(m_max, r_max)
+    return max(m_max, r_max * max(nu, default=1))
 
 
 def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
@@ -453,9 +451,10 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     """Degree <= r_max parts of the m-th powers for m = m_lo..m_hi, from one
     descending pass over word lengths (see the module docstring).
 
-    The cap on word lengths is that of the largest m, which also exhausts
-    the smaller ones; with weights nu the words are spanned modulo the
-    monomials of weight above that cap.  Coordinates are
+    nu are the weights of the letters in `order`: an adapted basis's for
+    nilpotent input, all 1 otherwise.  The cap on word lengths is that of
+    the largest m, which also exhausts the smaller ones, and the words are
+    spanned modulo the monomials of weight above that cap.  Coordinates are
     `monomials(dim, r_max)` in `order`.
     """
     if not 1 <= m_lo <= m_hi:
@@ -463,8 +462,7 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
-    spans = _word_span(L, cap, nu)
-    keys = _keys(L.dim, cap)
+    keys, spans = _word_span(L, cap, nu)
     D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
     index = {keys.key(a): t for t, a in enumerate(monos)}
@@ -495,7 +493,7 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     every product leaves the result unchanged.
     """
     order, nu = straightening_order(L)
-    return _ipower_pass(L, order, nu, m, m, r_max)[0]
+    return _ipower_pass(L, order, nu or (1,) * L.dim, m, m, r_max)[0]
 
 
 def _weight_span(n: int, nu, m: int, r_max: int) -> Subspace:

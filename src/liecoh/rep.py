@@ -32,8 +32,8 @@ from .errors import (
     RepresentationLawError,
 )
 from .lie import LieAlgebra, _constants, is_nilpotent, subalgebra
-from .linalg import QMatrix, Subspace, _kernel, vector
-from .wedge import _matrices, _scaled, _signed, _term
+from .linalg import QMatrix, Subspace, _kernel, _scaled, vector
+from .wedge import _matrices, _term
 
 __all__ = [
     "LieModule",
@@ -193,7 +193,7 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
         terms = {}
         for k, row in enumerate(rows):
             for s, a in row.items():
-                _term(terms, (k,), (s,), _signed([(0, 0, a)]))
+                _term(terms, (k,), (s,), [(0, 0, a)])
         rho.append(_matrices(terms, M.dim, 1, D, p, 0))
     return LieModule(M.algebra, rho, dim=comb(M.dim, p))
 

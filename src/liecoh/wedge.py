@@ -148,25 +148,17 @@ def _below(k: int) -> int:
     return (1 << k) - 1
 
 
-def _scaled(a, D: int) -> int:
-    """D * a as an int, for a rational a whose denominator divides D."""
-    return a.numerator * (D // a.denominator)
-
-
-def _signed(block) -> tuple[tuple, tuple]:
-    """A block of (beta, b, v) matrix entries, and the same negated."""
-    block = tuple(block)
-    return block, tuple((beta, b, -v) for beta, b, v in block)
-
-
-def _term(groups: dict, rows: tuple, cols: tuple, blocks) -> None:
+def _term(groups: dict, rows: tuple, cols: tuple, block) -> None:
     """File a term for `_operators`: it takes each wedge R + cols to R + rows,
     for every wedge R that avoids the indices named, and its sign is
     (-1)^(sum over the named indices i of the entries of R below i).
 
-    blocks are (block, negated block) from `_signed`.  Terms are grouped
-    by the mask of the indices they name and the number of columns.
+    block holds the term's (beta, b, v) matrix entries; it is filed with
+    the same entries negated.  Terms are grouped by the mask of the
+    indices they name and the number of columns.
     """
+    block = tuple(block)
+    blocks = block, tuple((beta, b, -v) for beta, b, v in block)
     row_bits = sum(1 << i for i in rows)
     col_bits = sum(1 << k for k in cols)
     sign_mask = 0

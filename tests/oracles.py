@@ -363,18 +363,18 @@ def unsplit_cohomology(cx):
 def exact_ipower_pass(L, order, nu, m_lo, m_hi, r_max):
     """(snapshots, rows): the degree <= r_max parts of the m-th powers for
     m = m_lo..m_hi, from one descending pass over the exact spans of the
-    words of lengths cap, cap - 1, ..., m_lo (`pbw._word_span(L, cap)`,
-    no weights), and the number of rows those spans keep."""
+    words of lengths cap, cap - 1, ..., m_lo (`pbw._word_span` under all
+    weights 1, whose ceiling cap no word crosses), and the number of rows
+    those spans keep."""
     from itertools import islice
 
     from liecoh.lie import _constants, reorder_basis
     from liecoh.linalg import _insert, _span
-    from liecoh.pbw import _keys, _word_cap, _word_span, monomials
+    from liecoh.pbw import _word_cap, _word_span, monomials
 
     L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
-    spans = _word_span(L, cap)
-    keys = _keys(L.dim, cap)
+    keys, spans = _word_span(L, cap, (1,) * L.dim)
     D = _constants(L)[0]
     monos = monomials(L.dim, r_max)
     index = {a: t for t, a in enumerate(monos)}

@@ -389,6 +389,16 @@ def test_refuses_json_integers_past_the_digit_limit(tmp_path):
     assert "Traceback" not in proc.stderr and "not valid JSON" in proc.stderr
 
 
+def test_an_unreadable_input_path_is_refused_in_one_line(tmp_path):
+    # a directory exists but cannot be opened as a file
+    for argv in (("check", str(tmp_path)),
+                 ("cohomology", "heisenberg3", "--module", str(tmp_path))):
+        proc = run_cli(*argv, expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr, argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path}: cannot read it ("), argv
+
+
 def test_rees_command_heisenberg():
     proc = run_cli("rees", "heisenberg3", "--max-filtration", "4",
                    "--max-weight", "4", "--verify-pbw")

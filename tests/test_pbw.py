@@ -109,10 +109,11 @@ def _letter_by_letter(L, word):
 
     `_times_letter` works in the basis f = D e of `_constants`, where
     f^a = D^|a| e^a and the word's letters are e_i = f_i / D, on monomials
-    under the packed keys of `_keys`, wide enough for the word's length.
+    under the packed keys of `_keys` with all weights 1 and the word's
+    length as ceiling, which no product of its letters crosses.
     """
     D, table = _constants(L)
-    keys = _keys(L.dim, len(word))
+    keys = _keys(L.dim, len(word), (1,) * L.dim)
     memo: dict = {}
     out = UEAElement.monomial(L.dim, (0,) * L.dim)
     for i in word:
@@ -142,13 +143,18 @@ def test_letter_product_and_multiply_match_rewriting_random(name):
 
 def test_packed_keys_round_trip_and_sort_like_degree_then_exponents():
     # the engine leads rows by the smallest key, so the packed ints must
-    # order the monomials exactly as the tuples (-|a|, a) do
+    # order the monomials exactly as the tuples (-|a|, a) do, with each
+    # monomial's weight in the lowest field
+    rng = random.Random(37)
     for n in range(1, 6):
-        keys = _keys(n, 6)
+        nu = tuple(rng.randint(1, 3) for _ in range(n))
         monos = monomials(n, 6)
+        weights = [sum(e * v for e, v in zip(a, nu)) for a in monos]
+        keys = _keys(n, max(weights) + rng.randrange(3), nu)
         packed = [keys.key(a) for a in monos]
         assert [keys.exps(k) for k in packed] == monos, n
         assert [keys.degree(k) for k in packed] == [sum(a) for a in monos], n
+        assert [k & keys.mask for k in packed] == weights, n
         by_key = [keys.exps(k) for k in sorted(packed)]
         assert by_key == sorted(monos, key=lambda a: (-sum(a), a)), n
 
@@ -182,8 +188,7 @@ def test_word_span_matches_rewritten_words_relabelled(name):
     cap = 4
     monos = monomials(L.dim, cap)
     index = {a: t for t, a in enumerate(monos)}
-    spans = _word_span(L, cap)
-    keys = _keys(L.dim, cap)
+    keys, spans = _word_span(L, cap, (1,) * L.dim)
     assert len(spans) == cap + 1
     for s in range(cap + 1):
         # a one-term primitive row has coefficient 1, so `_word_span` may
@@ -209,8 +214,7 @@ def test_ceilinged_word_span_matches_truncated_rewritten_words_relabelled(name):
     monos = monomials(L.dim, cap)
     index = {a: t for t, a in enumerate(monos)}
     light = {a for a in monos if sum(e * w for e, w in zip(a, nu)) <= cap}
-    spans = _word_span(L, cap, nu)
-    keys = _keys(L.dim, cap)
+    keys, spans = _word_span(L, cap, nu)
     assert len(spans) == cap + 1
     shrunk = False
     for s in range(cap + 1):
@@ -365,7 +369,7 @@ def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
 
 def _ceilinged_rows(L, order, nu, m_max, r_max):
     """Rows kept by the word spans of the ceilinged pass `_ipower_pass` makes."""
-    return sum(map(len, _word_span(reorder_basis(L, order), _word_cap(nu, m_max, r_max), nu)))
+    return sum(map(len, _word_span(reorder_basis(L, order), _word_cap(nu, m_max, r_max), nu)[1]))
 
 
 def test_ceilinged_pass_matches_the_exact_pass():
