@@ -42,6 +42,7 @@ from .rep import adjoint_module, trivial_module
 WEDGE_COORD_CAP = 4096          # 2**12 exterior-algebra coordinates
 REES_MONOMIAL_CAP = 5000
 ALGEBRA_DIM_CAP = 100           # 10**6 cells of the dense bracket table
+REPRESENTATIVE_ENTRY_CAP = 10 ** 6     # dense entries `cohomology` prints
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -96,9 +97,7 @@ def _human(msg: str) -> None:
 
 
 class CommandError(Exception):
-    def __init__(self, msg: str, code: int = USAGE_ERROR):
-        super().__init__(msg)
-        self.code = code
+    """Unusable input: `main` reports it and returns USAGE_ERROR."""
 
 
 def _resolve_algebra(spec: str, check_dim) -> tuple[str, LieAlgebra]:
@@ -242,6 +241,10 @@ def cmd_cohomology(args) -> int:
     mod_name, M = _resolve_module(args.module, L)
     lo, hi = (0, L.dim) if args.degrees is None else _parse_degrees(args.degrees, L.dim)
     result = cohomology(L, M)
+    entries = sum(result.dims[q] * result.complex.space_dim(q) for q in range(lo, hi + 1))
+    if entries > REPRESENTATIVE_ENTRY_CAP:
+        raise CommandError(f"the representatives would print {entries} entries, over the cap "
+                           f"{REPRESENTATIVE_ENTRY_CAP}; narrow them with --degrees")
     payload = {
         "schema": SCHEMA,
         "command": "cohomology",
@@ -449,7 +452,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CommandError as exc:
         _human(f"error: {exc}")
-        return exc.code
+        return USAGE_ERROR
     except InvalidAlgebraError as exc:
         _human(f"error: {args.input}: {exc}")
         return CHECK_FAILED

@@ -188,7 +188,7 @@ class CochainComplex:
     whole differential, built on first use, for callers; `deltas` is all.
     """
 
-    def __init__(self, L: LieAlgebra, M: LieModule, terms: dict, D: int, weights):
+    def __init__(self, L: LieAlgebra, M: LieModule, terms: list, D: int, weights):
         self.algebra, self.coeff = L, M
         n, m = L.dim, M.dim
         zero = _weight_zero(n, m, weights)
@@ -251,7 +251,7 @@ def _complex(L: LieAlgebra, M: LieModule, weights) -> CochainComplex:
     E, table = _constants(L)
     DM, P = M._int_action
     D = lcm(E, DM)
-    terms = {}
+    terms = []
     for t, rows in enumerate(P):
         if any(rows):
             _term(terms, (t,), (), ((beta, b, D // DM * a) for beta, row in enumerate(rows)
@@ -333,7 +333,7 @@ class CohomologyResult:
     @property
     def representatives(self) -> tuple[tuple[tuple, ...], ...]:
         """Per degree q, vectors in C^q whose classes form a basis of H^q."""
-        return tuple(tuple(_dense(row, 0, self.complex.space_dim(q)) for row in reps)
+        return tuple(tuple(_dense(row, self.complex.space_dim(q)) for row in reps)
                      for q, reps in enumerate(self._reps))
 
     def _classes_of(self, q: int, rows) -> QMatrix:
@@ -431,7 +431,7 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         coords.append([(k, w[t] / (E * row[p])) for k, t in enumerate(ideal._rows) if t in w])
     D = lcm(*[g.denominator for v in coords for _, g in v],
             *[DM * xa.denominator for xa in x.values()])
-    terms = {}
+    terms = []
     for a, xa in x.items():
         f = _scaled(xa, D // DM)
         block = [(beta, b, f * g) for beta, row in enumerate(P[a])
@@ -553,7 +553,7 @@ def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
     qd = nq.algebra.dim
     if (cx_L.algebra.dim, cx_L.coeff.dim, cx_q.algebra.dim, cx_q.coeff.dim) != (L.dim, 1, qd, 1):
         raise DimensionMismatchError("the maps do not take C^p(cx_q) to C^p(cx_L)")
-    return _chain_map(cx_q, cx_L, wedge_powers(nq.projection.transpose().entries, qd, qd))
+    return _chain_map(cx_q, cx_L, wedge_powers(nq.projection.transpose().entries, qd))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,8 @@ def algebra_from_dict(d: dict, check_dim=None) -> LieAlgebra:
         brackets = _list(d.get("brackets", []), "brackets")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"algebra file is missing or mistypes a field: {exc}") from None
+    if dim < 0:
+        raise FileFormatError("dim must be a non-negative integer")
     if len(basis) != dim:
         raise FileFormatError(f"dim is {dim} but {len(basis)} basis names are given")
     if check_dim is not None:
@@ -139,6 +141,8 @@ def module_from_dict(d: dict, L: LieAlgebra, check_dim=None) -> LieModule:
         action = _list(d["action"], "action")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"module file is missing or mistypes a field: {exc}") from None
+    if dim < 0:
+        raise FileFormatError("dim must be a non-negative integer")
     if check_dim is not None:
         check_dim(dim)
     if len(action) != L.dim:

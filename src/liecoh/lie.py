@@ -241,7 +241,7 @@ def bracket(L: LieAlgebra, u, v) -> tuple:
         raise DimensionMismatchError("vectors must have the algebra's dimension")
     D, table = _constants(L)
     out = _bracket(table, _sparse(u), _sparse(v))
-    return _dense({k: x / D for k, x in out.items()}, 0, L.dim)
+    return _dense({k: x / D for k, x in out.items()}, L.dim)
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -285,9 +285,11 @@ class IdealChain:
 
 
 def _descending_chain(L: LieAlgebra, step) -> IdealChain:
+    """The chain from L down: step(terms) is the term after the list of terms
+    so far, and the chain stops at the first one equal to its predecessor."""
     terms = [Subspace.full(L.dim)]
     while True:
-        nxt = step(terms[-1])
+        nxt = step(terms)
         if nxt == terms[-1]:
             return IdealChain(tuple(terms), True)
         terms.append(nxt)
@@ -300,31 +302,29 @@ def lower_central_series(L: LieAlgebra) -> IdealChain:
     whole series.
     """
     full = Subspace.full(L.dim)
-    return _descending_chain(L, lambda t: bracket_span(L, full, t))
+    return _descending_chain(L, lambda terms: bracket_span(L, full, terms[-1]))
 
 
 def derived_series(L: LieAlgebra) -> IdealChain:
     """Terms of the series L, [L, L], [[L, L], [L, L]], ..."""
-    return _descending_chain(L, lambda t: bracket_span(L, t, t))
+    return _descending_chain(L, lambda terms: bracket_span(L, terms[-1], terms[-1]))
 
 
 def power_filtration(L: LieAlgebra) -> IdealChain:
     """The filtration with degree-d term  sum_j [term_j, term_{d-j}].
 
-    Classically this equals the lower central series; the library computes
-    both and the test suite asserts their equality on every instance
-    instead of citing the identity.
+    The degree-d term, d = len(terms) + 1, sums over j = 1..d - 1, where
+    both j and d - j index terms already built.  Classically this equals
+    the lower central series; the library computes both and the test suite
+    asserts their equality on every instance instead of citing the identity.
     """
-    terms = [Subspace.full(L.dim)]
-    while True:
-        d = len(terms) + 1
+    def step(terms):
         nxt = Subspace.zero(L.dim)
-        for j in range(1, d):
-            nxt = nxt + bracket_span(L, terms[min(j, len(terms)) - 1],
-                                     terms[min(d - j, len(terms)) - 1])
-        if nxt == terms[-1]:
-            return IdealChain(tuple(terms), True)
-        terms.append(nxt)
+        for j in range(1, len(terms) + 1):
+            nxt = nxt + bracket_span(L, terms[j - 1], terms[-j])
+        return nxt
+
+    return _descending_chain(L, step)
 
 
 def is_nilpotent(L: LieAlgebra) -> bool:
@@ -372,7 +372,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     section = QMatrix._wrap(_transpose(chosen, n), q)
     lifts = [min(row) for row in chosen]    # unit vectors e_j: their brackets are in the table
     D, table = _constants(L)
-    c = [[tuple(x / D for x in _dense(_tag_coordinates(pivots, n, dict(table[i][j])), 0, q))
+    c = [[tuple(x / D for x in _dense(_tag_coordinates(pivots, n, dict(table[i][j])), q))
           for j in lifts] for i in lifts]
     labels = [f"{L.labels[i]}_bar" for i in lifts]
     return Quotient(LieAlgebra(c, labels), projection, section)

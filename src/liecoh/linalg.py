@@ -141,7 +141,7 @@ class QMatrix:
     def data(self) -> tuple:
         """Dense rows, as tuples of Fractions."""
         if self._data is None:
-            self._data = tuple(_dense(row, 0, self.cols) for row in self.entries)
+            self._data = tuple(_dense(row, self.cols) for row in self.entries)
         return self._data
 
     @classmethod
@@ -219,15 +219,8 @@ class QMatrix:
         v = vector(v)
         if len(v) != self.cols:
             raise DimensionMismatchError(f"vector of length {len(v)} for {self.rows}x{self.cols}")
-        out = []
-        for r in self.entries:
-            s = _ZERO
-            for j, a in r.items():
-                x = v[j]
-                if x:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        column = {j: {0: x} for j, x in enumerate(v) if x}
+        return tuple(row.get(0, _ZERO) for row in _product(self.entries, column))
 
     def transpose(self) -> "QMatrix":
         return QMatrix._wrap(_transpose(self.entries, self.cols), self.rows)
@@ -254,12 +247,11 @@ def _sparse(vec) -> dict:
     return {j: a for j, a in enumerate(vec) if a}
 
 
-def _dense(row: dict, lo: int, hi: int) -> tuple:
-    """Entries of a sparse row with keys in [lo, hi), as a vector of length hi - lo."""
-    out = [_ZERO] * (hi - lo)
+def _dense(row: dict, n: int) -> tuple:
+    """A sparse row with keys in range(n), as a vector of length n."""
+    out = [_ZERO] * n
     for k, a in row.items():
-        if lo <= k < hi:
-            out[k - lo] = a
+        out[k] = a
     return tuple(out)
 
 
@@ -640,4 +632,4 @@ def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     if small.ambient_dim != big.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     _, chosen = _classes(small._rows.values(), big)
-    return [_dense(row, 0, big.ambient_dim) for row in chosen]
+    return [_dense(row, big.ambient_dim) for row in chosen]

@@ -403,15 +403,8 @@ def _reduce_into(pivots: dict, row: dict) -> None:
     _insert(pivots, row)
 
 
-# `_word_span`'s cache is process-global, so it is bounded.  One entry holds
-# the cap + 1 word lengths of one brute-force pass.  Under the weight
-# ceiling of nilpotent input, the benchmark's passes (strict_ut(4) R=2 M=3,
-# filiform-5 R=2 M=4, h5 R=4 M=4) keep 427, 450 and 1190 rows (1488, 2728
-# and 1897 exact), so 4 entries hold at most about 5,000 such rows.
-_WORD_SPAN_CACHE_SIZE = 4
-
-
-@lru_cache(maxsize=_WORD_SPAN_CACHE_SIZE)
+# one entry: a brute-force pass asks for its spans once, and the cache is process-global
+@lru_cache(maxsize=1)
 def _word_span(L: LieAlgebra, cap: int, nu: tuple) -> tuple:
     """(keys, spans): the packed keys `_keys(L.dim, cap, nu)` and, for
     s = 0..cap, engine pivot rows spanning the straightened words of length

@@ -64,6 +64,8 @@ class LieModule:
         if dim is None:
             # over the zero algebra the size cannot be inferred from rho
             dim = rho[0].rows if rho else 0
+        if dim < 0:
+            raise DimensionMismatchError(f"a module cannot have dimension {dim}")
         for m in rho:
             if m.rows != m.cols or m.rows != dim:
                 raise DimensionMismatchError(
@@ -190,7 +192,7 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
     D, P = M._int_action
     rho = []
     for rows in P:
-        terms = {}
+        terms = []
         for k, row in enumerate(rows):
             for s, a in row.items():
                 _term(terms, (k,), (s,), [(0, 0, a)])

@@ -16,8 +16,8 @@ wedge or computes its sign:
 
 The cochain differential, the action on cochains and the exterior
 powers of a module are sums of terms that each swap a few wedge factors.
-`_term` files one nonzero term by the indices it adds and removes;
-`_operators` sums the terms over every wedge they apply to, in Python
+`_term` appends one nonzero term, by the indices it adds and removes, to a
+list; `_operators` sums the terms over every wedge they apply to, in Python
 ints D * entry over one common denominator D, and returns the int sums:
 the rows `cohomology` eliminates hold no Fraction.  `_matrices`, for
 callers that want a `QMatrix`, makes them Fractions over D.  Wedges of
@@ -148,67 +148,63 @@ def _below(k: int) -> int:
     return (1 << k) - 1
 
 
-def _term(groups: dict, rows: tuple, cols: tuple, block) -> None:
-    """File a term for `_operators`: it takes each wedge R + cols to R + rows,
-    for every wedge R that avoids the indices named, and its sign is
-    (-1)^(sum over the named indices i of the entries of R below i).
+def _term(terms: list, rows: tuple, cols: tuple, block) -> None:
+    """Append a term for `_operators` to terms: it takes each wedge R + cols
+    to R + rows, for every wedge R that avoids the indices named, and its
+    sign is (-1)^(sum over the named indices i of the entries of R below i).
 
-    block holds the term's (beta, b, v) matrix entries; it is filed with
-    the same entries negated.  Terms are grouped by the mask of the
-    indices they name and the number of columns.
+    block holds the term's (beta, b, v) matrix entries; it is kept with
+    the same entries negated, as (row bits, column bits, sign mask, blocks).
     """
     block = tuple(block)
     blocks = block, tuple((beta, b, -v) for beta, b, v in block)
-    row_bits = sum(1 << i for i in rows)
-    col_bits = sum(1 << k for k in cols)
     sign_mask = 0
     for i in (*rows, *cols):
         sign_mask ^= _below(i)
-    groups.setdefault((row_bits | col_bits, len(cols)), []).append(
-        (row_bits, col_bits, sign_mask, blocks))
+    terms.append((sum(1 << i for i in rows), sum(1 << k for k in cols), sign_mask, blocks))
 
 
 def _weigh(lam, mask: int) -> int:
     return sum(lam[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _by_target(groups: dict, lam, mu) -> dict:
-    """The terms of `_term` groups (F, c) regrouped as (F, c, t): each term
-    keeps the entries (beta, b, v) whose row (R | row bits, beta) weighs 0
-    exactly when lam sums to t over R, t = mu[beta] - lam(row bits).
-    ChainMapError when an entry's column weighs otherwise than its row."""
+def _by_target(terms: list, lam, mu) -> dict:
+    """The terms of `_term` grouped by (F, c, t), F the mask of the indices a
+    term names and c its number of columns: each keeps the entries (beta, b,
+    v) whose row (R | row bits, beta) weighs 0 exactly when lam sums to t
+    over R, t = mu[beta] - lam(row bits).  ChainMapError when an entry's
+    column weighs otherwise than its row."""
     lo = sum(v for v in lam if v < 0)
     hi = sum(v for v in lam if v > 0)
     parts: dict = {}
-    for (forbid, c), terms in groups.items():
-        for row_bits, col_bits, sign_mask, blocks in terms:
-            row_w, col_w = _weigh(lam, row_bits), _weigh(lam, col_bits)
-            split: dict = {}
-            for k, (beta, b, _) in enumerate(blocks[0]):
-                if mu[beta] - row_w != mu[b] - col_w:
-                    raise ChainMapError("a term joins cochains of different weights "
-                                        "under the grading element")
-                split.setdefault(mu[beta] - row_w, []).append(k)
-            for t, ks in split.items():
-                if not lo <= t <= hi:       # no wedge R weighs t: the entries reach no row
-                    continue
-                parts.setdefault((forbid, c, t), []).append(
-                    (row_bits, col_bits, sign_mask,
-                     tuple(tuple(block[k] for k in ks) for block in blocks)))
+    for row_bits, col_bits, sign_mask, blocks in terms:
+        row_w, col_w = _weigh(lam, row_bits), _weigh(lam, col_bits)
+        split: dict = {}
+        for k, (beta, b, _) in enumerate(blocks[0]):
+            if mu[beta] - row_w != mu[b] - col_w:
+                raise ChainMapError("a term joins cochains of different weights "
+                                    "under the grading element")
+            split.setdefault(mu[beta] - row_w, []).append(k)
+        for t, ks in split.items():
+            if not lo <= t <= hi:       # no wedge R weighs t: the entries reach no row
+                continue
+            parts.setdefault((row_bits | col_bits, col_bits.bit_count(), t), []).append(
+                (row_bits, col_bits, sign_mask,
+                 tuple(tuple(block[k] for k in ks) for block in blocks)))
     return parts
 
 
-def _operators(groups: dict, n: int, m: int, rows: dict, weights=None) -> list[dict]:
-    """The rows of D times the matrices of the terms filed by `_term`, one out
+def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[dict]:
+    """The rows of D times the matrices of the list of `_term` terms, one out
     of each degree q in rows, as {row: {column: int}} dicts over rows[q].
 
     Columns are the q-wedges of range(n) and rows the wedges the terms take
     them to, each times an m-dimensional block, in lexicographic order.  For a
-    group (F, c) of terms (row bits, column bits, sign mask, blocks) and
-    every (q - c)-wedge R disjoint from F, each block entry (beta, b, v)
-    of blocks[popcount(R & sign mask) % 2] is added at row
-    (R | row bits, beta), column (R | column bits, b).  The entries v are
-    D times the rational ones, and the rows returned hold their int sums.
+    part (F, c, t) of `_by_target`, its terms (row bits, column bits, sign
+    mask, blocks) and every (q - c)-wedge R disjoint from F, each block
+    entry (beta, b, v) of blocks[popcount(R & sign mask) % 2] is added at
+    row (R | row bits, beta), column (R | column bits, b).  The entries v
+    are D times the rational ones, and the rows returned hold their int sums.
 
     With weights (lam, mu), rows[q] must be the weight-0 rows of
     `_weight_zero`, and only the R that place an entry there are visited:
@@ -218,17 +214,17 @@ def _operators(groups: dict, n: int, m: int, rows: dict, weights=None) -> list[d
     visited.
     """
     lam, mu = weights or ((0,) * n, (0,) * m)
-    parts = _by_target(groups, lam, mu)
+    parts = _by_target(terms, lam, mu)
     pos = _Ranks(n)
     memo: dict = {}
     mats = []
     for q, keys in rows.items():
         out = {r: {} for r in keys}
-        for (forbid, c, t), terms in parts.items():
+        for (forbid, c, t), part in parts.items():
             if c > q:
                 continue
             for R in _subsets(lam, q - c, t, forbid, memo):
-                for row_bits, col_bits, sign_mask, blocks in terms:
+                for row_bits, col_bits, sign_mask, blocks in part:
                     rbase = pos[R | row_bits] * m
                     cbase = pos[R | col_bits] * m
                     for beta, b, v in blocks[(R & sign_mask).bit_count() & 1]:
@@ -239,23 +235,24 @@ def _operators(groups: dict, n: int, m: int, rows: dict, weights=None) -> list[d
     return mats
 
 
-def _matrices(groups: dict, n: int, m: int, D: int, q: int, shift: int) -> QMatrix:
+def _matrices(terms: list, n: int, m: int, D: int, q: int, shift: int) -> QMatrix:
     """The whole matrix of `_operators` out of degree q, into degree q + shift,
     as a `QMatrix`: each distinct int sum becomes one Fraction over D here."""
-    rows = _operators(groups, n, m, {q: range(comb(n, q + shift) * m)})[0]
+    rows = _operators(terms, n, m, {q: range(comb(n, q + shift) * m)})[0]
     value = {a: Fraction(a, D) for row in rows.values() for a in row.values()}
     return QMatrix._wrap(({k: value[a] for k, a in row.items()} for row in rows.values()),
                          comb(n, q) * m)
 
 
-def wedge_powers(columns, m: int, top: int) -> list[dict]:
+def wedge_powers(columns, m: int) -> list[dict]:
     """Exterior powers of the linear map with images columns[t] of e_t.
 
     columns[t] is a {coordinate: Fraction} dict in a space of dimension
-    m.  Returns, for p = 0..top, the rows of the degree-p power that can
-    be nonzero, as {position of T: row}: T runs over the p-subsets of the
-    indices t with columns[t] nonzero, in lexicographic order, and its
-    position is its place among all p-subsets of range(len(columns)).
+    m.  Returns, for p = 0..m (the powers above m vanish), the rows of the
+    degree-p power that can be nonzero, as {position of T: row}: T runs
+    over the p-subsets of the indices t with columns[t] nonzero, in
+    lexicographic order, and its position is its place among all p-subsets
+    of range(len(columns)).
     Every other row of the power is zero.  Row T holds the coordinates
     {position of S: coefficient} of columns[t_0] ^ ... ^ columns[t_{p-1}],
     that is the p x p minors at columns T.  Row T is row T - {t} of degree
@@ -267,7 +264,7 @@ def wedge_powers(columns, m: int, top: int) -> list[dict]:
     live = [1 << t for t, col in enumerate(columns) if col]
     rows = {0: {0: Fraction(1)}}
     powers = [{0: {0: Fraction(1)}}]
-    for p in range(1, top + 1):
+    for p in range(1, m + 1):
         nxt = {}
         for T in map(sum, combinations(live, p)):
             t = T.bit_length() - 1

@@ -349,7 +349,7 @@ def unsplit_cohomology(cx):
         prev = cx.delta(q - 1)
         columns = (_ints(col)[0] for col in _transpose(prev.entries, prev.cols))
         pivots, reps = _classes(columns, kernel(cx.delta(q)))
-        reps_all.append(tuple(_dense(row, 0, prev.rows) for row in reps))
+        reps_all.append(tuple(_dense(row, prev.rows) for row in reps))
         pivots_all.append(pivots)
 
     def coordinates(q, v):

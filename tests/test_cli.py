@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -161,6 +162,26 @@ def test_rejects_reinterpretable_module_files(corrupt, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_negative_declared_dim_is_refused(tmp_path):
+    # over the 0-dimensional algebra no action matrix pinned the size: dims [0] came out
+    algebra, module = tmp_path / "a0.json", tmp_path / "m.json"
+    algebra.write_text(json.dumps({"schema": 1, "dim": 0, "basis": [], "brackets": []}))
+    module.write_text(json.dumps({"schema": 1, "dim": -5, "action": []}))
+    proc = run_cli("cohomology", str(algebra), "--module", str(module), expect=2)
+    assert proc.stdout == "" and "dim must be a non-negative integer" in proc.stderr
+    L = catalog.heisenberg3()
+    d = {"schema": 1, "dim": -2, "action": [[]] * L.dim}
+    with pytest.raises(FileFormatError, match="dim must be a non-negative integer"):
+        module_from_dict(d, L, lambda size: pytest.fail("check_dim saw a negative dim"))
+    d = {"schema": 1, "dim": -1, "basis": [], "brackets": []}
+    with pytest.raises(FileFormatError, match="dim must be a non-negative integer"):
+        algebra_from_dict(d, lambda size: pytest.fail("check_dim saw a negative dim"))
+    algebra.write_text(json.dumps(d))
+    for command in ("validate", "cohomology"):
+        proc = run_cli(command, str(algebra), expect=2)
+        assert "dim must be a non-negative integer" in proc.stderr, command
+
+
 # --- commands -------------------------------------------------------------
 
 def test_validate_catalog_name():
@@ -288,6 +309,19 @@ def test_cohomology_guard_refuses_oversized_input(tmp_path):
     path.write_text(json.dumps(big))
     proc = run_cli("cohomology", str(path), expect=2)
     assert "cap" in proc.stderr
+
+
+def test_cohomology_refuses_to_print_too_many_representative_entries(tmp_path, capsys):
+    from liecoh import cli
+
+    # abelian(12) passes the wedge cap, but its representatives are C(24, 12) dense entries
+    path = _abelian_file(tmp_path, 12)
+    assert cli.main(["cohomology", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "2704156 entries" in err and "--degrees" in err
+    assert cli.main(["cohomology", path, "--degrees", "0..3"]) == 0      # 52,901 entries
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload["representatives"], key=int) == ["0", "1", "2", "3"]
 
 
 def _abelian_file(tmp_path, n, brackets=()):
@@ -520,6 +554,33 @@ def test_example_summary():
     payload = payload_of(proc)
     assert payload["dim"] == 3
     assert payload["is_nilpotent"] is False
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced block of the language under README's heading."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    from liecoh import cli
+
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## Command line", "sh").splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "liecoh", line
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        assert cli.main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if target is not None:
+            (tmp_path / target).write_text(out)
+    (tmp_path / "algebra.json").write_text(_readme_block("### Algebra files", "json"))
+    assert cli.main(["check", "algebra.json"]) == 0
 
 
 def test_catalog_contains_required_entries():

@@ -890,8 +890,8 @@ def test_inflation_refuses_a_row_outside_the_weight_zero_block(monkeypatch):
     root = next(r for r in range(L.dim) if r not in cx_L._block[0][1])
     real = cohomology_module.wedge_powers
 
-    def stray(columns, m, top):
-        powers = real(columns, m, top)
+    def stray(columns, m):
+        powers = real(columns, m)
         powers[1][root] = {0: Fraction(1)}
         return powers
 
@@ -1138,9 +1138,9 @@ def test_no_library_path_reads_a_whole_differential(monkeypatch):
         products.append((a.rows, a.cols))
         return real_mul(a, b)
 
-    def spy_dense(row, lo, hi):
-        dense.append(hi - lo)
-        return real_dense(row, lo, hi)
+    def spy_dense(row, n):
+        dense.append(n)
+        return real_dense(row, n)
 
     algebras = [catalog.get(name) for name in catalog.names()]
     algebras.append(_relabelled(catalog.ut(4), random.Random(610)))

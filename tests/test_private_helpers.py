@@ -9,7 +9,9 @@ alive.
 
 Nor may such a function, or a private method, take a parameter that its
 body never reads: a signature change cannot leave an argument that every
-caller passes for nothing.
+caller passes for nothing.  And no parameter of a private module-level
+function may receive one and the same literal from every call in the
+package: a value that no caller varies belongs in the body.
 """
 
 import ast
@@ -69,6 +71,58 @@ def _unread_parameters(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _literal(node):
+    """(type, repr) of the value of a literal argument, else None."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), repr(value)
+
+
+def _constant_arguments(sources: dict[str, str]) -> list[str]:
+    """'module.function(parameter=value)' of each parameter of a private
+    module-level function at which every call in the sources passes the
+    same literal.  A function that is also read other than as the callee of
+    a call (a callback, `key=_weigh`) is skipped: its callers are unseen."""
+    defs = {}
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and _is_private_definition(node):
+                args = node.args
+                defs[node.name] = (module, [a.arg for a in (*args.posonlyargs, *args.args)],
+                                   [a.arg for a in args.kwonlyargs])
+    calls: dict = {name: [] for name in defs}
+    reads = []
+    for source in sources.values():
+        for sub in ast.walk(ast.parse(source)):
+            name = getattr(sub, "id", getattr(sub, "attr", None))
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if name in defs:
+                    calls[name].append(sub)
+            elif name in defs and isinstance(sub.ctx, ast.Load):
+                reads.append((name, sub))
+    callees = {id(call.func) for found in calls.values() for call in found}
+    other = {name for name, node in reads if id(node) not in callees}
+    out = []
+    for name, (module, positional, keyword) in sorted(defs.items()):
+        if not calls[name] or name in other:
+            continue
+        passed: dict = {}
+        for call in calls[name]:
+            bound = dict(zip(positional, call.args))
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                bound = {}
+            bound.update((kw.arg, kw.value) for kw in call.keywords if kw.arg)
+            for param in (*positional, *keyword):
+                passed.setdefault(param, []).append(
+                    _literal(bound[param]) if param in bound else None)
+        out += [f"{module}.{name}({param}={values[0][1]})" for param, values in passed.items()
+                if values[0] is not None and values.count(values[0]) == len(values)]
+    return out
+
+
 def _library() -> dict[str, str]:
     out = {}
     for filename in sorted(os.listdir(SRC)):
@@ -119,3 +173,23 @@ def test_an_unread_parameter_is_caught():
               "    def __init__(self, size):\n        pass\n"),
     }
     assert _unread_parameters(sources) == ["a._drops(D)", "a._rebinds(x)", "a._Box._get(key)"]
+
+
+def test_every_private_function_takes_an_argument_some_call_varies():
+    assert _constant_arguments(_library()) == []
+
+
+def test_a_parameter_no_call_varies_is_caught():
+    sources = {
+        "a": ("def _window(row, lo, hi, *, fill=0):\n    return row, lo, hi, fill\n"
+              "def _varied(x, y=1):\n    return x, y\n"
+              "def _callback(size):\n    return size\n"
+              "def _spread(x):\n    return x\n"),
+        "b": ("from .a import _window\nimport a\n"
+              "_window(r, 0, n, fill=())\n"
+              "a._window(s, 0, m, fill=())\n"
+              "a._varied(1)\na._varied(2, y=2)\n"
+              "_callback(0)\nload(check=_callback)\n"
+              "_spread(*args)\n"),
+    }
+    assert _constant_arguments(sources) == ["a._window(lo=0)", "a._window(fill=())"]

@@ -32,6 +32,7 @@ from liecoh.rep import (
 
 H = catalog.heisenberg3()
 A = catalog.abelian(2)
+Z = LieAlgebra(())           # no action matrix pins a module's size
 ONE, TWO = Subspace.full(1), Subspace.full(2)
 
 CASES = {
@@ -73,6 +74,10 @@ CASES = {
     # rep
     "module matrices": (lambda: LieModule(A, [[[0]]]),
                         DimensionMismatchError, "one action matrix per basis element"),
+    "negative module dim": (lambda: LieModule(Z, (), dim=-5),
+                            DimensionMismatchError, "a module cannot have dimension -5"),
+    "negative trivial dim": (lambda: trivial_module(Z, -1),
+                             DimensionMismatchError, "a module cannot have dimension -1"),
     "action length": (lambda: trivial_module(A).action((1,)),
                       DimensionMismatchError, "element must have the algebra's dimension"),
     "character values": (lambda: one_dim_module(A, Character.of((1,))),
