@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from functools import cache
 
@@ -201,13 +202,15 @@ def cmd_series(args) -> int:
 
 
 def _parse_degrees(spec: str, top: int) -> tuple[int, int]:
+    # ASCII digits only: int() would also take signs, blanks, "_" and other scripts' digits
     try:
-        lo, hi = spec.split("..")
-        a, b = int(lo), int(hi)
+        if not re.fullmatch(r"[0-9]+\.\.[0-9]+", spec):
+            raise ValueError(spec)
+        a, b = map(int, spec.split(".."))
     except ValueError:
         raise CommandError(f"--degrees wants 'a..b', got {spec!r}") from None
-    if a < 0 or b < a:
-        raise CommandError(f"--degrees range {spec!r} is empty or negative")
+    if b < a:
+        raise CommandError(f"--degrees range {spec!r} is empty")
     if a > top:
         raise CommandError(f"--degrees range {spec!r} starts past the top degree {top}")
     return a, min(b, top)
@@ -372,7 +375,7 @@ def cmd_example(args) -> int:
     try:
         L = catalog.get(args.name)
     except KeyError as exc:
-        raise CommandError(str(exc)) from None
+        raise CommandError(exc.args[0]) from None     # str() of a KeyError is its repr
     if args.emit:
         _emit(algebra_to_dict(L))
         _human(f"{args.name}: emitted algebra file ({L.dim}-dimensional)")

@@ -69,12 +69,19 @@ def _list(x, where: str) -> list:
     return x
 
 
+def _require_schema(d, kind: str) -> None:
+    if not isinstance(d, dict):
+        raise FileFormatError(f"{kind} file must be a JSON object")
+    # a missing or other schema is no schema-1 file; true == 1, so compare the type too
+    if type(d.get("schema")) is not int or d["schema"] != SCHEMA:
+        raise FileFormatError(f'{kind} file must declare "schema": {SCHEMA}')
+
+
 def algebra_from_dict(d: dict, check_dim=None) -> LieAlgebra:
     """The algebra a parsed algebra file describes.  `check_dim`, if given, is
     called with dim, once it matches the basis, before any bracket is read
     or algebra built."""
-    if not isinstance(d, dict):
-        raise FileFormatError("algebra file must be a JSON object")
+    _require_schema(d, "algebra")
     try:
         dim = _index(d["dim"], "dim")
         basis = _list(d["basis"], "basis")
@@ -134,8 +141,7 @@ def module_to_dict(M: LieModule) -> dict:
 def module_from_dict(d: dict, L: LieAlgebra, check_dim=None) -> LieModule:
     """The module a parsed module file describes.  `check_dim`, if given, is
     called with the declared dim before any matrix is read or module built."""
-    if not isinstance(d, dict):
-        raise FileFormatError("module file must be a JSON object")
+    _require_schema(d, "module")
     try:
         dim = _index(d["dim"], "dim")
         action = _list(d["action"], "action")

@@ -12,6 +12,12 @@ the constants of quotients and subalgebras, and the cochain builders of
 `cohomology` all read it; the public `bracket` is a dense wrapper for
 callers outside the library.
 
+Structure constants in a new basis are read along one path too:
+`_algebra_on` reads each bracket once on the tags of a pivot dict of
+`linalg._classes`' kind.  Its bases are the input matrices of
+`from_matrices`, the lifts of `quotient` modulo the ideal, and the
+canonical basis of `subalgebra`.
+
 All values are immutable and all functions are pure.
 """
 
@@ -37,7 +43,6 @@ from .linalg import (
     _frac,
     _insert,
     _ints,
-    _reduce,
     _scaled,
     _span,
     _sparse,
@@ -117,36 +122,25 @@ class LieAlgebra:
         """The Lie algebra spanned by the given square matrices.
 
         The matrices must be linearly independent and their span closed
-        under commutators; structure constants are derived from matrix
-        commutators.
+        under commutators; structure constants are the commutators read on
+        the matrices (`_algebra_on`).
         """
         labels = tuple(labels)
         mats = [m if isinstance(m, QMatrix) else QMatrix(m) for m in matrices]
-        n = len(mats)
-        if n != len(labels):
+        if len(mats) != len(labels):
             raise DimensionMismatchError("one label per matrix")
-        flat = [_flat(m) for m in mats]
-        ambient = mats[0].rows * mats[0].cols if mats else 0
-        # Echelon rows of [flat | I]: the identity block records how each
-        # row combines the original matrices.
+        size = mats[0].rows if mats else 0
+        if any(m.rows != size or m.cols != size for m in mats):
+            raise DimensionMismatchError("matrices must be square and of one size")
+        ambient = size * size
+        # the flattened matrices, matrix s tagged 1 at key ambient + s as `_classes` tags its rows
         pivots: dict = {}
-        for s, f in enumerate(flat):
-            _insert(pivots, _ints({**f, ambient + s: 1})[0])
+        for s, m in enumerate(mats):
+            _insert(pivots, _ints({**_flat(m), ambient + s: 1})[0])
         if any(lead >= ambient for lead in pivots):
             raise NotASubalgebraError("matrices are linearly dependent")
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = mats[i] * mats[j] - mats[j] * mats[i]
-                try:
-                    coords = _tag_coordinates(pivots, ambient, _flat(comm))
-                except ContainmentError:
-                    raise NotASubalgebraError(
-                        f"[{labels[i]}, {labels[j]}] falls outside the span") from None
-                for k in range(n):
-                    c[i][j][k] = coords.get(k, Fraction(0))
-                    c[j][i][k] = -c[i][j][k]
-        return cls(c, labels)
+        return _algebra_on(labels, pivots, ambient,
+                           lambda i, j: _flat(mats[i] * mats[j] - mats[j] * mats[i]))
 
     def bracket_matrix(self, i: int) -> QMatrix:
         """Matrix of ad e_i acting on coordinate columns."""
@@ -174,6 +168,40 @@ def _constants(L: LieAlgebra) -> tuple[int, tuple]:
         L._table = D, tuple(tuple(tuple((k, _scaled(g, D)) for k, g in enumerate(col) if g)
                                   for col in row) for row in L.c)
     return L._table
+
+
+def _algebra_on(labels, pivots: dict, n: int, bracket) -> LieAlgebra:
+    """The algebra on the rows tagged in a pivot dict of `linalg._classes`'
+    kind: basis element i is the row tagged at key n + i.
+
+    bracket(i, j) is the rational row of [x_i, x_j] in the ambient
+    coordinates (keys below n), and is read once for each pair i < j on the
+    tags (`_tag_coordinates`).  It serves three bases: the input matrices
+    of `from_matrices`, the lifts of `quotient` (modulo the ideal's
+    untagged rows) and the canonical basis of `subalgebra`.  Raises
+    NotASubalgebraError when a bracket falls outside the span.
+    """
+    brackets = {}
+    for i, j in combinations(range(len(labels)), 2):
+        try:
+            coords = _tag_coordinates(pivots, n, bracket(i, j))
+        except ContainmentError:
+            raise NotASubalgebraError(
+                f"[{labels[i]}, {labels[j]}] falls outside the span") from None
+        brackets[i, j] = [(a, k) for k, a in coords.items()]
+    return LieAlgebra.from_brackets(labels, brackets)
+
+
+def _on_classes(L: LieAlgebra, small_rows, big: Subspace, suffix: str):
+    """(pivots, chosen, algebra) of `_classes(small_rows, big)`: the algebra
+    carried by the chosen rows of big modulo the small rows, each labelled
+    by the label at its pivot plus `suffix`."""
+    pivots, chosen = _classes(small_rows, big)
+    D, table = _constants(L)
+    labels = [L.labels[min(row)] + suffix for row in chosen]
+    algebra = _algebra_on(labels, pivots, L.dim, lambda i, j: {
+        k: x / D for k, x in _bracket(table, chosen[i], chosen[j]).items()})
+    return pivots, chosen, algebra
 
 
 @dataclass(frozen=True)
@@ -364,18 +392,12 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     if not is_ideal(L, ideal):
         raise NotAnIdealError("quotient requires a bracket-stable ideal")
     n = L.dim
-    pivots, chosen = _classes(ideal._rows.values(), Subspace.full(n))
+    pivots, chosen, algebra = _on_classes(L, ideal._rows.values(), Subspace.full(n), "_bar")
     q = len(chosen)
     # column j of the projection: the coordinates of e_j on the lifts, mod the ideal
     projection = QMatrix._wrap(
         _transpose([_tag_coordinates(pivots, n, {j: Fraction(1)}) for j in range(n)], q), n)
-    section = QMatrix._wrap(_transpose(chosen, n), q)
-    lifts = [min(row) for row in chosen]    # unit vectors e_j: their brackets are in the table
-    D, table = _constants(L)
-    c = [[tuple(x / D for x in _dense(_tag_coordinates(pivots, n, dict(table[i][j])), q))
-          for j in lifts] for i in lifts]
-    labels = [f"{L.labels[i]}_bar" for i in lifts]
-    return Quotient(LieAlgebra(c, labels), projection, section)
+    return Quotient(algebra, projection, QMatrix._wrap(_transpose(chosen, n), q))
 
 
 def nil_quotient(L: LieAlgebra) -> Quotient:
@@ -393,15 +415,7 @@ def subalgebra(L: LieAlgebra, sub: Subspace) -> tuple[LieAlgebra, QMatrix]:
     """
     if sub.ambient_dim != L.dim:
         raise DimensionMismatchError("subspace has wrong ambient dimension")
-    D, table = _constants(L)
-    rows = sub._rows    # the canonical basis vector at pivot p is rows[p] / rows[p][p]
-    hits = [[_bracket(table, u, v) for v in rows.values()] for u in rows.values()]
-    if any(_reduce(rows, w)[0] is not None for ws in hits for w in ws):
-        raise NotASubalgebraError("subspace is not closed under the bracket")
-    # w is D u[p] v[r] times a bracket of basis vectors, whose coordinates are its entries at pivots
-    c = [[tuple(Fraction(w.get(t, 0), D * u[p] * v[r]) for t in rows)
-          for w, (r, v) in zip(ws, rows.items())] for ws, (p, u) in zip(hits, rows.items())]
-    return LieAlgebra(c, tuple(L.labels[p] for p in rows)), sub.basis.transpose()
+    return _on_classes(L, (), sub, "")[2], sub.basis.transpose()
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def _word_of(exps) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _combine(terms) -> dict:
+def _weighted_sum(terms) -> dict:
     """Sum of c * p over (p, c) pairs of a product and an int coefficient, zeros dropped."""
     acc: dict = {}
     for p, c in terms:
@@ -318,7 +318,7 @@ def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict) -> di
                      for c, x in _times_letter(table, keys, rest, i, memo).items()]
             terms += [(_times_letter(table, keys, rest, k, memo), gamma)
                       for k, gamma in table[j][i]]
-            out = _combine(terms)
+            out = _weighted_sum(terms)
     memo[slot] = out
     return out
 
@@ -326,7 +326,7 @@ def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict) -> di
 def _times_word(table: tuple, keys: _Keys, terms: dict, word, memo: dict) -> dict:
     """Normal form of (straightened keyed int terms) times the letters of `word`, one at a time."""
     for i in word:
-        terms = _combine((_times_letter(table, keys, k, i, memo), c) for k, c in terms.items())
+        terms = _weighted_sum((_times_letter(table, keys, k, i, memo), c) for k, c in terms.items())
     return terms
 
 
@@ -365,8 +365,8 @@ def multiply(L: LieAlgebra, u: UEAElement, v: UEAElement) -> UEAElement:
     fu, du = _to_f(u.terms, D, keys)
     fv, dv = _to_f(v.terms, D, keys)
     memo: dict = {}
-    out = _combine((_times_word(table, keys, fu, _word_of(keys.exps(b)), memo), cb)
-                   for b, cb in fv.items())
+    out = _weighted_sum((_times_word(table, keys, fu, _word_of(keys.exps(b)), memo), cb)
+                        for b, cb in fv.items())
     return UEAElement(L.dim, _to_e(out, D, du * dv, keys))
 
 
@@ -427,7 +427,7 @@ def _word_span(L: LieAlgebra, cap: int, nu: tuple) -> tuple:
         for prev, i in product(spans[-1], range(L.dim)):
             # a one-term primitive row has coefficient 1, so its product is a memo entry
             row = (_times_letter(table, keys, prev[0][0], i, memo) if len(prev) == 1
-                   else _combine((_times_letter(table, keys, k, i, memo), c) for k, c in prev))
+                   else _weighted_sum((_times_letter(table, keys, k, i, memo), c) for k, c in prev))
             if row:
                 _reduce_into(pivots, row)
         spans.append(tuple(tuple(row.items()) for row in pivots.values()))
@@ -437,6 +437,14 @@ def _word_span(L: LieAlgebra, cap: int, nu: tuple) -> tuple:
 def _word_cap(nu, m_max: int, r_max: int) -> int:
     """Longest words spanned for the powers m <= m_max (module docstring)."""
     return max(m_max, r_max * max(nu, default=1))
+
+
+def _require_window(m_lo: int, m_hi: int, r_max: int) -> None:
+    """Refuse powers m_lo..m_hi that do not start at 1 or more, and r_max < 0."""
+    if not 1 <= m_lo <= m_hi:
+        raise ValueError("powers of the augmentation ideal start at m = 1")
+    if r_max < 0:
+        raise ValueError(f"degrees start at r = 0, got r_max = {r_max}")
 
 
 def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
@@ -450,8 +458,7 @@ def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
     spanned modulo the monomials of weight above that cap.  Coordinates are
     `monomials(dim, r_max)` in `order`.
     """
-    if not 1 <= m_lo <= m_hi:
-        raise ValueError("powers of the augmentation ideal start at m = 1")
+    _require_window(m_lo, m_hi, r_max)
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
@@ -501,6 +508,7 @@ def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     Nilpotent algebras only: the weight of e^a is sum_i a_i nu_i in the
     adapted order.  Same coordinates as `ipower_bruteforce`.
     """
+    _require_window(m, m, r_max)
     return _weight_span(L.dim, adapted_basis(L).nu, m, r_max)
 
 
@@ -530,6 +538,8 @@ def rees_layer_table(L: LieAlgebra, r_max: int, m_max: int) -> ReesLayerTable:
     The r = 1 row reproduces the dimensions of the bracket filtration of
     the algebra itself, which the tests assert.
     """
+    if r_max < 0 or m_max < 0:
+        raise ValueError(f"layers start at r = m = 0, got r_max = {r_max}, m_max = {m_max}")
     ab = adapted_basis(L)
     table = [[0] * (m_max + 1) for _ in range(r_max + 1)]
     for a in monomials(L.dim, r_max):

@@ -189,6 +189,8 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
     e_k sorts back in.  The terms are the ints of `_int_action`, added
     up over its D as in the cochain differential.
     """
+    if p < 0:
+        raise ValueError(f"exterior powers start at p = 0, got p = {p}")
     D, P = M._int_action
     rho = []
     for rows in P:

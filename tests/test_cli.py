@@ -117,10 +117,24 @@ def _scalar_result(d):
     d["brackets"][0]["result"] = 5
 
 
+def _missing_schema(d):
+    del d["schema"]
+
+
+def _schema_2(d):
+    d["schema"] = 2
+
+
+def _boolean_schema(d):
+    # true == 1 in Python
+    d["schema"] = True
+
+
 @pytest.mark.parametrize("corrupt", [_float_index, _float_coefficient, _boolean_index,
                                      _repeated_pair, _repeated_result_index,
                                      _duplicate_labels, _string_basis, _scalar_brackets,
-                                     _scalar_result, _number_labels, _object_labels])
+                                     _scalar_result, _number_labels, _object_labels,
+                                     _missing_schema, _schema_2, _boolean_schema])
 def test_rejects_reinterpretable_algebra_files(corrupt, tmp_path):
     # a lenient reader turns each of these into a different algebra instead of refusing it
     d = algebra_to_dict(catalog.example_a())
@@ -148,7 +162,8 @@ def _scalar_row(d):
     d["action"][0][0] = 5
 
 
-@pytest.mark.parametrize("corrupt", [_float_dim, _boolean_dim, _scalar_action, _scalar_row])
+@pytest.mark.parametrize("corrupt", [_float_dim, _boolean_dim, _scalar_action, _scalar_row,
+                                     _missing_schema, _schema_2, _boolean_schema])
 def test_rejects_reinterpretable_module_files(corrupt, tmp_path):
     # int() read 1.9 and true as the dimension 1; scalars ended in a TypeError traceback
     L = catalog.heisenberg3()
@@ -232,6 +247,10 @@ def test_check_refuses_jacobi_violation(tmp_path):
 
 def test_unknown_example_name():
     run_cli("check", "no-such-algebra", expect=2)
+    # str() of the KeyError catalog.get raises would quote the whole message
+    proc = run_cli("example", "nope", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: unknown example 'nope'; known: {', '.join(catalog.names())}\n"
 
 
 def test_series_command():
@@ -281,7 +300,9 @@ def test_cohomology_parses_the_degree_window_before_computing(monkeypatch):
         raise AssertionError("cohomology ran before --degrees was parsed")
 
     monkeypatch.setattr(cli, "cohomology", refuse)
-    for spec in ("5..9", "2-3", "3..1"):
+    # int() took signs, blanks, "_" separators and other scripts' digits
+    for spec in ("5..9", "2-3", "3..1", " 1..2", "+1..2", "1_0..20", "\u0661..\u0662",
+                 "1..2\n", "1..2..3", ".."):
         assert cli.main(["cohomology", "heisenberg3", "--degrees", spec]) == 2, spec
 
 

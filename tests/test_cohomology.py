@@ -1380,7 +1380,6 @@ def test_the_engine_receives_int_rows_alone(monkeypatch):
         return real(pivots, row)
 
     monkeypatch.setattr(linalg, "_reduce", spy)
-    monkeypatch.setattr(import_module("liecoh.lie"), "_reduce", spy)
     check(_relabelled(catalog.ut(4), random.Random(621)))
     S = catalog.strict_ut(4)
     cohomology(S, adjoint_module(S))

@@ -394,6 +394,36 @@ def test_prop_c_structure():
     assert linf == Subspace.from_rows(5, [e("E12"), e("E23"), e("E13")])
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_from_matrices_reproduces_the_commutators():
+    # ut(3) and strict_ut(4) on random invertible rational combinations of
+    # their matrix units, checked with plain list arithmetic: the constants
+    # are antisymmetric and sum_k c_ij^k M_k = M_i M_j - M_j M_i
+    rng = random.Random(1104)
+    for t in range(30):
+        n, lo = ((3, 0), (4, 1))[t % 2]
+        units = [[[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+                 for i in range(n) for j in range(i + lo, n)]
+        A = [[0]]
+        while gauss_rank(A) < len(units):
+            A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in units] for _ in units]
+        mats = [[[sum(a * u[r][c] for a, u in zip(row, units)) for c in range(n)]
+                 for r in range(n)] for row in A]
+        L = LieAlgebra.from_matrices([f"b{k}" for k in range(len(mats))], mats)
+        for i in range(L.dim):
+            for j in range(L.dim):
+                assert L.c[i][j] == tuple(-x for x in L.c[j][i])
+                if i < j:
+                    comm = [[x - y for x, y in zip(p, q)]
+                            for p, q in zip(_matmul(mats[i], mats[j]), _matmul(mats[j], mats[i]))]
+                    got = [[sum(g * m[r][c] for g, m in zip(L.c[i][j], mats)) for c in range(n)]
+                           for r in range(n)]
+                    assert got == comm, (t, i, j)
+
+
 def test_random_reordered_series_invariant():
     rng = random.Random(7)
     H = catalog.heisenberg3()

@@ -12,6 +12,9 @@ body never reads: a signature change cannot leave an argument that every
 caller passes for nothing.  And no parameter of a private module-level
 function may receive one and the same literal from every call in the
 package: a value that no caller varies belongs in the body.
+
+Nor may two modules define a module-level function or class of one name:
+two jobs under one name read as one.
 """
 
 import ast
@@ -123,6 +126,18 @@ def _constant_arguments(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _shared_names(sources: dict[str, str]) -> list[str]:
+    """'name: module, module, ...' of each module-level function or class
+    name that two or more of the modules define: one name, one job."""
+    where: dict = {}
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where.setdefault(node.name, []).append(module)
+    return [f"{name}: {', '.join(modules)}" for name, modules in sorted(where.items())
+            if len(modules) > 1]
+
+
 def _library() -> dict[str, str]:
     out = {}
     for filename in sorted(os.listdir(SRC)):
@@ -193,3 +208,21 @@ def test_a_parameter_no_call_varies_is_caught():
               "_spread(*args)\n"),
     }
     assert _constant_arguments(sources) == ["a._window(lo=0)", "a._window(fill=())"]
+
+
+def test_no_two_modules_define_one_name():
+    assert _shared_names(_library()) == []
+
+
+def test_a_name_two_modules_define_is_caught():
+    sources = {
+        "a": ("def _combine(row, f, other):\n    return row\n"
+              "class Shared:\n    pass\n"
+              "def only_here():\n    pass\n"
+              "_combine = 3\n"),
+        "b": ("def _combine(terms):\n    return terms\n"
+              "class Box:\n    def only_here(self):\n        pass\n"),
+        "c": ("from .a import Shared\n"
+              "async def Shared():\n    pass\n"),
+    }
+    assert _shared_names(sources) == ["Shared: a, c", "_combine: a, b"]

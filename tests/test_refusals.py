@@ -20,10 +20,11 @@ from liecoh.lie import (
     subalgebra,
 )
 from liecoh.linalg import QMatrix, Subspace, quotient_basis
-from liecoh.pbw import ipower_bruteforce
+from liecoh.pbw import ipower_bruteforce, ipower_predicted, rees_layer_table
 from liecoh.rep import (
     Character,
     LieModule,
+    exterior_power,
     one_dim_module,
     restrict,
     submodule,
@@ -45,6 +46,13 @@ CASES = {
                      DimensionMismatchError, "bracket pair (1, 0) must satisfy"),
     "matrix labels": (lambda: LieAlgebra.from_matrices("ab", [[[1]]]),
                       DimensionMismatchError, "one label per matrix"),
+    "non-square matrix": (lambda: LieAlgebra.from_matrices("a", [[[1, 2]]]),
+                          DimensionMismatchError, "matrices must be square and of one size"),
+    "matrices of two sizes": (lambda: LieAlgebra.from_matrices("ab", [[[1]], [[0, 1], [0, 0]]]),
+                              DimensionMismatchError, "matrices must be square and of one size"),
+    "matrices of two square sizes": (
+        lambda: LieAlgebra.from_matrices("ab", [[[0, 1], [0, 0]], [[0] * 3] * 3]),
+        DimensionMismatchError, "matrices must be square and of one size"),
     "open span": (lambda: LieAlgebra.from_matrices("xy", [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]),
                   NotASubalgebraError, "[x, y] falls outside the span"),
     "bracket length": (lambda: bracket(H, (1, 0), (0, 1, 0)),
@@ -71,7 +79,19 @@ CASES = {
     # pbw
     "power 0": (lambda: ipower_bruteforce(H, 0, 2),
                 ValueError, "powers of the augmentation ideal start at m = 1"),
+    "predicted power 0": (lambda: ipower_predicted(H, 0, 2),
+                          ValueError, "powers of the augmentation ideal start at m = 1"),
+    "negative degree": (lambda: ipower_bruteforce(H, 2, -1),
+                        ValueError, "degrees start at r = 0, got r_max = -1"),
+    "predicted negative degree": (lambda: ipower_predicted(H, 2, -1),
+                                  ValueError, "degrees start at r = 0, got r_max = -1"),
+    "negative layer degree": (lambda: rees_layer_table(H, -1, 2),
+                              ValueError, "layers start at r = m = 0, got r_max = -1, m_max = 2"),
+    "negative layer weight": (lambda: rees_layer_table(H, 2, -1),
+                              ValueError, "layers start at r = m = 0, got r_max = 2, m_max = -1"),
     # rep
+    "negative exterior power": (lambda: exterior_power(trivial_module(A), -1),
+                                ValueError, "exterior powers start at p = 0, got p = -1"),
     "module matrices": (lambda: LieModule(A, [[[0]]]),
                         DimensionMismatchError, "one action matrix per basis element"),
     "negative module dim": (lambda: LieModule(Z, (), dim=-5),
