@@ -14,9 +14,9 @@ The differential of a p-cochain f, evaluated on a (p+1)-wedge, is
   + sum_{a<b} (-1)^(a+b) f([x_a, x_b] ^ ... x_a, x_b omitted ...)
 
 Cohomology spaces come with representative cocycles (an echelon complement
-of the coboundaries), tagged in one pivot dict per degree together with
-the coboundaries; reducing a cocycle there leaves minus its coordinates on
-the tags, so induced maps on cohomology are honest matrices.
+of the coboundaries), tagged in a pivot dict on the cocycles' leading
+columns with the coboundaries; reducing a cocycle there leaves minus its
+coordinates on the tags, so induced maps on cohomology are honest matrices.
 
 An ambient algebra acts on the complex of an ideal by
 
@@ -137,8 +137,8 @@ from .lie import LieAlgebra, Quotient, _bracket, _constants, lower_central_serie
 from .linalg import (
     QMatrix,
     Subspace,
-    _classes,
     _columns,
+    _complement,
     _dense,
     _echelon,
     _kernel,
@@ -320,8 +320,8 @@ def _grading(L: LieAlgebra, M: LieModule) -> tuple[list[int], list[int]] | None:
 class CohomologyResult:
     """Per-degree dimensions, representative cocycles, and class coordinates.
 
-    The representatives of H^q are kept as sparse rows on the weight-0 block
-    of C^q (`CochainComplex._block`), beside the pivot dict of `linalg._classes`
+    The representatives of H^q are sparse rows on the weight-0 block of C^q,
+    kept beside Z^q's int rows and the pivot dict of `linalg._complement`
     that `_classes_of` reads classes off; only API callers get dense vectors.
     """
 
@@ -329,6 +329,7 @@ class CohomologyResult:
     dims: tuple[int, ...]
     _reps: tuple[tuple[dict, ...], ...] = field(repr=False, compare=False)
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
+    _cocycles: tuple[dict, ...] = field(repr=False, compare=False)
 
     @property
     def representatives(self) -> tuple[tuple[tuple, ...], ...]:
@@ -338,7 +339,11 @@ class CohomologyResult:
 
     def _classes_of(self, q: int, rows) -> QMatrix:
         """Classes of weight-0 cocycles given as sparse rows, as matrix columns."""
-        cols = [_tag_coordinates(self._pivots[q], self.complex.space_dim(q), r) for r in rows]
+        n, zq, pivots = self.complex.space_dim(q), self._cocycles[q], self._pivots[q]
+        cols = []
+        for r in rows:
+            _tag_coordinates(zq, n, r)      # ContainmentError unless r reduces to 0 against Z^q
+            cols.append(_tag_coordinates(pivots, n, {~k: a for k, a in r.items() if k in zq}))
         return QMatrix._wrap(_transpose(cols, self.dims[q]), len(cols))
 
     def coordinates(self, q: int, m: QMatrix) -> QMatrix:
@@ -375,21 +380,25 @@ class CohomologyResult:
 def cohomology_of(cx: CochainComplex) -> CohomologyResult:
     """Cohomology of an already-built complex, from its weight-0 block.
 
-    Two sparse eliminations per degree, on the block rows and weight-0
-    coordinates of `cx._block` alone (module docstring): the canonical
-    basis of the kernel of delta_q on them, then one pivot dict
-    (`linalg._classes`) fed delta_{q-1}'s weight-0 columns as they are,
-    keeping the rows of that kernel basis that add a pivot as the
-    representatives, sparse as they come.
+    Per degree, one elimination of delta_q and one of rank delta_{q-1} rows
+    on the block rows and weight-0 coordinates of `cx._block` alone (module
+    docstring) give the greedy complement of B^q in Z^q:
+    * `linalg._kernel` leads delta_q's rows at their largest column, so its
+      solution z_f at each free column f in F is Z^q's canonical row at f;
+    * C^{q-1} is Z^{q-1} plus the e_c at delta_{q-1}'s pivot columns c, so
+      the rank-many delta_{q-1} e_c span B^q;
+    * restricting to F maps Z^q onto Q^F, z_f to a multiple of e_f, so z_f
+      is kept, as z_f / z_f[f], when f is the largest column of no vector
+      of B^q on F: one elimination there finds them (`linalg._complement`).
     """
     zero, rows = cx._block
-    classes = []
-    coboundaries = ()
+    classes, coboundaries = [], ()
     for q in range(cx.top_degree + 1):
-        classes.append(_classes(coboundaries, _kernel(rows[q].values(), zero[q], cx.space_dim(q))))
-        coboundaries = _columns(rows[q]).values()
-    pivots, reps = zip(*classes)
-    return CohomologyResult(cx, tuple(map(len, reps)), tuple(map(tuple, reps)), pivots)
+        z = _kernel(rows[q].values(), zero[q], cx.space_dim(q))
+        classes.append((*_complement(coboundaries, z), z._rows))
+        coboundaries = [col for c, col in _columns(rows[q]).items() if c not in z._rows]
+    pivots, reps, cocycles = zip(*classes)
+    return CohomologyResult(cx, tuple(map(len, reps)), tuple(map(tuple, reps)), pivots, cocycles)
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:

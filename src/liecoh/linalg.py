@@ -23,11 +23,11 @@ Conventions
   sparse engine on Python-int rows, fraction-free in the manner of
   Bareiss (Math. Comp. 1968):
   - The engine (`_reduce`, `_insert`, `_echelon`, `_kernel`, `_span`,
-    `_classes`) reads {key: int} rows alone.  Fractions enter at the
-    boundary: `rank`, `rref`, `rref_transform`, `kernel`, `image`,
-    `Subspace` and `_tag_coordinates` make each row they are given
-    d * row once (`_ints`), d the lcm of its denominators.  The rows of
-    `cohomology` and `pbw` are ints already and go in as they are.
+    `_classes`, `_complement`) reads {key: int} rows alone.  Fractions
+    enter at the boundary: `rank`, `rref`, `rref_transform`, `kernel`,
+    `image`, `Subspace` and `_tag_coordinates` make each row they are
+    given d * row once (`_ints`), d the lcm of its denominators.  The rows
+    of `cohomology` and `pbw` are ints already and go in as they are.
   - The pivot dict maps each leading (smallest) key to a primitive int
     row: content 1 and positive at its lead.  A row is reduced by
     cross-multiplying with the pivot row at its lead, scaled by the two
@@ -36,8 +36,9 @@ Conventions
   - Fractions leave only at the boundary.  `_echelon`'s
     back-substitution leaves each pivot row 0 at every other pivot, so
     dividing it by its lead (`_rational`) gives the canonical reduced
-    echelon form.  `_tag_coordinates` divides by the multiplier its row
-    was scaled by.
+    echelon form; `_kernel` eliminates on keys ~k, leads at the largest,
+    so the solutions it reads off are canonical rows at once.
+    `_tag_coordinates` divides by the multiplier its row was scaled by.
   Quotients skip back-substitution: `_classes` tags each chosen row by a
   key past every coordinate, and reducing a vector leaves minus its
   coordinates, times that multiplier, on the tags.  Keys need only be
@@ -563,18 +564,20 @@ def kernel(m: QMatrix) -> Subspace:
 
 def _kernel(rows, cols, n: int) -> Subspace:
     """The solutions supported on the keys `cols` of the int rows' system,
-    as a subspace of Q^n; every key of the rows must be one of cols."""
-    ech = _echelon(rows)
+    as a subspace of Q^n; every key of the rows must be one of cols.  Rows
+    lead at their largest key (keys ~k), so each solution below is 0 at the
+    other free columns: made primitive, it is the canonical row at f."""
+    ech = _echelon({~k: a for k, a in row.items()} for row in rows)
     # one solution per free column f, in ints: d e_f - sum_p (d / row_p[p]) row_p[f] e_p,
     # d the lcm of the pivot entries row_p[p] over the rows with row_p[f] != 0
     at = _columns(ech)
-    basis = []
+    basis = {}
     for f in cols:
-        if f not in ech:
-            col = at.get(f, {})
+        if ~f not in ech:
+            col = at.get(~f, {})
             d = lcm(*[ech[p][p] for p in col])
-            basis.append({f: d, **{p: -a * (d // ech[p][p]) for p, a in col.items()}})
-    return _span(n, basis)
+            basis[f] = _primitive({f: d, **{~p: -a * (d // ech[p][p]) for p, a in col.items()}}, f)
+    return _echelon_space(n, basis)
 
 
 def image(m: QMatrix) -> Subspace:
@@ -604,6 +607,23 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
     # the pivots span small + big, which is big exactly when small <= big
     if len(pivots) != big.dim:
         raise ContainmentError("small subspace is not contained in the big one")
+    return pivots, chosen
+
+
+def _complement(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
+    """The rows `_classes(small_rows, big)` keeps, for span(small rows) <= big,
+    from the small rows on big's pivot columns F alone, f keyed ~f: big's row
+    z_f is kept when no pivot leads at ~f (`cohomology.cohomology_of`), and
+    tagged at n + i.  The pivots read a vector of big off its entries on F."""
+    n, rows = big.ambient_dim, big._rows
+    pivots: dict = {}
+    for row in small_rows:
+        _insert(pivots, {~k: a for k, a in row.items() if k in rows})
+    chosen = []
+    for f, row in rows.items():
+        if ~f not in pivots:
+            pivots[~f] = {~f: 1, n + len(chosen): 1}
+            chosen.append(_rational(row, f))
     return pivots, chosen
 
 

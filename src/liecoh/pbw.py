@@ -555,7 +555,7 @@ def ipower_checks(L: LieAlgebra, table: ReesLayerTable) -> tuple[bool, ...]:
     m = 1..table.m_max and r = table.r_max, from one brute-force pass and the
     adapted order and weights of `table = rees_layer_table(L, r, m_max)`."""
     r_max, nu = table.r_max, table.nu
-    brute = _ipower_pass(L, table.order, nu, 1, table.m_max, r_max)
+    brute = _ipower_pass(L, table.order, nu, 1, table.m_max, r_max) if table.m_max else ()
     return tuple(b == _weight_span(L.dim, nu, m, r_max) for m, b in enumerate(brute, 1))
 
 

@@ -536,6 +536,13 @@ def test_check_and_rees_build_one_lower_central_series(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_rees_refuses_a_max_weight_of_zero():
+    # the library answers () for m_max = 0 (`pbw.ipower_checks`); the command refuses it
+    proc = run_cli("rees", "heisenberg3", "--max-filtration", "2", "--max-weight", "0",
+                   "--verify-pbw", expect=2)
+    assert proc.stdout == "" and "--max-weight must be positive" in proc.stderr
+
+
 def test_rees_refuses_a_layer_table_past_the_cap():
     # (R + 1)(M + 1) cells; abelian1 with R = 1, M = 900 (1802 cells) still runs above
     proc = run_cli("rees", "heisenberg3", "--max-filtration", "1",

@@ -691,6 +691,15 @@ def _assert_split_matches_unsplit(L, M, rng, label):
             [coordinates(q, z) for z in cols], rows=result.dims[q]), (label, q)
 
 
+def test_split_matches_unsplit_on_the_benchmark_inputs():
+    # the inputs the elimination is timed on: relabelled strict_ut(5) with
+    # trivial coefficients (1024 coordinates) and strict_ut(4) with ad
+    rng = random.Random(605)
+    L5, L4 = _relabelled(catalog.strict_ut(5), rng), _relabelled(catalog.strict_ut(4), rng)
+    for L, M in ((L5, trivial_module(L5)), (L4, adjoint_module(L4))):
+        _assert_split_matches_unsplit(L, M, rng, L.labels)
+
+
 def _splits(L, M):
     cx = ce_complex(L, M)
     return any(len(z) < cx.space_dim(q) for q, z in enumerate(cx._block[0]))
@@ -1403,6 +1412,31 @@ def test_cohomology_of_makes_fractions_for_its_representatives_alone(monkeypatch
     monkeypatch.setattr(linalg, "_rational", spy)
     result = cohomology_of(cx)
     assert len(made) == sum(result.dims) > 0
+
+
+def test_cohomology_of_eliminates_each_differential_once(monkeypatch):
+    # one echelon of delta_q per degree (`_kernel`); the coboundaries go in
+    # at delta_{q-1}'s pivot columns alone (`_complement`), with no re-span
+    # of the kernel and no `_classes` pass over every column
+    L = _relabelled(catalog.strict_ut(4), random.Random(623))
+    cx = ce_complex(L, adjoint_module(L))
+    calls = []
+    real = linalg._echelon
+
+    def spy(rows):
+        calls.append(1)
+        return real(rows)
+
+    def refuse(*args):
+        raise AssertionError("cohomology_of re-eliminated a span")
+
+    for module in (linalg, cohomology_module):
+        monkeypatch.setattr(module, "_echelon", spy, raising=False)
+        monkeypatch.setattr(module, "_classes", refuse, raising=False)
+        monkeypatch.setattr(module, "_span", refuse, raising=False)
+    result = cohomology_of(cx)
+    assert 0 < len(calls) <= 2 * (cx.top_degree + 1)
+    assert len(result.dims) == cx.top_degree + 1 and sum(result.dims) > 0
 
 
 def _trace_twisted_dual(M):

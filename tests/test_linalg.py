@@ -9,8 +9,10 @@ from liecoh.linalg import (
     QMatrix,
     Subspace,
     _classes,
+    _complement,
     _insert,
     _ints,
+    _kernel,
     _reduce,
     _tag_coordinates,
     image,
@@ -377,6 +379,20 @@ def _big_rows(rng, count, n):
     return rows
 
 
+def _null_space(rows, cols):
+    """The canonical basis of {v in Q^cols : rows v = 0}: one solution per
+    free column of the oracle's RREF, put in RREF by the oracle again."""
+    expected, pivots = gauss_rref(rows)
+    nulls = []
+    for f in (f for f in range(cols) if f not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(expected, pivots):
+            v[p] = -row[f]
+        nulls.append(v)
+    return tuple(gauss_rref(nulls)[0])
+
+
 def test_engine_matches_gauss_rref_on_large_entries():
     rng = random.Random(501)
     for _ in range(60):
@@ -388,15 +404,80 @@ def test_engine_matches_gauss_rref_on_large_entries():
         assert got == pivots
         assert R.data == tuple(expected) + ((Fraction(0),) * cols,) * (m.rows - len(expected))
         assert rank(m) == len(pivots)
-        # the oracle's null space: one solution per free column, read off its RREF
-        nulls = []
-        for f in (f for f in range(cols) if f not in pivots):
-            v = [Fraction(0)] * cols
-            v[f] = Fraction(1)
-            for row, p in zip(expected, pivots):
-                v[p] = -row[f]
-            nulls.append(v)
-        assert kernel(m).basis.data == tuple(gauss_rref(nulls)[0])
+        assert kernel(m).basis.data == _null_space(rows, cols)
+
+
+def _assert_canonical_int_rows(space):
+    for lead, row in space._rows.items():
+        assert lead == min(row) and row[lead] > 0, row
+        assert all(type(a) is int for a in row.values()) and math.gcd(*row.values()) == 1, row
+
+
+def _rows_of_30_bits(rng, count, n):
+    """Rows with entries of about 30 bits, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f, g = rng.randint(-9, 9), rng.randint(-9, 9)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-2 ** 30, 2 ** 30), rng.randint(1, 2 ** 30))
+                         if rng.random() < 0.6 else Fraction(0) for _ in range(n)])
+    return rows
+
+
+def test_kernel_matches_the_oracle_null_space():
+    rng = random.Random(109)
+    cases = [_random_matrix(rng) for _ in range(200)]
+    for _ in range(12):
+        cols = rng.randint(1, 7)
+        cases.append(QMatrix(_rows_of_30_bits(rng, rng.randint(0, 7), cols), cols=cols))
+    for m in cases:
+        s = kernel(m)
+        assert s.basis.data == _null_space(m.data, m.cols), m
+        _assert_canonical_int_rows(s)
+
+
+def test_kernel_on_a_subset_of_the_keys_matches_the_oracle():
+    # as the weight-0 blocks call it: the unknowns are some keys of a larger
+    # space, in increasing order, and some of them appear in no row
+    rng = random.Random(110)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        keys = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        zero = set(rng.sample(keys, rng.randint(0, len(keys) - 1)))
+        dense = [[0 if k in zero else rng.randint(-3, 3) for k in keys]
+                 for _ in range(rng.randint(0, 6))]
+        rows = [{k: a for k, a in zip(keys, row) if a} for row in dense]
+        before = [dict(r) for r in rows]
+        s = _kernel(rows, dict.fromkeys(keys).keys(), n)
+        assert rows == before
+        assert s.ambient_dim == n and set(s.pivots()) >= zero
+        assert all(set(row) <= set(keys) for row in s._rows.values())
+        embedded = tuple(tuple(v[keys.index(k)] if k in keys else Fraction(0) for k in range(n))
+                         for v in _null_space(dense, len(keys)))
+        assert s.basis.data == embedded
+        _assert_canonical_int_rows(s)
+
+
+def test_complement_keeps_the_rows_classes_keeps():
+    # with span(small) <= big known, the elimination on big's pivot columns
+    # keeps the same rows of big as `_classes`, and its tagged pivots read the
+    # same class coordinates off a vector's entries there
+    rng = random.Random(504)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        big = kernel(QMatrix(_rows_of_30_bits(rng, rng.randint(0, n - 1), n), cols=n))
+        basis = [list(row) for row in big.basis.data]
+        small = [_ints({j: a for j, a in enumerate(_combination(rng, basis, n)) if a})[0]
+                 for _ in range(rng.randint(0, big.dim))]
+        pivots, chosen = _classes(small, big)
+        got, kept = _complement(small, big)
+        assert kept == chosen
+        z = _combination(rng, basis, n)
+        assert _tag_coordinates(got, n, {~k: a for k, a in enumerate(z) if a and k in big._rows}) \
+            == _tag_coordinates(pivots, n, {k: a for k, a in enumerate(z) if a})
 
 
 def _combination(rng, rows, n):

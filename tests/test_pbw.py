@@ -353,6 +353,16 @@ def test_single_pass_snapshots_match_separate_calls():
             assert ipower_checks(L, rees_layer_table(L, r, 4)) == (True,) * 4, (name, r)
 
 
+def test_ipower_checks_of_a_table_without_powers_is_empty():
+    # rees_layer_table accepts m_max = 0; its powers m = 1..0 are none
+    H = catalog.heisenberg3()
+    table = rees_layer_table(H, 2, 0)
+    assert table.m_max == 0
+    assert ipower_checks(H, table) == ()
+    with pytest.raises(ValueError):
+        _ipower_pass(H, table.order, table.nu, 1, 0, 2)
+
+
 def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
     rng = random.Random(34)
     for name, r, m_max in (("strict-ut4", 2, 3), ("h5", 4, 4), ("filiform5", 2, 4)):
