@@ -47,6 +47,7 @@ REPRESENTATIVE_ENTRY_CAP = 10 ** 6     # dense entries `cohomology` prints
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+BROKEN_PIPE = 128 + 13          # as a shell reports a process killed by SIGPIPE
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -450,9 +451,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit status.  When the reader of stdout has gone
+    (`... | head -1`), stdout is pointed at the null device, so that the
+    flush at exit writes nowhere, and BROKEN_PIPE is returned (the Python
+    documentation's note on SIGPIPE)."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):      # no file behind stdout
+            return BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return BROKEN_PIPE
     except CommandError as exc:
         _human(f"error: {exc}")
         return USAGE_ERROR

@@ -14,9 +14,10 @@ The differential of a p-cochain f, evaluated on a (p+1)-wedge, is
   + sum_{a<b} (-1)^(a+b) f([x_a, x_b] ^ ... x_a, x_b omitted ...)
 
 Cohomology spaces come with representative cocycles (an echelon complement
-of the coboundaries), tagged in a pivot dict on the cocycles' leading
-columns with the coboundaries; reducing a cocycle there leaves minus its
-coordinates on the tags, so induced maps on cohomology are honest matrices.
+of the coboundaries), tagged in a pivot dict on the free columns of the
+differential with the coboundaries; reducing a cocycle's entries there
+leaves minus its coordinates on the tags, so induced maps on cohomology
+are honest matrices.
 
 An ambient algebra acts on the complex of an ideal by
 
@@ -74,16 +75,20 @@ eliminates the block, and nothing it returns depends on which such x
 was used:
 * the canonical basis of a kernel that is a direct sum over disjoint
   coordinate blocks is the union of the blocks' canonical bases, so the
-  weight-0 rows of Z^q's basis are the canonical basis of the kernel of
-  delta_q on the weight-0 columns;
+  weight-0 rows of Z^q's basis are the canonical rows z_f of the kernel
+  of delta_q on the weight-0 columns, one at each free column f there;
 * the greedy complement keeps a row of Z^q when it is not in the span
   of B^q and the rows kept before it.  That span is a direct sum over
   the blocks, so the test sees the row's own block only.  Blocks of
   nonzero weight have Z = B and keep nothing.
 So the representatives, their order and their tags are the ones the
-unsplit elimination would give.  A cocycle's components of nonzero
-weight are cocycles there, hence coboundaries, so its class is that of
-its weight-0 component (`CohomologyResult.coordinates`).  Inflation
+unsplit elimination would give; the test needs only the free column f
+of each row, so z_f is solved for the kept f alone, and no basis of Z^q
+is made.  delta_q maps the block into the block, so a weight-0 cochain
+is a cocycle exactly when delta_q's block columns take it to 0.  A
+cocycle's components of nonzero weight are cocycles there, hence
+coboundaries, so its class is that of its weight-0 component
+(`CohomologyResult.coordinates`).  Inflation
 lands in the weight-0 block (`inflation_map`).  An ambient x acting on
 the complex of a graded ideal may move weights; `_action_operator`
 builds P_0 theta_x iota_0, a chain map as the projection P_0 commutes
@@ -141,9 +146,12 @@ from .linalg import (
     _complement,
     _dense,
     _echelon,
+    _eliminated,
     _kernel,
     _product,
+    _rational,
     _scaled,
+    _solutions,
     _sparse,
     _tag_coordinates,
     _transpose,
@@ -184,15 +192,17 @@ class CochainComplex:
     weight-0 coordinates of C^q, q = 0..dim + 1, as a range or dict keys
     in increasing order, and rows[q] the int rows {row: {column: int}} of
     D * delta_q at zero[q + 1], q = 0..dim, the form every chain map takes
-    (module docstring).  `delta(p)`, C^p -> C^{p+1}, is one degree of the
-    whole differential, built on first use, for callers; `deltas` is all.
+    (module docstring).  `_places` holds the place of every wedge listed
+    there, which the action operators on the complex read as well.
+    `delta(p)`, C^p -> C^{p+1}, is one degree of the whole differential,
+    built on first use, for callers; `deltas` is all.
     """
 
     def __init__(self, L: LieAlgebra, M: LieModule, terms: list, D: int, weights):
         self.algebra, self.coeff = L, M
         n, m = L.dim, M.dim
-        zero = _weight_zero(n, m, weights)
-        rows = _operators(terms, n, m, {q: zero[q + 1] for q in range(n)}, weights)
+        zero, self._places = _weight_zero(n, m, weights)
+        rows = _operators(terms, n, m, {q: zero[q + 1] for q in range(n)}, self._places, weights)
         self._block = (zero, rows + [{}])
         self._terms = (terms, D)
         self._weights = weights
@@ -321,15 +331,17 @@ class CohomologyResult:
     """Per-degree dimensions, representative cocycles, and class coordinates.
 
     The representatives of H^q are sparse rows on the weight-0 block of C^q,
-    kept beside Z^q's int rows and the pivot dict of `linalg._complement`
-    that `_classes_of` reads classes off; only API callers get dense vectors.
+    kept beside the pivot dict of `linalg._complement` that `_classes_of`
+    reads classes off and the columns {column: {row: int}} of D * delta_q
+    on the block, which refuse a cochain that is no cocycle.  No basis of
+    Z^q is kept; only API callers get dense vectors.
     """
 
     complex: CochainComplex
     dims: tuple[int, ...]
     _reps: tuple[tuple[dict, ...], ...] = field(repr=False, compare=False)
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
-    _cocycles: tuple[dict, ...] = field(repr=False, compare=False)
+    _delta_columns: tuple[dict, ...] = field(repr=False, compare=False)
 
     @property
     def representatives(self) -> tuple[tuple[tuple, ...], ...]:
@@ -338,21 +350,24 @@ class CohomologyResult:
                      for q, reps in enumerate(self._reps))
 
     def _classes_of(self, q: int, rows) -> QMatrix:
-        """Classes of weight-0 cocycles given as sparse rows, as matrix columns."""
-        n, zq, pivots = self.complex.space_dim(q), self._cocycles[q], self._pivots[q]
-        cols = []
-        for r in rows:
-            _tag_coordinates(zq, n, r)      # ContainmentError unless r reduces to 0 against Z^q
-            cols.append(_tag_coordinates(pivots, n, {~k: a for k, a in r.items() if k in zq}))
+        """Classes of cocycles given as sparse rows on the weight-0 block, as
+        matrix columns; ContainmentError unless delta_q (`linalg._product` on
+        its columns) takes each row to 0.  A cocycle's class is read off its
+        entries at the free columns F of delta_q, where the pivots lead at ~f."""
+        rows, pivots = list(rows), self._pivots[q]
+        if any(_product(rows, self._delta_columns[q])):
+            raise ContainmentError("vector is not a cocycle")
+        cols = [_tag_coordinates(pivots, 0, {~k: a for k, a in r.items() if ~k in pivots})
+                for r in rows]
         return QMatrix._wrap(_transpose(cols, self.dims[q]), len(cols))
 
     def coordinates(self, q: int, m: QMatrix) -> QMatrix:
         """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles.
 
-        The weight-0 part of each column is reduced against the pivots,
-        which refuses it unless it is a cocycle.  The rest must be a
-        cocycle too, checked on the whole differential (built then, if it
-        is nonzero); it is then a coboundary, and adds nothing to the class.
+        The weight-0 part of each column must be a cocycle of the block,
+        and the rest a cocycle of the whole differential (built then, if it
+        is nonzero); the rest is then a coboundary, and adds nothing to the
+        class, which `_classes_of` reads off the weight-0 part.
         """
         if not 0 <= q <= self.complex.top_degree:
             raise DimensionMismatchError(f"degree {q} is outside 0..{self.complex.top_degree}")
@@ -363,11 +378,8 @@ class CohomologyResult:
         rest = [{} if r in zero else row for r, row in enumerate(m.entries)]
         if any(rest) and not (self.complex.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero():
             raise ContainmentError("vector is not a cocycle")
-        try:
-            return self._classes_of(q, ({k: a for k, a in col.items() if k in zero}
-                                        for col in _transpose(m.entries, m.cols)))
-        except ContainmentError:
-            raise ContainmentError("vector is not a cocycle") from None
+        return self._classes_of(q, ({k: a for k, a in col.items() if k in zero}
+                                    for col in _transpose(m.entries, m.cols)))
 
     def project(self, q: int, z) -> tuple:
         """Coordinates of the class of a cocycle z in the chosen H^q basis."""
@@ -382,23 +394,31 @@ def cohomology_of(cx: CochainComplex) -> CohomologyResult:
 
     Per degree, one elimination of delta_q and one of rank delta_{q-1} rows
     on the block rows and weight-0 coordinates of `cx._block` alone (module
-    docstring) give the greedy complement of B^q in Z^q:
-    * `linalg._kernel` leads delta_q's rows at their largest column, so its
-      solution z_f at each free column f in F is Z^q's canonical row at f;
+    docstring) give the greedy complement of B^q in Z^q, and only its rows
+    are solved for:
+    * `linalg._eliminated` leads delta_q's rows at their largest column; the
+      free columns F are those no row leads at, and Z^q's canonical row at
+      f in F is the z_f of `linalg._solutions`, 0 at every other f;
     * C^{q-1} is Z^{q-1} plus the e_c at delta_{q-1}'s pivot columns c, so
       the rank-many delta_{q-1} e_c span B^q;
     * restricting to F maps Z^q onto Q^F, z_f to a multiple of e_f, so z_f
       is kept, as z_f / z_f[f], when f is the largest column of no vector
-      of B^q on F: one elimination there finds them (`linalg._complement`).
+      of B^q on F: one elimination there finds them (`linalg._complement`),
+      and z_f is solved for those f alone.
+    delta_q's columns serve twice: at its pivot columns they are the next
+    degree's coboundaries, and all of them test a cochain for a cocycle.
     """
     zero, rows = cx._block
     classes, coboundaries = [], ()
     for q in range(cx.top_degree + 1):
-        z = _kernel(rows[q].values(), zero[q], cx.space_dim(q))
-        classes.append((*_complement(coboundaries, z), z._rows))
-        coboundaries = [col for c, col in _columns(rows[q]).items() if c not in z._rows]
-    pivots, reps, cocycles = zip(*classes)
-    return CohomologyResult(cx, tuple(map(len, reps)), tuple(map(tuple, reps)), pivots, cocycles)
+        ech = _eliminated(rows[q].values())
+        pivots, kept = _complement(coboundaries, dict.fromkeys(f for f in zero[q] if ~f not in ech))
+        reps = tuple(_rational(z, f) for f, z in _solutions(ech, kept).items())
+        columns = _columns(rows[q])
+        coboundaries = [col for c, col in columns.items() if ~c in ech]
+        classes.append((pivots, reps, columns))
+    pivots, reps, columns = zip(*classes)
+    return CohomologyResult(cx, tuple(map(len, reps)), reps, pivots, columns)
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
@@ -451,7 +471,8 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         for k, g in v:
             if lam[i] == lam[k]:
                 _term(terms, (i,), (k,), ((b, b, -_scaled(g, D)) for b in range(m)))
-    return _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])), cx._weights), D
+    return _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])), cx._places,
+                      cx._weights), D
 
 
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ...]:

@@ -22,12 +22,13 @@ Conventions
   intersections, quotient bases, subspace membership) runs through one
   sparse engine on Python-int rows, fraction-free in the manner of
   Bareiss (Math. Comp. 1968):
-  - The engine (`_reduce`, `_insert`, `_echelon`, `_kernel`, `_span`,
-    `_classes`, `_complement`) reads {key: int} rows alone.  Fractions
-    enter at the boundary: `rank`, `rref`, `rref_transform`, `kernel`,
-    `image`, `Subspace` and `_tag_coordinates` make each row they are
-    given d * row once (`_ints`), d the lcm of its denominators.  The rows
-    of `cohomology` and `pbw` are ints already and go in as they are.
+  - The engine (`_reduce`, `_insert`, `_echelon`, `_eliminated`,
+    `_solutions`, `_kernel`, `_span`, `_classes`, `_complement`) reads
+    {key: int} rows alone.  Fractions enter at the boundary: `rank`,
+    `rref`, `rref_transform`, `kernel`, `image`, `Subspace` and
+    `_tag_coordinates` make each row they are given d * row once
+    (`_ints`), d the lcm of its denominators.  The rows of `cohomology`
+    and `pbw` are ints already and go in as they are.
   - The pivot dict maps each leading (smallest) key to a primitive int
     row: content 1 and positive at its lead.  A row is reduced by
     cross-multiplying with the pivot row at its lead, scaled by the two
@@ -36,8 +37,9 @@ Conventions
   - Fractions leave only at the boundary.  `_echelon`'s
     back-substitution leaves each pivot row 0 at every other pivot, so
     dividing it by its lead (`_rational`) gives the canonical reduced
-    echelon form; `_kernel` eliminates on keys ~k, leads at the largest,
-    so the solutions it reads off are canonical rows at once.
+    echelon form; `_eliminated` eliminates on keys ~k, leads at the
+    largest, so the solutions `_solutions` reads off it, at whichever
+    free columns are asked for, are canonical rows at once.
     `_tag_coordinates` divides by the multiplier its row was scaled by.
   Quotients skip back-substitution: `_classes` tags each chosen row by a
   key past every coordinate, and reducing a vector leaves minus its
@@ -564,20 +566,36 @@ def kernel(m: QMatrix) -> Subspace:
 
 def _kernel(rows, cols, n: int) -> Subspace:
     """The solutions supported on the keys `cols` of the int rows' system,
-    as a subspace of Q^n; every key of the rows must be one of cols.  Rows
-    lead at their largest key (keys ~k), so each solution below is 0 at the
-    other free columns: made primitive, it is the canonical row at f."""
-    ech = _echelon({~k: a for k, a in row.items()} for row in rows)
-    # one solution per free column f, in ints: d e_f - sum_p (d / row_p[p]) row_p[f] e_p,
-    # d the lcm of the pivot entries row_p[p] over the rows with row_p[f] != 0
-    at = _columns(ech)
-    basis = {}
-    for f in cols:
-        if ~f not in ech:
-            col = at.get(~f, {})
-            d = lcm(*[ech[p][p] for p in col])
-            basis[f] = _primitive({f: d, **{~p: -a * (d // ech[p][p]) for p, a in col.items()}}, f)
-    return _echelon_space(n, basis)
+    as a subspace of Q^n; every key of the rows must be one of cols.  Its
+    canonical rows are the `_solutions` at the free columns of `_eliminated`."""
+    ech = _eliminated(rows)
+    return _echelon_space(n, _solutions(ech, [f for f in cols if ~f not in ech]))
+
+
+def _eliminated(rows) -> dict:
+    """`_echelon` of the nonzero int rows with each key k made ~k, so each
+    row leads at its largest key: a column f is free when no row leads at ~f."""
+    return _echelon({~k: a for k, a in row.items()} for row in rows if row)
+
+
+def _solutions(ech: dict, free) -> dict:
+    """{f: z_f} for the free columns f given of `_eliminated`'s echelon ech:
+    z_f = d e_f - sum_p (d / row_p[~p]) row_p[~f] e_p as a primitive int row,
+    d the lcm of row_p[~p] over the rows with row_p[~f] != 0.  Each row
+    leads at its largest key and is 0 at every other pivot, so z_f solves
+    the rows, is 0 at every other free column, and is positive at f, its
+    smallest key: z_f is the canonical solution row at f."""
+    at = {~f: {} for f in free}
+    for p, row in ech.items():
+        for k, a in row.items():
+            if k in at:
+                at[k][p] = a
+    out = {}
+    for f in free:
+        col = at[~f]
+        d = lcm(*[ech[p][p] for p in col])
+        out[f] = _primitive({f: d, **{~p: -a * (d // ech[p][p]) for p, a in col.items()}}, f)
+    return out
 
 
 def image(m: QMatrix) -> Subspace:
@@ -610,25 +628,28 @@ def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
     return pivots, chosen
 
 
-def _complement(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
-    """The rows `_classes(small_rows, big)` keeps, for span(small rows) <= big,
-    from the small rows on big's pivot columns F alone, f keyed ~f: big's row
-    z_f is kept when no pivot leads at ~f (`cohomology.cohomology_of`), and
-    tagged at n + i.  The pivots read a vector of big off its entries on F."""
-    n, rows = big.ambient_dim, big._rows
+def _complement(small_rows, free) -> tuple[dict, list]:
+    """The columns f of `free` whose rows `_classes(small_rows, big)` keeps,
+    for a space big that restricts onto Q^free isomorphically, its row z_f
+    to a multiple of e_f (as `_solutions` are), with span(small rows) <= big.
+
+    The small rows go in on free alone, f keyed ~f: z_f is kept when no
+    pivot leads at ~f (`cohomology.cohomology_of`), and tagged at key i, its
+    place among the kept.  The pivots then lead at every ~f, all negative,
+    and read a vector of big off its entries on free, keyed ~f, with
+    `_tag_coordinates(pivots, 0, ...)`."""
     pivots: dict = {}
     for row in small_rows:
-        _insert(pivots, {~k: a for k, a in row.items() if k in rows})
-    chosen = []
-    for f, row in rows.items():
-        if ~f not in pivots:
-            pivots[~f] = {~f: 1, n + len(chosen): 1}
-            chosen.append(_rational(row, f))
-    return pivots, chosen
+        _insert(pivots, {~k: a for k, a in row.items() if k in free})
+    kept = [f for f in free if ~f not in pivots]
+    for i, f in enumerate(kept):
+        pivots[~f] = {~f: 1, i: 1}
+    return pivots, kept
 
 
 def _tag_coordinates(pivots: dict, n: int, row: dict) -> dict:
-    """A rational row's coordinates {i: c} on the kept rows of `_classes`.
+    """A rational row's coordinates {i: c} on the kept rows of `_classes`,
+    or of `_complement` with n = 0: the rows tagged at key n + i.
 
     The row is made d * row in ints (`_ints`), and reducing that leaves
     s * d * row - (pivot rows) = t on the tags alone, so the coordinates

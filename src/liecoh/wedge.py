@@ -6,9 +6,11 @@ wedge or computes its sign:
 * the degree-p basis of an exterior power of an n-dimensional space is
   indexed by the p-subsets S of range(n), listed in the lexicographic
   order of their increasing tuples (s_0 < ... < s_{p-1});
-* a subset is held as a bitmask, bit s set for s in S, and `_rank`, the
-  one placement routine, gives its place in that order (`_Ranks` keeps
-  the places it has given, by mask);
+* a subset is held as a bitmask, bit s set for s in S, and its place in
+  that order is its index in the `combinations` listing of its size
+  (`_places` lists every wedge of some sizes so), or `_rank` of it, the
+  one routine that places a wedge alone (`_Ranks` keeps the places it
+  has given, by mask);
 * sorting e_k into a wedge S costs (-1)^(number of entries of S below
   k), the parity of the popcount of S & `_below(k)`;
 * dual wedges pair by the determinant rule, so the basis cochain labelled
@@ -27,13 +29,16 @@ whose vectors are nonzero.
 Weight blocks.  Given int weights lam of the indices and mu of an
 m-dimensional coefficient block, the coordinate (S, b) weighs mu[b]
 minus the sum of lam over S.  `_weight_zero` lists the coordinates of
-weight 0 and `_operators` builds only their rows.  Both list wedges by
-their weight (`_subsets`): the indices of weight 0 are free, and the
-others are chosen depth first (`_sums`), largest weight first, dropping
-every branch whose remaining target the unchosen weights cannot reach.
-No list of all 2^n wedges is made, and each wedge is placed alone.
-With no weights every coordinate weighs 0, and the same code runs over
-`itertools.combinations` of every index, as for the whole matrices.
+weight 0, and places each wedge it lists once; `_operators` builds only
+their rows, and reads every place it needs from that listing.  Both list
+wedges by their weight (`_subsets`): the indices of weight 0 are free,
+and the others are chosen depth first (`_sums`), largest weight first,
+dropping every branch whose remaining target the unchosen weights cannot
+reach.  No list of all 2^n wedges is made, and each listed wedge is
+placed by `_rank`.  With no weights every coordinate weighs 0, and the
+same code runs over `itertools.combinations` of every index, as for the
+whole matrices: that listing is in lexicographic order, so a wedge's
+index there is its place, and none is ranked.
 """
 
 from fractions import Fraction
@@ -121,25 +126,39 @@ def _subsets(values, size: int, target: int, avoid: int, memo: dict):
             for rest in map(sum, combinations(free, size - a)) for mask in masks)
 
 
-def _weight_zero(n: int, m: int, weights) -> list:
+def _places(n: int, sizes) -> dict:
+    """{S: place} for every wedge S of range(n) of the sizes given: its index
+    in the `combinations` listing of its size, which is lexicographic."""
+    bits = [1 << i for i in range(n)]
+    return {S: i for p in sizes for i, S in enumerate(map(sum, combinations(bits, p)))}
+
+
+def _weight_zero(n: int, m: int, weights) -> tuple[list, dict]:
     """The weight-0 coordinates (S, b) of each degree 0..n + 1, as their
-    positions (place of S) * m + b: a range when weights is None (every
-    coordinate), else a dict keyed by them in increasing order.  weights
-    is (lam, mu)."""
+    positions (place of S) * m + b, and the place of every wedge S listed,
+    {S: place}.  weights is (lam, mu), or None for every coordinate.
+
+    With weights the coordinates of a degree are dict keys in increasing
+    order, and each wedge listed is placed by `_rank`.  With none they are
+    a range, and every wedge is listed by `combinations`, whose order is
+    the lexicographic one: its index there is its place, and nothing is
+    ranked.
+    """
     if weights is None:
-        return [range(comb(n, p) * m) for p in range(n + 2)]
+        return [range(comb(n, p) * m) for p in range(n + 2)], _places(n, range(n + 1))
     lam, mu = weights
     memo: dict = {}
+    places = {}
     out = []
     for p in range(n + 2):
         coords = []
         for v in set(mu):
             bs = [b for b, u in enumerate(mu) if u == v]
             for S in _subsets(lam, p, v, 0, memo):
-                base = _rank(n, S) * m
-                coords += [base + b for b in bs]
+                places[S] = i = _rank(n, S)
+                coords += [i * m + b for b in bs]
         out.append(dict.fromkeys(sorted(coords)))
-    return out
+    return out, places
 
 
 def _below(k: int) -> int:
@@ -194,7 +213,8 @@ def _by_target(terms: list, lam, mu) -> dict:
     return parts
 
 
-def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[dict]:
+def _operators(terms: list, n: int, m: int, rows: dict, places: dict,
+               weights=None) -> list[dict]:
     """The rows of D times the matrices of the list of `_term` terms, one out
     of each degree q in rows, as {row: {column: int}} dicts over rows[q].
 
@@ -206,6 +226,8 @@ def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[di
     row (R | row bits, beta), column (R | column bits, b).  The entries v
     are D times the rational ones, and the rows returned hold their int sums.
 
+    Every wedge is placed by places, from `_weight_zero` of the same
+    weights, which places each wedge that an entry's row or column can be.
     With weights (lam, mu), rows[q] must be the weight-0 rows of
     `_weight_zero`, and only the R that place an entry there are visited:
     those whose lam sums to mu[beta] minus lam over the row bits.  An entry
@@ -215,7 +237,6 @@ def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[di
     """
     lam, mu = weights or ((0,) * n, (0,) * m)
     parts = _by_target(terms, lam, mu)
-    pos = _Ranks(n)
     memo: dict = {}
     mats = []
     for q, keys in rows.items():
@@ -225,8 +246,8 @@ def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[di
                 continue
             for R in _subsets(lam, q - c, t, forbid, memo):
                 for row_bits, col_bits, sign_mask, blocks in part:
-                    rbase = pos[R | row_bits] * m
-                    cbase = pos[R | col_bits] * m
+                    rbase = places[R | row_bits] * m
+                    cbase = places[R | col_bits] * m
                     for beta, b, v in blocks[(R & sign_mask).bit_count() & 1]:
                         row = out[rbase + beta]
                         key = cbase + b
@@ -238,7 +259,8 @@ def _operators(terms: list, n: int, m: int, rows: dict, weights=None) -> list[di
 def _matrices(terms: list, n: int, m: int, D: int, q: int, shift: int) -> QMatrix:
     """The whole matrix of `_operators` out of degree q, into degree q + shift,
     as a `QMatrix`: each distinct int sum becomes one Fraction over D here."""
-    rows = _operators(terms, n, m, {q: range(comb(n, q + shift) * m)})[0]
+    rows = _operators(terms, n, m, {q: range(comb(n, q + shift) * m)},
+                      _places(n, {q, q + shift}))[0]
     value = {a: Fraction(a, D) for row in rows.values() for a in row.values()}
     return QMatrix._wrap(({k: value[a] for k, a in row.items()} for row in rows.values()),
                          comb(n, q) * m)

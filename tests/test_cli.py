@@ -454,6 +454,22 @@ def test_an_unreadable_input_path_is_refused_in_one_line(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path}: cannot read it ("), argv
 
 
+def test_a_reader_gone_from_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE every time, as `| head -1` does only by timing
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liecoh", "cohomology", "ut3"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_rees_command_heisenberg():
     proc = run_cli("rees", "heisenberg3", "--max-filtration", "4",
                    "--max-weight", "4", "--verify-pbw")

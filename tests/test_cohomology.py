@@ -55,6 +55,7 @@ from oracles import (
     ce_matrix,
     det_permutation,
     gauss_rank,
+    gauss_rref,
     mask_positions,
     relabel,
     rep_columns,
@@ -241,6 +242,55 @@ def test_mask_positions_match_subset_index():
             # subset alone where the enumeration does
             assert all(_rank(n, mask) == i for mask, i in enumerate(pos)
                        if mask.bit_count() == p)
+
+
+def test_weight_zero_places_each_listed_wedge_where_the_listing_does():
+    # with weights, the wedges of each weight mu[b] are listed and placed by
+    # `_rank`; without, every wedge is listed by `combinations`, and its index
+    # there is its place.  Both agree with the oracle's own listing
+    rng = random.Random(631)
+    for n in range(9):
+        pos = mask_positions(n, range(n + 1))
+        for trial in range(6):
+            m = rng.randint(1, 3)
+            weights = None if trial == 0 else ([rng.randint(-2, 2) for _ in range(n)],
+                                               [rng.randint(-2, 2) for _ in range(m)])
+            zero, places = wedge._weight_zero(n, m, weights)
+            lam, mu = weights or ((0,) * n, (0,) * m)
+            weigh = [sum(lam[i] for i in range(n) if S >> i & 1) for S in range(1 << n)]
+            listed = [S for S in range(1 << n) if weigh[S] in mu]
+            assert sorted(places) == listed, (n, weights)
+            assert all(places[S] == pos[S] == _rank(n, S) for S in listed), (n, weights)
+            assert [list(z) for z in zero] == [
+                sorted(pos[S] * m + b for S in listed if S.bit_count() == p
+                       for b in range(m) if mu[b] == weigh[S]) for p in range(n + 2)]
+
+
+def test_builds_place_each_wedge_once_and_rank_none_without_a_grading(monkeypatch):
+    calls = []
+    real = wedge._rank
+
+    def spy(n, mask):
+        calls.append((n, mask))
+        return real(n, mask)
+
+    monkeypatch.setattr(wedge, "_rank", spy)
+    # nilpotent, so no grading: 1,024 wedges listed by `combinations`
+    L = _relabelled(catalog.strict_ut(5), random.Random(632))
+    assert _grading(L, trivial_module(L)) is None
+    assert sum(cohomology(L, trivial_module(L)).dims) == 120
+    assert calls == []
+    # graded: the builder ranks each weight-0 wedge once, and the action
+    # operators on its complex read the same places
+    U = _relabelled(catalog.ut(4), random.Random(633))
+    cx = ce_complex(U, trivial_module(U))
+    assert cx._weights is not None
+    assert sorted(calls) == sorted((U.dim, S) for S in cx._places)
+    calls.clear()
+    x = tuple(Fraction(k) for k in range(1, U.dim + 1))
+    ops, _ = cohomology_module._action_operator(cx, U, Subspace.full(U.dim),
+                                                trivial_module(U), x)
+    assert any(ops) and calls == []
 
 
 # --- cohomology ----------------------------------------------------------
@@ -872,8 +922,8 @@ def test_check_builds_no_row_of_the_algebra_complex_outside_weight_zero(monkeypa
     built = []
     real = wedge._operators
 
-    def spy(groups, dim, m, rows, weights=None):
-        out = real(groups, dim, m, rows, weights)
+    def spy(groups, dim, m, rows, *rest):
+        out = real(groups, dim, m, rows, *rest)
         if dim == n:
             built.extend((q + 1, r) for q, r_rows in zip(rows, out) for r in r_rows)
         return out
@@ -1398,8 +1448,8 @@ def test_the_engine_receives_int_rows_alone(monkeypatch):
 
 
 def test_cohomology_of_makes_fractions_for_its_representatives_alone(monkeypatch):
-    # the kernels it eliminates stay int rows; only the rows `_classes`
-    # keeps become Fraction rows
+    # the echelons it eliminates stay int rows; only the solutions at the
+    # columns `_complement` keeps become Fraction rows
     L = _relabelled(catalog.strict_ut(4), random.Random(622))
     cx = ce_complex(L, adjoint_module(L))
     made = []
@@ -1409,7 +1459,8 @@ def test_cohomology_of_makes_fractions_for_its_representatives_alone(monkeypatch
         made.append(lead)
         return real(row, lead)
 
-    monkeypatch.setattr(linalg, "_rational", spy)
+    for module in (linalg, cohomology_module):
+        monkeypatch.setattr(module, "_rational", spy)
     result = cohomology_of(cx)
     assert len(made) == sum(result.dims) > 0
 
@@ -1437,6 +1488,88 @@ def test_cohomology_of_eliminates_each_differential_once(monkeypatch):
     result = cohomology_of(cx)
     assert 0 < len(calls) <= 2 * (cx.top_degree + 1)
     assert len(result.dims) == cx.top_degree + 1 and sum(result.dims) > 0
+
+
+def test_cohomology_of_solves_for_the_classes_alone(monkeypatch):
+    # one canonical cocycle per class: 120 of the 572 rows of Z^q's basis on
+    # relabelled strict_ut(5), 76 of the 230 on strict_ut(4) with ad
+    rng = random.Random(624)
+    L5, L4 = _relabelled(catalog.strict_ut(5), rng), _relabelled(catalog.strict_ut(4), rng)
+    solved = []
+    real = linalg._solutions
+
+    def spy(ech, free):
+        out = real(ech, free)
+        solved.append(len(out))
+        return out
+
+    for module in (linalg, cohomology_module):
+        monkeypatch.setattr(module, "_solutions", spy)
+    for L, M, classes, cocycles in ((L5, trivial_module(L5), 120, 572),
+                                    (L4, adjoint_module(L4), 76, 230)):
+        cx = ce_complex(L, M)
+        solved.clear()
+        result = cohomology_of(cx)
+        assert sum(solved) == sum(result.dims) == classes, L.labels
+        assert sum(kernel(cx.delta(q)).dim for q in range(L.dim + 1)) == cocycles
+
+
+def _free_columns(cx, q):
+    """The weight-0 columns f at which delta_q's block has no pivot when it
+    is eliminated from its largest column down: those whose column of the
+    whole differential lies in the span of the block columns after f."""
+    block = list(cx._block[0][q])[::-1]
+    d = cx.delta(q)
+    _, pivots = gauss_rref([[row[c] for c in block] for row in d.data])
+    return sorted(set(block) - {block[i] for i in pivots})
+
+
+def test_coordinates_refuse_a_weight_zero_vector_exactly_off_the_cocycles():
+    # the refusal against the whole differential, on cocycles, coboundaries and
+    # cocycles moved at one coordinate; moved off the free columns, a vector
+    # keeps the entries there of a cocycle, so only its delta tells it apart
+    rng = random.Random(635)
+    cases = [(_relabelled(catalog.ut(3), rng), trivial_module),
+             (_relabelled(catalog.ut(3), rng), adjoint_module),
+             (_relabelled(catalog.strict_ut(4), rng), adjoint_module),
+             (catalog.sl2(), adjoint_module)]
+    seen = {"cocycle": 0, "refused": 0, "look-alike": 0}
+    for L, make in cases:
+        cx = ce_complex(L, make(L))
+        result = cohomology_of(cx)
+        zero = cx._block[0]
+        for q in range(L.dim + 1):
+            free = _free_columns(cx, q)
+            bound = [c for c in zero[q] if c not in free]
+            d, prev = cx.delta(q), cx.delta(q - 1)
+            for _ in range(12):
+                w = [Fraction(rng.randint(-2, 2)) if t in zero[q - 1] else Fraction(0)
+                     for t in range(prev.cols)]
+                z = list(prev.apply(w))
+                c = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in result._reps[q]]
+                for ci, rep in zip(c, result.representatives[q]):
+                    z = [a + ci * b for a, b in zip(z, rep)]
+                kind = rng.choice(("cocycle", "look-alike", "moved"))
+                if kind == "look-alike" and bound:
+                    z[rng.choice(bound)] += rng.choice((-2, -1, 1, 3))
+                elif kind == "moved" and zero[q]:
+                    z[rng.choice(list(zero[q]))] += rng.choice((-2, -1, 1, 3))
+                else:
+                    kind = "cocycle"
+                if any(d.apply(z)):
+                    with pytest.raises(ContainmentError, match="vector is not a cocycle"):
+                        result.project(q, z)
+                    with pytest.raises(ContainmentError, match="vector is not a cocycle"):
+                        result.coordinates(q, QMatrix.from_columns([z]))
+                    seen["refused"] += 1
+                    seen["look-alike"] += kind == "look-alike"
+                else:
+                    assert kind != "look-alike"
+                    got = result.project(q, z)
+                    if kind == "cocycle":
+                        assert got == tuple(c), (L.labels, q)
+                        seen["cocycle"] += 1
+    assert seen["cocycle"] > 100 and seen["refused"] > 80 and seen["look-alike"] > 40, seen
 
 
 def _trace_twisted_dual(M):

@@ -13,6 +13,7 @@ from liecoh.linalg import (
     _insert,
     _ints,
     _kernel,
+    _rational,
     _reduce,
     _tag_coordinates,
     image,
@@ -463,8 +464,8 @@ def test_kernel_on_a_subset_of_the_keys_matches_the_oracle():
 
 def test_complement_keeps_the_rows_classes_keeps():
     # with span(small) <= big known, the elimination on big's pivot columns
-    # keeps the same rows of big as `_classes`, and its tagged pivots read the
-    # same class coordinates off a vector's entries there
+    # keeps the columns of the same rows of big as `_classes`, and its tagged
+    # pivots read the same class coordinates off a vector's entries there
     rng = random.Random(504)
     for _ in range(60):
         n = rng.randint(1, 7)
@@ -473,10 +474,11 @@ def test_complement_keeps_the_rows_classes_keeps():
         small = [_ints({j: a for j, a in enumerate(_combination(rng, basis, n)) if a})[0]
                  for _ in range(rng.randint(0, big.dim))]
         pivots, chosen = _classes(small, big)
-        got, kept = _complement(small, big)
-        assert kept == chosen
+        got, kept = _complement(small, big._rows.keys())
+        assert [_rational(big._rows[f], f) for f in kept] == chosen
+        assert sorted(~k for k in got) == list(big._rows)
         z = _combination(rng, basis, n)
-        assert _tag_coordinates(got, n, {~k: a for k, a in enumerate(z) if a and k in big._rows}) \
+        assert _tag_coordinates(got, 0, {~k: a for k, a in enumerate(z) if a and k in big._rows}) \
             == _tag_coordinates(pivots, n, {k: a for k, a in enumerate(z) if a})
 
 
