@@ -357,7 +357,7 @@ class CohomologyResult:
         rows, pivots = list(rows), self._pivots[q]
         if any(_product(rows, self._delta_columns[q])):
             raise ContainmentError("vector is not a cocycle")
-        cols = [_tag_coordinates(pivots, 0, {~k: a for k, a in r.items() if ~k in pivots})
+        cols = [_tag_coordinates(pivots, {~k: a for k, a in r.items() if ~k in pivots})
                 for r in rows]
         return QMatrix._wrap(_transpose(cols, self.dims[q]), len(cols))
 

@@ -13,10 +13,10 @@ the constants of quotients and subalgebras, and the cochain builders of
 callers outside the library.
 
 Structure constants in a new basis are read along one path too:
-`_algebra_on` reads each bracket once on the tags of a pivot dict of
-`linalg._classes`' kind.  Its bases are the input matrices of
-`from_matrices`, the lifts of `quotient` modulo the ideal, and the
-canonical basis of `subalgebra`.
+`_algebra_on` reads each bracket once on the tags of a pivot dict keyed
+as `linalg._complement` keys its own.  Its bases are the input matrices
+of `from_matrices` and the canonical basis of `subalgebra` (`_tagged`),
+and the lifts `_complement` picks for `quotient` modulo the ideal.
 
 All values are immutable and all functions are pure.
 """
@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import (
     QMatrix,
     Subspace,
-    _classes,
+    _complement,
     _dense,
     _frac,
     _insert,
@@ -132,14 +132,11 @@ class LieAlgebra:
         size = mats[0].rows if mats else 0
         if any(m.rows != size or m.cols != size for m in mats):
             raise DimensionMismatchError("matrices must be square and of one size")
-        ambient = size * size
-        # the flattened matrices, matrix s tagged 1 at key ambient + s as `_classes` tags its rows
-        pivots: dict = {}
-        for s, m in enumerate(mats):
-            _insert(pivots, _ints({**_flat(m), ambient + s: 1})[0])
-        if any(lead >= ambient for lead in pivots):
+        pivots = _tagged(map(_flat, mats))
+        # a row left on its tags alone leads at a key >= 0
+        if any(lead >= 0 for lead in pivots):
             raise NotASubalgebraError("matrices are linearly dependent")
-        return _algebra_on(labels, pivots, ambient,
+        return _algebra_on(labels, pivots,
                            lambda i, j: _flat(mats[i] * mats[j] - mats[j] * mats[i]))
 
     def bracket_matrix(self, i: int) -> QMatrix:
@@ -170,12 +167,21 @@ def _constants(L: LieAlgebra) -> tuple[int, tuple]:
     return L._table
 
 
-def _algebra_on(labels, pivots: dict, n: int, bracket) -> LieAlgebra:
-    """The algebra on the rows tagged in a pivot dict of `linalg._classes`'
-    kind: basis element i is the row tagged at key n + i.
+def _tagged(rows) -> dict:
+    """The pivots of rational rows keyed ~k, row i tagged 1 at key i: the
+    rows as the basis of a tagged pivot dict (`linalg._tag_coordinates`)."""
+    pivots: dict = {}
+    for i, row in enumerate(rows):
+        _insert(pivots, _ints({~k: a for k, a in row.items()} | {i: 1})[0])
+    return pivots
+
+
+def _algebra_on(labels, pivots: dict, bracket) -> LieAlgebra:
+    """The algebra on the basis rows of a tagged pivot dict: coordinate k
+    keyed ~k, and basis element i the row tagged at key i.
 
     bracket(i, j) is the rational row of [x_i, x_j] in the ambient
-    coordinates (keys below n), and is read once for each pair i < j on the
+    coordinates, keyed k, and is read once for each pair i < j on the
     tags (`_tag_coordinates`).  It serves three bases: the input matrices
     of `from_matrices`, the lifts of `quotient` (modulo the ideal's
     untagged rows) and the canonical basis of `subalgebra`.  Raises
@@ -184,7 +190,7 @@ def _algebra_on(labels, pivots: dict, n: int, bracket) -> LieAlgebra:
     brackets = {}
     for i, j in combinations(range(len(labels)), 2):
         try:
-            coords = _tag_coordinates(pivots, n, bracket(i, j))
+            coords = _tag_coordinates(pivots, {~k: a for k, a in bracket(i, j).items()})
         except ContainmentError:
             raise NotASubalgebraError(
                 f"[{labels[i]}, {labels[j]}] falls outside the span") from None
@@ -192,16 +198,11 @@ def _algebra_on(labels, pivots: dict, n: int, bracket) -> LieAlgebra:
     return LieAlgebra.from_brackets(labels, brackets)
 
 
-def _on_classes(L: LieAlgebra, small_rows, big: Subspace, suffix: str):
-    """(pivots, chosen, algebra) of `_classes(small_rows, big)`: the algebra
-    carried by the chosen rows of big modulo the small rows, each labelled
-    by the label at its pivot plus `suffix`."""
-    pivots, chosen = _classes(small_rows, big)
+def _brackets_of(L: LieAlgebra, rows):
+    """bracket(i, j) for `_algebra_on`: [rows[i], rows[j]] of sparse
+    rational rows, through the int constants of `_constants`."""
     D, table = _constants(L)
-    labels = [L.labels[min(row)] + suffix for row in chosen]
-    algebra = _algebra_on(labels, pivots, L.dim, lambda i, j: {
-        k: x / D for k, x in _bracket(table, chosen[i], chosen[j]).items()})
-    return pivots, chosen, algebra
+    return lambda i, j: {k: x / D for k, x in _bracket(table, rows[i], rows[j]).items()}
 
 
 @dataclass(frozen=True)
@@ -386,18 +387,21 @@ class Quotient:
 def quotient(L: LieAlgebra, ideal: Subspace) -> Quotient:
     """Structure constants of L/ideal in a lifted basis.
 
-    Quotient basis labels carry a ``_bar`` suffix of the lifted elements'
-    labels.  Raises NotAnIdealError when the subspace is not an ideal.
+    The lifts are the e_f at the columns f that lead no row of the ideal
+    when its rows lead at their largest column (`linalg._complement`).
+    Their labels carry a ``_bar`` suffix.  Raises NotAnIdealError when
+    the subspace is not an ideal.
     """
     if not is_ideal(L, ideal):
         raise NotAnIdealError("quotient requires a bracket-stable ideal")
     n = L.dim
-    pivots, chosen, algebra = _on_classes(L, ideal._rows.values(), Subspace.full(n), "_bar")
-    q = len(chosen)
+    pivots, kept = _complement(ideal._rows.values(), range(n))
+    lifts = [{f: Fraction(1)} for f in kept]
+    algebra = _algebra_on([L.labels[f] + "_bar" for f in kept], pivots, _brackets_of(L, lifts))
     # column j of the projection: the coordinates of e_j on the lifts, mod the ideal
     projection = QMatrix._wrap(
-        _transpose([_tag_coordinates(pivots, n, {j: Fraction(1)}) for j in range(n)], q), n)
-    return Quotient(algebra, projection, QMatrix._wrap(_transpose(chosen, n), q))
+        _transpose([_tag_coordinates(pivots, {~j: 1}) for j in range(n)], len(kept)), n)
+    return Quotient(algebra, projection, QMatrix._wrap(_transpose(lifts, n), len(kept)))
 
 
 def nil_quotient(L: LieAlgebra) -> Quotient:
@@ -415,7 +419,9 @@ def subalgebra(L: LieAlgebra, sub: Subspace) -> tuple[LieAlgebra, QMatrix]:
     """
     if sub.ambient_dim != L.dim:
         raise DimensionMismatchError("subspace has wrong ambient dimension")
-    return _on_classes(L, (), sub, "")[2], sub.basis.transpose()
+    rows = sub.basis.entries
+    algebra = _algebra_on([L.labels[p] for p in sub._rows], _tagged(rows), _brackets_of(L, rows))
+    return algebra, sub.basis.transpose()
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ Conventions
   sparse engine on Python-int rows, fraction-free in the manner of
   Bareiss (Math. Comp. 1968):
   - The engine (`_reduce`, `_insert`, `_echelon`, `_eliminated`,
-    `_solutions`, `_kernel`, `_span`, `_classes`, `_complement`) reads
+    `_solutions`, `_kernel`, `_span`, `_complement`) reads
     {key: int} rows alone.  Fractions enter at the boundary: `rank`,
     `rref`, `rref_transform`, `kernel`, `image`, `Subspace` and
     `_tag_coordinates` make each row they are given d * row once
@@ -41,12 +41,14 @@ Conventions
     largest, so the solutions `_solutions` reads off it, at whichever
     free columns are asked for, are canonical rows at once.
     `_tag_coordinates` divides by the multiplier its row was scaled by.
-  Quotients skip back-substitution: `_classes` tags each chosen row by a
-  key past every coordinate, and reducing a vector leaves minus its
-  coordinates, times that multiplier, on the tags.  Keys need only be
-  comparable, so `pbw` runs the same engine on monomial rows.  Matrix
-  rows feed the engine directly, without a dense round-trip, and the
-  engine never changes the rows it is given.  The test suite checks it
+  Quotients skip back-substitution: a tagged pivot dict keys coordinate
+  k as ~k and tags its basis row i at key i >= 0, past every coordinate,
+  and reducing a vector leaves minus its coordinates, times that
+  multiplier, on the tags (`_complement`, `_tag_coordinates`; `lie`
+  tags its new bases the same way).  Keys need only be comparable, so
+  `pbw` runs the same engine on monomial rows.  Matrix rows feed the
+  engine directly, without a dense round-trip, and the engine never
+  changes the rows it is given.  The test suite checks it
   against the independent Fraction elimination in `tests/oracles.py`.
 """
 
@@ -176,6 +178,9 @@ class QMatrix:
         return self.entries[i].get(j % self.cols, _ZERO)
 
     def column(self, j: int) -> tuple:
+        if not -self.cols <= j < self.cols:
+            raise IndexError("column index out of range")
+        j %= self.cols
         return tuple(row.get(j, _ZERO) for row in self.entries)
 
     def __eq__(self, other):
@@ -603,41 +608,19 @@ def image(m: QMatrix) -> Subspace:
     return _span(m.rows, _int_rows(_transpose(m.entries, m.cols)))
 
 
-def _classes(small_rows, big: Subspace) -> tuple[dict, list[dict]]:
-    """Pivots of the small int rows, then of big's basis rows that add one.
-
-    The i-th kept basis row r is inserted as d * (r, tag 1 at key
-    big.ambient_dim + i), where d * r is its int pivot row.  Returns the
-    pivots and the kept rows, as Fraction rows of big.basis made for them alone;
-    ContainmentError unless span(small rows) <= big.
-    """
-    n = big.ambient_dim
-    pivots: dict = {}
-    for row in small_rows:
-        _insert(pivots, row)
-    chosen = []
-    for p, ints in big._rows.items():
-        lead = _insert(pivots, {**ints, n + len(chosen): ints[p]})
-        if lead < n:            # the new tag survives reduction, so lead is never None
-            chosen.append(_rational(ints, p))
-        else:                   # only tags were left: the row adds no pivot
-            del pivots[lead]
-    # the pivots span small + big, which is big exactly when small <= big
-    if len(pivots) != big.dim:
-        raise ContainmentError("small subspace is not contained in the big one")
-    return pivots, chosen
-
-
 def _complement(small_rows, free) -> tuple[dict, list]:
-    """The columns f of `free` whose rows `_classes(small_rows, big)` keeps,
-    for a space big that restricts onto Q^free isomorphically, its row z_f
-    to a multiple of e_f (as `_solutions` are), with span(small rows) <= big.
+    """The greedy complement of span(small rows) in a space big that
+    restricts onto Q^free isomorphically, its row z_f to a multiple of e_f
+    (as `_solutions` and a `Subspace`'s canonical rows do), with
+    span(small rows) <= big: z_f is kept, f in increasing order, unless it
+    lies in the span of the small rows and the z_f' before it.
 
-    The small rows go in on free alone, f keyed ~f: z_f is kept when no
-    pivot leads at ~f (`cohomology.cohomology_of`), and tagged at key i, its
-    place among the kept.  The pivots then lead at every ~f, all negative,
-    and read a vector of big off its entries on free, keyed ~f, with
-    `_tag_coordinates(pivots, 0, ...)`."""
+    That is when some vector of the small rows on free has its largest
+    column at f.  So they go in on free alone, k keyed ~k, and f is kept
+    when no pivot leads at ~f.  Returns (pivots, kept); the pivots gain
+    e_f keyed ~f, tagged 1 at key i, for the i-th kept f, and read a
+    vector of big off its entries on free, keyed ~f (`_tag_coordinates`).
+    """
     pivots: dict = {}
     for row in small_rows:
         _insert(pivots, {~k: a for k, a in row.items() if k in free})
@@ -647,30 +630,31 @@ def _complement(small_rows, free) -> tuple[dict, list]:
     return pivots, kept
 
 
-def _tag_coordinates(pivots: dict, n: int, row: dict) -> dict:
-    """A rational row's coordinates {i: c} on the kept rows of `_classes`,
-    or of `_complement` with n = 0: the rows tagged at key n + i.
+def _tag_coordinates(pivots: dict, row: dict) -> dict:
+    """A rational row's coordinates {i: c} on the basis rows of a tagged
+    pivot dict: coordinate k keyed ~k, and basis row i tagged 1 at key i.
+    ContainmentError when the row is outside the span of the pivot rows.
 
-    The row is made d * row in ints (`_ints`), and reducing that leaves
-    s * d * row - (pivot rows) = t on the tags alone, so the coordinates
-    are -t / (s * d).
+    The row, keyed as the pivots are, is made d * row in ints (`_ints`),
+    and reducing that leaves s * d * row - (pivot rows) = t on the tags
+    alone, so the coordinates are -t / (s * d).
     """
     row, d = _ints(row)
     lead, row, s = _reduce(pivots, row)
-    if lead is not None and lead < n:
+    if lead is not None and lead < 0:
         raise ContainmentError("vector is outside the span of the pivot rows")
-    return {k - n: Fraction(-a, s * d) for k, a in row.items()}
+    return {k: Fraction(-a, s * d) for k, a in row.items()}
 
 
 def quotient_basis(big: Subspace, small: Subspace) -> list[tuple]:
     """Vectors of `big` whose classes form a basis of big/small.
 
-    The vectors are picked greedily from the canonical basis of `big`: a
-    row is kept when it adds a pivot to the echelon form of `small` and
-    the rows kept before it, so the result is deterministic.  Raises
-    ContainmentError unless small <= big.
+    The vectors are picked greedily from the canonical basis of `big`, in
+    pivot order: a row is kept when it is not in the span of `small` and
+    the rows before it (`_complement` on big's pivot columns), so the
+    result is deterministic.  Raises ContainmentError unless small <= big.
     """
-    if small.ambient_dim != big.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    _, chosen = _classes(small._rows.values(), big)
-    return [_dense(row, big.ambient_dim) for row in chosen]
+    if not small <= big:
+        raise ContainmentError("small subspace is not contained in the big one")
+    _, kept = _complement(small._rows.values(), big._rows)
+    return [_dense(_rational(big._rows[f], f), big.ambient_dim) for f in kept]

@@ -177,6 +177,9 @@ class UEAElement:
 
     @classmethod
     def generator(cls, n: int, i: int) -> "UEAElement":
+        """The letter f_i; ValueError unless 0 <= i < n."""
+        if not 0 <= i < n:
+            raise ValueError(f"generators are indices 0..{n - 1}, got {i}")
         return cls.monomial(n, tuple(1 if j == i else 0 for j in range(n)))
 
     def is_zero(self) -> bool:

@@ -1,7 +1,8 @@
 """Independent recomputations used by the tests.
 
-Apart from `unsplit_cohomology`, `exact_ipower_pass`, `chain_action` and the
-whole-shape helpers (`whole`, `rep_columns`, `whole_induced`), nothing here imports the library's
+Apart from `unsplit_cohomology`, `exact_ipower_pass`, `classes`,
+`tag_coordinates`, `chain_action` and the whole-shape helpers (`whole`,
+`rep_columns`, `whole_induced`), nothing here imports the library's
 cohomology or elimination code: the differential, the action of an
 ambient element on an ideal's cochains and exterior powers of a module
 are evaluated verbatim from their defining formulas with a bubble-sort
@@ -18,7 +19,11 @@ library's own engine, so the split can be held to the very same
 representatives and coordinates.  `exact_ipower_pass` is of that kind
 too: the descending brute-force pass over the exact word spans, as it ran
 before it spanned the words modulo the monomials of weight above its word
-cap, so the ceiling can be held to the very same snapshots.
+cap, so the ceiling can be held to the very same snapshots.  So is
+`classes`: the second greedy complement `linalg` kept before every caller
+went through `_complement`, on keys k with its basis rows tagged past
+every coordinate, with its own tag reader `tag_coordinates`, so the
+single routine can be held to the very same rows and coordinates.
 `chain_action` is no reference at
 all: it builds the library's own chain-level action operators, checked to
 be a chain map, for the tests that hold them to the formula.  The
@@ -333,28 +338,71 @@ def straighten(c, word, last=False):
     return {a: x for a, x in out.items() if x}
 
 
+def classes(small_rows, big):
+    """Pivots of the small int rows, then of big's basis rows that add one:
+    the greedy complement `linalg` picked before `_complement` served
+    every caller, read with `tag_coordinates`.
+
+    The i-th kept basis row r is inserted as d * (r, tag 1 at key
+    big.ambient_dim + i), where d * r is its int pivot row.  Returns the
+    pivots and the kept rows, as Fraction rows of big.basis;
+    ContainmentError unless span(small rows) <= big.
+    """
+    from liecoh.errors import ContainmentError
+    from liecoh.linalg import _insert, _rational
+
+    n = big.ambient_dim
+    pivots: dict = {}
+    for row in small_rows:
+        _insert(pivots, row)
+    chosen = []
+    for p, ints in big._rows.items():
+        lead = _insert(pivots, {**ints, n + len(chosen): ints[p]})
+        if lead < n:            # the new tag survives reduction, so lead is never None
+            chosen.append(_rational(ints, p))
+        else:                   # only tags were left: the row adds no pivot
+            del pivots[lead]
+    # the pivots span small + big, which is big exactly when small <= big
+    if len(pivots) != big.dim:
+        raise ContainmentError("small subspace is not contained in the big one")
+    return pivots, chosen
+
+
+def tag_coordinates(pivots, n, row):
+    """A rational row's coordinates {i: c} on the rows `classes` keeps, the
+    rows tagged at key n + i; ContainmentError off their span."""
+    from liecoh.errors import ContainmentError
+    from liecoh.linalg import _ints, _reduce
+
+    row, d = _ints(row)
+    lead, row, s = _reduce(pivots, row)
+    if lead is not None and lead < n:
+        raise ContainmentError("vector is outside the span of the pivot rows")
+    return {k - n: Fraction(-a, s * d) for k, a in row.items()}
+
+
 def unsplit_cohomology(cx):
     """(representatives, coordinates) of a built complex, eliminating every
     coordinate: the canonical basis of the whole kernel of delta_q, then
-    `linalg._classes` fed every column of delta_{q-1}.
+    `classes` fed every column of delta_{q-1}.
 
     representatives[q] are dense vectors; coordinates(q, v) gives the
     class of a cocycle v in their basis as a tuple of Fractions, and
     raises ContainmentError off the cocycles.
     """
-    from liecoh.linalg import _classes, _dense, _ints, _tag_coordinates, _transpose, kernel
+    from liecoh.linalg import _dense, _ints, _transpose, kernel
 
     reps_all, pivots_all = [], []
     for q in range(cx.top_degree + 1):
         prev = cx.delta(q - 1)
         columns = (_ints(col)[0] for col in _transpose(prev.entries, prev.cols))
-        pivots, reps = _classes(columns, kernel(cx.delta(q)))
+        pivots, reps = classes(columns, kernel(cx.delta(q)))
         reps_all.append(tuple(_dense(row, prev.rows) for row in reps))
         pivots_all.append(pivots)
 
     def coordinates(q, v):
         n = cx.space_dim(q)
-        c = _tag_coordinates(pivots_all[q], n, {k: Fraction(a) for k, a in enumerate(v) if a})
+        c = tag_coordinates(pivots_all[q], n, {k: Fraction(a) for k, a in enumerate(v) if a})
         return tuple(c.get(i, Fraction(0)) for i in range(len(reps_all[q])))
 
     return tuple(reps_all), coordinates

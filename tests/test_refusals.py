@@ -16,11 +16,12 @@ from liecoh.lie import (
     LieAlgebra,
     bracket,
     lower_central_series,
+    nil_quotient,
     reorder_basis,
     subalgebra,
 )
 from liecoh.linalg import QMatrix, Subspace, quotient_basis
-from liecoh.pbw import ipower_bruteforce, ipower_predicted, rees_layer_table
+from liecoh.pbw import UEAElement, ipower_bruteforce, ipower_predicted, rees_layer_table
 from liecoh.rep import (
     Character,
     LieModule,
@@ -68,6 +69,12 @@ CASES = {
                     DimensionMismatchError, "rows of unequal length"),
     "column index": (lambda: QMatrix.identity(2)[0, 2],
                      IndexError, "column index out of range"),
+    "column past the end": (lambda: QMatrix([[1, 2], [3, 4]]).column(5),
+                            IndexError, "column index out of range"),
+    "column before the start": (lambda: QMatrix([[1, 2], [3, 4]]).column(-3),
+                                IndexError, "column index out of range"),
+    "lift past the quotient": (lambda: nil_quotient(catalog.get("ut3")).lift(7),
+                               IndexError, "column index out of range"),
     "apply length": (lambda: QMatrix.identity(2).apply((1,)),
                      DimensionMismatchError, "vector of length 1 for 2x2"),
     "row length": (lambda: Subspace.from_rows(2, [(1,)]),
@@ -79,6 +86,10 @@ CASES = {
     # pbw
     "power 0": (lambda: ipower_bruteforce(H, 0, 2),
                 ValueError, "powers of the augmentation ideal start at m = 1"),
+    "generator past the end": (lambda: UEAElement.generator(3, 5),
+                               ValueError, "generators are indices 0..2, got 5"),
+    "negative generator": (lambda: UEAElement.generator(3, -1),
+                           ValueError, "generators are indices 0..2, got -1"),
     "predicted power 0": (lambda: ipower_predicted(H, 0, 2),
                           ValueError, "powers of the augmentation ideal start at m = 1"),
     "negative degree": (lambda: ipower_bruteforce(H, 2, -1),
