@@ -26,7 +26,7 @@ An ambient algebra acts on the complex of an ideal by
 
 and the inflation map pulls cochains back along the projection to the
 nilpotent quotient.  One routine, `_chain_map`, checks both to be chain
-maps before they are pushed to cohomology.
+maps where they are built, and one, `_induced`, pushes them to cohomology.
 
 Building the matrices
 ---------------------
@@ -47,8 +47,8 @@ wedge basis, {row: {column: value}} at the rows that can be nonzero.
   eliminates them as they are.  Inflation, the minors of a rational
   projection, is the one map in Fraction rows.
 * Fractions are made at the boundary alone: the representatives, the
-  class coordinates (`linalg._tag_coordinates`), each induced action
-  matrix divided once by its operator's D, and the `QMatrix`
+  class coordinates (`linalg._tag_coordinates`), each induced matrix
+  divided once by its map's D in `_induced`, and the `QMatrix`
   differentials `delta` builds for callers (`wedge._matrices`).
 
 Weight-0 blocks
@@ -95,7 +95,7 @@ builds P_0 theta_x iota_0, a chain map as the projection P_0 commutes
 with d, and for a weight-0 cocycle z, P_{!=0} theta_x z is a cocycle of
 acyclic blocks, hence a coboundary: both induce one action on H^*.
 `_chain_map` refuses entries off the blocks and compares block rows
-(`linalg._product`), and induced maps push sparse representatives through
+(`linalg._product`), and `_induced` pushes sparse representatives through
 them: the pipeline builds no whole differential and pads no map.
 
 `_grading` picks x from the linear conditions "ad x and rho(x) have no
@@ -427,10 +427,11 @@ def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
 
 
 def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
-                     M: LieModule, x) -> tuple[list[dict], int]:
+                     M: LieModule, x) -> tuple[tuple[dict, ...], int]:
     """P_0 theta_x iota_0: the ambient element x on C^p(ideal, M), p =
     0..dim(ideal), between the weight-0 coordinates of cx (module docstring),
-    as (rows, D): int rows of D times the operator, and D.
+    as (rows, D): int rows of D times the operator, checked by `_chain_map`
+    to commute with cx's differential, and D.
 
     Built like `ce_complex`'s differential, from the nonzero terms in
     ints over one common denominator D, with u the ideal's basis:
@@ -471,8 +472,8 @@ def _action_operator(cx: CochainComplex, L: LieAlgebra, ideal: Subspace,
         for k, g in v:
             if lam[i] == lam[k]:
                 _term(terms, (i,), (k,), ((b, b, -_scaled(g, D)) for b in range(m)))
-    return _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])), cx._places,
-                      cx._weights), D
+    return _chain_map(cx, cx, _operators(terms, s, m, dict(enumerate(cx._block[0][:s + 1])),
+                                         cx._places, cx._weights)), D
 
 
 def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ...]:
@@ -504,6 +505,16 @@ def _chain_map(src: CochainComplex, dst: CochainComplex, maps) -> tuple[dict, ..
     return tuple(maps)
 
 
+def _induced(src: CohomologyResult, dst: CohomologyResult, maps, D: int) -> tuple[QMatrix, ...]:
+    """The maps H^q(src) -> H^q(dst), q < len(maps), induced by the chain map
+    whose block rows maps[q] hold D times it, as `_chain_map` returns them:
+    src's representatives pushed through maps[q] (`linalg._product`), their
+    classes read by `dst._classes_of`, and each matrix divided by D.  The
+    builders check their maps; nothing is checked again here."""
+    return tuple(dst._classes_of(q, _product(src._reps[q], _columns(m))).scale(Fraction(1, D))
+                 for q, m in enumerate(maps))
+
+
 @dataclass(frozen=True)
 class ActionOnCohomology:
     """The nilpotent quotient acting on the cohomology of an ideal.
@@ -529,7 +540,7 @@ def action_on_cohomology(L: LieAlgebra, ideal: Subspace,
     Lifts of the quotient basis act through the chain-level operator;
     elements of the ideal itself induce zero, so the matrices satisfy the
     quotient's bracket relations (this is re-checked on construction).
-    Each operator is int rows of D times it: its matrix on H^q is divided by D.
+    Each operator is int rows of D times it, pushed to H^q by `_induced`.
     The ideal's complex is graded by the ideal's own `_grading`, which
     loses no class; `_page` runs the same body on the ambient weight-0 part.
     """
@@ -541,7 +552,8 @@ def _action(L: LieAlgebra, ideal: Subspace, M: LieModule, grading) -> ActionOnCo
     ideal's complex is built on its weight-0 block under that ambient x: each
     row of the ideal's canonical basis weighs lam at its pivot, each coefficient
     mu.  Then modules[q] is H^q(ideal, M)_0 alone (module docstring).  With
-    grading None, the ideal's own grading is used."""
+    grading None, the ideal's own grading is used.  Each lift's operator,
+    checked where it is built, is pushed to every degree by `_induced`."""
     if M.algebra != L:
         raise DimensionMismatchError("coefficients must form a module over the ambient algebra")
     nq = quotient(L, ideal)     # NotAnIdealError unless the ideal is one
@@ -553,16 +565,10 @@ def _action(L: LieAlgebra, ideal: Subspace, M: LieModule, grading) -> ActionOnCo
         grading = ([lam[p] for p in ideal._rows], mu)
     cx = _complex(res.algebra, res, grading)
     coh = cohomology_of(cx)
-    per_lift_ops = []
-    for a in range(nq.algebra.dim):
-        ops, D = _action_operator(cx, L, ideal, M, nq.lift(a))
-        per_lift_ops.append((_chain_map(cx, cx, ops), Fraction(1, D)))
-    modules = []
-    for q in range(cx.top_degree + 1):
-        rho = [coh._classes_of(q, _product(coh._reps[q], _columns(ops[q]))).scale(inv)
-               for ops, inv in per_lift_ops]
-        modules.append(LieModule(nq.algebra, rho, dim=coh.dims[q]))
-    return ActionOnCohomology(nq, coh, tuple(modules))
+    induced = [_induced(coh, coh, *_action_operator(cx, L, ideal, M, nq.lift(a)))
+               for a in range(nq.algebra.dim)]
+    return ActionOnCohomology(nq, coh, tuple(
+        LieModule(nq.algebra, [rho[q] for rho in induced], dim=d) for q, d in enumerate(coh.dims)))
 
 
 def inflation_map(L: LieAlgebra, nq: Quotient, cx_L: CochainComplex,
@@ -608,6 +614,8 @@ def inflation_on_cohomology(L: LieAlgebra, nq: Quotient,
     coh_q must be H^*(nq.algebra) with one-dimensional trivial
     coefficients (DimensionMismatchError otherwise); `checker.check`
     passes H^*(N, H^0(L^inf)), the q = 0 row of its starting page.
+    `inflation_map` checks the maps, `_induced` pushes them with D = 1, and
+    the degrees above dim(nq.algebra) get zero matrices.
     """
     coeff = coh_q.complex.coeff
     if coh_q.complex.algebra != nq.algebra or coeff.dim != 1 or not coeff.is_trivial():
@@ -618,8 +626,8 @@ def inflation_on_cohomology(L: LieAlgebra, nq: Quotient,
     coh_L = cohomology_of(cx_L)
     qd = nq.algebra.dim
     src_dims = coh_q.dims + (0,) * (L.dim - qd)
-    induced = tuple(coh_L._classes_of(p, _product(coh_q._reps[p], _columns(maps[p])))
-                    if p <= qd else QMatrix.zero(ht, 0) for p, ht in enumerate(coh_L.dims))
+    induced = _induced(coh_q, coh_L, maps, 1) + tuple(QMatrix.zero(ht, 0)
+                                                      for ht in coh_L.dims[qd + 1:])
     isos = tuple(hs == ht and rank(mat) == ht
                  for hs, ht, mat in zip(src_dims, coh_L.dims, induced))
     return InflationReport(nq, src_dims, coh_L.dims, induced, isos)

@@ -1,13 +1,15 @@
 """Finite dimensional modules over a Lie algebra.
 
 A `LieModule` stores one action matrix per basis element of the acting
-algebra and checks the bracket relations on every construction (the
-check cannot be skipped), so a module object in hand is always a genuine
-representation.  Derived constructions (dual, exterior powers,
-restriction, submodules) re-validate; a failure there is an
-implementation bug and raises RepresentationLawError rather than being
-swallowed.  The check keeps the action as int rows (`_int_action`), its
-only int form, which every arithmetic reader of the action uses.
+algebra and checks the bracket relations on every construction, so a
+module object in hand is always a genuine representation.  A zero action
+(`trivial_module`) satisfies each relation as 0 = 0, so the check settles
+it without reading the structure constants.  Derived constructions
+(dual, exterior powers, restriction, submodules) re-validate; a failure
+there is an implementation bug and raises RepresentationLawError rather
+than being swallowed.  The check keeps the action as int rows
+(`_int_action`), its only int form, which every arithmetic reader of the
+action uses.
 
 The trivial-subquotient test is Engel's theorem.  Over an algebraic
 closure a module M of a nilpotent algebra N splits into generalized
@@ -83,13 +85,17 @@ class LieModule:
         action's and the structure constants' denominators,
         E (P_i P_j - P_j P_i) must equal D sum_k (E c_ij^k) P_k, the sum
         running over the nonzero c_ij^k.  (D, P) is kept as `_int_action`.
+        When every P_a is zero both sides are 0, and the check returns
+        before `lie._constants` is read.
         """
-        n = self.algebra.dim
-        E, table = _constants(self.algebra)
         D = lcm(*[a.denominator for mat in self.rho for row in mat.entries for a in row.values()])
         P = tuple(tuple({k: _scaled(a, D) for k, a in row.items()} for row in mat.entries)
                   for mat in self.rho)
         self._int_action = D, P
+        if not any(any(rows) for rows in P):
+            return
+        n = self.algebra.dim
+        E, table = _constants(self.algebra)
         for i in range(n):
             for j in range(i + 1, n):
                 products = ((P[i], P[j], E), (P[j], P[i], -E))

@@ -9,8 +9,7 @@ wedge or computes its sign:
 * a subset is held as a bitmask, bit s set for s in S, and its place in
   that order is its index in the `combinations` listing of its size
   (`_places` lists every wedge of some sizes so), or `_rank` of it, the
-  one routine that places a wedge alone (`_Ranks` keeps the places it
-  has given, by mask);
+  one routine that places a wedge alone;
 * sorting e_k into a wedge S costs (-1)^(number of entries of S below
   k), the parity of the popcount of S & `_below(k)`;
 * dual wedges pair by the determinant rule, so the basis cochain labelled
@@ -63,18 +62,6 @@ def _rank(n: int, mask: int) -> int:
         mask &= mask - 1
         j += 1
     return r
-
-
-class _Ranks(dict):
-    """`_rank(n, mask)` by mask, computed on first lookup."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, mask: int) -> int:
-        r = self[mask] = _rank(self.n, mask)
-        return r
 
 
 def _sums(values, target: int, avoid: int) -> dict[int, list[int]]:
@@ -280,9 +267,10 @@ def wedge_powers(columns, m: int) -> list[dict]:
     that is the p x p minors at columns T.  Row T is row T - {t} of degree
     p - 1, t the top index of T, wedged on the right with columns[t]:
     e_S ^ e_k sorts with sign (-1)^(number of entries of S above k).
+    Each row's T and each of its columns' S is placed by `_rank` as the
+    power is written out; nothing is cached.
     """
     n = len(columns)
-    pos = _Ranks(m)
     live = [1 << t for t, col in enumerate(columns) if col]
     rows = {0: {0: Fraction(1)}}
     powers = [{0: {0: Fraction(1)}}]
@@ -298,5 +286,6 @@ def wedge_powers(columns, m: int) -> list[dict]:
                         row[S | 1 << k] = row.get(S | 1 << k, 0) + v
             nxt[T] = {S: c for S, c in row.items() if c}
         rows = nxt
-        powers.append({_rank(n, T): {pos[S]: c for S, c in row.items()} for T, row in rows.items()})
+        powers.append({_rank(n, T): {_rank(m, S): c for S, c in row.items()}
+                       for T, row in rows.items()})
     return powers

@@ -1265,6 +1265,32 @@ def test_induced_maps_match_the_whole_shape_route():
     _assert_induced_maps_match_whole_shapes(L, adjoint_module(L), "sl2-adjoint")
 
 
+def test_each_chain_map_is_checked_once_and_pushed_once(monkeypatch):
+    # relabelled ut(4): N = L/L^inf has 4 lifts, and inflation is one family
+    calls = {"_induced": 0, "_chain_map": 0}
+    for name in calls:
+        real = getattr(cohomology_module, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cohomology_module, name, spy)
+    L = _relabelled(catalog.ut(4), random.Random(640))
+    expected = [(check, {"_induced": 5, "_chain_map": 5}),
+                (hs_e2_page, {"_induced": 4, "_chain_map": 4})]
+    for run, counts in expected:
+        calls.update(dict.fromkeys(calls, 0))
+        run(L)
+        assert calls == counts, run.__name__
+    nq = nil_quotient(L)
+    coh_q = cohomology(nq.algebra, trivial_module(nq.algebra))
+    calls.update(dict.fromkeys(calls, 0))
+    report = inflation_on_cohomology(L, nq, coh_q)
+    assert report.is_isomorphism
+    assert calls == {"_induced": 1, "_chain_map": 1}
+
+
 # --- the L^inf side of the page on the ambient weight-0 block ------------
 
 def _whole_page(L):

@@ -42,6 +42,29 @@ def test_trivial_module_examples():
     assert t.is_trivial()
 
 
+def test_a_zero_action_passes_the_law_check_without_the_structure_constants(monkeypatch):
+    import liecoh.rep as rep_module
+
+    reads = []
+    real = rep_module._constants
+
+    def spy(L):
+        reads.append(L)
+        return real(L)
+
+    monkeypatch.setattr(rep_module, "_constants", spy)
+    L = catalog.ut(3)
+    assert trivial_module(L).is_trivial() and trivial_module(L, 3).dim == 3
+    assert reads == []
+    adjoint_module(L)
+    assert reads == [L]
+    # [x, y] = z in the Heisenberg algebra: z acting alone by 1 breaks it
+    H = catalog.heisenberg3()
+    zero, one = QMatrix.zero(1, 1), QMatrix([[1]])
+    with pytest.raises(RepresentationLawError):
+        LieModule(H, (zero, zero, one))
+
+
 def test_one_dim_module_requires_additive_character():
     H = catalog.heisenberg3()
     # [x, y] = z: a character must kill z, the other two values are free
