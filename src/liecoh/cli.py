@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from functools import cache
+from typing import NamedTuple
 
 from . import catalog
 from .checker import check, verify_report
@@ -42,7 +43,7 @@ from .rep import adjoint_module, trivial_module
 
 WEDGE_COORD_CAP = 4096          # 2**12 exterior-algebra coordinates
 REES_MONOMIAL_CAP = 5000
-ALGEBRA_DIM_CAP = 100           # 10**6 cells of the dense bracket table
+ALGEBRA_DIM_CAP = 100           # `validate` visits C(dim, 3) Jacobi triples: 161,700 at 100
 REPRESENTATIVE_ENTRY_CAP = 10 ** 6     # dense entries `cohomology` prints
 
 USAGE_ERROR = 2
@@ -53,40 +54,92 @@ BROKEN_PIPE = 128 + 13          # as a shell reports a process killed by SIGPIPE
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(obj, indent: str = "") -> str:
+class _Run(NamedTuple):
+    """The dense vector of length n of a sparse row {k: value}, keys in
+    range(n): `_json` writes it as the list of its entries as strings, "0"
+    at each k the row lacks."""
+
+    row: dict
+    n: int
+
+
+def _json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for dicts
     with str keys (any other key raises TypeError), lists, tuples and
-    scalars.  Python 3.10 to 3.13 fall back to the pure-Python encoder for
-    any indent; this one quotes a list of strings in one join, writes
-    strings, ints, bools and None itself, and leaves other scalars to
-    `json.dumps`."""
+    scalars, where each `_Run` stands for its dense list of strings.
+    Python 3.10 to 3.13 fall back to the pure-Python encoder for any
+    indent; this one appends the pieces of the document to one list
+    (`_write`) and joins them once."""
+    out: list = []
+    _write(obj, "", out)
+    return "".join(out)
+
+
+def _write(obj, indent: str, out: list) -> None:
+    """Append the pieces of `_json(obj)` at the given indent to out.
+
+    Strings, ints, bools and None are written here, a list of strings is
+    quoted in one join, and other scalars are left to `json.dumps`.  A
+    `_Run` is written by runs: one repeated '"0"' item per gap between its
+    sorted nonzero entries, so its cost grows with the entries it holds,
+    not with its length."""
     kind = type(obj)
     if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    inner = indent + "  "
-    if isinstance(obj, dict):
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is _Run:
+        row, n = obj
+        if not n:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        zeros = '"0"' + sep
+        out.append("[\n" + inner)
+        done = 0
+        for k in sorted(row):
+            out += zeros * (k - done), _quote(str(row[k])), sep
+            done = k + 1
+        if done < n:
+            out += zeros * (n - done - 1), '"0"'
+        else:
+            out.pop()           # the sep after the last entry
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         if any(type(key) is not str for key in obj):
             raise TypeError(f"keys must be str, not {sorted({type(k).__name__ for k in obj})}")
-        return ("{\n" + ",\n".join(f"{inner}{_quote(key)}: {_json(obj[key], inner)}"
-                                   for key in sorted(obj))
-                + "\n" + indent + "}")
-    if isinstance(obj, (list, tuple)):
+        inner = indent + "  "
+        lead = "{\n" + inner
+        for key in sorted(obj):
+            out.append(lead + _quote(key) + ": ")
+            _write(obj[key], inner, out)
+            lead = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
         if {*map(type, obj)} == {str}:
-            body = (",\n" + inner).join(map(_quote, obj))
+            out.append(sep.join(map(_quote, obj)))
         else:
-            body = (",\n" + inner).join(_json(item, inner) for item in obj)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            for item in obj:
+                _write(item, inner, out)
+                out.append(sep)
+            out.pop()           # the sep after the last item
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _emit(obj) -> None:
@@ -146,19 +199,11 @@ def _guard_monomials(nu, cap: int, option: str) -> None:
         raise CommandError(f"{size} monomials exceed the cap {REES_MONOMIAL_CAP}; lower {option}")
 
 
-def _sparse_strings(row: dict, n: int) -> list[str]:
-    """The dense vector of length n of a sparse row, each entry as a string."""
-    out = ["0"] * n
-    for k, a in row.items():
-        out[k] = str(a)
-    return out
-
-
 def _chain_payload(chain) -> dict:
     return {
         "dims": list(chain.dims),
         "stabilized": chain.stabilized,
-        "bases": [[_sparse_strings(row, term.ambient_dim) for row in term.basis.entries]
+        "bases": [[_Run(row, term.ambient_dim) for row in term.basis.entries]
                   for term in chain.terms],
     }
 
@@ -258,7 +303,7 @@ def cmd_cohomology(args) -> int:
         "dims": list(result.dims),
         "euler_characteristic": result.euler_characteristic(),
         "representatives": {
-            str(q): [_sparse_strings(rep, result.complex.space_dim(q)) for rep in reps]
+            str(q): [_Run(rep, result.complex.space_dim(q)) for rep in reps]
             for q, reps in enumerate(result._reps) if lo <= q <= hi
         },
     }
@@ -274,7 +319,8 @@ def cmd_check(args) -> int:
         "schema": SCHEMA,
         "command": "check",
         "input": name,
-        "report": dataclasses.asdict(report),
+        # the fields are bools, ints and tuples of them: no deep copy is needed
+        "report": {f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
         "derived_equivalence": {
             "verdict": report.condition2 and report.condition3,
             "note": ("conjunction of conditions 2 and 3; the derived-category "

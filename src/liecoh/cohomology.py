@@ -39,8 +39,10 @@ popcount parity.  The inflation maps are the wedge powers of the
 projection (`wedge.wedge_powers`), each degree built from the one below.
 Every map keeps that form: per degree, sparse rows in the lexicographic
 wedge basis, {row: {column: value}} at the rows that can be nonzero.
-* Fractions enter as the structure constants and action matrices, made
-  ints once (`lie._constants`, `_int_action`) and brought to one D here.
+* The structure constants arrive as ints: the algebra is stored as its
+  int table (`lie._constants`), into which an algebra file's terms are
+  summed as they are read.  Fractions enter as the action matrices, made
+  ints once (`_int_action`); both are brought to one D here.
 * The terms of each entry add up in Python ints, and the rows stay so:
   the differential's block rows and the action operators are int rows
   of D times the map, D kept beside them, and the engine in `linalg`

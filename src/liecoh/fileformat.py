@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .errors import LiecohError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _constants
 from .linalg import _frac
 from .rep import LieModule
 
@@ -36,12 +36,10 @@ class FileFormatError(LiecohError):
 
 
 def algebra_to_dict(L: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            result = [[str(c), k] for k, c in enumerate(L.c[i][j]) if c]
-            if result:
-                brackets.append({"left": i, "right": j, "result": result})
+    """The algebra file of L, read off its int table (`lie._constants`)."""
+    D, table = _constants(L)
+    brackets = [{"left": i, "right": j, "result": [[str(Fraction(x, D)), k] for k, x in terms]}
+                for i, row in enumerate(table) for j, terms in enumerate(row) if i < j and terms]
     return {"schema": SCHEMA, "dim": L.dim, "basis": list(L.labels),
             "brackets": brackets}
 

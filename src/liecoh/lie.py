@@ -1,16 +1,22 @@
 """Finite dimensional Lie algebras given by structure constants.
 
-A `LieAlgebra` is a rational structure-constant table c with
-[e_i, e_j] = sum_k c[i][j][k] e_k.  On top of that this module provides
+A `LieAlgebra` is given by rational structure constants c with
+[e_i, e_j] = sum_k c[i][j][k] e_k, and it is stored as their int table
+(D, table) of `_constants`: table[i][j] lists the (k, D * c_ij^k) of the
+nonzero c_ij^k, k ascending.  The table is the algebra: `from_brackets`
+sums its sparse terms straight into it, equality and hashing compare it,
+and `bracket_matrix`, `reorder_basis` and the file writer read it.  The
+dense table `c` of Fractions is a view, built on first access for
+callers outside the library.  On top of that this module provides
 validation (antisymmetry, Jacobi), the two descending series, quotients
-and subalgebras as new structure-constant tables, and bases adapted to
-the bracket filtration together with their weight sequence.
+and subalgebras as new algebras, and bases adapted to the bracket
+filtration together with their weight sequence.
 
 Vectors are bracketed along one path: `_bracket` on sparse rows, through
-the int constants D * c of `_constants`.  The closure tests, the series,
-the constants of quotients and subalgebras, and the cochain builders of
-`cohomology` all read it; the public `bracket` is a dense wrapper for
-callers outside the library.
+the int table.  The closure tests, the series, the constants of
+quotients and subalgebras, and the cochain builders of `cohomology` all
+read it; the public `bracket` is a dense wrapper for callers outside the
+library.
 
 Structure constants in a new basis are read along one path too:
 `_algebra_on` reads each bracket once on the tags of a pivot dict keyed
@@ -80,42 +86,76 @@ def _flat(m: QMatrix) -> dict:
 
 
 class LieAlgebra:
-    """Structure-constant presentation of a Lie algebra over Q."""
+    """Structure-constant presentation of a Lie algebra over Q.
 
-    __slots__ = ("dim", "labels", "c", "_table")
+    Held as the int table (D, table) of `_constants`; `c`, the dense
+    table of Fractions, is a view built on first access.
+    """
+
+    __slots__ = ("dim", "labels", "_table", "_c")
 
     def __init__(self, c, labels=None):
         c = tuple(tuple(vector(col) for col in row) for row in c)
-        self.dim = len(c)
+        n = len(c)
         for row in c:
-            if len(row) != self.dim or any(len(col) != self.dim for col in row):
+            if len(row) != n or any(len(col) != n for col in row):
                 raise DimensionMismatchError("structure constants must be dim x dim x dim")
         if labels is None:
-            labels = tuple(f"e{i+1}" for i in range(self.dim))
+            labels = tuple(f"e{i+1}" for i in range(n))
         labels = tuple(str(x) for x in labels)
-        if len(labels) != self.dim:
+        if len(labels) != n:
             raise DimensionMismatchError("one label per basis element")
-        self.c = c
+        self.dim = n
         self.labels = labels
-        self._table = None
+        self._table = _int_table(n, {(i, j): dict(enumerate(col))
+                                     for i, row in enumerate(c) for j, col in enumerate(row)})
+        self._c = c
+
+    @classmethod
+    def _on_table(cls, labels: tuple, table: tuple) -> "LieAlgebra":
+        """The algebra with int table `table`, a (D, table) pair as
+        `_constants` returns it, one str label per basis element; nothing
+        is checked."""
+        L = object.__new__(cls)
+        L.dim = len(labels)
+        L.labels = labels
+        L._table = table
+        L._c = None
+        return L
+
+    @property
+    def c(self) -> tuple:
+        """The dense structure constants, c[i][j][k] a Fraction: a view of
+        the int table, built on first access and kept."""
+        if self._c is None:
+            self._c = _dense_constants(self.dim, *self._table)
+        return self._c
 
     @classmethod
     def from_brackets(cls, labels, brackets) -> "LieAlgebra":
         """Build from a sparse table {(i, j): [(coeff, k), ...]} with i < j.
 
         Antisymmetric partners are filled in automatically; unlisted pairs
-        commute.
+        commute.  The terms are summed sparsely and made the int table
+        (`_int_table`): a coefficient that sums to 0 is dropped.  A pair
+        outside 0 <= i < j < dim, or a result index k that is not an int
+        in 0..dim-1, raises DimensionMismatchError.
         """
-        labels = tuple(labels)
+        labels = tuple(str(x) for x in labels)
         n = len(labels)
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        sums = {}
         for (i, j), terms in brackets.items():
             if not 0 <= i < j < n:
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
+            row = sums[i, j] = {}
             for coeff, k in terms:
-                c[i][j][k] += _frac(coeff)
-                c[j][i][k] -= _frac(coeff)
-        return cls(c, labels)
+                # a negative k would count from the end, and True is an int
+                if type(k) is not int or not 0 <= k < n:
+                    raise DimensionMismatchError(
+                        f"result index {k!r} of bracket pair ({i}, {j}) must satisfy 0 <= k < dim")
+                row[k] = row.get(k, 0) + _frac(coeff)
+        sums.update([((j, i), {k: -a for k, a in row.items()}) for (i, j), row in sums.items()])
+        return cls._on_table(labels, _int_table(n, sums))
 
     @classmethod
     def from_matrices(cls, labels, matrices) -> "LieAlgebra":
@@ -140,17 +180,19 @@ class LieAlgebra:
                            lambda i, j: _flat(mats[i] * mats[j] - mats[j] * mats[i]))
 
     def bracket_matrix(self, i: int) -> QMatrix:
-        """Matrix of ad e_i acting on coordinate columns."""
-        return QMatrix.from_columns([self.c[i][j] for j in range(self.dim)],
-                                    rows=self.dim)
+        """Matrix of ad e_i acting on coordinate columns, read off the int table."""
+        D, table = self._table
+        return QMatrix._wrap(_transpose([{k: Fraction(x, D) for k, x in terms}
+                                         for terms in table[i]], self.dim), self.dim)
 
+    # the table and `c` determine each other
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return (self.dim, self.labels, self.c) == (other.dim, other.labels, other.c)
+        return (self.dim, self.labels, self._table) == (other.dim, other.labels, other._table)
 
     def __hash__(self):
-        return hash((self.dim, self.labels, self.c))
+        return hash((self.dim, self.labels, self._table))
 
     def __repr__(self):
         return f"<LieAlgebra dim={self.dim} [{', '.join(self.labels)}]>"
@@ -158,13 +200,27 @@ class LieAlgebra:
 
 def _constants(L: LieAlgebra) -> tuple[int, tuple]:
     """(D, table): table[i][j] is the tuple of the (k, D * c_ij^k) for the
-    nonzero c_ij^k, as ints, D the lcm of their denominators.  Built on
-    first use and kept on the algebra."""
-    if L._table is None:
-        D = lcm(*[g.denominator for row in L.c for col in row for g in col if g])
-        L._table = D, tuple(tuple(tuple((k, _scaled(g, D)) for k, g in enumerate(col) if g)
-                                  for col in row) for row in L.c)
+    nonzero c_ij^k, k ascending, as ints, D the lcm of their denominators.
+    The algebra's stored form."""
     return L._table
+
+
+def _int_table(n: int, cells: dict) -> tuple[int, tuple]:
+    """(D, table) of the rational cells {(i, j): {k: c_ij^k}}: D the lcm of
+    the denominators, table[i][j] the (k, D * c_ij^k) of the nonzero
+    values, k ascending, and () at each pair the cells lack."""
+    D = lcm(*[a.denominator for cell in cells.values() for a in cell.values()])
+    table = [[()] * n for _ in range(n)]
+    for (i, j), cell in cells.items():
+        table[i][j] = tuple((k, _scaled(cell[k], D)) for k in sorted(cell) if cell[k])
+    return D, tuple(map(tuple, table))
+
+
+def _dense_constants(n: int, D: int, table: tuple) -> tuple:
+    """The dense n x n x n table of Fractions c[i][j][k] of an int table
+    over D: the view `LieAlgebra.c`."""
+    return tuple(tuple(_dense({k: Fraction(x, D) for k, x in terms}, n) for terms in row)
+                 for row in table)
 
 
 def _tagged(rows) -> dict:
@@ -466,6 +522,8 @@ def reorder_basis(L: LieAlgebra, order) -> LieAlgebra:
     order = tuple(order)
     if sorted(order) != list(range(L.dim)):
         raise DimensionMismatchError("order must be a permutation of the basis indices")
-    c = [[[L.c[order[p]][order[q]][k] for k in order] for q in range(L.dim)]
-         for p in range(L.dim)]
-    return LieAlgebra(c, tuple(L.labels[i] for i in order))
+    D, table = L._table
+    place = {k: p for p, k in enumerate(order)}
+    permuted = tuple(tuple(tuple(sorted((place[k], x) for k, x in table[i][j])) for j in order)
+                     for i in order)
+    return LieAlgebra._on_table(tuple(L.labels[i] for i in order), (D, permuted))

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -685,6 +686,23 @@ def test_stdout_digests_unchanged():
     assert not moved, f"stdout or exit code moved for: {moved}"
 
 
+def _expanded(obj):
+    """obj with each `cli._Run` replaced by its dense list of strings, the
+    form `json.dumps` is given: the writer's runs of "0" against the list."""
+    from liecoh import cli
+
+    if type(obj) is cli._Run:
+        out = ["0"] * obj.n
+        for k, a in obj.row.items():
+            out[k] = str(a)
+        return out
+    if isinstance(obj, dict):
+        return {key: _expanded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_expanded(item) for item in obj]
+    return obj
+
+
 def test_json_writer_matches_json_dumps_on_every_digest_payload(monkeypatch):
     from liecoh import cli
 
@@ -695,7 +713,7 @@ def test_json_writer_matches_json_dumps_on_every_digest_payload(monkeypatch):
         cli.main(argv)
     assert len(payloads) == len(commands)
     for argv, obj in zip(commands, payloads):
-        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2), argv
+        assert cli._json(obj) == json.dumps(_expanded(obj), sort_keys=True, indent=2), argv
 
 
 _JSON_DOCS = st.recursive(
@@ -712,6 +730,39 @@ def test_json_writer_matches_json_dumps_on_drawn_documents(doc):
 
     assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
     assert cli._json((doc, [])) == json.dumps((doc, []), sort_keys=True, indent=2)
+
+
+@st.composite
+def _runs(draw):
+    """A `cli._Run`: length 0..40, nonzero rational entries at drawn keys,
+    inserted in a drawn order, the first and last coordinates among the
+    keys often, and no entry at all sometimes."""
+    from liecoh import cli
+
+    n = draw(st.integers(0, 40))
+    keys = draw(st.lists(st.sampled_from(range(n)), unique=True) if n else st.just([]))
+    if n and draw(st.booleans()):
+        keys = [k for k in (0, n - 1) if k not in keys] + keys
+    keys = draw(st.permutations(keys))
+    values = st.builds(Fraction, st.integers(-999, 999).filter(bool), st.integers(1, 50))
+    return cli._Run({k: draw(values) for k in keys}, n)
+
+
+_RUN_DOCS = st.recursive(
+    _runs() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUN_DOCS)
+def test_json_writer_writes_runs_as_json_dumps_writes_their_dense_lists(doc):
+    from liecoh import cli
+
+    assert cli._json(doc) == json.dumps(_expanded(doc), sort_keys=True, indent=2)
+    assert cli._json([doc, {"a": [doc]}]) == json.dumps(
+        _expanded([doc, {"a": [doc]}]), sort_keys=True, indent=2)
 
 
 def test_json_writer_refuses_keys_that_are_not_strings():
@@ -789,8 +840,45 @@ def test_page_digest_on_relabelled_inputs(command, name, tmp_path, monkeypatch):
                                         "exit": 0}
 
 
+# --- no dense table between the file and stdout ---------------------------
+
+def test_commands_on_files_never_build_the_dense_constants(tmp_path, monkeypatch):
+    # the algebra is read straight into its int table, and every command
+    # reads that table: the dense view `LieAlgebra.c` is never built
+    from liecoh import cli, lie
+
+    rng = random.Random("dense-spy")
+    paths = {}
+    for name, base in (("propC", catalog.get("propC")), ("su3", catalog.strict_ut(3)),
+                       ("h3", catalog.heisenberg3())):
+        L = LieAlgebra(*relabel(base.c, base.labels, rng))
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(algebra_to_dict(L), handle)
+
+    def refuse(*args):
+        raise AssertionError("the dense structure constants were built")
+
+    monkeypatch.setattr(lie, "_dense_constants", refuse)
+    with pytest.raises(AssertionError, match="dense structure constants"):
+        catalog.heisenberg3().c
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", payloads.append)
+    commands = [["check", paths["propC"]], ["e2", paths["propC"]], ["series", paths["su3"]],
+                ["cohomology", paths["propC"]],
+                ["cohomology", paths["su3"], "--module", "adjoint"],
+                ["rees", paths["h3"], "--max-filtration", "2", "--max-weight", "3",
+                 "--verify-pbw"],
+                ["example", "ut3", "--emit"]]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert len(payloads) == len(commands)
+    assert payloads[-1] == algebra_to_dict(catalog.get("ut3"))
+
+
 if __name__ == "__main__":
     with open(DIGESTS, "w", encoding="utf-8") as handle:
         json.dump({" ".join(argv): _digest(argv) for argv in _digest_commands()},
                   handle, indent=1, sort_keys=True)
         handle.write("\n")
+

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -680,3 +681,84 @@ def test_one_complement_gives_what_the_classes_route_gave():
     assert seen["quotient"] > 100
     for name in ("subalgebra", "quotient_basis", "from_matrices"):
         assert seen[name, False] > 10 and seen[name, True] > 3, (name, seen)
+
+
+# --- the int table is the algebra ------------------------------------------
+
+def _scan_constants(c):
+    """(D, table) by a scan of every cell of a dense table: D the lcm of the
+    nonzero entries' denominators, table[i][j] the (k, D * c_ij^k), k ascending."""
+    D = lcm(*[g.denominator for row in c for col in row for g in col if g])
+    return D, tuple(tuple(tuple((k, g.numerator * (D // g.denominator)) for k, g in enumerate(col)
+                                if g) for col in row) for row in c)
+
+
+def _assert_one_algebra(c, labels, *built):
+    """LieAlgebra(c, labels), from_brackets on the sparse terms of c and each
+    algebra in `built` are one algebra in ==, hash, .c, _constants,
+    bracket_matrix and reorder_basis, against the dense formulas."""
+    n = len(c)
+    dense = LieAlgebra(c, labels)
+    sparse = LieAlgebra.from_brackets(labels, {
+        (i, j): [(g, k) for k, g in enumerate(c[i][j]) if g]
+        for i in range(n) for j in range(i + 1, n)})
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    permuted = LieAlgebra([[[c[order[p]][order[q]][k] for k in order] for q in range(n)]
+                           for p in range(n)], [str(labels[i]) for i in order])
+    for L in (dense, sparse, *built):
+        assert L == dense and hash(L) == hash(dense)
+        assert L.c == tuple(tuple(tuple(map(Fraction, col)) for col in row) for row in c)
+        assert _constants(L) == _scan_constants(L.c)
+        for i in range(n):
+            assert L.bracket_matrix(i) == QMatrix.from_columns([c[i][j] for j in range(n)],
+                                                               rows=n)
+        R = reorder_basis(L, order)
+        assert R == permuted and hash(R) == hash(permuted)
+        assert R.c == permuted.c and _constants(R) == _constants(permuted)
+
+
+def _in_random_basis(mats, rng):
+    """Random invertible rational combinations of the matrices, and the
+    dense constants of their span read on them by the oracle."""
+    A = [[0]]
+    while gauss_rank(A) < len(mats):
+        A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in mats] for _ in mats]
+    size = len(mats[0])
+    new = [[[sum(a * m[r][s] for a, m in zip(row, mats)) for s in range(size)]
+            for r in range(size)] for row in A]
+    flat = [[x for row in m for x in row] for m in new]
+    c = [[gauss_coordinates(flat, [x - y for p, q in zip(_matmul(u, v), _matmul(v, u))
+                                   for x, y in zip(p, q)]) for v in new] for u in new]
+    return new, c
+
+
+def test_from_brackets_builds_the_table_the_dense_constants_give():
+    rng = random.Random(3401)
+    for name in ALL_NAMES:
+        L = catalog.get(name)
+        _assert_one_algebra(L.c, L.labels, L)
+        R = _rebased(L, rng)
+        _assert_one_algebra(R.c, R.labels, R)
+    # matrix algebras in a GL_n(Q) basis, through from_matrices
+    families = [[[[int((r, s) == (i, j)) for s in range(n)] for r in range(n)]
+                 for i in range(n) for j in range(i + lo, n)] for n in (2, 3, 4) for lo in (0, 1)]
+    families.append([[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])       # sl2
+    for units in families:
+        mats, c = _in_random_basis(units, rng)
+        labels = [f"b{k}" for k in range(len(mats))]
+        M = LieAlgebra.from_matrices(labels, mats)
+        assert _constants(M)[0] > 1 or len(mats) < 3
+        _assert_one_algebra(c, labels, M)
+    for _ in range(25):
+        S = random_solvable_algebra(rng)
+        _assert_one_algebra(S.c, S.labels, S)
+
+
+def test_terms_that_cancel_leave_no_entry_and_no_denominator():
+    half = Fraction(1, 2)
+    L = LieAlgebra.from_brackets("xyz", {(0, 1): [(half, 2), (3, 0), (-half, 2)],
+                                         (1, 2): [(1, 0), (-1, 0)]})
+    assert _constants(L) == (1, (((), ((0, 3),), ()), (((0, -3),), (), ()), ((), (), ())))
+    _assert_one_algebra(L.c, L.labels, L)
+    assert L == LieAlgebra.from_brackets("xyz", {(0, 1): [(3, 0)]})

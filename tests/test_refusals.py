@@ -45,6 +45,15 @@ CASES = {
                DimensionMismatchError, "one label per basis element"),
     "bracket pair": (lambda: LieAlgebra.from_brackets("ab", {(1, 0): [(1, 0)]}),
                      DimensionMismatchError, "bracket pair (1, 0) must satisfy"),
+    "negative result index": (lambda: LieAlgebra.from_brackets("xyz", {(0, 1): [(1, -1)]}),
+                              DimensionMismatchError,
+                              "result index -1 of bracket pair (0, 1) must satisfy 0 <= k < dim"),
+    "result index past the end": (lambda: LieAlgebra.from_brackets("xyz", {(0, 1): [(1, 3)]}),
+                                  DimensionMismatchError,
+                                  "result index 3 of bracket pair (0, 1) must satisfy"),
+    "bool result index": (lambda: LieAlgebra.from_brackets("xyz", {(0, 1): [(1, True)]}),
+                          DimensionMismatchError,
+                          "result index True of bracket pair (0, 1) must satisfy"),
     "matrix labels": (lambda: LieAlgebra.from_matrices("ab", [[[1]]]),
                       DimensionMismatchError, "one label per matrix"),
     "non-square matrix": (lambda: LieAlgebra.from_matrices("a", [[[1, 2]]]),
