@@ -87,7 +87,7 @@ So the representatives, their order and their tags are the ones the
 unsplit elimination would give; the test needs only the free column f
 of each row, so z_f is solved for the kept f alone, and no basis of Z^q
 is made.  delta_q maps the block into the block, so a weight-0 cochain
-is a cocycle exactly when delta_q's block columns take it to 0.  A
+is a cocycle exactly when delta_q's block rows take it to 0.  A
 cocycle's components of nonzero weight are cocycles there, hence
 coboundaries, so its class is that of its weight-0 component
 (`CohomologyResult.coordinates`).  Inflation
@@ -97,8 +97,8 @@ builds P_0 theta_x iota_0, a chain map as the projection P_0 commutes
 with d, and for a weight-0 cocycle z, P_{!=0} theta_x z is a cocycle of
 acyclic blocks, hence a coboundary: both induce one action on H^*.
 `_chain_map` refuses entries off the blocks and compares block rows
-(`linalg._product`), and `_induced` pushes sparse representatives through
-them: the pipeline builds no whole differential and pads no map.
+(`linalg._product`); `_induced` pushes representatives through them, testing
+nothing again: no whole differential is built, no map padded, no block copied.
 
 `_grading` picks x from the linear conditions "ad x and rho(x) have no
 off-diagonal entries" (see its docstring).  When no solution has a
@@ -334,16 +334,15 @@ class CohomologyResult:
 
     The representatives of H^q are sparse rows on the weight-0 block of C^q,
     kept beside the pivot dict of `linalg._complement` that `_classes_of`
-    reads classes off and the columns {column: {row: int}} of D * delta_q
-    on the block, which refuse a cochain that is no cocycle.  No basis of
-    Z^q is kept; only API callers get dense vectors.
+    reads classes off.  No basis of Z^q and no copy of the differential is
+    kept: `coordinates` tests cocycles on the complex's own block rows.
+    Only API callers get dense vectors.
     """
 
     complex: CochainComplex
     dims: tuple[int, ...]
     _reps: tuple[tuple[dict, ...], ...] = field(repr=False, compare=False)
     _pivots: tuple[dict, ...] = field(repr=False, compare=False)
-    _delta_columns: tuple[dict, ...] = field(repr=False, compare=False)
 
     @property
     def representatives(self) -> tuple[tuple[tuple, ...], ...]:
@@ -353,12 +352,9 @@ class CohomologyResult:
 
     def _classes_of(self, q: int, rows) -> QMatrix:
         """Classes of cocycles given as sparse rows on the weight-0 block, as
-        matrix columns; ContainmentError unless delta_q (`linalg._product` on
-        its columns) takes each row to 0.  A cocycle's class is read off its
-        entries at the free columns F of delta_q, where the pivots lead at ~f."""
-        rows, pivots = list(rows), self._pivots[q]
-        if any(_product(rows, self._delta_columns[q])):
-            raise ContainmentError("vector is not a cocycle")
+        matrix columns, read off their entries at the free columns F of delta_q,
+        where the pivots lead at ~f.  No cocycle test: `coordinates` makes the one."""
+        pivots = self._pivots[q]
         cols = [_tag_coordinates(pivots, {~k: a for k, a in r.items() if ~k in pivots})
                 for r in rows]
         return QMatrix._wrap(_transpose(cols, self.dims[q]), len(cols))
@@ -366,22 +362,24 @@ class CohomologyResult:
     def coordinates(self, q: int, m: QMatrix) -> QMatrix:
         """Classes of m's columns in the chosen H^q basis; ContainmentError off the cocycles.
 
-        The weight-0 part of each column must be a cocycle of the block,
-        and the rest a cocycle of the whole differential (built then, if it
-        is nonzero); the rest is then a coboundary, and adds nothing to the
-        class, which `_classes_of` reads off the weight-0 part.
+        The weight-0 part of each column is tested on the complex's block
+        rows of delta_q, the rest on the whole differential (built then, if
+        the rest is nonzero); a cocycle's rest is a coboundary, and adds
+        nothing to the class, which `_classes_of` reads off the weight-0 part.
         """
-        if not 0 <= q <= self.complex.top_degree:
-            raise DimensionMismatchError(f"degree {q} is outside 0..{self.complex.top_degree}")
-        n = self.complex.space_dim(q)
+        cx = self.complex
+        if type(q) is not int or not 0 <= q <= cx.top_degree:
+            raise DimensionMismatchError(f"degree {q!r} is outside 0..{cx.top_degree}")
+        n = cx.space_dim(q)
         if m.rows != n:
             raise DimensionMismatchError(f"{m.rows} rows for cochains of dimension {n}")
-        zero = self.complex._block[0][q]
+        zero = cx._block[0][q]
+        block = [row if r in zero else {} for r, row in enumerate(m.entries)]
         rest = [{} if r in zero else row for r, row in enumerate(m.entries)]
-        if any(rest) and not (self.complex.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero():
+        if (any(_product(cx._block[1][q].values(), dict(enumerate(block))))
+                or any(rest) and not (cx.delta(q) * QMatrix._wrap(rest, m.cols)).is_zero()):
             raise ContainmentError("vector is not a cocycle")
-        return self._classes_of(q, ({k: a for k, a in col.items() if k in zero}
-                                    for col in _transpose(m.entries, m.cols)))
+        return self._classes_of(q, _transpose(block, m.cols))
 
     def project(self, q: int, z) -> tuple:
         """Coordinates of the class of a cocycle z in the chosen H^q basis."""
@@ -407,20 +405,18 @@ def cohomology_of(cx: CochainComplex) -> CohomologyResult:
       is kept, as z_f / z_f[f], when f is the largest column of no vector
       of B^q on F: one elimination there finds them (`linalg._complement`),
       and z_f is solved for those f alone.
-    delta_q's columns serve twice: at its pivot columns they are the next
-    degree's coboundaries, and all of them test a cochain for a cocycle.
+    delta_q's columns at its pivot columns, a loop local, are the next
+    degree's coboundaries; only pivots and representatives are kept.
     """
     zero, rows = cx._block
     classes, coboundaries = [], ()
     for q in range(cx.top_degree + 1):
         ech = _eliminated(rows[q].values())
         pivots, kept = _complement(coboundaries, dict.fromkeys(f for f in zero[q] if ~f not in ech))
-        reps = tuple(_rational(z, f) for f, z in _solutions(ech, kept).items())
-        columns = _columns(rows[q])
-        coboundaries = [col for c, col in columns.items() if ~c in ech]
-        classes.append((pivots, reps, columns))
-    pivots, reps, columns = zip(*classes)
-    return CohomologyResult(cx, tuple(map(len, reps)), reps, pivots, columns)
+        classes.append((pivots, tuple(_rational(z, f) for f, z in _solutions(ech, kept).items())))
+        coboundaries = [col for c, col in _columns(rows[q]).items() if ~c in ech]
+    pivots, reps = zip(*classes)
+    return CohomologyResult(cx, tuple(map(len, reps)), reps, pivots)
 
 
 def cohomology(L: LieAlgebra, M: LieModule) -> CohomologyResult:
@@ -512,7 +508,7 @@ def _induced(src: CohomologyResult, dst: CohomologyResult, maps, D: int) -> tupl
     whose block rows maps[q] hold D times it, as `_chain_map` returns them:
     src's representatives pushed through maps[q] (`linalg._product`), their
     classes read by `dst._classes_of`, and each matrix divided by D.  The
-    builders check their maps; nothing is checked again here."""
+    builders check their maps and representatives are cocycles; nothing is checked again here."""
     return tuple(dst._classes_of(q, _product(src._reps[q], _columns(m))).scale(Fraction(1, D))
                  for q, m in enumerate(maps))
 

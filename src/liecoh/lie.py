@@ -138,14 +138,14 @@ class LieAlgebra:
         Antisymmetric partners are filled in automatically; unlisted pairs
         commute.  The terms are summed sparsely and made the int table
         (`_int_table`): a coefficient that sums to 0 is dropped.  A pair
-        outside 0 <= i < j < dim, or a result index k that is not an int
-        in 0..dim-1, raises DimensionMismatchError.
+        other than ints 0 <= i < j < dim, or a result index k that is not
+        an int in 0..dim-1, raises DimensionMismatchError.
         """
         labels = tuple(str(x) for x in labels)
         n = len(labels)
         sums = {}
         for (i, j), terms in brackets.items():
-            if not 0 <= i < j < n:
+            if type(i) is not int or type(j) is not int or not 0 <= i < j < n:
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
             row = sums[i, j] = {}
             for coeff, k in terms:
@@ -518,9 +518,9 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
 
 
 def reorder_basis(L: LieAlgebra, order) -> LieAlgebra:
-    """The same algebra presented in a permuted basis."""
+    """The same algebra in the basis order given, a permutation of the ints 0..dim-1."""
     order = tuple(order)
-    if sorted(order) != list(range(L.dim)):
+    if any(type(k) is not int for k in order) or sorted(order) != list(range(L.dim)):
         raise DimensionMismatchError("order must be a permutation of the basis indices")
     D, table = L._table
     place = {k: p for p, k in enumerate(order)}

@@ -1362,6 +1362,22 @@ def test_check_on_relabelled_ut7_keeps_to_its_blocks():
     assert peak < 16_000_000, peak
 
 
+def test_cohomology_of_holds_no_copy_of_the_differential():
+    # a result keeps the pivots and representatives of each degree alone,
+    # about 215 KB here; a transposed copy of every block differential kept
+    # beside them, to test cocycles, brings it to about 380 KB
+    L = _relabelled(catalog.strict_ut(5), random.Random(3501))
+    cx = ce_complex(L, trivial_module(L))
+    tracemalloc.start()
+    try:
+        result = cohomology_of(cx)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.dims == (1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1)
+    assert held < 300_000, held
+
+
 def test_cohomology_results_hash_and_compare():
     # the sparse representatives and the pivots stay out of hash and ==
     L = catalog.heisenberg3()

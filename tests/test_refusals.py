@@ -10,7 +10,7 @@ import re
 import pytest
 
 from liecoh import catalog
-from liecoh.cohomology import action_on_cohomology
+from liecoh.cohomology import action_on_cohomology, cohomology
 from liecoh.errors import DimensionMismatchError, NotASubalgebraError
 from liecoh.lie import (
     LieAlgebra,
@@ -36,6 +36,7 @@ H = catalog.heisenberg3()
 A = catalog.abelian(2)
 Z = LieAlgebra(())           # no action matrix pins a module's size
 ONE, TWO = Subspace.full(1), Subspace.full(2)
+H_COH = cohomology(H, trivial_module(H))
 
 CASES = {
     # lie
@@ -45,6 +46,10 @@ CASES = {
                DimensionMismatchError, "one label per basis element"),
     "bracket pair": (lambda: LieAlgebra.from_brackets("ab", {(1, 0): [(1, 0)]}),
                      DimensionMismatchError, "bracket pair (1, 0) must satisfy"),
+    "bool bracket pair": (lambda: LieAlgebra.from_brackets("xyz", {(False, True): [(1, 2)]}),
+                          DimensionMismatchError, "bracket pair (False, True) must satisfy"),
+    "float bracket pair": (lambda: LieAlgebra.from_brackets("xyz", {(0.0, 1.0): [(1, 2)]}),
+                           DimensionMismatchError, "bracket pair (0.0, 1.0) must satisfy"),
     "negative result index": (lambda: LieAlgebra.from_brackets("xyz", {(0, 1): [(1, -1)]}),
                               DimensionMismatchError,
                               "result index -1 of bracket pair (0, 1) must satisfy 0 <= k < dim"),
@@ -72,6 +77,10 @@ CASES = {
     "subalgebra ambient": (lambda: subalgebra(H, TWO),
                            DimensionMismatchError, "subspace has wrong ambient dimension"),
     "permutation": (lambda: reorder_basis(H, (0, 0, 1)),
+                    DimensionMismatchError, "order must be a permutation"),
+    "bool order": (lambda: reorder_basis(H, (True, False, 2)),
+                   DimensionMismatchError, "order must be a permutation"),
+    "float order": (lambda: reorder_basis(H, (1.0, 0.0, 2.0)),
                     DimensionMismatchError, "order must be a permutation"),
     # linalg
     "ragged rows": (lambda: QMatrix([[1, 2], [3]]),
@@ -130,6 +139,14 @@ CASES = {
     "module over another algebra": (
         lambda: action_on_cohomology(H, Subspace.zero(3), trivial_module(catalog.abelian(3))),
         DimensionMismatchError, "coefficients must form a module over the ambient algebra"),
+    "bool degree of coordinates": (lambda: H_COH.coordinates(True, QMatrix.zero(3, 1)),
+                                   DimensionMismatchError, "degree True is outside 0..3"),
+    "bool degree of project": (lambda: H_COH.project(True, (0, 0, 0)),
+                               DimensionMismatchError, "degree True is outside 0..3"),
+    "float degree of coordinates": (lambda: H_COH.coordinates(1.0, QMatrix.zero(3, 1)),
+                                    DimensionMismatchError, "degree 1.0 is outside 0..3"),
+    "float degree of project": (lambda: H_COH.project(1.0, (0, 0, 0)),
+                                DimensionMismatchError, "degree 1.0 is outside 0..3"),
 }
 
 
