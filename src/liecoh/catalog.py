@@ -2,6 +2,9 @@
 
 Every entry is reconstructed on each call, passes `validate`, and is
 addressable by name from the command line (`liecoh example <name>`).
+The matrix algebras `ut`, `strict_ut` and `prop_c`, like the draws of
+`checker.random_solvable_algebra`, are spans of diagonal matrices and
+matrix units built by one routine, `_triangular`.
 
 >>> names()[:4]
 ('abelian1', 'abelian2', 'abelian3', 'abelian4')
@@ -47,9 +50,21 @@ def _eij(n: int, i: int, j: int):
             for r in range(n)]
 
 
-def _matrix_sum(*mats):
-    n = len(mats[0])
-    return [[sum(m[r][c] for m in mats) for c in range(n)] for r in range(n)]
+def _upper(n: int) -> list[tuple[int, int]]:
+    """Every position i < j of an n x n matrix, by diagonal distance j - i."""
+    return [(i, i + d) for d in range(1, n) for i in range(n - d)]
+
+
+def _triangular(n: int, diagonals, pairs) -> LieAlgebra:
+    """The span of diag(d) for each (label, d) of `diagonals`, then of the
+    matrix units E_ij at `pairs`, labelled E{i+1}{j+1}, in the order given.
+
+    Built through `LieAlgebra.from_matrices`, so a dependent or unclosed
+    span raises NotASubalgebraError.
+    """
+    labels = [label for label, _ in diagonals] + [f"E{i+1}{j+1}" for i, j in pairs]
+    mats = [[[d[r] if r == c else 0 for c in range(n)] for r in range(n)] for _, d in diagonals]
+    return LieAlgebra.from_matrices(labels, mats + [_eij(n, i, j) for i, j in pairs])
 
 
 def strict_ut(n: int) -> LieAlgebra:
@@ -58,23 +73,12 @@ def strict_ut(n: int) -> LieAlgebra:
     Basis ordered by diagonal distance j - i, so the native order is
     already adapted to the bracket filtration.
     """
-    labels, mats = [], []
-    for d in range(1, n):
-        for i in range(n - d):
-            labels.append(f"E{i+1}{i+d+1}")
-            mats.append(_eij(n, i, i + d))
-    return LieAlgebra.from_matrices(labels, mats)
+    return _triangular(n, [], _upper(n))
 
 
 def ut(n: int) -> LieAlgebra:
     """All upper-triangular n x n matrices (diagonal ones first)."""
-    labels = [f"E{i+1}{i+1}" for i in range(n)]
-    mats = [_eij(n, i, i) for i in range(n)]
-    for d in range(1, n):
-        for i in range(n - d):
-            labels.append(f"E{i+1}{i+d+1}")
-            mats.append(_eij(n, i, i + d))
-    return LieAlgebra.from_matrices(labels, mats)
+    return _triangular(n, [], [(i, i) for i in range(n)] + _upper(n))
 
 
 def prop_c() -> LieAlgebra:
@@ -83,15 +87,7 @@ def prop_c() -> LieAlgebra:
     Five-dimensional and solvable; its conditions in the equivalence
     checker come out false, unlike the full upper-triangular algebra.
     """
-    labels = ["D1", "D2", "E12", "E23", "E13"]
-    mats = [
-        _matrix_sum(_eij(3, 0, 0), _eij(3, 2, 2)),
-        _eij(3, 1, 1),
-        _eij(3, 0, 1),
-        _eij(3, 1, 2),
-        _eij(3, 0, 2),
-    ]
-    return LieAlgebra.from_matrices(labels, mats)
+    return _triangular(3, [("D1", (1, 0, 1)), ("D2", (0, 1, 0))], _upper(3))
 
 
 def amazing_l() -> LieAlgebra:

@@ -24,7 +24,7 @@ and the page's dimension bound against the abutting cohomology).
 import random
 from dataclasses import dataclass
 
-from .catalog import get, names
+from .catalog import _triangular, get, names
 from .cohomology import (
     E2Page,
     _e2_from_action,
@@ -189,8 +189,9 @@ def random_solvable_algebra(rng: random.Random) -> LieAlgebra:
     """A random solvable subalgebra of upper-triangular matrices, dim <= 5.
 
     Strictly upper-triangular positions closed under composition, plus up
-    to two random diagonal matrices.  Hits nilpotent and non-nilpotent
-    cases, and both verdicts of the two conditions.
+    to two random diagonal matrices D1, D2, spanned by `catalog._triangular`.
+    Hits nilpotent and non-nilpotent cases, and both verdicts of the two
+    conditions.
     """
     while True:
         if rng.random() < 0.75:
@@ -199,22 +200,15 @@ def random_solvable_algebra(rng: random.Random) -> LieAlgebra:
         else:
             n, support = 4, rng.choice(_SUPPORTS_4)
             diag_count = rng.choice((0, 1))
-        labels = []
-        mats = []
+        diagonals = []
         for d in range(diag_count):
             entries = [rng.randint(-2, 2) for _ in range(n)]
             if not any(entries):
                 entries[rng.randrange(n)] = 1
-            labels.append(f"D{d+1}")
-            mats.append([[entries[r] if r == c else 0 for c in range(n)]
-                         for r in range(n)])
-        for (i, j) in support:
-            labels.append(f"E{i+1}{j+1}")
-            mats.append([[1 if (r, c) == (i, j) else 0 for c in range(n)]
-                         for r in range(n)])
-        if not mats:
+            diagonals.append((f"D{d+1}", entries))
+        if not diagonals and not support:
             continue
         try:
-            return LieAlgebra.from_matrices(labels, mats)
+            return _triangular(n, diagonals, support)
         except NotASubalgebraError:
             continue  # dependent diagonal picks; draw again

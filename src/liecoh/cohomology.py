@@ -216,10 +216,14 @@ class CochainComplex:
         return tuple(map(self.delta, range(self.algebra.dim)))
 
     def space_dim(self, p: int) -> int:
+        if type(p) is not int:
+            raise DimensionMismatchError(f"degree {p!r} is not an int")
         return comb(self.algebra.dim, p) * self.coeff.dim if p >= 0 else 0
 
     def delta(self, p: int) -> QMatrix:
         """The differential out of C^p; zero maps beyond the stored range."""
+        if type(p) is not int:
+            raise DimensionMismatchError(f"degree {p!r} is not an int")
         if not 0 <= p < self.algebra.dim:
             return QMatrix.zero(self.space_dim(p + 1), self.space_dim(p))
         if p not in self._deltas:
@@ -660,21 +664,25 @@ class E2Page:
 def _e2_from_action(page) -> E2Page:
     """The table of page[q] = H^*(N, H^q(ideal)), q = 0..dim(ideal): the
     cohomologies of the quotient N with coefficients in the modules of an
-    `action_on_cohomology`, built once by the caller."""
+    `action_on_cohomology`, built once by the caller; None stands for a
+    zero module, whose column is all zeros."""
     top = page[0].complex.top_degree
-    return E2Page(tuple(tuple(c.dims[p] for c in page) for p in range(top + 1)))
+    return E2Page(tuple(tuple(0 if c is None else c.dims[p] for c in page)
+                        for p in range(top + 1)))
 
 
-def _page(L: LieAlgebra) -> tuple[Subspace, ActionOnCohomology, list[CohomologyResult]]:
+def _page(L: LieAlgebra) -> tuple[Subspace, ActionOnCohomology, list[CohomologyResult | None]]:
     """L^inf, the action of N = L/L^inf on H^*(L^inf, k)_0, the part of
     weight 0 under `_grading(L, k)`'s x, and the starting page
     H^*(N, H^q(L^inf)) = H^*(N, H^q(L^inf)_0), q = 0..dim L^inf (module
     docstring); q = 0 is H^*(N, k), as H^0(L^inf, k) = k has weight 0.
+    A zero module gets None and builds no complex.
     The modules are not the whole H^q(L^inf): `action_on_cohomology` is."""
     linf = lower_central_series(L).last
     k = trivial_module(L)
     aoc = _action(L, linf, k, _grading(L, k))
-    return linf, aoc, [cohomology(aoc.quotient.algebra, mod) for mod in aoc.modules]
+    N = aoc.quotient.algebra
+    return linf, aoc, [cohomology(N, mod) if mod.dim else None for mod in aoc.modules]
 
 
 def hs_e2_page(L: LieAlgebra) -> E2Page:

@@ -195,8 +195,8 @@ def exterior_power(M: LieModule, p: int) -> LieModule:
     e_k sorts back in.  The terms are the ints of `_int_action`, added
     up over its D as in the cochain differential.
     """
-    if p < 0:
-        raise ValueError(f"exterior powers start at p = 0, got p = {p}")
+    if type(p) is not int or p < 0:
+        raise ValueError(f"exterior powers start at p = 0, got p = {p!r}")
     D, P = M._int_action
     rho = []
     for rows in P:

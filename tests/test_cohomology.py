@@ -12,6 +12,7 @@ from liecoh.checker import check, random_solvable_algebra, verify_report
 from liecoh.cohomology import (
     CochainComplex,
     _chain_map,
+    _e2_from_action,
     _grading,
     _page,
     action_on_cohomology,
@@ -1015,7 +1016,9 @@ def test_chain_map_and_page_at_the_boundary_cases():
     L = catalog.sl2()
     linf, aoc, page = _page(L)
     assert linf.dim == 3 and aoc.quotient.algebra.dim == 0
-    assert [c.dims for c in page] == [(1,), (0,), (0,), (1,)]
+    # the zero modules H^1, H^2 build no complex and read as columns of zeros
+    assert [c is None for c in page] == [False, True, True, False]
+    assert _e2_from_action(page).dims == ((1, 0, 0, 1),)
     maps = inflation_map(L, aoc.quotient, ce_complex(L, trivial_module(L)), page[0].complex)
     assert tuple(whole(m, 1, 1) for m in maps) == (QMatrix([[1]]),)
     # N = L and L^inf = 0: inflation has a map in every degree, and the
@@ -1029,6 +1032,24 @@ def test_chain_map_and_page_at_the_boundary_cases():
     assert [whole(m, comb(3, p), comb(3, p)).rows for p, m in enumerate(maps)] == [1, 3, 3, 1]
     ops = chain_action(H, linf, trivial_module(H), unit_vector(3, 0))
     assert tuple(whole(op, 1, 1) for op in ops) == (QMatrix([[0]]),)
+
+
+def test_the_page_runs_cohomology_on_its_nonzero_modules_alone(monkeypatch):
+    # relabelled ut(4): of the seven modules H^q(L^inf)_0 only q = 0 is
+    # nonzero (Kostant), so one complex is built, for H^*(N, k)
+    calls = []
+    real = cohomology_module.cohomology
+
+    def spy(*args):
+        calls.append(args[1].dim)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology_module, "cohomology", spy)
+    L = _relabelled(catalog.ut(4), random.Random(1003))
+    linf, aoc, page = _page(L)
+    assert calls == [1] and len(page) == linf.dim + 1 == 7
+    assert _e2_from_action(page).dims == check(L).e2_table == tuple((comb(4, p),) + (0,) * 6
+                                                                   for p in range(5))
 
 
 def test_e2_page_is_the_table_check_reports():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations
 from math import lcm
 
@@ -73,6 +74,57 @@ def test_catalog_validates():
 def test_catalog_doctests():
     import doctest
     assert doctest.testmod(catalog).failed == 0
+
+
+# --- the triangular catalog against the matrix-unit rule ------------------
+
+def _by_unit_rule(n, diagonals, pairs):
+    """The span of diag(d), (label, d) in `diagonals`, then of E_ij, (i, j) in
+    `pairs` and labelled E{i+1}{j+1}, bracketed by the closed forms
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj and [diag(d), E_ij] = (d_i - d_j) E_ij."""
+    first = len(diagonals)
+    place = {unit: first + a for a, unit in enumerate(pairs)}
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for s, (_, d) in enumerate(diagonals):
+            brackets[s, first + a] = [(d[i] - d[j], first + a)]
+        for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
+            brackets[first + a, first + b] = ([(1, place[i, l])] if j == k else []) \
+                + ([(-1, place[k, j])] if l == i else [])
+    labels = [label for label, _ in diagonals] + [f"E{i+1}{j+1}" for i, j in pairs]
+    return LieAlgebra.from_brackets(labels, brackets)
+
+
+def _above_diagonal(n):
+    return sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                  key=lambda unit: (unit[1] - unit[0], unit[0]))
+
+
+def test_triangular_catalog_follows_the_matrix_unit_rule():
+    for n in range(1, 7):
+        assert catalog.strict_ut(n) == _by_unit_rule(n, [], _above_diagonal(n)), n
+        diagonal = [(i, i) for i in range(n)]
+        assert catalog.ut(n) == _by_unit_rule(n, [], diagonal + _above_diagonal(n)), n
+    prop_c = _by_unit_rule(3, [("D1", (1, 0, 1)), ("D2", (0, 1, 0))], [(0, 1), (1, 2), (0, 2)])
+    assert catalog.prop_c() == prop_c
+
+
+def test_random_solvable_draws_follow_the_matrix_unit_rule(monkeypatch):
+    checker = import_module("liecoh.checker")
+    real, calls = checker._triangular, []
+
+    def spy(n, diagonals, pairs):
+        calls.append((n, diagonals, pairs))
+        return real(n, diagonals, pairs)
+
+    monkeypatch.setattr(checker, "_triangular", spy)
+    rng = random.Random(3601)
+    for i in range(120):
+        L = random_solvable_algebra(rng)
+        assert L == _by_unit_rule(*calls[-1]), i
+    # draws with and without a diagonal, on 3 x 3 and 4 x 4 matrices
+    assert {(n, bool(diagonals)) for n, diagonals, _ in calls} == {(3, False), (3, True),
+                                                                   (4, False), (4, True)}
 
 
 def test_abelian_validates():

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from liecoh import catalog
-from liecoh.cohomology import action_on_cohomology, cohomology
+from liecoh.cohomology import action_on_cohomology, ce_complex, cohomology
 from liecoh.errors import DimensionMismatchError, NotASubalgebraError
 from liecoh.lie import (
     LieAlgebra,
@@ -37,6 +37,14 @@ A = catalog.abelian(2)
 Z = LieAlgebra(())           # no action matrix pins a module's size
 ONE, TWO = Subspace.full(1), Subspace.full(2)
 H_COH = cohomology(H, trivial_module(H))
+
+
+def _delta_once_cached(p):
+    """delta(p) on a fresh complex of H whose delta_1 is already cached."""
+    cx = ce_complex(H, trivial_module(H))
+    cx.delta(1)
+    return cx.delta(p)
+
 
 CASES = {
     # lie
@@ -121,6 +129,10 @@ CASES = {
     # rep
     "negative exterior power": (lambda: exterior_power(trivial_module(A), -1),
                                 ValueError, "exterior powers start at p = 0, got p = -1"),
+    "bool exterior power": (lambda: exterior_power(trivial_module(A), True),
+                            ValueError, "exterior powers start at p = 0, got p = True"),
+    "float exterior power": (lambda: exterior_power(trivial_module(A), 1.0),
+                             ValueError, "exterior powers start at p = 0, got p = 1.0"),
     "module matrices": (lambda: LieModule(A, [[[0]]]),
                         DimensionMismatchError, "one action matrix per basis element"),
     "negative module dim": (lambda: LieModule(Z, (), dim=-5),
@@ -147,6 +159,14 @@ CASES = {
                                     DimensionMismatchError, "degree 1.0 is outside 0..3"),
     "float degree of project": (lambda: H_COH.project(1.0, (0, 0, 0)),
                                 DimensionMismatchError, "degree 1.0 is outside 0..3"),
+    "bool degree of delta": (lambda: ce_complex(H, trivial_module(H)).delta(True),
+                             DimensionMismatchError, "degree True is not an int"),
+    "float degree of delta": (lambda: ce_complex(H, trivial_module(H)).delta(1.0),
+                              DimensionMismatchError, "degree 1.0 is not an int"),
+    "float degree of a cached delta": (lambda: _delta_once_cached(1.0),
+                                       DimensionMismatchError, "degree 1.0 is not an int"),
+    "bool degree of space_dim": (lambda: ce_complex(H, trivial_module(H)).space_dim(True),
+                                 DimensionMismatchError, "degree True is not an int"),
 }
 
 
