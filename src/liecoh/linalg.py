@@ -48,7 +48,10 @@ Conventions
   tags its new bases the same way).  Keys need only be comparable, so
   `pbw` runs the same engine on monomial rows.  Matrix rows feed the
   engine directly, without a dense round-trip, and the engine never
-  changes the rows it is given.  The test suite checks it
+  changes the rows it is given: it copies a row before it eliminates
+  into it, but stores a row that needs no elimination as it is, so a
+  pivot row may be the caller's own dict, and no caller edits a row
+  after handing it over.  The test suite checks it
   against the independent Fraction elimination in `tests/oracles.py`.
 """
 
@@ -372,17 +375,25 @@ def _reduce(pivots: dict, row: dict):
 
     `pivots` maps each leading (smallest) key to a primitive int row that
     is positive there.  The row, a {key: int} dict left unchanged, is
-    copied and cross-multiplied with pivot rows until its leading key is
-    no pivot.  Returns (lead, reduced, s): the leading key left over (None
-    when the row reduced to zero), the reduced int row, and the int s > 0
-    with reduced = s * row - (an int combination of pivot rows).
+    cross-multiplied with pivot rows until its leading key is no pivot;
+    it is copied only before the first elimination into it, so a row
+    whose lead is no pivot comes back as the caller's own dict.  A
+    one-term row on a one-term pivot, which is then {lead: 1}, is a
+    multiple of it and reduces to zero at once.  Returns (lead, reduced,
+    s): the leading key left over (None when the row reduced to zero), the
+    reduced int row, and the int s > 0 with reduced = s * row - (an int
+    combination of pivot rows).
     """
-    row, s = dict(row), 1
+    s, copied = 1, False
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
             return lead, row, s
+        if len(piv) == 1 and len(row) == 1:
+            return None, {}, s
+        if not copied:
+            row, copied = dict(row), True
         s *= _eliminate(row, lead, piv)
     return None, row, s
 
@@ -391,7 +402,9 @@ def _insert(pivots: dict, row: dict):
     """Reduce an int row and add what is left to `pivots` as a primitive int row.
 
     Returns the new leading key, or None when the row lay in the span of
-    the pivot rows already.  Leaves the row and the pivot rows alone.
+    the pivot rows already.  Leaves the row and the pivot rows alone, but
+    the stored pivot row may be the caller's own dict (`_reduce`,
+    `_primitive`), so a caller never edits a row after handing it over.
     """
     lead, row, _ = _reduce(pivots, row)
     if lead is not None:
@@ -405,17 +418,21 @@ def _echelon(rows) -> dict:
     Returns {pivot key: row} in increasing key order; every row is
     positive at its own pivot and 0 at every other one, so dividing each
     row by its pivot entry (`_rational`) gives the reduced echelon form.
+    A stored row may be one of the given rows (`_insert`), and the
+    back-substitution is the one place the engine edits a stored row, so
+    it copies the row first: the given rows are left alone, and a returned
+    row may be one of them.
     """
     pivots: dict = {}
     for row in rows:
         _insert(pivots, row)
     leads = sorted(pivots)
     for lead in reversed(leads):
-        row = pivots[lead]
-        keys = [k for k in row if k != lead and k in pivots]
-        for k in keys:
-            _eliminate(row, k, pivots[k])
+        keys = [k for k in pivots[lead] if k != lead and k in pivots]
         if keys:
+            row = dict(pivots[lead])
+            for k in keys:
+                _eliminate(row, k, pivots[k])
             pivots[lead] = _primitive(row, lead)
     return {lead: pivots[lead] for lead in leads}
 

@@ -34,8 +34,11 @@ exponent and the weight fit their b-bit fields, and the keys sort
 exactly like the tuples (-|a|, a): by degree, highest first, then
 lexicographically by exponents (the weight is a function of a).  That is
 the order the elimination engine leads rows by, so `_word_span` hands
-memo entries to the engine unmodified as rows; that is safe because the
-engine leaves the row and the pivot rows alone (`linalg._insert`).
+memo entries to the engine as they are, as {key: int} rows.  The engine
+may keep such a row as a pivot row itself, and `_word_span`'s spans and
+`_ipower_pass`'s snapshots share it; that is safe because nothing edits a
+row once it is handed over, and the engine copies a row before it
+eliminates into it (`linalg._reduce`, `linalg._insert`).
 Multiplying by f_i adds one precomputed step (one more f_i, nu_i more
 weight, one degree more), the ceiling test reads the lowest field, and
 the last letter of f^a is the field of the lowest set bit of enc(a).
@@ -45,7 +48,7 @@ degree bound: the word length for `pbw_normal_form`, deg u + deg v for
 `multiply`, the word cap for non-nilpotent input to the brute-force
 pass.  A product of s letters has degree <= s, so that ceiling never
 drops a term.  Keys are made from and decoded to exponent tuples only at
-the boundary: `_to_f`, `_to_e` and the rows `_ipower_pass` keeps.
+the boundary: `_to_f`, `_to_e` and the rows `ipower_bruteforce` returns.
 This product is the only straightening in the library; the tests
 compare it against an independent adjacent-pair rewriting oracle in
 `tests/oracles.py`.
@@ -54,9 +57,10 @@ Fractions appear only at the boundary.  Since f^a = D^{|a|} e^a, a
 coefficient x on f^a is x D^{|a|} on e^a: `pbw_normal_form` and
 `multiply` divide their inputs by D^{|a|} and scale their outputs back,
 so their results are in the e basis.  The brute-force pass eliminates in
-the f coordinates and scales back only the rows it keeps.  The rescaling
-is diagonal in the monomial coordinates: it keeps every key and degree,
-and it maps a span of monomials to itself.
+the f coordinates; `ipower_bruteforce` scales back only the rows it
+returns, and `ipower_checks` scales nothing.  The rescaling is diagonal in
+the monomial coordinates: it keeps every key and degree, and it maps a
+span of monomials to itself.
 
 Powers of the augmentation ideal are handled two ways, deliberately kept
 independent of each other:
@@ -76,6 +80,10 @@ independent of each other:
 Both return subspaces over the same graded monomial coordinates, so
 agreement is literal equality.  For nilpotent input all coordinates refer
 to the adapted basis order; otherwise to the algebra's own order.
+`ipower_checks` decides the same equality without building either
+subspace: the pass's pivot rows are independent, so they span the
+predicted monomials exactly when there are as many rows as monomials and
+every term of every row has weight >= m.
 
 The brute-force span makes one descending pass over word lengths: it
 eliminates the words of length cap, cap - 1, ... into one echelon form
@@ -177,9 +185,9 @@ class UEAElement:
 
     @classmethod
     def generator(cls, n: int, i: int) -> "UEAElement":
-        """The letter f_i; ValueError unless 0 <= i < n."""
-        if not 0 <= i < n:
-            raise ValueError(f"generators are indices 0..{n - 1}, got {i}")
+        """The letter f_i; ValueError unless i is an int with 0 <= i < n."""
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"generators are indices 0..{n - 1}, got {i!r}")
         return cls.monomial(n, tuple(1 if j == i else 0 for j in range(n)))
 
     def is_zero(self) -> bool:
@@ -298,14 +306,15 @@ def _times_letter(table: tuple, keys: _Keys, key: int, i: int, memo: dict) -> di
     product is dropped whole above the ceiling; under all weights 1 the
     caller's ceiling bounds the degree and is never crossed.  `memo` maps
     key * n + i to finished products for this one table and `keys`.
-    `_word_span` hands them to the engine unmodified, which is safe: the
-    engine leaves the row and the pivot rows alone.
+    `_word_span` hands them to the engine as they are, and the engine may
+    keep one as a pivot row; that is safe because nothing edits a row once
+    it is handed over (`linalg._insert`).
     """
-    n, b, mask, top, nu, step, last = keys
-    slot = key * n + i
+    slot = key * keys.n + i
     out = memo.get(slot)
     if out is not None:
         return out
+    n, b, mask, top, nu, step, last = keys
     if (key & mask) + nu[i] > top:
         out = {}
     else:
@@ -346,9 +355,9 @@ def _to_e(terms: dict, D: int, d: int, keys: _Keys) -> dict:
 
 
 def pbw_normal_form(L: LieAlgebra, word) -> UEAElement:
-    """Straighten a product of basis letters (given by index) in L's order."""
+    """Straighten a product of basis letters (given by int index) in L's order."""
     word = tuple(word)
-    if any(not 0 <= i < L.dim for i in word):
+    if any(type(i) is not int or not 0 <= i < L.dim for i in word):
         raise ValueError(f"letters must be basis indices 0..{L.dim - 1}")
     D, table = _constants(L)
     keys = _keys(L.dim, len(word), (1,) * L.dim)
@@ -414,26 +423,29 @@ def _word_span(L: LieAlgebra, cap: int, nu: tuple) -> tuple:
     exactly s modulo the monomials of weight above cap, in the f basis of
     the module docstring.
 
-    Entry s of spans is a tuple of rows, each a tuple of (key, int) items
-    keyed as in `_reduce_into`.  Each is a primitive int pivot row, so only
+    Entry s of spans is a tuple of the engine's pivot rows, {key: int}
+    dicts keyed as in `_reduce_into`.  Each is a primitive int row, so only
     the span of the rows is meaningful.  Length s is built from the rows of
     length s - 1 times each letter, and one letter-product memo serves every
-    length.  Under the weights of an adapted basis the module docstring
-    shows that the ceiling leaves every snapshot of `_ipower_pass`
-    unchanged; under all weights 1 it drops nothing."""
+    length.  A row may be a memo entry itself, and it is shared with the
+    cache and with every pass that reads it: nobody edits it.  Under the
+    weights of an adapted basis the module docstring shows that the ceiling
+    leaves every snapshot of `_ipower_pass` unchanged; under all weights 1
+    it drops nothing."""
     _, table = _constants(L)
     keys = _keys(L.dim, cap, nu)
     memo: dict = {}
-    spans = [(((0, 1),),)]          # the monomial 1 has key 0
+    spans = [({0: 1},)]             # the monomial 1 has key 0
     for _ in range(cap):
         pivots: dict = {}
         for prev, i in product(spans[-1], range(L.dim)):
-            # a one-term primitive row has coefficient 1, so its product is a memo entry
-            row = (_times_letter(table, keys, prev[0][0], i, memo) if len(prev) == 1
-                   else _weighted_sum((_times_letter(table, keys, k, i, memo), c) for k, c in prev))
+            # a one-term primitive row is {key: 1}, so its product is a memo entry
+            row = (_times_letter(table, keys, min(prev), i, memo) if len(prev) == 1
+                   else _weighted_sum((_times_letter(table, keys, k, i, memo), c)
+                                      for k, c in prev.items()))
             if row:
                 _reduce_into(pivots, row)
-        spans.append(tuple(tuple(row.items()) for row in pivots.values()))
+        spans.append(tuple(pivots.values()))
     return keys, tuple(spans)
 
 
@@ -443,46 +455,46 @@ def _word_cap(nu, m_max: int, r_max: int) -> int:
 
 
 def _require_window(m_lo: int, m_hi: int, r_max: int) -> None:
-    """Refuse powers m_lo..m_hi that do not start at 1 or more, and r_max < 0."""
-    if not 1 <= m_lo <= m_hi:
+    """Refuse powers m_lo..m_hi that are not ints starting at 1 or more, and
+    an r_max that is no int >= 0."""
+    if type(m_lo) is not int or type(m_hi) is not int or not 1 <= m_lo <= m_hi:
         raise ValueError("powers of the augmentation ideal start at m = 1")
-    if r_max < 0:
-        raise ValueError(f"degrees start at r = 0, got r_max = {r_max}")
+    if type(r_max) is not int or r_max < 0:
+        raise ValueError(f"degrees start at r = 0, got r_max = {r_max!r}")
 
 
 def _ipower_pass(L: LieAlgebra, order, nu, m_lo: int, m_hi: int,
-                 r_max: int) -> list[Subspace]:
-    """Degree <= r_max parts of the m-th powers for m = m_lo..m_hi, from one
-    descending pass over word lengths (see the module docstring).
+                 r_max: int) -> tuple[_Keys, list]:
+    """(keys, snapshots): the degree <= r_max parts of the m-th powers for
+    m = m_lo..m_hi, from one descending pass over word lengths (see the
+    module docstring).
 
     nu are the weights of the letters in `order`: an adapted basis's for
     nilpotent input, all 1 otherwise.  The cap on word lengths is that of
     the largest m, which also exhausts the smaller ones, and the words are
-    spanned modulo the monomials of weight above that cap.  Coordinates are
-    `monomials(dim, r_max)` in `order`.
+    spanned modulo the monomials of weight above that cap.  Snapshot
+    m - m_lo lists the engine's pivot rows led by a monomial of degree
+    <= r_max once the words of length m are in: primitive int rows in the
+    f basis, on the packed keys `keys` of the letters in `order`, with
+    distinct leads.  The rows are shared with `_word_span`'s cache.
     """
     _require_window(m_lo, m_hi, r_max)
     if order != tuple(range(L.dim)):
         L = reorder_basis(L, order)
     cap = _word_cap(nu, m_hi, r_max)
     keys, spans = _word_span(L, cap, nu)
-    D = _constants(L)[0]
-    monos = monomials(L.dim, r_max)
-    index = {keys.key(a): t for t, a in enumerate(monos)}
     pivots: dict = {}
-    low = []        # pivot rows led by degree <= r_max, in e-monomial coordinates
-    powers = []
+    low: list = []
+    snapshots = []
     for s in range(cap, m_lo - 1, -1):
         seen = len(pivots)
         for row in spans[s]:
-            _reduce_into(pivots, dict(row))
-        # a coefficient x on f^a is x * D^|a| on e^a
-        low += [{index[k]: c * D ** keys.degree(k) for k, c in row.items()}
-                for lead, row in islice(pivots.items(), seen, None)
+            _reduce_into(pivots, row)
+        low += [row for lead, row in islice(pivots.items(), seen, None)
                 if keys.degree(lead) <= r_max]
         if s <= m_hi:
-            powers.append(_span(len(monos), low))
-    return powers[::-1]
+            snapshots.append(low[:])
+    return keys, snapshots[::-1]
 
 
 def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
@@ -496,13 +508,13 @@ def ipower_bruteforce(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     every product leaves the result unchanged.
     """
     order, nu = straightening_order(L)
-    return _ipower_pass(L, order, nu or (1,) * L.dim, m, m, r_max)[0]
-
-
-def _weight_span(n: int, nu, m: int, r_max: int) -> Subspace:
-    monos = monomials(n, r_max)
-    return _span(len(monos), ({t: 1} for t, a in enumerate(monos)
-                              if sum(e * w for e, w in zip(a, nu)) >= m))
+    keys, (rows,) = _ipower_pass(L, order, nu or (1,) * L.dim, m, m, r_max)
+    D = _constants(L)[0]
+    monos = monomials(L.dim, r_max)
+    index = {keys.key(a): t for t, a in enumerate(monos)}
+    # a coefficient x on f^a is x * D^|a| on e^a
+    return _span(len(monos), ({index[k]: c * D ** keys.degree(k) for k, c in row.items()}
+                              for row in rows))
 
 
 def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
@@ -512,7 +524,10 @@ def ipower_predicted(L: LieAlgebra, m: int, r_max: int) -> Subspace:
     adapted order.  Same coordinates as `ipower_bruteforce`.
     """
     _require_window(m, m, r_max)
-    return _weight_span(L.dim, adapted_basis(L).nu, m, r_max)
+    nu = adapted_basis(L).nu
+    monos = monomials(L.dim, r_max)
+    return _span(len(monos), ({t: 1} for t, a in enumerate(monos)
+                              if sum(e * w for e, w in zip(a, nu)) >= m))
 
 
 @dataclass(frozen=True)
@@ -541,7 +556,7 @@ def rees_layer_table(L: LieAlgebra, r_max: int, m_max: int) -> ReesLayerTable:
     The r = 1 row reproduces the dimensions of the bracket filtration of
     the algebra itself, which the tests assert.
     """
-    if r_max < 0 or m_max < 0:
+    if type(r_max) is not int or type(m_max) is not int or r_max < 0 or m_max < 0:
         raise ValueError(f"layers start at r = m = 0, got r_max = {r_max}, m_max = {m_max}")
     ab = adapted_basis(L)
     table = [[0] * (m_max + 1) for _ in range(r_max + 1)]
@@ -553,13 +568,34 @@ def rees_layer_table(L: LieAlgebra, r_max: int, m_max: int) -> ReesLayerTable:
     return ReesLayerTable(tuple(map(tuple, table)), ab.nu, ab.order)
 
 
+def _fills_layer(rows, mask: int, m: int, dim: int) -> bool:
+    """Whether pivot rows on packed keys, with distinct leads and of degree
+    <= r_max, span the `dim` monomials of degree <= r_max and weight >= m:
+    there are dim rows, and every key of every row weighs m or more
+    (`key & mask`, `_Keys`)."""
+    return len(rows) == dim and all(k & mask >= m for row in rows for k in row)
+
+
 def ipower_checks(L: LieAlgebra, table: ReesLayerTable) -> tuple[bool, ...]:
     """Whether `ipower_bruteforce(L, m, r) == ipower_predicted(L, m, r)` for
     m = 1..table.m_max and r = table.r_max, from one brute-force pass and the
-    adapted order and weights of `table = rees_layer_table(L, r, m_max)`."""
-    r_max, nu = table.r_max, table.nu
-    brute = _ipower_pass(L, table.order, nu, 1, table.m_max, r_max) if table.m_max else ()
-    return tuple(b == _weight_span(L.dim, nu, m, r_max) for m, b in enumerate(brute, 1))
+    adapted order and weights of `table = rees_layer_table(L, r, m_max)`.
+
+    No subspace is built.  The snapshot of the pass for m is pivot rows with
+    distinct leads, so they are independent; each is led by, and so lies
+    in, degree <= r_max.  The predicted space is spanned by the
+    sum_r table.dims[r][m] monomials of degree <= r_max and weight >= m.
+    So the two are equal exactly when the snapshot has that many rows and
+    every key of every row weighs m or more: then it lies inside the
+    predicted space and has its dimension, and conversely every vector of
+    the predicted space is supported on such monomials.  The rescaling
+    f = D e is diagonal, so the test reads the packed keys of the f basis
+    (`_fills_layer`)."""
+    if not table.m_max:
+        return ()
+    keys, snapshots = _ipower_pass(L, table.order, table.nu, 1, table.m_max, table.r_max)
+    return tuple(_fills_layer(rows, keys.mask, m, sum(row[m] for row in table.dims))
+                 for m, rows in enumerate(snapshots, 1))
 
 
 def monoid_generator_check(L: LieAlgebra, r_max: int, m_max: int) -> bool:

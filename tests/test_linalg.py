@@ -9,11 +9,13 @@ from liecoh.linalg import (
     QMatrix,
     Subspace,
     _complement,
+    _echelon,
     _insert,
     _ints,
     _kernel,
     _rational,
     _reduce,
+    _span,
     _tag_coordinates,
     image,
     kernel,
@@ -548,8 +550,8 @@ def _snapshot(row):
     return [(k, a, type(a)) for k, a in row.items()]
 
 
-# (row, leading key left over, s) against the pivot rows {0: 2, 1: 3} and
-# {1: 5, 2: 1}; s > 1 with int entries means `_eliminate` scaled the row,
+# (row, leading key left over, s) against the pivot rows {0: 2, 1: 3},
+# {1: 5, 2: 1} and {4: 1}; s > 1 with int entries means `_eliminate` scaled the row,
 # which happens when the pivot entry it clears with is not 1.  The engine
 # reads int rows, so a row with Fractions goes in as d * row (`_ints`), and
 # s is the engine's multiplier times that d
@@ -560,14 +562,15 @@ def _snapshot(row):
     ({0: 1, 1: Fraction(1, 3), 3: -7}, 2, 30),
     ({1: 1}, 2, 5),
     ({3: 1}, 3, 1),
+    ({4: -6}, None, 1),
 ], ids=["int-scaled", "int-zero", "fraction-zero", "mixed-scaled", "one-term-scaled",
-        "one-term-free"])
+        "one-term-free", "one-term-on-one-term"])
 def test_engine_leaves_its_row_argument_alone(row, lead, s):
     # pbw hands memoised letter products to the engine as rows, so a
     # mutation here would corrupt them silently
     row, d = _ints(row)
     pivots: dict = {}
-    for r in ({0: 2, 1: 3}, {1: 5, 2: 1}):
+    for r in ({0: 2, 1: 3}, {1: 5, 2: 1}, {4: 1}):
         _insert(pivots, r)
     before, stored = _snapshot(row), {k: _snapshot(r) for k, r in pivots.items()}
     got_lead, _, got_s = _reduce(pivots, row)
@@ -578,3 +581,20 @@ def test_engine_leaves_its_row_argument_alone(row, lead, s):
     assert _snapshot(row) == before
     assert all(_snapshot(pivots[k]) == v for k, v in stored.items())
     assert len(pivots) == len(stored) + (lead is not None)
+
+
+def test_echelon_sum_and_intersection_leave_their_rows_alone():
+    # `_insert` may store a given row as a pivot row itself; back-substitution
+    # then clears the entry at key 1 of the row led at 0, so `_echelon` must
+    # copy that row before it edits it
+    rows = [{0: 1, 1: 1}, {1: 1}]
+    before = [_snapshot(row) for row in rows]
+    assert _echelon(rows) == {0: {0: 1}, 1: {1: 1}}
+    assert _span(2, rows) == Subspace.full(2)
+    assert [_snapshot(row) for row in rows] == before
+    a, b = Subspace.from_rows(2, [(1, 1)]), Subspace.from_rows(2, [(0, 1)])
+    stored = [{k: _snapshot(row) for k, row in s._rows.items()} for s in (a, b)]
+    assert a + b == b + a == Subspace.full(2)
+    assert a & b == b & a == Subspace.zero(2)
+    assert [{k: _snapshot(row) for k, row in s._rows.items()} for s in (a, b)] == stored
+    assert (a, b) == (Subspace.from_rows(2, [(1, 1)]), Subspace.from_rows(2, [(0, 1)]))

@@ -11,6 +11,7 @@ from liecoh.lie import LieAlgebra, _constants, is_nilpotent, power_filtration, r
 from liecoh.linalg import Subspace, _ints, _span
 from liecoh.pbw import (
     UEAElement,
+    _fills_layer,
     _ipower_pass,
     _keys,
     _times_letter,
@@ -193,10 +194,10 @@ def test_word_span_matches_rewritten_words_relabelled(name):
     for s in range(cap + 1):
         # a one-term primitive row has coefficient 1, so `_word_span` may
         # hand its letter products to the engine as they are memoised
-        assert all(row[0][1] == 1 for row in spans[s] if len(row) == 1), (name, s)
+        assert all([*row.values()] == [1] for row in spans[s] if len(row) == 1), (name, s)
         # f^a = D^|a| e^a
-        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k) for k, c in row}
-                                 for row in spans[s]))
+        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k)
+                                  for k, c in row.items()} for row in spans[s]))
         words = product(range(L.dim), repeat=s)
         # the oracle's Fraction rows enter the engine as int rows
         expected = _span(len(monos), (_ints({index[a]: x for a, x in straighten(L.c, w).items()})
@@ -218,8 +219,8 @@ def test_ceilinged_word_span_matches_truncated_rewritten_words_relabelled(name):
     assert len(spans) == cap + 1
     shrunk = False
     for s in range(cap + 1):
-        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k) for k, c in row}
-                                 for row in spans[s]))
+        got = _span(len(monos), ({index[keys.exps(k)]: c * D ** keys.degree(k)
+                                  for k, c in row.items()} for row in spans[s]))
         words = [straighten(L.c, w) for w in product(range(L.dim), repeat=s)]
         # every monomial of weight above the cap dropped from every straightened word
         truncated = ({index[a]: x for a, x in word.items() if a in light} for word in words)
@@ -341,12 +342,23 @@ def test_predicted_equals_bruteforce_small():
                     (name, m, r)
 
 
+def _pass_spaces(L, order, nu, m_lo, m_hi, r_max):
+    """The snapshots of one `_ipower_pass` as subspaces on `monomials(dim,
+    r_max)` in `order`, each coefficient x on f^a made x D^|a| on e^a."""
+    keys, snapshots = _ipower_pass(L, order, nu, m_lo, m_hi, r_max)
+    D = _constants(L)[0]
+    monos = monomials(L.dim, r_max)
+    index = {keys.key(a): t for t, a in enumerate(monos)}
+    return [_span(len(monos), ({index[k]: c * D ** keys.degree(k) for k, c in row.items()}
+                               for row in rows)) for rows in snapshots]
+
+
 def test_single_pass_snapshots_match_separate_calls():
     for name in ("abelian1", "abelian2", "abelian3", "abelian4", "heisenberg3", "strict-ut3"):
         L = catalog.get(name)
         order, nu = straightening_order(L)
         for r in (1, 2, 3):
-            snapshots = _ipower_pass(L, order, nu, 1, 4, r)
+            snapshots = _pass_spaces(L, order, nu, 1, 4, r)
             assert len(snapshots) == 4
             for m, snap in enumerate(snapshots, 1):
                 assert snap == ipower_bruteforce(L, m, r), (name, m, r)
@@ -377,6 +389,47 @@ def test_benchmark_cases_bruteforce_equals_predicted_relabelled():
         assert dims == sorted(dims, reverse=True) and dims[0] > dims[-1] > 0, dims
 
 
+def test_ipower_checks_agree_with_the_public_spaces():
+    rng = random.Random(37)
+    cases = [(catalog.get(name), r, 4) for name in catalog.names()
+             if is_nilpotent(catalog.get(name)) for r in (1, 2, 3)]
+    cases += [(_relabelled(_base(name), rng), r, m_max)
+              for name, r, m_max in (("strict-ut4", 2, 3), ("h5", 4, 4), ("filiform5", 2, 4))]
+    for L, r, m_max in cases:
+        assert ipower_checks(L, rees_layer_table(L, r, m_max)) == tuple(
+            ipower_bruteforce(L, m, r) == ipower_predicted(L, m, r)
+            for m in range(1, m_max + 1)), (L.labels, r, m_max)
+
+
+def test_fills_layer_refuses_a_missing_row_and_a_light_term():
+    L = _relabelled(_base("filiform5"), random.Random(38))
+    r_max, m_max = 2, 4
+    table = rees_layer_table(L, r_max, m_max)
+    keys, snapshots = _ipower_pass(L, table.order, table.nu, 1, m_max, r_max)
+    monos = monomials(L.dim, r_max)
+    for m, rows in enumerate(snapshots, 1):
+        dim = sum(row[m] for row in table.dims)
+        assert _fills_layer(rows, keys.mask, m, dim), m
+        assert not _fills_layer(rows[:-1], keys.mask, m, dim), m
+        # a monomial of degree <= r_max and weight m - 1 (the monomial 1 for m = 1)
+        light = next(a for a in monos if sum(e * w for e, w in zip(a, table.nu)) == m - 1)
+        doctored = [{**rows[0], keys.key(light): 1}, *rows[1:]]
+        assert not _fills_layer(doctored, keys.mask, m, dim), m
+
+
+def test_ipower_checks_leave_the_cached_word_spans_alone():
+    # filiform-5 has rows of several terms whose leads an earlier row took
+    L = _relabelled(_base("filiform5"), random.Random(39))
+    table = rees_layer_table(L, 2, 4)
+    _, spans = _word_span(reorder_basis(L, table.order), _word_cap(table.nu, 4, 2), table.nu)
+    before = [[sorted(row.items()) for row in span] for span in spans]
+    hits = _word_span.cache_info().hits
+    assert ipower_checks(L, table) == (True,) * 4
+    # the pass eliminated into copies of these very rows
+    assert _word_span.cache_info().hits == hits + 1
+    assert [[sorted(row.items()) for row in span] for span in spans] == before
+
+
 def _ceilinged_rows(L, order, nu, m_max, r_max):
     """Rows kept by the word spans of the ceilinged pass `_ipower_pass` makes."""
     return sum(map(len, _word_span(reorder_basis(L, order), _word_cap(nu, m_max, r_max), nu)[1]))
@@ -392,7 +445,7 @@ def test_ceilinged_pass_matches_the_exact_pass():
         order, nu = straightening_order(L)
         assert nu is not None, L
         expected, _ = exact_ipower_pass(L, order, nu, 1, m_max, r)
-        assert _ipower_pass(L, order, nu, 1, m_max, r) == expected, (L.labels, r, m_max)
+        assert _pass_spaces(L, order, nu, 1, m_max, r) == expected, (L.labels, r, m_max)
 
 
 @pytest.mark.parametrize("name, r, m_max", [("strict-ut4", 2, 3), ("filiform5", 2, 4)])
@@ -400,7 +453,7 @@ def test_ceilinged_pass_keeps_at_most_a_third_of_the_rows(name, r, m_max):
     L = _relabelled(_base(name), random.Random(f"rows-{name}"))
     order, nu = straightening_order(L)
     expected, exact_rows = exact_ipower_pass(L, order, nu, 1, m_max, r)
-    assert _ipower_pass(L, order, nu, 1, m_max, r) == expected
+    assert _pass_spaces(L, order, nu, 1, m_max, r) == expected
     assert 3 * _ceilinged_rows(L, order, nu, m_max, r) <= exact_rows, name
 
 

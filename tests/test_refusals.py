@@ -21,7 +21,13 @@ from liecoh.lie import (
     subalgebra,
 )
 from liecoh.linalg import QMatrix, Subspace, quotient_basis
-from liecoh.pbw import UEAElement, ipower_bruteforce, ipower_predicted, rees_layer_table
+from liecoh.pbw import (
+    UEAElement,
+    ipower_bruteforce,
+    ipower_predicted,
+    pbw_normal_form,
+    rees_layer_table,
+)
 from liecoh.rep import (
     Character,
     LieModule,
@@ -126,6 +132,30 @@ CASES = {
                               ValueError, "layers start at r = m = 0, got r_max = -1, m_max = 2"),
     "negative layer weight": (lambda: rees_layer_table(H, 2, -1),
                               ValueError, "layers start at r = m = 0, got r_max = 2, m_max = -1"),
+    "bool letter": (lambda: pbw_normal_form(H, (True, 0)),
+                    ValueError, "letters must be basis indices 0..2"),
+    "float letter": (lambda: pbw_normal_form(H, (1.0, 0)),
+                     ValueError, "letters must be basis indices 0..2"),
+    "bool generator": (lambda: UEAElement.generator(3, True),
+                       ValueError, "generators are indices 0..2, got True"),
+    "float generator": (lambda: UEAElement.generator(3, 1.0),
+                        ValueError, "generators are indices 0..2, got 1.0"),
+    "bool layer degree": (lambda: rees_layer_table(H, True, 2),
+                          ValueError, "layers start at r = m = 0, got r_max = True, m_max = 2"),
+    "float layer degree": (lambda: rees_layer_table(H, 2.0, 2),
+                           ValueError, "layers start at r = m = 0, got r_max = 2.0, m_max = 2"),
+    "float layer weight": (lambda: rees_layer_table(H, 2, 2.0),
+                           ValueError, "layers start at r = m = 0, got r_max = 2, m_max = 2.0"),
+    "bool power": (lambda: ipower_bruteforce(H, True, 2),
+                   ValueError, "powers of the augmentation ideal start at m = 1"),
+    "float power": (lambda: ipower_bruteforce(H, 2.0, 2),
+                    ValueError, "powers of the augmentation ideal start at m = 1"),
+    "predicted bool power": (lambda: ipower_predicted(H, True, 2),
+                             ValueError, "powers of the augmentation ideal start at m = 1"),
+    "float degree": (lambda: ipower_bruteforce(H, 2, 2.0),
+                     ValueError, "degrees start at r = 0, got r_max = 2.0"),
+    "predicted bool degree": (lambda: ipower_predicted(H, 2, True),
+                              ValueError, "degrees start at r = 0, got r_max = True"),
     # rep
     "negative exterior power": (lambda: exterior_power(trivial_module(A), -1),
                                 ValueError, "exterior powers start at p = 0, got p = -1"),
